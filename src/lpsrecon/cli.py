@@ -144,6 +144,13 @@ def _metrics_line(frame: int, result, reference, dims) -> str:
     )
 
 
+def _warn_unconverged(frame: int, result, log_lines: list[str]) -> None:
+    if not result.converged:
+        log_lines.append(f"warning: frame {frame} stopped at max_iter={result.iterations} without "
+                         f"converging (last relative change {result.residual_history[-1]:.3e})")
+        print(log_lines[-1], file=sys.stderr)
+
+
 def _cmd_recon(args, parser) -> int:
     if (args.prior_l is None) != (args.prior_s is None):
         parser.error("--prior-l and --prior-s must be given together")
@@ -174,6 +181,7 @@ def _cmd_recon(args, parser) -> int:
     reference = load_volume(args.reference) if args.reference else volume
     print("frame,iterations,converged,data_residual,psnr_db")
     print(_metrics_line(1, result, reference, volume.dims))
+    _warn_unconverged(1, result, [])
     print(f"# solver={solver} m={mask.m} rate={mask.rate:.4f}", file=sys.stderr)
     return 0
 
@@ -216,6 +224,7 @@ def _cmd_recon_seq(args) -> int:
         _write_components(out / f"frame{t + 1:04d}", dims,
                           result.decomposition.L, result.decomposition.S)
         metrics.append(_metrics_line(t + 1, result, volumes[t], dims))
+        _warn_unconverged(t + 1, result, log_lines)
     (out / "metrics.csv").write_text("\n".join(metrics) + "\n")
     log_lines.append(f"recon-seq finished {time.strftime('%Y-%m-%dT%H:%M:%S')}")
     (out / "run.log").write_text("\n".join(log_lines) + "\n")
@@ -230,6 +239,9 @@ def _cmd_sweep(args) -> int:
     if args.n_seeds is not None:
         experiment = replace(experiment, n_seeds=args.n_seeds)
     rows = run_sweep(experiment, ls_opts, priori_opts)
+    if unconverged := sum(not row.converged for row in rows):
+        print(f"warning: {unconverged} of {len(rows)} frames stopped at max_iter without "
+              "converging (see run.log)", file=sys.stderr)
     print(f"wrote {len(rows)} rows to {Path(experiment.output_dir) / 'sweep.csv'}")
     return 0
 

@@ -96,7 +96,6 @@ class SweepRow:
     psnr_db: float
     iterations: int
     converged: bool
-    wall_seconds: float
 
     def sort_key(self):
         return (self.solver, round(self.rate, 6), self.seed, self.frame)
@@ -269,7 +268,6 @@ def _solve_cell(
                 psnr_db=psnr(sequence.frames[t], estimate),
                 iterations=result.iterations,
                 converged=result.converged,
-                wall_seconds=0.0,
             )
         )
     return rows, results
@@ -328,8 +326,6 @@ def run_sweep(
                     experiment, solver, rate, seed_index, ls_opts, priori_opts
                 )
                 wall = time.perf_counter() - started
-                for row in rows:
-                    row.wall_seconds = wall / len(rows)
                 log_lines.append(
                     f"cell solver={solver} rate={rate:.6f} seed={seed_index} wall={wall:.3f}s"
                 )
@@ -337,6 +333,8 @@ def run_sweep(
 
     write_sweep_csv(out / "sweep.csv", all_rows)
     write_summary_csv(out / "summary.csv", all_rows)
+    unconverged = sum(not row.converged for row in all_rows)
+    log_lines.append(f"unconverged frames: {unconverged} of {len(all_rows)} stopped at max_iter")
     log_lines.append(f"sweep finished {time.strftime('%Y-%m-%dT%H:%M:%S')}")
     (out / "run.log").write_text("\n".join(log_lines) + "\n")
     return all_rows

@@ -155,29 +155,26 @@ def make_mask(
     return SamplingMask(pattern.reshape(n_x, n_y))
 
 
-def _to_slices(data: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
+def _sample_index(pattern: np.ndarray) -> np.ndarray:
+    """Flat indices of the mask's True entries (row-major) into the unshifted
+    spectrum: centered (ix, iy) is unshifted ((ix - n_x//2) % n_x, (iy - n_y//2) % n_y)."""
+    n_x, n_y = pattern.shape
+    ix, iy = np.nonzero(pattern)
+    return ((ix - n_x // 2) % n_x) * n_y + (iy - n_y // 2) % n_y
+
+
+def _forward_samples(data: np.ndarray, dims: tuple[int, int, int], index: np.ndarray) -> np.ndarray:
     n_x, n_y, n_z = dims
-    return data.T.reshape(n_z, n_x, n_y)
+    spectra = np.fft.fft2(data.T.reshape(n_z, n_x, n_y), axes=(1, 2), norm="ortho")
+    return np.take(spectra.reshape(n_z, -1), index, axis=1).T
 
 
-def _from_slices(slices: np.ndarray) -> np.ndarray:
-    n_z = slices.shape[0]
+def _adjoint_matrix(samples: np.ndarray, dims: tuple[int, int, int], index: np.ndarray) -> np.ndarray:
+    n_x, n_y, n_z = dims
+    spectra = np.zeros((n_z, n_x * n_y), dtype=np.complex128)
+    spectra[:, index] = samples.T
+    slices = np.fft.ifft2(spectra.reshape(n_z, n_x, n_y), axes=(1, 2), norm="ortho")
     return slices.reshape(n_z, -1).T
-
-
-def _forward_samples(data: np.ndarray, dims: tuple[int, int, int], pattern: np.ndarray) -> np.ndarray:
-    spectra = np.fft.fftshift(
-        np.fft.fft2(_to_slices(data, dims), axes=(1, 2), norm="ortho"), axes=(1, 2)
-    )
-    return spectra[:, pattern].T
-
-
-def _adjoint_matrix(samples: np.ndarray, dims: tuple[int, int, int], pattern: np.ndarray) -> np.ndarray:
-    n_x, n_y, n_z = dims
-    spectra = np.zeros((n_z, n_x, n_y), dtype=np.complex128)
-    spectra[:, pattern] = samples.T
-    slices = np.fft.ifft2(np.fft.ifftshift(spectra, axes=(1, 2)), axes=(1, 2), norm="ortho")
-    return _from_slices(slices)
 
 
 def acquire(x: DynamicVolume, mask: SamplingMask) -> KSpaceData:
@@ -192,7 +189,7 @@ def acquire(x: DynamicVolume, mask: SamplingMask) -> KSpaceData:
         raise ValueError(
             f"mask grid {mask.pattern.shape} does not match volume dims {x.dims}"
         )
-    samples = _forward_samples(x.data, x.dims, mask.pattern)
+    samples = _forward_samples(x.data, x.dims, _sample_index(mask.pattern))
     return KSpaceData(samples, mask, x.dims)
 
 
@@ -202,7 +199,7 @@ def acquire_adjoint(y: KSpaceData) -> DynamicVolume:
     Because the transform is unitary, this is also the least-squares
     zero-filled reconstruction.
     """
-    data = _adjoint_matrix(y.samples, y.dims, y.mask.pattern)
+    data = _adjoint_matrix(y.samples, y.dims, _sample_index(y.mask.pattern))
     return DynamicVolume(data, y.dims)
 
 
@@ -221,13 +218,24 @@ def svd(m: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(u, sigma, vh.conj().T)
 
 
+def _gram_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Descending singular values and right singular vectors of a tall matrix M
+    from eigh(M^H M). Trailing values near 0 read as ~sqrt(eps) * sigma_max, so
+    use :func:`svd` where those matter."""
+    eigvals, vecs = np.linalg.eigh(m.T.conj() @ m)
+    return np.sqrt(np.maximum(eigvals[::-1], 0.0)), vecs[:, ::-1]
+
+
 def sv_threshold(m: np.ndarray, lam: float) -> np.ndarray:
-    """Soft-threshold the singular values of a matrix (nuclear-norm prox)."""
+    """Soft-threshold the singular values of a matrix (nuclear-norm prox), as
+    M V diag(f) V^H with f = max(sigma - lam, 0) / sigma, in column-major layout."""
     if lam < 0:
         raise ValueError(f"threshold must be >= 0, got {lam}")
-    dec = svd(m)
-    shrunk = np.maximum(dec.sigma - lam, 0.0)
-    return (dec.U * shrunk) @ dec.V.conj().T
+    m = np.asarray(m, dtype=np.complex128)
+    sigma, v = _gram_spectrum(m)
+    factor = np.maximum(sigma - lam, 0.0) / np.where(sigma > 0, sigma, 1.0)
+    # (M V diag(f) V^H)^T computed on the row-major transpose M^T.
+    return ((v.conj() * factor) @ v.T @ m.T).T
 
 
 def apply_sigma_prior(m: np.ndarray, sigma_prev: np.ndarray, lambda_p: float) -> np.ndarray:
@@ -249,11 +257,11 @@ def apply_sigma_prior(m: np.ndarray, sigma_prev: np.ndarray, lambda_p: float) ->
             f"sigma_prev length {sigma_prev.shape} does not match matrix columns {m.shape[1]}"
         )
     if lambda_p == 0:
-        return m.copy()
+        return m.copy(order="K")
     dec = svd(m)
     stepped = dec.sigma - lambda_p * (dec.sigma - sigma_prev)
     stepped = np.maximum(stepped, 0.0)
-    return (dec.U * stepped) @ dec.V.conj().T
+    return ((dec.V.conj() * stepped) @ dec.U.T).T
 
 
 def extract_support(w: np.ndarray, support_eps: float) -> SupportSet:

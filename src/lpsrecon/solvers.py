@@ -37,6 +37,8 @@ from .operators import (
     KSpaceData,
     _adjoint_matrix,
     _forward_samples,
+    _gram_spectrum,
+    _sample_index,
     acquire_adjoint,
     apply_sigma_prior,
     extract_support,
@@ -102,7 +104,7 @@ def default_config(
     lambda_S = lambda_s_scale * max|T(X0)| with X0 = A^H(y).
     """
     x0 = acquire_adjoint(y)
-    sigma_max = float(np.linalg.svd(x0.data, compute_uv=False)[0])
+    sigma_max = float(_gram_spectrum(x0.data)[0][0])
     coeff_peak = float(np.abs(wavelet_forward(x0)).max())
     if sigma_max == 0.0 or coeff_peak == 0.0:
         raise ValueError("all-zero measurements give no data scale; set thresholds explicitly")
@@ -117,14 +119,15 @@ def default_config(
 
 
 def _iterate(y: KSpaceData, cfg: SolverConfig, prior: Prior | None) -> SolveResult:
+    # Iterates stay column-major (a C-contiguous slice stack): no reshape copies.
     dims = y.dims
-    pattern = y.mask.pattern
+    index = _sample_index(y.mask.pattern)
     keep_mask = None
     if prior is not None:
         coeff_shape = (dims[0] * dims[1], dims[2])
-        keep_mask = prior.support_prev.to_mask(coeff_shape)
+        keep_mask = np.asfortranarray(prior.support_prev.to_mask(coeff_shape))
 
-    x = _adjoint_matrix(y.samples, dims, pattern)
+    x = _adjoint_matrix(y.samples, dims, index)
     s = np.zeros_like(x)
     l = np.zeros_like(x)
     history: list[float] = []
@@ -141,8 +144,8 @@ def _iterate(y: KSpaceData, cfg: SolverConfig, prior: Prior | None) -> SolveResu
             coeffs = soft_threshold_matrix(coeffs, cfg.lambda_S)
         s = _inverse_matrix(coeffs, dims, WAVELET_LEVELS)
         combined = l + s
-        residual = _forward_samples(combined, dims, pattern) - y.samples
-        x_new = combined - _adjoint_matrix(residual, dims, pattern)
+        residual = _forward_samples(combined, dims, index) - y.samples
+        x_new = combined - _adjoint_matrix(residual, dims, index)
         if not np.isfinite(x_new).all():
             raise FloatingPointError(f"solver produced a non-finite iterate at iteration {it}")
         change = relative_change(x_new, x)
@@ -152,7 +155,7 @@ def _iterate(y: KSpaceData, cfg: SolverConfig, prior: Prior | None) -> SolveResu
             converged = True
             break
 
-    data_residual = float(np.linalg.norm(_forward_samples(l + s, dims, pattern) - y.samples))
+    data_residual = float(np.linalg.norm(_forward_samples(l + s, dims, index) - y.samples))
     return SolveResult(
         decomposition=Decomposition(l, s),
         iterations=len(history),

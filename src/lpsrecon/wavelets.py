@@ -68,27 +68,25 @@ def _require_divisible(n_x: int, n_y: int, levels: int) -> None:
         )
 
 
-def _dwt2_stack(slices: np.ndarray, levels: int) -> np.ndarray:
-    """Multi-level 2D DWT of an (n_z, n_x, n_y) stack, in place layout."""
-    out = slices.copy()
-    n_x, n_y = out.shape[1], out.shape[2]
-    for lev in range(levels):
-        bx, by = n_x >> lev, n_y >> lev
-        wx = _level_matrix(bx)
-        wy = _level_matrix(by)
-        out[:, :bx, :by] = wx @ out[:, :bx, :by] @ wy.T
-    return out
+def _dwt2_stack(slices: np.ndarray, levels: int, inverse: bool = False) -> np.ndarray:
+    """Multi-level 2D DWT of an (n_z, n_x, n_y) stack, in place layout; with
+    ``inverse``, its inverse (the transpose of each level, coarsest first).
 
-
-def _idwt2_stack(coeffs: np.ndarray, levels: int) -> np.ndarray:
-    """Inverse of :func:`_dwt2_stack` (transpose of each level)."""
-    out = coeffs.copy()
-    n_x, n_y = out.shape[1], out.shape[2]
-    for lev in reversed(range(levels)):
+    The real and imaginary planes go into one real (2 n_z, n_x, n_y) array,
+    so each level is two real products with the real level matrices.
+    """
+    n_z, n_x, n_y = slices.shape
+    planes = np.ascontiguousarray(np.concatenate((slices.real, slices.imag)))
+    scratch = np.empty_like(planes)
+    for lev in reversed(range(levels)) if inverse else range(levels):
         bx, by = n_x >> lev, n_y >> lev
-        wx = _level_matrix(bx)
-        wy = _level_matrix(by)
-        out[:, :bx, :by] = wx.T @ out[:, :bx, :by] @ wy
+        wx, wy = _level_matrix(bx), _level_matrix(by)
+        if inverse:
+            wx, wy = wx.T, wy.T
+        np.matmul(wx, planes[:, :bx, :by], out=scratch[:, :bx, :by])
+        np.matmul(scratch[:, :bx, :by], wy.T, out=planes[:, :bx, :by])
+    out = scratch.view(np.complex128).reshape(slices.shape)  # same bytes as the result
+    out.real, out.imag = planes[:n_z], planes[n_z:]
     return out
 
 
@@ -103,7 +101,7 @@ def _inverse_matrix(w: np.ndarray, dims: tuple[int, int, int], levels: int) -> n
     n_x, n_y, n_z = dims
     _require_divisible(n_x, n_y, levels)
     coeffs = w.T.reshape(n_z, n_x, n_y)
-    return _idwt2_stack(coeffs, levels).reshape(n_z, -1).T
+    return _dwt2_stack(coeffs, levels, inverse=True).reshape(n_z, -1).T
 
 
 def wavelet_forward(s: DynamicVolume, levels: int = WAVELET_LEVELS) -> np.ndarray:

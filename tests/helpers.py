@@ -57,3 +57,42 @@ def random_volume(rng, dims):
     n_x, n_y, n_z = dims
     data = rng.standard_normal((n_x * n_y, n_z)) + 1j * rng.standard_normal((n_x * n_y, n_z))
     return DynamicVolume(data, dims)
+
+
+def svd_prox(m, lam):
+    """Nuclear-norm prox from a full SVD: U diag(max(sigma - lam, 0)) V^H."""
+    u, sigma, vh = np.linalg.svd(np.asarray(m, dtype=np.complex128), full_matrices=False)
+    return (u * np.maximum(sigma - lam, 0.0)) @ vh
+
+
+def shifted_samples(data, dims, pattern):
+    """Forward sampling in its textbook form: fft2, fftshift, then mask."""
+    n_x, n_y, n_z = dims
+    slices = data.T.reshape(n_z, n_x, n_y)
+    spectra = np.fft.fftshift(np.fft.fft2(slices, axes=(1, 2), norm="ortho"), axes=(1, 2))
+    return spectra[:, pattern].T
+
+
+def shifted_adjoint(samples, dims, pattern):
+    """Adjoint sampling in its textbook form: zero-fill, ifftshift, ifft2."""
+    n_x, n_y, n_z = dims
+    spectra = np.zeros((n_z, n_x, n_y), dtype=np.complex128)
+    spectra[:, pattern] = samples.T
+    slices = np.fft.ifft2(np.fft.ifftshift(spectra, axes=(1, 2)), axes=(1, 2), norm="ortho")
+    return slices.reshape(n_z, -1).T
+
+
+def complex_dwt2(slices, levels, inverse=False):
+    """Multi-level 2D DWT of a complex stack with complex matrix products."""
+    from lpsrecon.wavelets import _level_matrix
+
+    out = np.array(slices, dtype=np.complex128)
+    n_x, n_y = out.shape[1], out.shape[2]
+    for lev in reversed(range(levels)) if inverse else range(levels):
+        wx = _level_matrix(n_x >> lev).astype(np.complex128)
+        wy = _level_matrix(n_y >> lev).astype(np.complex128)
+        if inverse:
+            wx, wy = wx.T, wy.T
+        bx, by = n_x >> lev, n_y >> lev
+        out[:, :bx, :by] = wx @ out[:, :bx, :by] @ wy.T
+    return out

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -205,8 +207,8 @@ def test_csv_writers_handle_sentinel(tmp_path):
     from lpsrecon.harness import SweepRow
 
     rows = [
-        SweepRow("ls", 0.2, 0, 1, float("inf"), 3, True, 0.0),
-        SweepRow("ls", 0.2, 0, 2, 30.0, 3, True, 0.0),
+        SweepRow("ls", 0.2, 0, 1, float("inf"), 3, True),
+        SweepRow("ls", 0.2, 0, 2, 30.0, 3, True),
     ]
     write_sweep_csv(tmp_path / "s.csv", rows)
     write_summary_csv(tmp_path / "m.csv", rows)
@@ -304,6 +306,40 @@ class TestCli:
         assert code == 0
         summary = (out_dir / "summary.csv").read_text().splitlines()
         assert len(summary) == 1 + 4  # 2 solvers x 2 rates
+
+    def test_unconverged_frames_warn_on_stderr(self, tmp_path, capsys):
+        config = tmp_path / "one_iter.cfg"
+        config.write_text(CONFIG_TEXT.replace("max_iter = 300", "max_iter = 1").replace(
+            "support_eps = 0.02", "support_eps = 0.02\nmax_iter = 1"))
+        frames_dir = tmp_path / "frames"
+        main(["phantom", "gen", "--config", str(config), "--out", str(frames_dir)])
+        mask_path = tmp_path / "m.lpsm"
+        main(["mask", "gen", "--nx", "32", "--ny", "32", "--rate", "0.5", "--out", str(mask_path)])
+        capsys.readouterr()
+
+        code = main(["recon", "--input", str(frames_dir / "frame0001.x"), "--mask", str(mask_path),
+                     "--out", str(tmp_path / "rec"), "--config", str(config)])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert re.search(r"warning: frame 1 stopped at max_iter=1 .*last relative change \d", err)
+
+        out_dir = tmp_path / "seq"
+        code = main(["recon-seq", "--frames", str(frames_dir), "--out", str(out_dir),
+                     "--config", str(config), "--rate", "0.333333"])
+        assert code == 0
+        err = capsys.readouterr().err
+        log = (out_dir / "run.log").read_text()
+        for frame in (1, 2, 3):
+            assert f"warning: frame {frame} stopped at max_iter=1" in err
+            assert f"warning: frame {frame} stopped at max_iter=1" in log
+
+        sweep_dir = tmp_path / "sw"
+        code = main(["sweep", "--config", str(config), "--out", str(sweep_dir)])
+        assert code == 0
+        err_lines = [line for line in capsys.readouterr().err.splitlines() if line]
+        assert err_lines == ["warning: 12 of 12 frames stopped at max_iter without converging "
+                             "(see run.log)"]
+        assert "unconverged frames: 12 of 12" in (sweep_dir / "run.log").read_text()
 
     def test_usage_error_on_missing_required_flag(self):
         with pytest.raises(SystemExit) as exc:

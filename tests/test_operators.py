@@ -13,8 +13,9 @@ from lpsrecon import (
     sv_threshold,
     svd,
 )
+from lpsrecon.operators import _adjoint_matrix, _forward_samples, _sample_index
 
-from helpers import random_volume
+from helpers import random_volume, shifted_adjoint, shifted_samples, svd_prox
 
 
 def random_kspace(rng, mask, dims):
@@ -209,6 +210,85 @@ class TestSvThreshold:
         rank_in = np.sum(np.linalg.svd(m, compute_uv=False) > 1e-12)
         rank_out = np.sum(np.linalg.svd(out, compute_uv=False) > 1e-12)
         assert rank_out <= rank_in
+
+
+def _low_rank_plus_noise(rng, rows, cols, rank, noise):
+    left = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
+    right = rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols))
+    return left @ right + noise * (
+        rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    )
+
+
+class TestSvThresholdAgainstSvd:
+    """The Gram-eigen SVT agrees with the full-SVD prox to 1e-10 relative."""
+
+    @staticmethod
+    def _check(m, lam):
+        ref = svd_prox(m, lam)
+        out = sv_threshold(m, lam)
+        assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("lam_frac", [0.01, 0.05, 0.3, 0.9])
+    def test_low_rank_plus_noise(self, lam_frac):
+        rng = np.random.default_rng(20)
+        m = _low_rank_plus_noise(rng, 400, 8, rank=3, noise=0.05)
+        self._check(m, lam_frac * np.linalg.svd(m, compute_uv=False)[0])
+
+    @pytest.mark.parametrize("lam_frac", [0.0, 0.05, 0.5])
+    def test_rank_deficient(self, lam_frac):
+        rng = np.random.default_rng(21)
+        m = _low_rank_plus_noise(rng, 300, 6, rank=2, noise=0.0)
+        self._check(m, lam_frac * np.linalg.svd(m, compute_uv=False)[0])
+
+    def test_zero_threshold(self):
+        rng = np.random.default_rng(22)
+        m = rng.standard_normal((50, 5)) + 1j * rng.standard_normal((50, 5))
+        self._check(m, 0.0)
+
+    def test_all_zero_matrix(self):
+        out = sv_threshold(np.zeros((64, 4), dtype=complex), 0.1)
+        assert np.array_equal(out, np.zeros((64, 4)))
+
+    def test_casorati_size(self):
+        rng = np.random.default_rng(23)
+        m = _low_rank_plus_noise(rng, 65536, 16, rank=4, noise=0.01)
+        self._check(m, 0.05 * np.linalg.svd(m, compute_uv=False)[0])
+
+    def test_keeps_column_major_layout(self):
+        rng = np.random.default_rng(24)
+        m = np.asfortranarray(_low_rank_plus_noise(rng, 64, 4, rank=2, noise=0.1))
+        assert sv_threshold(m, 0.5).flags.f_contiguous
+        assert apply_sigma_prior(m, np.ones(4), 0.5).flags.f_contiguous
+        assert apply_sigma_prior(m, np.ones(4), 0.0).flags.f_contiguous
+
+
+class TestShiftFreeSampling:
+    """Gathering at unshifted indices is bit-identical to fftshift-then-mask."""
+
+    @pytest.mark.parametrize("dims", [(8, 8, 1), (16, 8, 3), (7, 9, 2), (15, 16, 3), (33, 31, 2)])
+    def test_forward_matches_shifted_form(self, dims):
+        rng = np.random.default_rng(sum(dims))
+        mask = make_mask(dims[0], dims[1], 0.4, 2.0, seed=dims[0])
+        x = random_volume(rng, dims)
+        got = _forward_samples(x.data, dims, _sample_index(mask.pattern))
+        assert np.array_equal(got, shifted_samples(x.data, dims, mask.pattern))
+
+    @pytest.mark.parametrize("dims", [(8, 8, 1), (16, 8, 3), (7, 9, 2), (15, 16, 3), (33, 31, 2)])
+    def test_adjoint_matches_shifted_form(self, dims):
+        rng = np.random.default_rng(sum(dims) + 1)
+        mask = make_mask(dims[0], dims[1], 0.4, 2.0, seed=dims[1])
+        y = random_kspace(rng, mask, dims)
+        got = _adjoint_matrix(y.samples, dims, _sample_index(mask.pattern))
+        assert np.array_equal(got, shifted_adjoint(y.samples, dims, mask.pattern))
+
+    def test_keeps_column_major_layout(self):
+        rng = np.random.default_rng(25)
+        dims = (16, 16, 3)
+        index = _sample_index(make_mask(16, 16, 0.3, 2.0, seed=1).pattern)
+        samples = _forward_samples(random_volume(rng, dims).data, dims, index)
+        assert samples.flags.f_contiguous
+        assert _adjoint_matrix(samples, dims, index).flags.f_contiguous
 
 
 def _matrix_with_spectrum(rng, rows, sigma):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from lpsrecon import DynamicVolume, wavelet_forward, wavelet_inverse
-from lpsrecon.wavelets import _level_matrix
+from lpsrecon.wavelets import _dwt2_stack, _forward_matrix, _inverse_matrix, _level_matrix
 
-from helpers import random_volume
+from helpers import complex_dwt2, random_volume
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
@@ -82,3 +82,24 @@ def test_round_trip_at_other_level_counts():
         coeffs = wavelet_forward(vol, levels=levels)
         back = wavelet_inverse(coeffs, dims, levels=levels)
         assert np.linalg.norm(back.data - vol.data) <= 1e-10 * np.linalg.norm(vol.data)
+
+
+@pytest.mark.parametrize("shape", [(1, 8, 8), (4, 32, 32), (2, 16, 24), (3, 64, 32), (16, 256, 256)])
+@pytest.mark.parametrize("levels", [1, 3])
+def test_real_plane_transform_matches_complex_form(shape, levels):
+    rng = np.random.default_rng(shape[1] + levels)
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    scale = np.abs(stack).max()
+    fwd = _dwt2_stack(stack, levels)
+    assert np.abs(fwd - complex_dwt2(stack, levels)).max() <= 1e-13 * scale
+    inv = _dwt2_stack(stack, levels, inverse=True)
+    assert np.abs(inv - complex_dwt2(stack, levels, inverse=True)).max() <= 1e-13 * scale
+
+
+def test_matrix_forms_keep_column_major_layout():
+    rng = np.random.default_rng(12)
+    dims = (16, 16, 3)
+    data = random_volume(rng, dims).data
+    coeffs = _forward_matrix(data, dims, 3)
+    assert coeffs.flags.f_contiguous
+    assert _inverse_matrix(coeffs, dims, 3).flags.f_contiguous
