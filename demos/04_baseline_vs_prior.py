@@ -42,7 +42,7 @@ cfg2 = default_config(y2)
 plain = solve_ls(y2, cfg2)
 p_plain = psnr(seq.frames[1], DynamicVolume(plain.estimate(), spec.dims))
 
-prior = prior_from_result(res1, spec.dims, cfg2.support_eps)
+prior = prior_from_result(res1.decomposition, spec.dims, cfg2.support_eps)
 print(f"\nprior carried over: {len(prior.support_prev)} support entries, "
       f"spectrum {np.round(prior.sigma_prev, 3)}")
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DynamicVolume, Prior
+from .core import Decomposition, DynamicVolume
 from .harness import (
     ExperimentSpec,
     SolverOptions,
@@ -31,10 +31,9 @@ from .harness import (
     run_sweep,
 )
 from .io import load_mask, load_volume, save_mask, save_volume
-from .operators import acquire, extract_support, make_mask, svd
+from .operators import acquire, make_mask
 from .phantom import generate, psnr
-from .solvers import solve_ls, solve_priori_ls, solve_sequence
-from .wavelets import wavelet_forward
+from .solvers import prior_from_result, solve_ls, solve_priori_ls, solve_sequence
 
 __all__ = ["main"]
 
@@ -163,14 +162,9 @@ def _cmd_recon(args, parser) -> int:
     _, ls_opts, priori_opts = _load_options(args.config)
     y = acquire(volume, mask)
     if args.prior_l is not None:
-        prev_l = load_volume(args.prior_l)
-        prev_s = load_volume(args.prior_s)
-        opts = priori_opts
-        cfg = build_solver_config(y, opts)
-        prior = Prior(
-            sigma_prev=svd(prev_l.data).sigma,
-            support_prev=extract_support(wavelet_forward(prev_s), cfg.support_eps),
-        )
+        previous = Decomposition(load_volume(args.prior_l).data, load_volume(args.prior_s).data)
+        cfg = build_solver_config(y, priori_opts)
+        prior = prior_from_result(previous, volume.dims, cfg.support_eps)
         result = solve_priori_ls(y, prior, cfg)
         solver = "priori-ls"
     else:

@@ -222,13 +222,19 @@ def soft_threshold(x: complex, lam: float) -> complex:
 
 def soft_threshold_matrix(m: np.ndarray, lam: float) -> np.ndarray:
     """Elementwise complex soft-thresholding of a matrix."""
+    m = np.asarray(m, dtype=np.complex128)
+    return m * _shrink_scale(m, lam)
+
+
+def _shrink_scale(m: np.ndarray, lam: float) -> np.ndarray:
+    """Real factor max(|m| - lam, 0) / |m| per entry, 0 where m = 0."""
     if lam < 0:
         raise ValueError(f"threshold must be >= 0, got {lam}")
-    m = np.asarray(m, dtype=np.complex128)
     mag = np.abs(m)
-    scale = np.zeros_like(mag)
-    np.divide(np.maximum(mag - lam, 0.0), mag, out=scale, where=mag > 0)
-    return m * scale
+    scale = mag - lam
+    np.maximum(scale, 0.0, out=scale)
+    np.divide(scale, mag, out=scale, where=mag > 0)
+    return scale
 
 
 def soft_threshold_restricted(m: np.ndarray, lam: float, keep: SupportSet) -> np.ndarray:
@@ -243,9 +249,9 @@ def soft_threshold_restricted(m: np.ndarray, lam: float, keep: SupportSet) -> np
 
 
 def _soft_threshold_keep(m: np.ndarray, lam: float, keep_mask: np.ndarray) -> np.ndarray:
-    out = soft_threshold_matrix(m, lam)
-    out[keep_mask] = m[keep_mask]
-    return out
+    scale = _shrink_scale(m, lam)
+    scale[keep_mask] = 1.0
+    return m * scale
 
 
 def relative_change(x_new: np.ndarray, x_old: np.ndarray) -> float:

@@ -27,7 +27,6 @@ __all__ = [
     "acquire_adjoint",
     "svd",
     "sv_threshold",
-    "apply_sigma_prior",
     "extract_support",
 ]
 
@@ -226,42 +225,37 @@ def _gram_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(np.maximum(eigvals[::-1], 0.0)), vecs[:, ::-1]
 
 
-def sv_threshold(m: np.ndarray, lam: float) -> np.ndarray:
+def sv_threshold(
+    m: np.ndarray,
+    lam: float,
+    sigma_prev: np.ndarray | None = None,
+    lambda_p: float = 0.0,
+) -> np.ndarray:
     """Soft-threshold the singular values of a matrix (nuclear-norm prox), as
-    M V diag(f) V^H with f = max(sigma - lam, 0) / sigma, in column-major layout."""
+    M V diag(f / sigma) V^H with f = max(sigma - lam, 0), in column-major layout.
+
+    With a prior spectrum ``sigma_prev``, the thresholded spectrum is then
+    stepped toward it, f <- max(f - lambda_p * (f - sigma_prev), 0), on the
+    same singular vectors: one spectral map of M, so no second decomposition.
+    Where sigma = 0 the factor stays 0, so the result lies in range(M).
+    lambda_p = 0 gives exactly the prox alone.
+    """
     if lam < 0:
         raise ValueError(f"threshold must be >= 0, got {lam}")
     m = np.asarray(m, dtype=np.complex128)
     sigma, v = _gram_spectrum(m)
-    factor = np.maximum(sigma - lam, 0.0) / np.where(sigma > 0, sigma, 1.0)
+    shrunk = np.maximum(sigma - lam, 0.0)
+    if sigma_prev is not None:
+        if not 0 <= lambda_p <= 1:
+            raise ValueError(f"lambda_p must be in [0, 1], got {lambda_p}")
+        if np.shape(sigma_prev) != sigma.shape:
+            raise ValueError(
+                f"sigma_prev shape {np.shape(sigma_prev)} does not match matrix columns {m.shape[1]}"
+            )
+        shrunk = np.maximum(shrunk - lambda_p * (shrunk - sigma_prev), 0.0)
+    factor = np.divide(shrunk, sigma, out=np.zeros_like(sigma), where=sigma > 0)
     # (M V diag(f) V^H)^T computed on the row-major transpose M^T.
     return ((v.conj() * factor) @ v.T @ m.T).T
-
-
-def apply_sigma_prior(m: np.ndarray, sigma_prev: np.ndarray, lambda_p: float) -> np.ndarray:
-    """Step the spectrum of ``m`` toward a previous spectrum.
-
-    With (U, sigma, V) = svd(m), rebuilds the matrix with singular values
-    sigma - lambda_p * (sigma - sigma_prev): a gradient step on the
-    squared spectral distance to ``sigma_prev``. Values driven below zero
-    are clamped (singular values are non-negative by definition). The
-    singular vectors of ``m`` itself carry the modified spectrum back to
-    matrix form. lambda_p = 0 returns ``m`` unchanged.
-    """
-    if not 0 <= lambda_p <= 1:
-        raise ValueError(f"lambda_p must be in [0, 1], got {lambda_p}")
-    m = np.asarray(m, dtype=np.complex128)
-    sigma_prev = np.asarray(sigma_prev, dtype=np.float64)
-    if sigma_prev.ndim != 1 or sigma_prev.size != m.shape[1]:
-        raise ValueError(
-            f"sigma_prev length {sigma_prev.shape} does not match matrix columns {m.shape[1]}"
-        )
-    if lambda_p == 0:
-        return m.copy(order="K")
-    dec = svd(m)
-    stepped = dec.sigma - lambda_p * (dec.sigma - sigma_prev)
-    stepped = np.maximum(stepped, 0.0)
-    return ((dec.V.conj() * stepped) @ dec.U.T).T
 
 
 def extract_support(w: np.ndarray, support_eps: float) -> SupportSet:

@@ -3,13 +3,13 @@
 Both solvers run the same soft-thresholding iteration from the zero-filled
 proxy X0 = A^H(y), S0 = 0:
 
-    1. L <- singular-value soft-thresholding of (X - S) with lambda_L
-    2. (prior only) step the spectrum of L toward the previous frame's
-       spectrum with step lambda_p
-    3. S <- inverse transform of the soft-thresholded coefficients of
+    1. L <- singular-value soft-thresholding of (X - S) with lambda_L; with
+       a prior, the thresholded spectrum is then stepped toward the previous
+       frame's spectrum with step lambda_p, on the same singular vectors
+    2. S <- inverse transform of the soft-thresholded coefficients of
        (X - L); with a prior, coefficients on the previous frame's support
        are exempt from shrinkage
-    4. X <- L + S - A^H(A(L + S) - y)   (data consistency)
+    3. X <- L + S - A^H(A(L + S) - y)   (data consistency)
 
 and stop once the relative change of X drops below ``tol``. The returned
 reconstruction estimate is L + S.
@@ -40,7 +40,6 @@ from .operators import (
     _gram_spectrum,
     _sample_index,
     acquire_adjoint,
-    apply_sigma_prior,
     extract_support,
     sv_threshold,
     svd,
@@ -122,10 +121,11 @@ def _iterate(y: KSpaceData, cfg: SolverConfig, prior: Prior | None) -> SolveResu
     # Iterates stay column-major (a C-contiguous slice stack): no reshape copies.
     dims = y.dims
     index = _sample_index(y.mask.pattern)
-    keep_mask = None
+    keep_mask = sigma_prev = None
     if prior is not None:
         coeff_shape = (dims[0] * dims[1], dims[2])
         keep_mask = np.asfortranarray(prior.support_prev.to_mask(coeff_shape))
+        sigma_prev = prior.sigma_prev
 
     x = _adjoint_matrix(y.samples, dims, index)
     s = np.zeros_like(x)
@@ -134,9 +134,7 @@ def _iterate(y: KSpaceData, cfg: SolverConfig, prior: Prior | None) -> SolveResu
     converged = False
 
     for it in range(1, cfg.max_iter + 1):
-        l = sv_threshold(x - s, cfg.lambda_L)
-        if prior is not None:
-            l = apply_sigma_prior(l, prior.sigma_prev, cfg.lambda_p)
+        l = sv_threshold(x - s, cfg.lambda_L, sigma_prev, cfg.lambda_p)
         coeffs = _forward_matrix(x - l, dims, WAVELET_LEVELS)
         if prior is not None:
             coeffs = _soft_threshold_keep(coeffs, cfg.lambda_S, keep_mask)
@@ -186,10 +184,16 @@ def solve_priori_ls(y: KSpaceData, prior: Prior, cfg: SolverConfig) -> SolveResu
     return _iterate(y, cfg, prior=prior)
 
 
-def prior_from_result(result: SolveResult, dims: tuple[int, int, int], support_eps: float) -> Prior:
-    """Build the next frame's prior from a finished reconstruction."""
-    sigma_prev = svd(result.decomposition.L).sigma
-    coeffs = _forward_matrix(result.decomposition.S, dims, WAVELET_LEVELS)
+def prior_from_result(
+    decomposition: Decomposition, dims: tuple[int, int, int], support_eps: float
+) -> Prior:
+    """Build the next frame's prior from a reconstruction's (L, S) pair. The
+    spectrum comes from a full SVD, which resolves L's trailing singular values."""
+    n_x, n_y, n_z = dims
+    if decomposition.L.shape != (n_x * n_y, n_z):
+        raise ValueError(f"prior L/S shape {decomposition.L.shape} inconsistent with dims {dims}")
+    sigma_prev = svd(decomposition.L).sigma
+    coeffs = _forward_matrix(decomposition.S, dims, WAVELET_LEVELS)
     support_prev = extract_support(coeffs, support_eps)
     return Prior(sigma_prev=sigma_prev, support_prev=support_prev)
 
@@ -219,7 +223,7 @@ def solve_sequence(
             if t == 0:
                 results.append(solve_ls(frame, cfg_first))
             else:
-                prior = prior_from_result(results[-1], dims, cfg_rest.support_eps)
+                prior = prior_from_result(results[-1].decomposition, dims, cfg_rest.support_eps)
                 results.append(solve_priori_ls(frame, prior, cfg_rest))
         except Exception as exc:  # noqa: BLE001 - abort must carry the frame index
             raise FrameSolveError(t + 1, exc) from exc

@@ -151,7 +151,8 @@ def test_criterion_4_exact_regime_recovery():
 
 
 def test_criterion_5_priori_outperforms_baseline(tmp_path):
-    """Desk-scale sampling-rate sweep: prior-informed solver wins at every rate."""
+    """Desk-scale sampling-rate sweep: prior-informed solver wins at every rate,
+    and every frame of the sweep converges."""
     started = time.perf_counter()
     experiment = ExperimentSpec(
         phantom=PhantomSpec(),
@@ -162,6 +163,10 @@ def test_criterion_5_priori_outperforms_baseline(tmp_path):
         output_dir=str(tmp_path / "sweep"),
     )
     run_sweep(experiment)
+    rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 * 3 * 5 * experiment.phantom.n_frames
+    stalled = [row for row in rows if not row.endswith(",true")]
+    assert not stalled, f"{len(stalled)} of {len(rows)} frames stopped at max_iter: {stalled[:5]}"
     lines = (tmp_path / "sweep" / "summary.csv").read_text().splitlines()[1:]
     means = {}
     for line in lines:
@@ -178,7 +183,8 @@ def test_criterion_5_priori_outperforms_baseline(tmp_path):
     elapsed = time.perf_counter() - started
     assert elapsed < 600.0
     gap_txt = ", ".join(f"{r}: {g:+.2f} dB" for r, g in gaps.items())
-    print(f"\nACCEPTANCE 5 PASS: priori-ls >= ls at every rate ({gap_txt}; {elapsed:.0f}s)")
+    print(f"\nACCEPTANCE 5 PASS: priori-ls >= ls at every rate ({gap_txt}); "
+          f"{len(rows)}/{len(rows)} frames converged ({elapsed:.0f}s)")
 
 
 @pytest.fixture(scope="module")

@@ -106,14 +106,15 @@ class TestSoftThresholdRestricted:
 
     def test_agrees_with_pieces_on_random_supports(self):
         rng = np.random.default_rng(8)
-        for _ in range(10):
-            m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-            mask = rng.random((16, 16)) < 0.3
+        for shape in [(16, 16)] * 10 + [(16384, 8)]:
+            m = np.asfortranarray(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            mask = rng.random(shape) < 0.3
             keep = SupportSet.from_mask(mask)
             out = soft_threshold_restricted(m, 0.8, keep)
             plain = soft_threshold_matrix(m, 0.8)
             assert np.array_equal(out[mask], m[mask])
             assert np.array_equal(out[~mask], plain[~mask])
+            assert out.flags.f_contiguous
 
     def test_out_of_bounds_keep_rejected(self):
         m = np.zeros((3, 3), dtype=complex)

@@ -14,9 +14,13 @@ from lpsrecon import (
     make_mask,
     acquire,
     parse_config,
+    prior_from_result,
     run_sweep,
     save_volume,
+    solve_ls,
+    solve_priori_ls,
 )
+import lpsrecon.cli as cli
 from lpsrecon.cli import main
 from lpsrecon.harness import _mask_seed, write_summary_csv, write_sweep_csv
 from lpsrecon.phantom import PhantomSpec
@@ -238,7 +242,7 @@ class TestCli:
         mask = load_mask(out)
         assert mask.m == round(0.25 * 1024)
 
-    def test_phantom_gen_and_recon(self, tmp_path, capsys, config_file):
+    def test_phantom_gen_and_recon(self, tmp_path, capsys, config_file, monkeypatch):
         frames_dir = tmp_path / "frames"
         assert main(["phantom", "gen", "--config", str(config_file),
                      "--out", str(frames_dir)]) == 0
@@ -267,12 +271,24 @@ class TestCli:
         assert exc.value.code == 2
 
         # prior-informed reconstruction of the next frame
+        priors = []
+        monkeypatch.setattr(cli, "solve_priori_ls", lambda y, prior, cfg: (
+            priors.append(prior) or solve_priori_ls(y, prior, cfg)))
         code = main(["recon", "--input", str(files[1]), "--mask", str(mask_path),
                      "--out", str(tmp_path / "rec2"), "--config", str(config_file),
                      "--prior-l", str(tmp_path / "rec1.l"),
                      "--prior-s", str(tmp_path / "rec1.s")])
         assert code == 0
         assert "priori-ls" in capsys.readouterr().err
+
+        # the prior read back from rec1.l/rec1.s is the one solve_sequence
+        # builds from the in-memory frame-1 result
+        _, ls_opts, priori_opts = parse_config(config_file)
+        y1 = acquire(vol, load_mask(mask_path))
+        first = solve_ls(y1, build_solver_config(y1, ls_opts))
+        want = prior_from_result(first.decomposition, vol.dims, priori_opts.support_eps)
+        assert np.array_equal(priors[0].sigma_prev, want.sigma_prev)
+        assert np.array_equal(priors[0].support_prev.indices, want.support_prev.indices)
 
     def test_recon_seq_single_frame_falls_back(self, tmp_path, capsys):
         seq = generate(PhantomSpec(n_frames=1))

@@ -7,7 +7,6 @@ from lpsrecon import (
     SamplingMask,
     acquire,
     acquire_adjoint,
-    apply_sigma_prior,
     extract_support,
     make_mask,
     sv_threshold,
@@ -221,12 +220,13 @@ def _low_rank_plus_noise(rng, rows, cols, rank, noise):
 
 
 class TestSvThresholdAgainstSvd:
-    """The Gram-eigen SVT agrees with the full-SVD prox to 1e-10 relative."""
+    """The Gram-eigen SVT, with and without the prior step, agrees with the
+    full-SVD spectral map to 1e-10 relative."""
 
     @staticmethod
-    def _check(m, lam):
-        ref = svd_prox(m, lam)
-        out = sv_threshold(m, lam)
+    def _check(m, lam, *prior):
+        ref = svd_prox(m, lam, *prior)
+        out = sv_threshold(m, lam, *prior)
         assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("lam_frac", [0.01, 0.05, 0.3, 0.9])
@@ -241,6 +241,16 @@ class TestSvThresholdAgainstSvd:
         m = _low_rank_plus_noise(rng, 300, 6, rank=2, noise=0.0)
         self._check(m, lam_frac * np.linalg.svd(m, compute_uv=False)[0])
 
+    @pytest.mark.parametrize("lambda_p", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("prev_frac", [[1.2, 0.8, 0.5, 0.3, 0.2, 0.1], [1.0, 0.6, 0.2, 0, 0, 0]])
+    def test_prior_step(self, lambda_p, prev_frac):
+        # lam zeroes the noise modes, so the prior both moves kept modes and
+        # revives thresholded ones; trailing zeros in the prior shrink modes.
+        rng = np.random.default_rng(26)
+        m = _low_rank_plus_noise(rng, 400, 6, rank=3, noise=0.05)
+        sigma_max = np.linalg.svd(m, compute_uv=False)[0]
+        self._check(m, 0.05 * sigma_max, sigma_max * np.array(prev_frac), lambda_p)
+
     def test_zero_threshold(self):
         rng = np.random.default_rng(22)
         m = rng.standard_normal((50, 5)) + 1j * rng.standard_normal((50, 5))
@@ -253,14 +263,17 @@ class TestSvThresholdAgainstSvd:
     def test_casorati_size(self):
         rng = np.random.default_rng(23)
         m = _low_rank_plus_noise(rng, 65536, 16, rank=4, noise=0.01)
-        self._check(m, 0.05 * np.linalg.svd(m, compute_uv=False)[0])
+        sigma = np.linalg.svd(m, compute_uv=False)
+        self._check(m, 0.05 * sigma[0])
+        prev = np.concatenate([0.9 * sigma[:4], np.zeros(12)])
+        self._check(m, 0.05 * sigma[0], prev, 0.7)
 
     def test_keeps_column_major_layout(self):
         rng = np.random.default_rng(24)
         m = np.asfortranarray(_low_rank_plus_noise(rng, 64, 4, rank=2, noise=0.1))
         assert sv_threshold(m, 0.5).flags.f_contiguous
-        assert apply_sigma_prior(m, np.ones(4), 0.5).flags.f_contiguous
-        assert apply_sigma_prior(m, np.ones(4), 0.0).flags.f_contiguous
+        assert sv_threshold(m, 0.5, np.ones(4), 0.5).flags.f_contiguous
+        assert sv_threshold(m, 0.5, np.ones(4), 0.0).flags.f_contiguous
 
 
 class TestShiftFreeSampling:
@@ -300,21 +313,28 @@ def _matrix_with_spectrum(rng, rows, sigma):
 
 
 class TestApplySigmaPrior:
+    """The sigma-prior step, applied by ``sv_threshold`` to the thresholded
+    spectrum on the singular vectors of its input. With lam = 0 the prox
+    keeps the spectrum, so these check the step alone."""
+
     def test_zero_step_returns_input(self):
+        # lambda_p = 0 leaves the prox's output unchanged, bit for bit.
         rng = np.random.default_rng(11)
         m = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
-        assert np.array_equal(apply_sigma_prior(m, np.array([1.0, 1.0, 0.5]), 0.0), m)
+        for lam in (0.0, 0.7):
+            got = sv_threshold(m, lam, np.array([1.0, 1.0, 0.5]), 0.0)
+            assert np.array_equal(got, sv_threshold(m, lam))
 
     def test_half_step_arithmetic(self):
         rng = np.random.default_rng(12)
         m = _matrix_with_spectrum(rng, 10, [4.0, 2.0])
-        out = apply_sigma_prior(m, np.array([2.0, 2.0]), 0.5)
+        out = sv_threshold(m, 0.0, np.array([2.0, 2.0]), 0.5)
         assert np.allclose(np.linalg.svd(out, compute_uv=False), [3.0, 2.0], atol=1e-10)
 
     def test_full_step_reaches_prior(self):
         rng = np.random.default_rng(13)
         m = _matrix_with_spectrum(rng, 10, [1.0, 0.0])
-        out = apply_sigma_prior(m, np.array([5.0, 0.0]), 1.0)
+        out = sv_threshold(m, 0.0, np.array([5.0, 0.0]), 1.0)
         sigma = np.linalg.svd(out, compute_uv=False)
         assert np.linalg.norm(sigma - [5.0, 0.0]) <= 1e-10
 
@@ -325,20 +345,30 @@ class TestApplySigmaPrior:
             prev = np.sort(rng.uniform(0, 3, 3))[::-1]
             lam_p = rng.uniform(0, 1)
             m = _matrix_with_spectrum(rng, 9, sigma)
-            out_sigma = np.linalg.svd(apply_sigma_prior(m, prev, lam_p), compute_uv=False)
+            out_sigma = np.linalg.svd(sv_threshold(m, 0.0, prev, lam_p), compute_uv=False)
             before = np.linalg.norm(sigma - prev)
             after = np.linalg.norm(out_sigma - prev)
             assert after <= before + 1e-9
             # no clamping can fire for non-negative inputs with lam_p <= 1
             assert out_sigma.min() >= -1e-12
 
+    def test_stays_in_range_of_input(self):
+        # A rank-1 input has no singular vectors for the prior's trailing
+        # modes: they get no mass, and the output stays in range(M).
+        rng = np.random.default_rng(16)
+        m = _matrix_with_spectrum(rng, 64, [3.0, 0.0, 0.0, 0.0])
+        out = sv_threshold(m, 0.5, np.array([4.0, 3.0, 2.0, 1.0]), 0.5)
+        u1 = np.linalg.svd(m)[0][:, :1]
+        assert np.linalg.norm(out - u1 @ (u1.conj().T @ out)) <= 1e-7 * np.linalg.norm(out)
+        assert np.allclose(np.linalg.svd(out, compute_uv=False)[0], 3.25, atol=1e-10)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            apply_sigma_prior(np.zeros((4, 2), dtype=complex), np.zeros(3), 0.5)
+            sv_threshold(np.zeros((4, 2), dtype=complex), 0.0, np.zeros(3), 0.5)
 
     def test_step_out_of_range(self):
         with pytest.raises(ValueError):
-            apply_sigma_prior(np.zeros((4, 2), dtype=complex), np.zeros(2), 1.5)
+            sv_threshold(np.zeros((4, 2), dtype=complex), 0.0, np.zeros(2), 1.5)
 
 
 class TestExtractSupport:

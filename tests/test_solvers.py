@@ -3,6 +3,7 @@ import pytest
 from dataclasses import replace
 
 from lpsrecon import (
+    Decomposition,
     DynamicVolume,
     FrameSolveError,
     KSpaceData,
@@ -16,6 +17,7 @@ from lpsrecon import (
     extract_support,
     generate,
     make_mask,
+    prior_from_result,
     psnr,
     solve_ls,
     solve_priori_ls,
@@ -90,13 +92,15 @@ def test_reduction_to_baseline_is_exact(phantom_50):
 
 
 def test_priori_zero_data_spectrum_step():
+    # The prior step acts on the singular vectors of X - S, so L's columns
+    # lie in range(X - S). Zero data gives X - S = 0, hence L = 0, however
+    # large the prior spectrum.
     mask = make_mask(32, 32, 0.25, 2.0, seed=5)
     y = KSpaceData(np.zeros((mask.m, 4)), mask, (32, 32, 4))
     prior = Prior(np.array([4.0, 2.0, 1.0, 0.0]), SupportSet.empty())
     cfg = SolverConfig(lambda_L=0.1, lambda_S=0.1, lambda_p=0.5, max_iter=1)
     res = solve_priori_ls(y, prior, cfg)
-    sigma = np.linalg.svd(res.decomposition.L, compute_uv=False)
-    assert np.allclose(sigma, 0.5 * prior.sigma_prev, atol=1e-10)
+    assert np.array_equal(res.decomposition.L, np.zeros((32 * 32, 4)))
 
 
 def test_priori_zero_data_zero_prior():
@@ -226,6 +230,12 @@ def test_prior_shape_mismatch_rejected(phantom_50):
     _, y, cfg = phantom_50
     with pytest.raises(ValueError):
         solve_priori_ls(y, Prior(np.zeros(3), SupportSet.empty()), cfg)
+
+
+def test_prior_from_mismatched_pair_rejected():
+    pair = Decomposition(np.zeros((16 * 16, 4)), np.zeros((16 * 16, 4)))
+    with pytest.raises(ValueError, match="inconsistent with dims"):
+        prior_from_result(pair, (32, 32, 4), 0.02)
 
 
 def test_prior_support_out_of_bounds_rejected(phantom_50):
