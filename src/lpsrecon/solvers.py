@@ -30,7 +30,6 @@ from .core import (
     Prior,
     SolverConfig,
     _soft_threshold_keep,
-    relative_change,
     soft_threshold_matrix,
 )
 from .operators import (
@@ -141,12 +140,17 @@ def _iterate(y: KSpaceData, cfg: SolverConfig, prior: Prior | None) -> SolveResu
         else:
             coeffs = soft_threshold_matrix(coeffs, cfg.lambda_S)
         s = _inverse_matrix(coeffs, dims, WAVELET_LEVELS)
-        combined = l + s
-        residual = _forward_samples(combined, dims, index) - y.samples
-        x_new = combined - _adjoint_matrix(residual, dims, index)
-        if not np.isfinite(x_new).all():
+        x_new = l + s
+        residual = _forward_samples(x_new, dims, index) - y.samples
+        x_new -= _adjoint_matrix(residual, dims, index)
+        # relative_change(x_new, x), taken in the dead old iterate: no new buffer.
+        # x is finite, so a non-finite x_new shows as a non-finite norm.
+        norm_old = float(np.linalg.norm(x))
+        x -= x_new
+        norm_diff = float(np.linalg.norm(x))
+        if not np.isfinite(norm_diff):
             raise FloatingPointError(f"solver produced a non-finite iterate at iteration {it}")
-        change = relative_change(x_new, x)
+        change = norm_diff / norm_old if norm_old else norm_diff
         history.append(change)
         x = x_new
         if change < cfg.tol:

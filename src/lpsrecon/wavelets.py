@@ -1,10 +1,16 @@
 """Orthogonal 2D wavelet transform, applied slice by slice.
 
 Daubechies-4 (four vanishing moments, 8-tap filter), 3 decomposition
-levels, periodic boundary handling. Each level is realized as an exactly
-orthogonal matrix acting on the current approximation block, so the whole
-transform is unitary: perfect reconstruction and Parseval hold to rounding
-error, and the inverse equals the adjoint.
+levels, periodic boundary handling. Each level is the periodized filter
+bank of Mallat (IEEE PAMI 1989), an exactly orthogonal matrix acting on the
+current approximation block, so the whole transform is unitary: perfect
+reconstruction and Parseval hold to rounding error, and the inverse equals
+the adjoint.
+
+That matrix has 8 non-zeros per row, so a long block is applied as banded
+tiles of at most _TILE rows: each tile's outputs read only its own rows plus
+the next 6, through one small band matrix cut from the level matrix. A block
+that fits in one tile keeps the dense level matrix.
 
 Coefficients are laid out in place: level-1 details fill the outer three
 quadrants, deeper levels subdivide the top-left block, and the coarsest
@@ -16,12 +22,17 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .core import DynamicVolume
 
 __all__ = ["WAVELET_LEVELS", "wavelet_forward", "wavelet_inverse"]
 
 WAVELET_LEVELS = 3
+# Rows of a level block per banded tile. A block with no tile clear of the
+# periodic wrap (fewer than _TILE + _SPAN rows) is one tile. The tile that
+# crosses the wrap takes the remainder, which can reach _TILE + 4 rows.
+_TILE = 32
 
 # Orthonormal Daubechies-4 scaling filter; highpass is its alternating flip.
 _DEC_LO = np.array(
@@ -38,6 +49,8 @@ _DEC_LO = np.array(
 )
 _DEC_HI = _DEC_LO[::-1].copy()
 _DEC_HI[1::2] *= -1.0
+# Inputs a tile reads past its own rows (outputs 2i, 2i+1 read inputs 2i..2i+7).
+_SPAN = _DEC_LO.size - 2
 
 
 @lru_cache(maxsize=None)
@@ -68,23 +81,103 @@ def _require_divisible(n_x: int, n_y: int, levels: int) -> None:
         )
 
 
+def _full_tiles(b: int) -> int:
+    """Tiles of a b-row block whose inputs do not wrap around; 0 means the
+    block is one tile."""
+    return max(0, (b - _SPAN) // _TILE)
+
+
+def _windows(a: np.ndarray, start: int, count: int, length: int, step: int) -> np.ndarray:
+    """``count`` views of ``length`` rows each along axis -2 of ``a``, the
+    first at row ``start`` and each ``step`` rows after the one before."""
+    *lead, _, cols = a.shape
+    *lead_strides, row, col = a.strides
+    shape, strides = (*lead, count, length, cols), (*lead_strides, step * row, row, col)
+    return as_strided(a[..., start:, :], shape, strides)
+
+
+@lru_cache(maxsize=None)
+def _bands(t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Band matrices of one tile of ``t`` rows, cut from the level matrix of
+    length 2*_TILE away from its wrap: the lowpass and highpass analysis
+    rows, (t/2) x (t+6) each, and the synthesis band, t x (t+6), which acts
+    on interleaved lowpass/highpass coefficients.
+
+    They are stored in Fortran order. Along y numpy forms the transposed
+    product, and BLAS then reads the band untransposed, which runs about
+    twice as fast there; along x the order makes no measurable difference."""
+    w = _level_matrix(2 * _TILE)
+    r = np.arange((t + _SPAN) // 2)
+    interleaved = w[np.stack((r, _TILE + r), axis=1).ravel(), _SPAN : t + _SPAN]
+    lo, hi = w[: t // 2, : t + _SPAN], w[_TILE : _TILE + t // 2, : t + _SPAN]
+    return np.asfortranarray(lo), np.asfortranarray(hi), np.asfortranarray(interleaved.T)
+
+
+def _analysis(src: np.ndarray, dst: np.ndarray) -> None:
+    """One analysis level along axis -2 of ``src``, written to ``dst``:
+    lowpass outputs in the top half, highpass in the bottom half."""
+    b = src.shape[-2]
+    n = _full_tiles(b)
+    if n == 0:
+        np.matmul(_level_matrix(b), src, out=dst)
+        return
+    half, edge = b // 2, n * _TILE
+    lo, hi, _ = _bands(_TILE)
+    windows = _windows(src, 0, n, _TILE + _SPAN, _TILE)
+    np.matmul(lo, windows, out=_windows(dst, 0, n, _TILE // 2, _TILE // 2))
+    np.matmul(hi, windows, out=_windows(dst, half, n, _TILE // 2, _TILE // 2))
+    # The last tile reads past the end of the block: gather its inputs.
+    wrap = np.concatenate((src[..., edge:, :], src[..., :_SPAN, :]), axis=-2)
+    lo, hi, _ = _bands(b - edge)
+    np.matmul(lo, wrap, out=dst[..., edge // 2 : half, :])
+    np.matmul(hi, wrap, out=dst[..., half + edge // 2 :, :])
+
+
+def _synthesis(coef: np.ndarray, work: np.ndarray) -> None:
+    """Inverse of ``_analysis`` along axis -2, in place in ``coef``;
+    ``work`` is scratch space of the same shape."""
+    b = coef.shape[-2]
+    n = _full_tiles(b)
+    if n == 0:  # one tile along this axis, in a level tiled along the other
+        work[...] = coef
+        np.matmul(_level_matrix(b).T, work, out=coef)
+        return
+    half, head = b // 2, b - n * _TILE
+    work[..., 0::2, :] = coef[..., :half, :]
+    work[..., 1::2, :] = coef[..., half:, :]
+    # Output tile [s, s + t) reads interleaved coefficients [s - 6, s + t).
+    np.matmul(
+        _bands(_TILE)[2],
+        _windows(work, head - _SPAN, n, _TILE + _SPAN, _TILE),
+        out=_windows(coef, head, n, _TILE, _TILE),
+    )
+    # The first tile reads before the start of the block: gather its inputs.
+    wrap = np.concatenate((work[..., b - _SPAN :, :], work[..., :head, :]), axis=-2)
+    np.matmul(_bands(head)[2], wrap, out=coef[..., :head, :])
+
+
 def _dwt2_stack(slices: np.ndarray, levels: int, inverse: bool = False) -> np.ndarray:
     """Multi-level 2D DWT of an (n_z, n_x, n_y) stack, in place layout; with
     ``inverse``, its inverse (the transpose of each level, coarsest first).
 
     The real and imaginary planes go into one real (2 n_z, n_x, n_y) array,
-    so each level is two real products with the real level matrices.
+    so each level is real products along x, then along y (a swapped view).
     """
     n_z, n_x, n_y = slices.shape
     planes = np.ascontiguousarray(np.concatenate((slices.real, slices.imag)))
     scratch = np.empty_like(planes)
     for lev in reversed(range(levels)) if inverse else range(levels):
         bx, by = n_x >> lev, n_y >> lev
-        wx, wy = _level_matrix(bx), _level_matrix(by)
-        if inverse:
-            wx, wy = wx.T, wy.T
-        np.matmul(wx, planes[:, :bx, :by], out=scratch[:, :bx, :by])
-        np.matmul(scratch[:, :bx, :by], wy.T, out=planes[:, :bx, :by])
+        p, q = planes[:, :bx, :by], scratch[:, :bx, :by]
+        if not inverse:
+            _analysis(p, q)
+            _analysis(q.swapaxes(1, 2), p.swapaxes(1, 2))
+        elif _full_tiles(bx) == _full_tiles(by) == 0:  # one tile each way: two dense products
+            np.matmul(_level_matrix(bx).T, p, out=q)
+            np.matmul(q, _level_matrix(by), out=p)
+        else:
+            _synthesis(p, q)
+            _synthesis(p.swapaxes(1, 2), q.swapaxes(1, 2))
     out = scratch.view(np.complex128).reshape(slices.shape)  # same bytes as the result
     out.real, out.imag = planes[:n_z], planes[n_z:]
     return out

@@ -24,6 +24,8 @@ from lpsrecon import (
     solve_sequence,
     wavelet_forward,
 )
+from lpsrecon import solvers
+from lpsrecon.operators import sv_threshold
 from lpsrecon.phantom import PhantomSpec
 
 from helpers import support_change, support_set
@@ -205,6 +207,24 @@ def test_determinism_bitwise(phantom_50):
     assert np.array_equal(a.decomposition.S, b.decomposition.S)
     assert np.array_equal(a.residual_history, b.residual_history)
     assert a.data_residual == b.data_residual
+
+
+def test_non_finite_iterate_names_iteration(phantom_50, monkeypatch):
+    _, y, cfg = phantom_50
+    calls = []
+
+    def poisoned(m, *args, **kwargs):
+        calls.append(None)
+        out = sv_threshold(m, *args, **kwargs)
+        if len(calls) == 2:
+            out[0, 0] = np.inf
+        return out
+
+    monkeypatch.setattr(solvers, "sv_threshold", poisoned)
+    with np.errstate(invalid="ignore"), pytest.raises(
+        FloatingPointError, match="non-finite iterate at iteration 2$"
+    ):
+        solve_ls(y, cfg)
 
 
 def test_default_config_golden_values(phantom_50):

@@ -13,7 +13,10 @@ def test_level_matrix_is_orthogonal(n):
     assert np.abs(w @ w.T - np.eye(n)).max() < 1e-12
 
 
-@pytest.mark.parametrize("dims", [(8, 8, 1), (32, 32, 4), (16, 24, 2), (64, 32, 3)])
+# (128, 128, 2) and (96, 48, 2) have levels longer than one band tile.
+@pytest.mark.parametrize(
+    "dims", [(8, 8, 1), (32, 32, 4), (16, 24, 2), (64, 32, 3), (128, 128, 2), (96, 48, 2)]
+)
 def test_perfect_reconstruction(dims):
     rng = np.random.default_rng(dims[0] + dims[1])
     vol = random_volume(rng, dims)
@@ -22,7 +25,7 @@ def test_perfect_reconstruction(dims):
     assert np.linalg.norm(back.data - vol.data) <= 1e-10 * np.linalg.norm(vol.data)
 
 
-@pytest.mark.parametrize("dims", [(8, 8, 1), (32, 32, 4)])
+@pytest.mark.parametrize("dims", [(8, 8, 1), (32, 32, 4), (128, 128, 2)])
 def test_parseval(dims):
     rng = np.random.default_rng(7)
     vol = random_volume(rng, dims)
@@ -33,12 +36,12 @@ def test_parseval(dims):
 def test_transform_is_unitary_adjoint():
     # inverse = adjoint: <T x, w> == <x, T^-1 w>
     rng = np.random.default_rng(8)
-    dims = (16, 16, 2)
-    x = random_volume(rng, dims)
-    w = rng.standard_normal((256, 2)) + 1j * rng.standard_normal((256, 2))
-    lhs = np.vdot(wavelet_forward(x), w)
-    rhs = np.vdot(x.data, wavelet_inverse(w, dims).data)
-    assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(x.data) * np.linalg.norm(w)
+    for dims in ((16, 16, 2), (128, 128, 2)):
+        x = random_volume(rng, dims)
+        w = rng.standard_normal(x.data.shape) + 1j * rng.standard_normal(x.data.shape)
+        lhs = np.vdot(wavelet_forward(x), w)
+        rhs = np.vdot(x.data, wavelet_inverse(w, dims).data)
+        assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(x.data) * np.linalg.norm(w)
 
 
 def test_constant_slice_concentrates_in_coarse_corner():
@@ -84,9 +87,7 @@ def test_round_trip_at_other_level_counts():
         assert np.linalg.norm(back.data - vol.data) <= 1e-10 * np.linalg.norm(vol.data)
 
 
-@pytest.mark.parametrize("shape", [(1, 8, 8), (4, 32, 32), (2, 16, 24), (3, 64, 32), (16, 256, 256)])
-@pytest.mark.parametrize("levels", [1, 3])
-def test_real_plane_transform_matches_complex_form(shape, levels):
+def _assert_matches_complex_form(shape, levels):
     rng = np.random.default_rng(shape[1] + levels)
     stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     scale = np.abs(stack).max()
@@ -94,6 +95,30 @@ def test_real_plane_transform_matches_complex_form(shape, levels):
     assert np.abs(fwd - complex_dwt2(stack, levels)).max() <= 1e-13 * scale
     inv = _dwt2_stack(stack, levels, inverse=True)
     assert np.abs(inv - complex_dwt2(stack, levels, inverse=True)).max() <= 1e-13 * scale
+
+
+# From (2, 96, 48) on, blocks span several band tiles, some with a shorter
+# wrap tile (48 = 32 + 16, 40 = 32 + 8), one the longest (68 = 32 + 36), and
+# levels that are tiled along one axis only.
+@pytest.mark.parametrize(
+    "shape",
+    [(1, 8, 8), (4, 32, 32), (2, 16, 24), (3, 64, 32), (16, 256, 256),
+     (2, 96, 48), (1, 40, 24), (3, 128, 64), (1, 136, 200)],
+)
+@pytest.mark.parametrize("levels", [1, 3])
+def test_real_plane_transform_matches_complex_form(shape, levels):
+    _assert_matches_complex_form(shape, levels)
+
+
+@pytest.mark.parametrize("shape", [(16, 256, 256), (3, 128, 64)])
+def test_real_plane_transform_matches_complex_form_at_four_levels(shape):
+    _assert_matches_complex_form(shape, 4)
+
+
+def test_band_tiles_cover_every_tile_length():
+    # Every (tile, wrap-tile) split a block can have agrees with the dense level.
+    for b in range(38, 104, 2):
+        _assert_matches_complex_form((1, b, 8), 1)
 
 
 def test_matrix_forms_keep_column_major_layout():
