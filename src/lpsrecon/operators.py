@@ -176,6 +176,26 @@ def _adjoint_matrix(samples: np.ndarray, dims: tuple[int, int, int], index: np.n
     return slices.reshape(n_z, -1).T
 
 
+def _data_consistency(
+    x: np.ndarray, samples_t: np.ndarray, dims: tuple[int, int, int], index: np.ndarray
+) -> np.ndarray:
+    """x <- x - A^H(A x - y), in place on the column-major matrix x.
+
+    The transform is unitary, so this is F^H[F x with the sampled entries set
+    to y]: one transform pair on x's own slice stack, with ``samples_t`` the
+    (n_z, m) transpose of y's samples. Note ``ifft2`` ignores ``out=``; ``ifftn``
+    honours it.
+    """
+    if not x.flags.f_contiguous:
+        raise ValueError("data consistency needs a column-major (F-contiguous) matrix")
+    n_x, n_y, n_z = dims
+    slices = x.T.reshape(n_z, n_x, n_y)
+    np.fft.fftn(slices, axes=(1, 2), norm="ortho", out=slices)
+    slices.reshape(n_z, -1)[:, index] = samples_t
+    np.fft.ifftn(slices, axes=(1, 2), norm="ortho", out=slices)
+    return x
+
+
 def acquire(x: DynamicVolume, mask: SamplingMask) -> KSpaceData:
     """Frame-by-frame k-space undersampling of a volume.
 

@@ -9,7 +9,11 @@ proxy X0 = A^H(y), S0 = 0:
     2. S <- inverse transform of the soft-thresholded coefficients of
        (X - L); with a prior, coefficients on the previous frame's support
        are exempt from shrinkage
-    3. X <- L + S - A^H(A(L + S) - y)   (data consistency)
+    3. X <- L + S - A^H(A(L + S) - y)   (data consistency); the transform
+       is unitary, so this is the spectral replacement F^H[F(L + S) with
+       the sampled entries set to y], done in place on the L + S buffer
+       (``operators._data_consistency``; reference test
+       ``tests/test_operators.py::TestDataConsistency``)
 
 and stop once the relative change of X drops below ``tol``. The returned
 reconstruction estimate is L + S.
@@ -35,6 +39,7 @@ from .core import (
 from .operators import (
     KSpaceData,
     _adjoint_matrix,
+    _data_consistency,
     _forward_samples,
     _gram_spectrum,
     _sample_index,
@@ -127,6 +132,7 @@ def _iterate(y: KSpaceData, cfg: SolverConfig, prior: Prior | None) -> SolveResu
         sigma_prev = prior.sigma_prev
 
     x = _adjoint_matrix(y.samples, dims, index)
+    samples_t = np.ascontiguousarray(y.samples.T)
     s = np.zeros_like(x)
     l = np.zeros_like(x)
     history: list[float] = []
@@ -140,11 +146,11 @@ def _iterate(y: KSpaceData, cfg: SolverConfig, prior: Prior | None) -> SolveResu
         else:
             coeffs = soft_threshold_matrix(coeffs, cfg.lambda_S)
         s = _inverse_matrix(coeffs, dims, WAVELET_LEVELS)
-        x_new = l + s
-        residual = _forward_samples(x_new, dims, index) - y.samples
-        x_new -= _adjoint_matrix(residual, dims, index)
+        x_new = _data_consistency(l + s, samples_t, dims, index)
         # relative_change(x_new, x), taken in the dead old iterate: no new buffer.
-        # x is finite, so a non-finite x_new shows as a non-finite norm.
+        # x is finite, so a non-finite x_new shows as a non-finite norm. A
+        # non-finite L + S shows in x_new unless every frequency is sampled;
+        # the data residual below catches that case.
         norm_old = float(np.linalg.norm(x))
         x -= x_new
         norm_diff = float(np.linalg.norm(x))
@@ -158,6 +164,8 @@ def _iterate(y: KSpaceData, cfg: SolverConfig, prior: Prior | None) -> SolveResu
             break
 
     data_residual = float(np.linalg.norm(_forward_samples(l + s, dims, index) - y.samples))
+    if not np.isfinite(data_residual):
+        raise FloatingPointError(f"solver produced a non-finite estimate at iteration {len(history)}")
     return SolveResult(
         decomposition=Decomposition(l, s),
         iterations=len(history),

@@ -12,7 +12,12 @@ from lpsrecon import (
     sv_threshold,
     svd,
 )
-from lpsrecon.operators import _adjoint_matrix, _forward_samples, _sample_index
+from lpsrecon.operators import (
+    _adjoint_matrix,
+    _data_consistency,
+    _forward_samples,
+    _sample_index,
+)
 
 from helpers import random_volume, shifted_adjoint, shifted_samples, svd_prox
 
@@ -302,6 +307,55 @@ class TestShiftFreeSampling:
         samples = _forward_samples(random_volume(rng, dims).data, dims, index)
         assert samples.flags.f_contiguous
         assert _adjoint_matrix(samples, dims, index).flags.f_contiguous
+
+
+class TestDataConsistency:
+    """The in-place spectral replacement F^H[F x with the sampled entries set
+    to y] against the textbook step x - A^H(A x - y)."""
+
+    SHAPES = [(8, 8, 1), (16, 8, 3), (7, 9, 2), (15, 16, 3), (33, 31, 2)]
+
+    @staticmethod
+    def _problem(dims, seed):
+        rng = np.random.default_rng(seed)
+        mask = make_mask(dims[0], dims[1], 0.4, 2.0, seed=seed)
+        x = np.asfortranarray(random_volume(rng, dims).data)
+        y = random_kspace(rng, mask, dims)
+        return x, y, mask
+
+    @pytest.mark.parametrize("dims", SHAPES)
+    def test_matches_textbook_step(self, dims):
+        x, y, mask = self._problem(dims, sum(dims) + 2)
+        want = x - shifted_adjoint(shifted_samples(x, dims, mask.pattern) - y.samples, dims, mask.pattern)
+        got = _data_consistency(x, np.ascontiguousarray(y.samples.T), dims, _sample_index(mask.pattern))
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("dims", SHAPES)
+    def test_result_reproduces_samples(self, dims):
+        x, y, mask = self._problem(dims, sum(dims) + 3)
+        assert mask.rate < 1
+        index = _sample_index(mask.pattern)
+        got = _data_consistency(x, np.ascontiguousarray(y.samples.T), dims, index)
+        residual = _forward_samples(got, dims, index) - y.samples
+        assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(y.samples)
+
+    def test_updates_the_buffer_passed_in(self):
+        dims = (16, 8, 3)
+        x, y, mask = self._problem(dims, 26)
+        before = x.copy()
+        index = _sample_index(mask.pattern)
+        got = _data_consistency(x, np.ascontiguousarray(y.samples.T), dims, index)
+        assert got is x
+        residual = _forward_samples(before, dims, index) - y.samples
+        assert np.allclose(x, before - _adjoint_matrix(residual, dims, index), rtol=0, atol=1e-13)
+
+    def test_rejects_row_major_input(self):
+        dims = (8, 8, 2)
+        x, y, mask = self._problem(dims, 27)
+        with pytest.raises(ValueError, match="column-major"):
+            _data_consistency(
+                np.ascontiguousarray(x), np.ascontiguousarray(y.samples.T), dims, _sample_index(mask.pattern)
+            )
 
 
 def _matrix_with_spectrum(rng, rows, sigma):

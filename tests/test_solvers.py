@@ -25,7 +25,7 @@ from lpsrecon import (
     wavelet_forward,
 )
 from lpsrecon import solvers
-from lpsrecon.operators import sv_threshold
+from lpsrecon.operators import _data_consistency, _sample_index, sv_threshold
 from lpsrecon.phantom import PhantomSpec
 
 from helpers import support_change, support_set
@@ -135,7 +135,8 @@ def test_exact_prior_beats_baseline_at_quarter_sampling():
 
 
 def test_data_consistency_fixed_point_at_full_sampling():
-    # One step-4 update makes A(X) = y exactly when the mask is full.
+    # One data-consistency step of the solver makes A(X) = y exactly when the
+    # mask is full.
     rng = np.random.default_rng(20)
     dims = (16, 16, 2)
     mask = SamplingMask(np.ones((16, 16), dtype=bool))
@@ -145,9 +146,10 @@ def test_data_consistency_fixed_point_at_full_sampling():
     y = acquire(truth, mask)
     l = rng.standard_normal((256, 2)) + 1j * rng.standard_normal((256, 2))
     s = rng.standard_normal((256, 2)) + 1j * rng.standard_normal((256, 2))
-    combined = DynamicVolume(l + s, dims)
-    residual = acquire(combined, mask).samples - y.samples
-    x = combined.data - acquire_adjoint(KSpaceData(residual, mask, dims)).data
+    combined = np.asfortranarray(l + s)
+    x = _data_consistency(
+        combined, np.ascontiguousarray(y.samples.T), dims, _sample_index(mask.pattern)
+    )
     z = acquire(DynamicVolume(x, dims), mask)
     assert np.linalg.norm(z.samples - y.samples) <= 1e-10 * np.linalg.norm(y.samples)
 
@@ -223,6 +225,28 @@ def test_non_finite_iterate_names_iteration(phantom_50, monkeypatch):
     monkeypatch.setattr(solvers, "sv_threshold", poisoned)
     with np.errstate(invalid="ignore"), pytest.raises(
         FloatingPointError, match="non-finite iterate at iteration 2$"
+    ):
+        solve_ls(y, cfg)
+
+
+def test_non_finite_estimate_caught_at_full_sampling(monkeypatch):
+    # With every frequency sampled, data consistency overwrites the whole
+    # spectrum, so a non-finite L + S leaves the iterate finite; the final
+    # data residual must still flag it.
+    rng = np.random.default_rng(21)
+    dims = (16, 16, 2)
+    truth = DynamicVolume(rng.standard_normal((256, 2)) + 1j * rng.standard_normal((256, 2)), dims)
+    y = acquire(truth, SamplingMask(np.ones((16, 16), dtype=bool)))
+    cfg = default_config(y)
+
+    def poisoned(m, *args, **kwargs):
+        out = sv_threshold(m, *args, **kwargs)
+        out[0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(solvers, "sv_threshold", poisoned)
+    with np.errstate(invalid="ignore"), pytest.raises(
+        FloatingPointError, match="non-finite estimate at iteration 1$"
     ):
         solve_ls(y, cfg)
 
