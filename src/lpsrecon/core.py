@@ -222,8 +222,7 @@ def soft_threshold(x: complex, lam: float) -> complex:
 
 def soft_threshold_matrix(m: np.ndarray, lam: float) -> np.ndarray:
     """Elementwise complex soft-thresholding of a matrix."""
-    m = np.asarray(m, dtype=np.complex128)
-    return m * _shrink_scale(m, lam)
+    return _soft_threshold_keep(np.array(m, dtype=np.complex128), lam)
 
 
 def _shrink_scale(m: np.ndarray, lam: float) -> np.ndarray:
@@ -243,15 +242,20 @@ def soft_threshold_restricted(m: np.ndarray, lam: float, keep: SupportSet) -> np
     Kept entries pass through unchanged; with an empty ``keep`` this is
     exactly ``soft_threshold_matrix``.
     """
-    m = np.asarray(m, dtype=np.complex128)
-    keep_mask = keep.to_mask(m.shape)
-    return _soft_threshold_keep(m, lam, keep_mask)
+    m = np.array(m, dtype=np.complex128)
+    return _soft_threshold_keep(m, lam, keep.to_mask(m.shape))
 
 
-def _soft_threshold_keep(m: np.ndarray, lam: float, keep_mask: np.ndarray) -> np.ndarray:
+def _soft_threshold_keep(m: np.ndarray, lam: float, keep_mask: np.ndarray | None = None) -> np.ndarray:
+    """Soft-threshold the complex array ``m`` in place, except where
+    ``keep_mask`` is True; returns ``m``. The real scale multiplies the real
+    and imaginary parts through a float64 view, so no complex temporary forms."""
     scale = _shrink_scale(m, lam)
-    scale[keep_mask] = 1.0
-    return m * scale
+    if keep_mask is not None:
+        scale[keep_mask] = 1.0
+    parts = m[..., None].view(np.float64)
+    np.multiply(parts, scale[..., None], out=parts)
+    return m
 
 
 def relative_change(x_new: np.ndarray, x_old: np.ndarray) -> float:

@@ -73,25 +73,28 @@ def _read_header(raw: bytes, magic: bytes, path) -> tuple[int, int, int]:
     return n_x, n_y, n_z
 
 
-def _check_payload(raw: bytes, expected: int, path) -> bytes:
-    payload = raw[_HEADER.size:]
-    if len(payload) < expected:
-        raise PayloadError(
-            f"{path}: payload holds {len(payload)} bytes, header promises {expected}"
-        )
-    if len(payload) > expected:
-        raise PayloadError(f"{path}: {len(payload) - expected} trailing bytes after payload")
-    return payload
+def _check_payload(raw: bytes, expected: int, path) -> None:
+    size = len(raw) - _HEADER.size
+    if size < expected:
+        raise PayloadError(f"{path}: payload holds {size} bytes, header promises {expected}")
+    if size > expected:
+        raise PayloadError(f"{path}: {size - expected} trailing bytes after payload")
+
+
+def _write(path, header: bytes, payload: np.ndarray) -> None:
+    """Write the header, then the C-contiguous payload's own buffer."""
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(payload)
 
 
 def save_volume(path, volume: DynamicVolume) -> None:
     """Write a volume in LPSV format. Round-trips bit-exactly."""
     n_x, n_y, n_z = volume.dims
     header = _HEADER.pack(VOLUME_MAGIC, FORMAT_VERSION, n_x, n_y, n_z)
-    payload = np.ascontiguousarray(
-        volume.data.astype("<c16", copy=False).ravel(order="F")
-    ).tobytes()
-    Path(path).write_bytes(header + payload)
+    # The transpose of a column-major matrix is C-contiguous, so this is no
+    # copy unless the layout or the byte order has to change.
+    _write(path, header, np.ascontiguousarray(volume.data.astype("<c16", copy=False).T))
 
 
 def load_volume(path) -> DynamicVolume:
@@ -99,8 +102,8 @@ def load_volume(path) -> DynamicVolume:
     raw = Path(path).read_bytes()
     n_x, n_y, n_z = _read_header(raw, VOLUME_MAGIC, path)
     count = n_x * n_y * n_z
-    payload = _check_payload(raw, count * 16, path)
-    data = np.frombuffer(payload, dtype="<c16").reshape((n_x * n_y, n_z), order="F")
+    _check_payload(raw, count * 16, path)
+    data = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).reshape((n_x * n_y, n_z), order="F")
     return DynamicVolume(data.astype(np.complex128), (n_x, n_y, n_z))
 
 
@@ -108,8 +111,7 @@ def save_mask(path, mask: SamplingMask) -> None:
     """Write a sampling mask in LPSM format (n_z recorded as 1)."""
     n_x, n_y = mask.pattern.shape
     header = _HEADER.pack(MASK_MAGIC, FORMAT_VERSION, n_x, n_y, 1)
-    payload = mask.pattern.astype(np.uint8).ravel(order="F").tobytes()
-    Path(path).write_bytes(header + payload)
+    _write(path, header, np.ascontiguousarray(mask.pattern.T, dtype=np.uint8))
 
 
 def load_mask(path) -> SamplingMask:
@@ -118,8 +120,8 @@ def load_mask(path) -> SamplingMask:
     n_x, n_y, n_z = _read_header(raw, MASK_MAGIC, path)
     if n_z != 1:
         raise HeaderError(f"{path}: mask header must have n_z = 1, got {n_z}")
-    payload = _check_payload(raw, n_x * n_y, path)
-    flat = np.frombuffer(payload, dtype=np.uint8)
+    _check_payload(raw, n_x * n_y, path)
+    flat = np.frombuffer(raw, dtype=np.uint8, offset=_HEADER.size)
     if not np.isin(flat, (0, 1)).all():
         raise PayloadError(f"{path}: mask payload contains values other than 0/1")
     pattern = flat.reshape((n_x, n_y), order="F").astype(bool)

@@ -176,6 +176,18 @@ def _adjoint_matrix(samples: np.ndarray, dims: tuple[int, int, int], index: np.n
     return slices.reshape(n_z, -1).T
 
 
+def _spectra(x: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
+    """The unitary 2D spectra of the slices of the column-major matrix x,
+    taken in place in x's own (n_z, n_x, n_y) slice stack, which is returned.
+    Note ``fft2``/``ifft2`` ignore ``out=``; ``fftn``/``ifftn`` honour it."""
+    if not x.flags.f_contiguous:
+        raise ValueError("an in-place transform needs a column-major (F-contiguous) matrix")
+    n_x, n_y, n_z = dims
+    slices = x.T.reshape(n_z, n_x, n_y)
+    np.fft.fftn(slices, axes=(1, 2), norm="ortho", out=slices)
+    return slices
+
+
 def _data_consistency(
     x: np.ndarray, samples_t: np.ndarray, dims: tuple[int, int, int], index: np.ndarray
 ) -> np.ndarray:
@@ -183,17 +195,21 @@ def _data_consistency(
 
     The transform is unitary, so this is F^H[F x with the sampled entries set
     to y]: one transform pair on x's own slice stack, with ``samples_t`` the
-    (n_z, m) transpose of y's samples. Note ``ifft2`` ignores ``out=``; ``ifftn``
-    honours it.
+    (n_z, m) transpose of y's samples.
     """
-    if not x.flags.f_contiguous:
-        raise ValueError("data consistency needs a column-major (F-contiguous) matrix")
-    n_x, n_y, n_z = dims
-    slices = x.T.reshape(n_z, n_x, n_y)
-    np.fft.fftn(slices, axes=(1, 2), norm="ortho", out=slices)
-    slices.reshape(n_z, -1)[:, index] = samples_t
+    slices = _spectra(x, dims)
+    slices.reshape(dims[2], -1)[:, index] = samples_t
     np.fft.ifftn(slices, axes=(1, 2), norm="ortho", out=slices)
     return x
+
+
+def _sample_residual(
+    x: np.ndarray, samples_t: np.ndarray, dims: tuple[int, int, int], index: np.ndarray
+) -> float:
+    """||A x - y||_F, with ``samples_t`` as in ``_data_consistency``. The
+    transform runs in place, so x is overwritten by its spectra."""
+    spectra = _spectra(x, dims).reshape(dims[2], -1)
+    return float(np.linalg.norm(spectra[:, index] - samples_t))
 
 
 def acquire(x: DynamicVolume, mask: SamplingMask) -> KSpaceData:

@@ -29,20 +29,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    Decomposition,
-    Prior,
-    SolverConfig,
-    _soft_threshold_keep,
-    soft_threshold_matrix,
-)
+from .core import Decomposition, Prior, SolverConfig, _soft_threshold_keep
 from .operators import (
     KSpaceData,
     _adjoint_matrix,
     _data_consistency,
-    _forward_samples,
     _gram_spectrum,
     _sample_index,
+    _sample_residual,
     acquire_adjoint,
     extract_support,
     sv_threshold,
@@ -134,18 +128,20 @@ def _iterate(y: KSpaceData, cfg: SolverConfig, prior: Prior | None) -> SolveResu
     x = _adjoint_matrix(y.samples, dims, index)
     samples_t = np.ascontiguousarray(y.samples.T)
     s = np.zeros_like(x)
-    l = np.zeros_like(x)
     history: list[float] = []
     converged = False
 
+    # Four full-size buffers: X, L, S and the work buffer r, which holds
+    # X - S, then X - L, and becomes S through the in-place sparse step. S and
+    # the old L are dropped once dead, before sv_threshold allocates the new L.
     for it in range(1, cfg.max_iter + 1):
-        l = sv_threshold(x - s, cfg.lambda_L, sigma_prev, cfg.lambda_p)
-        coeffs = _forward_matrix(x - l, dims, WAVELET_LEVELS)
-        if prior is not None:
-            coeffs = _soft_threshold_keep(coeffs, cfg.lambda_S, keep_mask)
-        else:
-            coeffs = soft_threshold_matrix(coeffs, cfg.lambda_S)
-        s = _inverse_matrix(coeffs, dims, WAVELET_LEVELS)
+        r = x - s
+        l = s = None
+        l = sv_threshold(r, cfg.lambda_L, sigma_prev, cfg.lambda_p)
+        np.subtract(x, l, out=r)
+        _forward_matrix(r, dims, WAVELET_LEVELS)
+        _soft_threshold_keep(r, cfg.lambda_S, keep_mask)
+        s = _inverse_matrix(r, dims, WAVELET_LEVELS)
         x_new = _data_consistency(l + s, samples_t, dims, index)
         # relative_change(x_new, x), taken in the dead old iterate: no new buffer.
         # x is finite, so a non-finite x_new shows as a non-finite norm. A
@@ -163,7 +159,8 @@ def _iterate(y: KSpaceData, cfg: SolverConfig, prior: Prior | None) -> SolveResu
             converged = True
             break
 
-    data_residual = float(np.linalg.norm(_forward_samples(l + s, dims, index) - y.samples))
+    # The last iterate is dead: the final L + S and its spectra go in its buffer.
+    data_residual = _sample_residual(np.add(l, s, out=x), samples_t, dims, index)
     if not np.isfinite(data_residual):
         raise FloatingPointError(f"solver produced a non-finite estimate at iteration {len(history)}")
     return SolveResult(
@@ -205,7 +202,7 @@ def prior_from_result(
     if decomposition.L.shape != (n_x * n_y, n_z):
         raise ValueError(f"prior L/S shape {decomposition.L.shape} inconsistent with dims {dims}")
     sigma_prev = svd(decomposition.L).sigma
-    coeffs = _forward_matrix(decomposition.S, dims, WAVELET_LEVELS)
+    coeffs = _forward_matrix(decomposition.S.copy(order="F"), dims, WAVELET_LEVELS)
     support_prev = extract_support(coeffs, support_eps)
     return Prior(sigma_prev=sigma_prev, support_prev=support_prev)
 

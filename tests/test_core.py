@@ -12,6 +12,7 @@ from lpsrecon import (
     soft_threshold_matrix,
     soft_threshold_restricted,
 )
+from lpsrecon.core import _soft_threshold_keep
 
 from helpers import grid_prox_minimizer, prox_objective
 
@@ -84,6 +85,19 @@ class TestSoftThresholdMatrix:
         for i in range(4):
             for j in range(4):
                 assert out[i, j] == pytest.approx(soft_threshold(m[i, j], 0.7), abs=1e-14)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_in_place_form_matches_the_complex_product(self, order):
+        rng = np.random.default_rng(3)
+        m = np.asarray(rng.standard_normal((16, 5)) + 1j * rng.standard_normal((16, 5)), order=order)
+        before = m.copy()
+        mag = np.abs(m)
+        expected = m * (np.maximum(mag - 0.8, 0.0) / mag)
+        assert np.array_equal(soft_threshold_matrix(m, 0.8), expected)
+        assert m.tobytes() == before.tobytes()
+        work = m.copy(order=order)
+        assert _soft_threshold_keep(work, 0.8) is work
+        assert np.array_equal(work, expected)
 
 
 class TestSoftThresholdRestricted:

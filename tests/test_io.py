@@ -51,12 +51,25 @@ def test_volume_column_major_payload(tmp_path):
     assert np.array_equal(payload, np.array([1, 2, 3, 4], dtype=complex))
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_volume_file_bytes(tmp_path, order):
+    dims = (8, 4, 3)
+    vol = random_volume(np.random.default_rng(5), dims)
+    vol.data = np.asarray(vol.data, order=order)
+    path = tmp_path / "v.lpsv"
+    save_volume(path, vol)
+    header = struct.pack("<4sIIII", b"LPSV", 1, *dims)
+    assert path.read_bytes() == header + vol.data.ravel(order="F").astype("<c16").tobytes()
+
+
 def test_mask_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     pattern = rng.random((9, 7)) < 0.4
     pattern[0, 0] = True
     path = tmp_path / "m.lpsm"
     save_mask(path, SamplingMask(pattern))
+    header = struct.pack("<4sIIII", b"LPSM", 1, 9, 7, 1)
+    assert path.read_bytes() == header + pattern.astype(np.uint8).ravel(order="F").tobytes()
     back = load_mask(path)
     assert np.array_equal(back.pattern, pattern)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -173,6 +175,52 @@ def test_static_sequence_support_stabilizes():
     sups = [support_set(r.decomposition.S, spec.dims) for r in results]
     ratios = [support_change(sups[t - 1], sups[t]) for t in range(1, len(sups))]
     assert all(r <= ratios[0] + 1e-12 for r in ratios[1:])
+
+
+def test_sequence_keeps_each_frame_as_solved_alone():
+    # prior_from_result must not transform a frame's S in place after the
+    # sequence has stored it.
+    seq = generate(PhantomSpec(n_frames=3))
+    frames = [acquire(f, make_mask(32, 32, 0.5 if t == 0 else 0.25, 2.0, seed=t)) for t, f in enumerate(seq.frames)]
+    cfg_first, cfg_rest = default_config(frames[0]), default_config(frames[1])
+    results = solve_sequence(frames, cfg_first, cfg_rest)
+    alone = solve_ls(frames[0], cfg_first)
+    for t, result in enumerate(results):
+        if t:
+            prior = prior_from_result(alone.decomposition, frames[t].dims, cfg_rest.support_eps)
+            alone = solve_priori_ls(frames[t], prior, cfg_rest)
+        assert np.array_equal(result.decomposition.S, alone.decomposition.S)
+        assert np.array_equal(result.decomposition.L, alone.decomposition.L)
+
+
+def test_prior_from_result_leaves_the_pair_unchanged(phantom_50):
+    _, y, cfg = phantom_50
+    dec = solve_ls(y, replace(cfg, max_iter=5)).decomposition
+    before_l, before_s = dec.L.copy(), dec.S.copy()
+    prior_from_result(dec, y.dims, cfg.support_eps)
+    assert dec.L.tobytes() == before_l.tobytes()
+    assert dec.S.tobytes() == before_s.tobytes()
+
+
+@pytest.mark.parametrize("dims", [(64, 64, 4), (128, 128, 8)])
+def test_solve_peak_memory_is_at_most_five_volumes(dims):
+    # X, L, S and one work buffer, plus small per-level scratch; the returned
+    # L and S count towards the peak.
+    n_x, n_y, n_z = dims
+    seq = generate(PhantomSpec(dims=dims, n_frames=2))
+    frames = [acquire(f, make_mask(n_x, n_y, 0.25, 2.0, seed=t)) for t, f in enumerate(seq.frames)]
+    cfg = replace(default_config(frames[0]), max_iter=3)
+    first = solve_ls(frames[0], cfg)  # also fills the wavelet band caches
+    prior = prior_from_result(first.decomposition, dims, cfg.support_eps)
+    volume_bytes = n_x * n_y * n_z * np.dtype(np.complex128).itemsize
+    for solve in (lambda: solve_ls(frames[0], cfg), lambda: solve_priori_ls(frames[1], prior, cfg)):
+        tracemalloc.start()
+        try:
+            solve()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * volume_bytes, f"peak {peak / volume_bytes:.2f} volumes"
 
 
 def test_sequence_rejects_mixed_dims(phantom_50):

@@ -2,15 +2,23 @@ import numpy as np
 import pytest
 
 from lpsrecon import DynamicVolume, wavelet_forward, wavelet_inverse
-from lpsrecon.wavelets import _dwt2_stack, _forward_matrix, _inverse_matrix, _level_matrix
+from lpsrecon.wavelets import _DEC_LO, _dwt2_stack, _forward_matrix, _inverse_matrix, _level_matrix
 
 from helpers import complex_dwt2, random_volume
+
+
+def test_scaling_filter_is_orthonormal():
+    h = _DEC_LO
+    assert abs(h.sum() - np.sqrt(2)) <= 1e-15
+    assert abs(h @ h - 1) <= 1e-15
+    for shift in (2, 4, 6):
+        assert abs(h[:-shift] @ h[shift:]) <= 1e-15
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
 def test_level_matrix_is_orthogonal(n):
     w = _level_matrix(n)
-    assert np.abs(w @ w.T - np.eye(n)).max() < 1e-12
+    assert np.abs(w @ w.T - np.eye(n)).max() < 1e-14
 
 
 # (128, 128, 2) and (96, 48, 2) have levels longer than one band tile.
@@ -22,7 +30,7 @@ def test_perfect_reconstruction(dims):
     vol = random_volume(rng, dims)
     coeffs = wavelet_forward(vol)
     back = wavelet_inverse(coeffs, dims)
-    assert np.linalg.norm(back.data - vol.data) <= 1e-10 * np.linalg.norm(vol.data)
+    assert np.linalg.norm(back.data - vol.data) <= 1e-13 * np.linalg.norm(vol.data)
 
 
 @pytest.mark.parametrize("dims", [(8, 8, 1), (32, 32, 4), (128, 128, 2)])
@@ -84,16 +92,16 @@ def test_round_trip_at_other_level_counts():
     for levels in (1, 2, 4):
         coeffs = wavelet_forward(vol, levels=levels)
         back = wavelet_inverse(coeffs, dims, levels=levels)
-        assert np.linalg.norm(back.data - vol.data) <= 1e-10 * np.linalg.norm(vol.data)
+        assert np.linalg.norm(back.data - vol.data) <= 1e-13 * np.linalg.norm(vol.data)
 
 
 def _assert_matches_complex_form(shape, levels):
     rng = np.random.default_rng(shape[1] + levels)
     stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     scale = np.abs(stack).max()
-    fwd = _dwt2_stack(stack, levels)
+    fwd = _dwt2_stack(stack.copy(), levels)
     assert np.abs(fwd - complex_dwt2(stack, levels)).max() <= 1e-13 * scale
-    inv = _dwt2_stack(stack, levels, inverse=True)
+    inv = _dwt2_stack(stack.copy(), levels, inverse=True)
     assert np.abs(inv - complex_dwt2(stack, levels, inverse=True)).max() <= 1e-13 * scale
 
 
@@ -124,7 +132,41 @@ def test_band_tiles_cover_every_tile_length():
 def test_matrix_forms_keep_column_major_layout():
     rng = np.random.default_rng(12)
     dims = (16, 16, 3)
-    data = random_volume(rng, dims).data
+    data = np.asfortranarray(random_volume(rng, dims).data)
     coeffs = _forward_matrix(data, dims, 3)
     assert coeffs.flags.f_contiguous
     assert _inverse_matrix(coeffs, dims, 3).flags.f_contiguous
+
+
+def test_matrix_forms_run_in_place():
+    rng = np.random.default_rng(13)
+    dims = (16, 16, 3)
+    data = np.asfortranarray(random_volume(rng, dims).data)
+    original = data.copy()
+    assert _forward_matrix(data, dims, 3) is data
+    assert np.array_equal(data, wavelet_forward(DynamicVolume(original, dims)))
+    assert _inverse_matrix(data, dims, 3) is data
+    assert np.linalg.norm(data - original) <= 1e-13 * np.linalg.norm(original)
+
+
+def test_matrix_forms_reject_row_major_input():
+    # data.T.reshape of a row-major matrix is a copy: the in-place result would be lost.
+    data = np.ascontiguousarray(random_volume(np.random.default_rng(14), (16, 16, 3)).data)
+    for transform in (_forward_matrix, _inverse_matrix):
+        with pytest.raises(ValueError, match="column-major"):
+            transform(data, (16, 16, 3), 3)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_public_transforms_leave_their_input_unchanged(order):
+    rng = np.random.default_rng(15)
+    dims = (32, 16, 3)
+    vol = random_volume(rng, dims)
+    vol.data = np.asarray(vol.data, order=order)
+    before = vol.data.copy()
+    coeffs = wavelet_forward(vol)
+    assert vol.data.tobytes() == before.tobytes()
+    coeffs = np.asarray(coeffs, order=order)
+    kept = coeffs.copy()
+    wavelet_inverse(coeffs, dims)
+    assert coeffs.tobytes() == kept.tobytes()
