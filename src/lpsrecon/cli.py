@@ -28,12 +28,13 @@ from .harness import (
     SolverOptions,
     build_solver_config,
     parse_config,
+    reconstruct_sequence,
     run_sweep,
 )
-from .io import load_mask, load_volume, save_mask, save_volume
+from .io import load_mask, load_volume, save_mask, save_volume, volume_dims
 from .operators import acquire, make_mask
-from .phantom import generate, psnr
-from .solvers import prior_from_result, solve_ls, solve_priori_ls, solve_sequence
+from .phantom import generate_frames, psnr
+from .solvers import prior_from_result, solve_ls, solve_priori_ls
 
 __all__ = ["main"]
 
@@ -99,11 +100,13 @@ def _load_options(config_path):
     return parse_config(config_path)
 
 
-def _write_components(out_base: Path, dims, l_mat, s_mat) -> None:
-    estimate = DynamicVolume(l_mat + s_mat, dims)
+def _write_components(out_base: Path, dims, decomposition: Decomposition) -> DynamicVolume:
+    """Write the .x/.l/.s files of one solve and return its estimate L + S."""
+    estimate = DynamicVolume(decomposition.estimate(), dims)
     save_volume(out_base.with_suffix(".x"), estimate)
-    save_volume(out_base.with_suffix(".l"), DynamicVolume(l_mat, dims))
-    save_volume(out_base.with_suffix(".s"), DynamicVolume(s_mat, dims))
+    save_volume(out_base.with_suffix(".l"), DynamicVolume(decomposition.L, dims))
+    save_volume(out_base.with_suffix(".s"), DynamicVolume(decomposition.S, dims))
+    return estimate
 
 
 def _cmd_phantom_gen(args) -> int:
@@ -113,14 +116,18 @@ def _cmd_phantom_gen(args) -> int:
         spec = replace(spec, seed=args.seed)
     if args.frames is not None:
         spec = replace(spec, n_frames=args.frames)
-    sequence = generate(spec)
+    frames = generate_frames(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for t in range(spec.n_frames):
-        base = out / f"frame{t + 1:04d}"
-        save_volume(base.with_suffix(".x"), sequence.frames[t])
-        save_volume(base.with_suffix(".l"), sequence.l_true[t])
-        save_volume(base.with_suffix(".s"), sequence.s_true[t])
+    # Not enumerate(frames): its reused result tuple would keep the last
+    # frame alive while the next one is made.
+    for t in range(1, spec.n_frames + 1):
+        x, l, s = next(frames)
+        base = out / f"frame{t:04d}"
+        save_volume(base.with_suffix(".x"), x)
+        save_volume(base.with_suffix(".l"), l)
+        save_volume(base.with_suffix(".s"), s)
+        del x, l, s  # hold no frame through the next one's generation
     print(f"wrote {spec.n_frames} frames to {out}")
     return 0
 
@@ -133,21 +140,23 @@ def _cmd_mask_gen(args) -> int:
     return 0
 
 
-def _metrics_line(frame: int, result, reference, dims) -> str:
-    estimate = DynamicVolume(result.estimate(), dims)
-    p = psnr(reference, estimate) if reference is not None else float("nan")
-    p_txt = "" if reference is None else f",{p:.6f}"
+METRICS_HEADER = "frame,iterations,converged,data_residual,psnr_db"
+
+
+def _metrics_line(frame: int, result, reference: DynamicVolume, estimate: DynamicVolume) -> str:
     return (
         f"{frame},{result.iterations},{str(result.converged).lower()},"
-        f"{result.data_residual:.6e}{p_txt}"
+        f"{result.data_residual:.6e},{psnr(reference, estimate):.6f}"
     )
 
 
-def _warn_unconverged(frame: int, result, log_lines: list[str]) -> None:
+def _warn_unconverged(frame: int, result, log=None) -> None:
     if not result.converged:
-        log_lines.append(f"warning: frame {frame} stopped at max_iter={result.iterations} without "
-                         f"converging (last relative change {result.residual_history[-1]:.3e})")
-        print(log_lines[-1], file=sys.stderr)
+        warning = (f"warning: frame {frame} stopped at max_iter={result.iterations} without "
+                   f"converging (last relative change {result.residual_history[-1]:.3e})")
+        print(warning, file=sys.stderr)
+        if log is not None:
+            print(warning, file=log)
 
 
 def _cmd_recon(args, parser) -> int:
@@ -171,11 +180,11 @@ def _cmd_recon(args, parser) -> int:
         cfg = build_solver_config(y, ls_opts)
         result = solve_ls(y, cfg)
         solver = "ls"
-    _write_components(Path(args.out), volume.dims, result.decomposition.L, result.decomposition.S)
+    estimate = _write_components(Path(args.out), volume.dims, result.decomposition)
     reference = load_volume(args.reference) if args.reference else volume
-    print("frame,iterations,converged,data_residual,psnr_db")
-    print(_metrics_line(1, result, reference, volume.dims))
-    _warn_unconverged(1, result, [])
+    print(METRICS_HEADER)
+    print(_metrics_line(1, result, reference, estimate))
+    _warn_unconverged(1, result)
     print(f"# solver={solver} m={mask.m} rate={mask.rate:.4f}", file=sys.stderr)
     return 0
 
@@ -184,11 +193,12 @@ def _cmd_recon_seq(args) -> int:
     frame_files = sorted(Path(args.frames).glob("*.x"))
     if not frame_files:
         raise FileNotFoundError(f"no *.x frame files found in {args.frames}")
-    volumes = [load_volume(f) for f in frame_files]
-    dims = volumes[0].dims
-    for f, v in zip(frame_files, volumes):
-        if v.dims != dims:
-            raise ValueError(f"{f}: dims {v.dims} differ from first frame {dims}")
+    # Every frame file's header and size are checked before any solve; each
+    # payload is read only when its frame is acquired.
+    dims = volume_dims(frame_files[0])
+    for f in frame_files[1:]:
+        if (other := volume_dims(f)) != dims:
+            raise ValueError(f"{f}: dims {other} differ from first frame {dims}")
 
     experiment, ls_opts, priori_opts = _load_options(args.config)
     first_rate = args.first_rate if args.first_rate is not None else experiment.first_frame_rate
@@ -196,33 +206,32 @@ def _cmd_recon_seq(args) -> int:
     n_x, n_y, _ = dims
     mask_first = make_mask(n_x, n_y, first_rate, experiment.density_falloff, seed=args.mask_seed)
     mask_rest = make_mask(n_x, n_y, rate, experiment.density_falloff, seed=args.mask_seed + 1)
-    kspace = [acquire(v, mask_first if t == 0 else mask_rest) for t, v in enumerate(volumes)]
+    kspace = (acquire(load_volume(f), mask_first if t == 0 else mask_rest)
+              for t, f in enumerate(frame_files))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    log_lines = [f"recon-seq started {time.strftime('%Y-%m-%dT%H:%M:%S')}"]
-    cfg_first = build_solver_config(kspace[0], ls_opts)
-    if args.solver == "priori-ls":
-        note = "frame 1: no prior available, falling back to plain L+S"
-        log_lines.append(note)
-        print(note, file=sys.stderr)
-        rest_opts = priori_opts
-        cfg_rest = build_solver_config(kspace[1], rest_opts) if len(kspace) > 1 else cfg_first
-        results = solve_sequence(kspace, cfg_first, cfg_rest)
-    else:
-        cfg_rest = build_solver_config(kspace[1], ls_opts) if len(kspace) > 1 else cfg_first
-        results = [solve_ls(y, cfg_first if t == 0 else cfg_rest) for t, y in enumerate(kspace)]
-
-    metrics = ["frame,iterations,converged,data_residual,psnr_db"]
-    for t, result in enumerate(results):
-        _write_components(out / f"frame{t + 1:04d}", dims,
-                          result.decomposition.L, result.decomposition.S)
-        metrics.append(_metrics_line(t + 1, result, volumes[t], dims))
-        _warn_unconverged(t + 1, result, log_lines)
-    (out / "metrics.csv").write_text("\n".join(metrics) + "\n")
-    log_lines.append(f"recon-seq finished {time.strftime('%Y-%m-%dT%H:%M:%S')}")
-    (out / "run.log").write_text("\n".join(log_lines) + "\n")
-    print("\n".join(metrics))
+    # Each frame's files and metrics line are written as soon as it is solved.
+    with open(out / "metrics.csv", "w") as metrics, open(out / "run.log", "w") as log:
+        print(f"recon-seq started {time.strftime('%Y-%m-%dT%H:%M:%S')}", file=log)
+        if args.solver == "priori-ls":
+            note = "frame 1: no prior available, falling back to plain L+S"
+            print(note, file=log)
+            print(note, file=sys.stderr)
+        print(METRICS_HEADER, file=metrics)
+        print(METRICS_HEADER)
+        # As in phantom gen, the results are not enumerated, so that none is
+        # held through the next frame's solve.
+        results = reconstruct_sequence(kspace, args.solver, ls_opts, priori_opts)
+        for t, path in enumerate(frame_files, start=1):
+            result = next(results)
+            estimate = _write_components(out / f"frame{t:04d}", dims, result.decomposition)
+            line = _metrics_line(t, result, load_volume(path), estimate)
+            print(line, file=metrics)
+            print(line)
+            _warn_unconverged(t, result, log)
+            del result, estimate
+        print(f"recon-seq finished {time.strftime('%Y-%m-%dT%H:%M:%S')}", file=log)
     return 0
 
 

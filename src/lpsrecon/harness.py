@@ -19,13 +19,14 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .core import DynamicVolume, SolverConfig
 from .operators import KSpaceData, acquire, make_mask
 from .phantom import PhantomSpec, generate, psnr
-from .solvers import SolveResult, default_config, solve_ls, solve_sequence
+from .solvers import SolveResult, default_config, solve_sequence
 
 __all__ = [
     "ExperimentSpec",
@@ -33,6 +34,7 @@ __all__ = [
     "SweepRow",
     "parse_config",
     "build_solver_config",
+    "reconstruct_sequence",
     "run_sweep",
     "write_sweep_csv",
     "write_summary_csv",
@@ -221,6 +223,29 @@ def _mask_seed(base_seed: int, seed_index: int, rate: float, tier: int) -> int:
     )
 
 
+def reconstruct_sequence(
+    frames: Iterable[KSpaceData],
+    solver: str,
+    ls_opts: SolverOptions,
+    priori_opts: SolverOptions,
+) -> Iterator[SolveResult]:
+    """Reconstruct a sequence with ``solver``, yielding each frame's result
+    as soon as it is solved (see ``solve_sequence``). Frame 1 has no prior: it
+    is solved by ``ls`` with ``ls_opts``, configured from its own samples.
+    The later frames share one config, resolved from frame 2 with the
+    solver's options."""
+    if solver not in KNOWN_SOLVERS:
+        raise ValueError(f"unknown solver {solver!r}, expected one of {KNOWN_SOLVERS}")
+    use_prior = solver == "priori-ls"
+    rest_opts = priori_opts if use_prior else ls_opts
+    return solve_sequence(
+        frames,
+        lambda y: build_solver_config(y, ls_opts),
+        lambda y: build_solver_config(y, rest_opts),
+        use_prior=use_prior,
+    )
+
+
 def _solve_cell(
     experiment: ExperimentSpec,
     solver: str,
@@ -228,7 +253,7 @@ def _solve_cell(
     seed_index: int,
     ls_opts: SolverOptions,
     priori_opts: SolverOptions,
-) -> tuple[list[SweepRow], list[SolveResult]]:
+) -> list[SweepRow]:
     phantom_spec = replace(experiment.phantom, seed=experiment.phantom.seed + seed_index)
     sequence = generate(phantom_spec)
     n_x, n_y, _ = phantom_spec.dims
@@ -241,36 +266,23 @@ def _solve_cell(
         n_x, n_y, rate, experiment.density_falloff,
         seed=_mask_seed(base, seed_index, rate, 1),
     )
-    kspace = [
+    kspace = (
         acquire(frame, mask_first if t == 0 else mask_rest)
         for t, frame in enumerate(sequence.frames)
-    ]
-    cfg_first = build_solver_config(kspace[0], ls_opts)
-    if solver == "priori-ls":
-        rest_opts = priori_opts
-        cfg_rest = build_solver_config(kspace[1], rest_opts) if len(kspace) > 1 else cfg_first
-        results = solve_sequence(kspace, cfg_first, cfg_rest)
-    else:
-        cfg_rest = build_solver_config(kspace[1], ls_opts) if len(kspace) > 1 else cfg_first
-        results = [
-            solve_ls(y, cfg_first if t == 0 else cfg_rest) for t, y in enumerate(kspace)
-        ]
-
-    rows = []
-    for t, result in enumerate(results):
-        estimate = DynamicVolume(result.estimate(), phantom_spec.dims)
-        rows.append(
-            SweepRow(
-                solver=solver,
-                rate=experiment.first_frame_rate if t == 0 else rate,
-                seed=seed_index,
-                frame=t + 1,
-                psnr_db=psnr(sequence.frames[t], estimate),
-                iterations=result.iterations,
-                converged=result.converged,
-            )
+    )
+    results = reconstruct_sequence(kspace, solver, ls_opts, priori_opts)
+    return [
+        SweepRow(
+            solver=solver,
+            rate=experiment.first_frame_rate if t == 0 else rate,
+            seed=seed_index,
+            frame=t + 1,
+            psnr_db=psnr(reference, DynamicVolume(result.estimate(), phantom_spec.dims)),
+            iterations=result.iterations,
+            converged=result.converged,
         )
-    return rows, results
+        for t, (reference, result) in enumerate(zip(sequence.frames, results))
+    ]
 
 
 def _fmt_psnr(value: float) -> str:
@@ -322,9 +334,7 @@ def run_sweep(
         for rate in experiment.rates:
             for seed_index in range(experiment.n_seeds):
                 started = time.perf_counter()
-                rows, _ = _solve_cell(
-                    experiment, solver, rate, seed_index, ls_opts, priori_opts
-                )
+                rows = _solve_cell(experiment, solver, rate, seed_index, ls_opts, priori_opts)
                 wall = time.perf_counter() - started
                 log_lines.append(
                     f"cell solver={solver} rate={rate:.6f} seed={seed_index} wall={wall:.3f}s"

@@ -18,8 +18,9 @@ pair, so payloads are written/read as little-endian complex128 directly.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -33,6 +34,7 @@ __all__ = [
     "PayloadError",
     "save_volume",
     "load_volume",
+    "volume_dims",
     "save_mask",
     "load_mask",
 ]
@@ -60,10 +62,11 @@ class PayloadError(VolumeFileError):
     """The payload size does not match what the header promises."""
 
 
-def _read_header(raw: bytes, magic: bytes, path) -> tuple[int, int, int]:
+def _read_header(fh, magic: bytes, path) -> tuple[int, int, int]:
+    raw = fh.read(_HEADER.size)
     if len(raw) < _HEADER.size:
         raise HeaderError(f"{path}: file shorter than the {_HEADER.size}-byte header")
-    got_magic, version, n_x, n_y, n_z = _HEADER.unpack_from(raw)
+    got_magic, version, n_x, n_y, n_z = _HEADER.unpack(raw)
     if got_magic != magic:
         raise BadMagicError(f"{path}: bad magic {got_magic!r}, expected {magic!r}")
     if version != FORMAT_VERSION:
@@ -73,12 +76,19 @@ def _read_header(raw: bytes, magic: bytes, path) -> tuple[int, int, int]:
     return n_x, n_y, n_z
 
 
-def _check_payload(raw: bytes, expected: int, path) -> None:
-    size = len(raw) - _HEADER.size
+def _check_payload(fh, expected: int, path) -> None:
+    """Compare the file length past the header with the promised payload size."""
+    size = os.fstat(fh.fileno()).st_size - _HEADER.size
     if size < expected:
         raise PayloadError(f"{path}: payload holds {size} bytes, header promises {expected}")
     if size > expected:
         raise PayloadError(f"{path}: {size - expected} trailing bytes after payload")
+
+
+def _check_volume(fh, path) -> tuple[int, int, int]:
+    dims = _read_header(fh, VOLUME_MAGIC, path)
+    _check_payload(fh, 16 * math.prod(dims), path)
+    return dims
 
 
 def _write(path, header: bytes, payload: np.ndarray) -> None:
@@ -97,14 +107,29 @@ def save_volume(path, volume: DynamicVolume) -> None:
     _write(path, header, np.ascontiguousarray(volume.data.astype("<c16", copy=False).T))
 
 
+def volume_dims(path) -> tuple[int, int, int]:
+    """Check an LPSV file's header and payload size, without reading the
+    payload, and return its dims."""
+    with open(path, "rb") as fh:
+        return _check_volume(fh, path)
+
+
 def load_volume(path) -> DynamicVolume:
-    """Read an LPSV file back into a DynamicVolume."""
-    raw = Path(path).read_bytes()
-    n_x, n_y, n_z = _read_header(raw, VOLUME_MAGIC, path)
-    count = n_x * n_y * n_z
-    _check_payload(raw, count * 16, path)
-    data = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).reshape((n_x * n_y, n_z), order="F")
-    return DynamicVolume(data.astype(np.complex128), (n_x, n_y, n_z))
+    """Read an LPSV file back into a DynamicVolume.
+
+    The payload is read straight into the column-major matrix the volume
+    keeps: its transpose is C-contiguous and matches the file's byte order.
+    """
+    with open(path, "rb") as fh:
+        n_x, n_y, n_z = _check_volume(fh, path)
+        data = np.empty((n_x * n_y, n_z), dtype="<c16", order="F")
+        if fh.readinto(data.T) != data.nbytes:
+            raise PayloadError(f"{path}: payload shorter than its {data.nbytes} bytes")
+    try:
+        # No copy on a little-endian host.
+        return DynamicVolume(data.astype(np.complex128, copy=False), (n_x, n_y, n_z))
+    except ValueError as exc:  # non-finite entries
+        raise PayloadError(f"{path}: {exc}") from exc
 
 
 def save_mask(path, mask: SamplingMask) -> None:
@@ -116,12 +141,12 @@ def save_mask(path, mask: SamplingMask) -> None:
 
 def load_mask(path) -> SamplingMask:
     """Read an LPSM file back into a SamplingMask."""
-    raw = Path(path).read_bytes()
-    n_x, n_y, n_z = _read_header(raw, MASK_MAGIC, path)
-    if n_z != 1:
-        raise HeaderError(f"{path}: mask header must have n_z = 1, got {n_z}")
-    _check_payload(raw, n_x * n_y, path)
-    flat = np.frombuffer(raw, dtype=np.uint8, offset=_HEADER.size)
+    with open(path, "rb") as fh:
+        n_x, n_y, n_z = _read_header(fh, MASK_MAGIC, path)
+        if n_z != 1:
+            raise HeaderError(f"{path}: mask header must have n_z = 1, got {n_z}")
+        _check_payload(fh, n_x * n_y, path)
+        flat = np.frombuffer(fh.read(n_x * n_y), dtype=np.uint8)
     if not np.isin(flat, (0, 1)).all():
         raise PayloadError(f"{path}: mask payload contains values other than 0/1")
     pattern = flat.reshape((n_x, n_y), order="F").astype(bool)

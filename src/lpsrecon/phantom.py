@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
 from .core import DynamicVolume
 
-__all__ = ["PhantomSpec", "PhantomSequence", "default_spec", "generate", "psnr"]
+__all__ = ["PhantomSpec", "PhantomSequence", "default_spec", "generate", "generate_frames", "psnr"]
 
 PSNR_SENTINEL_DB = float("inf")
 
@@ -92,11 +93,12 @@ def _slice_mixing(rng: np.random.Generator, rank: int, n_z: int) -> np.ndarray:
     return q.conj().T
 
 
-def generate(spec: PhantomSpec) -> PhantomSequence:
-    """Generate frames X = L + S + noise together with L and S ground truth.
+def generate_frames(spec: PhantomSpec) -> Iterator[tuple[DynamicVolume, DynamicVolume, DynamicVolume]]:
+    """Generate the frames one at a time, each as the triple (X, L, S) with
+    X = L + S + noise, so that only one frame is held at once.
 
-    Raises ValueError when a blob trajectory would leave the grid within
-    the requested number of frames.
+    Raises ValueError here, before any frame is made, when a blob
+    trajectory would leave the grid within the requested number of frames.
     """
     n_x, n_y, n_z = spec.dims
     rng = np.random.default_rng(spec.seed)
@@ -142,10 +144,7 @@ def generate(spec: PhantomSpec) -> PhantomSequence:
     gx = np.arange(n_x)[:, None]
     gy = np.arange(n_y)[None, :]
 
-    frames: list[DynamicVolume] = []
-    l_true: list[DynamicVolume] = []
-    s_true: list[DynamicVolume] = []
-    for t in range(spec.n_frames):
+    def frame(t):
         scale = amps * (1.0 + spec.drift_rate * t * drift_weights)
         l_mat = (modes * scale) @ mixing
 
@@ -162,10 +161,21 @@ def generate(spec: PhantomSpec) -> PhantomSequence:
             )
             x_mat = x_mat + spec.noise_sigma / math.sqrt(2.0) * noise
 
-        frames.append(DynamicVolume(x_mat, spec.dims))
-        l_true.append(DynamicVolume(l_mat, spec.dims))
-        s_true.append(DynamicVolume(s_mat, spec.dims))
-    return PhantomSequence(frames, l_true, s_true)
+        return (DynamicVolume(x_mat, spec.dims), DynamicVolume(l_mat, spec.dims),
+                DynamicVolume(s_mat, spec.dims))
+
+    # The checks above run at the call; each frame is made when it is asked for.
+    return (frame(t) for t in range(spec.n_frames))
+
+
+def generate(spec: PhantomSpec) -> PhantomSequence:
+    """Generate frames X = L + S + noise together with L and S ground truth.
+
+    Raises ValueError when a blob trajectory would leave the grid within
+    the requested number of frames.
+    """
+    frames, l_true, s_true = zip(*generate_frames(spec))
+    return PhantomSequence(list(frames), list(l_true), list(s_true))
 
 
 def psnr(reference: DynamicVolume, estimate: DynamicVolume) -> float:

@@ -25,7 +25,7 @@ reduces exactly to the baseline one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -208,32 +208,44 @@ def prior_from_result(
 
 
 def solve_sequence(
-    frames: Sequence[KSpaceData],
-    cfg_first: SolverConfig,
-    cfg_rest: SolverConfig,
-) -> list[SolveResult]:
-    """Reconstruct a time sequence, threading priors frame to frame.
+    frames: Iterable[KSpaceData],
+    cfg_first: SolverConfig | Callable[[KSpaceData], SolverConfig],
+    cfg_rest: SolverConfig | Callable[[KSpaceData], SolverConfig],
+    use_prior: bool = True,
+) -> Iterator[SolveResult]:
+    """Reconstruct a time sequence, yielding each frame's result once solved.
 
-    The first frame is solved with the baseline solver (no prior exists
-    yet); every later frame reuses the previous result's spectrum and
-    sparse support. A failure at any frame aborts with that frame's
-    1-based index.
+    Frames are read from ``frames`` one at a time. Frame 1 is solved with the
+    baseline solver (no prior exists yet); with ``use_prior`` every later
+    frame reuses the previous result's spectrum and sparse support, else it
+    too is solved with the baseline. The prior is built when the next frame
+    arrives and the previous (L, S) is dropped before that frame's solve, so
+    memory does not grow with the frame count. A config given as a function
+    is resolved from frame 1 (``cfg_first``) or, once, from frame 2
+    (``cfg_rest``). Mixed dims raise ValueError; any other failure at a frame
+    aborts with that frame's 1-based index.
     """
-    if len(frames) == 0:
-        raise ValueError("frame list must be nonempty")
-    dims = frames[0].dims
-    for t, frame in enumerate(frames):
-        if frame.dims != dims:
-            raise ValueError(f"frame {t + 1} dims {frame.dims} differ from frame 1 dims {dims}")
-
-    results: list[SolveResult] = []
-    for t, frame in enumerate(frames):
+    dims = cfg = previous = None
+    for t, frame in enumerate(frames, start=1):
+        if dims is None:
+            dims = frame.dims
+        elif frame.dims != dims:
+            raise ValueError(f"frame {t} dims {frame.dims} differ from frame 1 dims {dims}")
         try:
-            if t == 0:
-                results.append(solve_ls(frame, cfg_first))
+            if t <= 2:
+                source = cfg_first if t == 1 else cfg_rest
+                cfg = source(frame) if callable(source) else source
+            if previous is None:
+                result = solve_ls(frame, cfg)
             else:
-                prior = prior_from_result(results[-1].decomposition, dims, cfg_rest.support_eps)
-                results.append(solve_priori_ls(frame, prior, cfg_rest))
+                prior = prior_from_result(previous, dims, cfg.support_eps)
+                previous = None
+                result = solve_priori_ls(frame, prior, cfg)
         except Exception as exc:  # noqa: BLE001 - abort must carry the frame index
-            raise FrameSolveError(t + 1, exc) from exc
-    return results
+            raise FrameSolveError(t, exc) from exc
+        yield result
+        if use_prior:
+            previous = result.decomposition
+        del result
+    if dims is None:
+        raise ValueError("frame list must be nonempty")

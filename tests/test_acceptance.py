@@ -197,7 +197,7 @@ def prior_validity_chain():
     frames = [acquire(f, mask_first if t == 0 else mask_rest) for t, f in enumerate(seq.frames)]
     cfg_first = default_config(frames[0])
     cfg_rest = default_config(frames[1])
-    results = solve_sequence(frames, cfg_first, cfg_rest)
+    results = list(solve_sequence(frames, cfg_first, cfg_rest))
     return spec, cfg_rest, results
 
 

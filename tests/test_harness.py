@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from lpsrecon import (
 )
 import lpsrecon.cli as cli
 from lpsrecon.cli import main
-from lpsrecon.harness import _mask_seed, write_summary_csv, write_sweep_csv
+from lpsrecon.harness import _mask_seed, reconstruct_sequence, write_summary_csv, write_sweep_csv
 from lpsrecon.phantom import PhantomSpec
 
 CONFIG_TEXT = """\
@@ -316,6 +317,46 @@ class TestCli:
         assert lines[0] == "frame,iterations,converged,data_residual,psnr_db"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("fault", ["other dims", "truncated"])
+    def test_recon_seq_rejects_a_bad_last_frame_before_any_solve(
+        self, tmp_path, capsys, config_file, fault
+    ):
+        frames_dir = tmp_path / "frames"
+        main(["phantom", "gen", "--config", str(config_file), "--out", str(frames_dir)])
+        last = frames_dir / "frame0003.x"
+        if fault == "other dims":
+            save_volume(last, generate(PhantomSpec(dims=(16, 16, 4), n_frames=1)).frames[0])
+        else:
+            last.write_bytes(last.read_bytes()[:-16])
+        capsys.readouterr()
+        out_dir = tmp_path / "seq"
+        code = main(["recon-seq", "--frames", str(frames_dir), "--out", str(out_dir),
+                     "--config", str(config_file), "--rate", "0.333333"])
+        assert code == 1
+        assert "frame0003.x" in capsys.readouterr().err
+        assert not list(out_dir.glob("frame0001.*"))
+
+    def test_recon_seq_keeps_the_frames_solved_before_a_failure(self, tmp_path, capsys, config_file):
+        # A non-finite payload passes the header and size checks, so it fails
+        # only when frame 3 is read, after frames 1 and 2 were written.
+        frames_dir = tmp_path / "frames"
+        main(["phantom", "gen", "--config", str(config_file), "--out", str(frames_dir)])
+        last = frames_dir / "frame0003.x"
+        raw = bytearray(last.read_bytes())
+        raw[-8:] = np.float64(np.nan).tobytes()
+        last.write_bytes(bytes(raw))
+        capsys.readouterr()
+        out_dir = tmp_path / "seq"
+        code = main(["recon-seq", "--frames", str(frames_dir), "--out", str(out_dir),
+                     "--config", str(config_file), "--rate", "0.333333"])
+        assert code == 1
+        assert "frame0003.x" in capsys.readouterr().err
+        assert sorted(p.name for p in out_dir.glob("frame*")) == [
+            f"frame000{t}.{part}" for t in (1, 2) for part in "lsx"
+        ]
+        assert len((out_dir / "metrics.csv").read_text().splitlines()) == 3
+        assert "finished" not in (out_dir / "run.log").read_text()
+
     def test_sweep_cli_with_overrides(self, tmp_path, capsys, config_file):
         out_dir = tmp_path / "sw"
         code = main(["sweep", "--config", str(config_file), "--out", str(out_dir)])
@@ -374,3 +415,68 @@ class TestCli:
                      "--out", str(tmp_path / "r")])
         assert code == 1
         assert "does not match" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("solver", ["ls", "priori-ls"])
+def test_reconstruct_sequence_matches_the_explicit_chain(solver):
+    # Frame 1 by ls with its own config; frames >= 2 share the config of
+    # frame 2, and priori-ls builds each prior with that config's support_eps.
+    seq = generate(PhantomSpec(n_frames=3))
+    frames = [acquire(f, make_mask(32, 32, 0.5 if t == 0 else 0.25, 2.0, seed=t))
+              for t, f in enumerate(seq.frames)]
+    ls_opts, priori_opts = SolverOptions(), SolverOptions(lambda_p=0.5, support_eps=0.05)
+    cfg_first = build_solver_config(frames[0], ls_opts)
+    cfg_rest = build_solver_config(frames[1], priori_opts if solver == "priori-ls" else ls_opts)
+    want = [solve_ls(frames[0], cfg_first)]
+    for y in frames[1:]:
+        if solver == "ls":
+            want.append(solve_ls(y, cfg_rest))
+        else:
+            prior = prior_from_result(want[-1].decomposition, y.dims, cfg_rest.support_eps)
+            want.append(solve_priori_ls(y, prior, cfg_rest))
+    got = list(reconstruct_sequence(iter(frames), solver, ls_opts, priori_opts))
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.decomposition.L, b.decomposition.L)
+        assert np.array_equal(a.decomposition.S, b.decomposition.S)
+        assert a.iterations == b.iterations
+
+
+def test_reconstruct_sequence_rejects_an_unknown_solver():
+    with pytest.raises(ValueError, match="unknown solver"):
+        reconstruct_sequence([], "fista", SolverOptions(), SolverOptions())
+
+def _traced_peak(argv) -> int:
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sequence_commands_memory_is_flat_in_the_frame_count(tmp_path, capsys):
+    # phantom gen writes each frame as it is made, and recon-seq reads, solves
+    # and writes one frame at a time, so four more frames cost no more memory.
+    dims = (64, 64, 4)
+    volume_bytes = int(np.prod(dims)) * np.dtype(np.complex128).itemsize
+
+    def run(n_frames, tag):
+        config = tmp_path / f"{tag}.cfg"
+        config.write_text(
+            f"[phantom]\nn_x = {dims[0]}\nn_y = {dims[1]}\nn_z = {dims[2]}\n"
+            f"n_frames = {n_frames}\nseed = 0\n\n"
+            "[solver.ls]\nmax_iter = 3\n\n[solver.priori]\nmax_iter = 3\n"
+        )
+        frames, out = tmp_path / f"{tag}-frames", tmp_path / f"{tag}-out"
+        gen = _traced_peak(["phantom", "gen", "--config", str(config), "--out", str(frames)])
+        seq = _traced_peak(["recon-seq", "--frames", str(frames), "--out", str(out),
+                            "--config", str(config), "--solver", "priori-ls", "--rate", "0.25"])
+        assert len((out / "metrics.csv").read_text().splitlines()) == 1 + n_frames
+        return gen, seq
+
+    run(2, "warm-up")  # fills the wavelet band caches
+    gen_2, seq_2 = run(2, "two")
+    gen_6, seq_6 = run(6, "six")
+    assert gen_6 <= gen_2 + volume_bytes, f"phantom gen: {gen_2} -> {gen_6} bytes"
+    assert seq_6 <= seq_2 + volume_bytes, f"recon-seq: {seq_2} -> {seq_6} bytes"

@@ -14,6 +14,7 @@ from lpsrecon import (
     save_mask,
     save_volume,
 )
+from lpsrecon.io import volume_dims
 
 from helpers import random_volume
 
@@ -28,6 +29,39 @@ def test_volume_round_trip_bit_exact(tmp_path, dims):
     assert back.dims == dims
     assert back.data.tobytes() == vol.data.tobytes()
 
+
+
+def test_loaded_volume_owns_a_writable_array(tmp_path):
+    vol = random_volume(np.random.default_rng(6), (8, 4, 3))
+    path = tmp_path / "v.lpsv"
+    save_volume(path, vol)
+    back = load_volume(path)
+    assert back.data.flags.owndata and back.data.flags.writeable
+    assert back.data.dtype == np.complex128
+    assert back.data.tobytes() == vol.data.tobytes()
+    back.data[0, 0] = 0
+    assert load_volume(path).data.tobytes() == vol.data.tobytes()
+
+
+def test_volume_dims_checks_without_reading_the_payload(tmp_path):
+    vol = random_volume(np.random.default_rng(7), (4, 4, 2))
+    path = tmp_path / "v.lpsv"
+    save_volume(path, vol)
+    assert volume_dims(path) == (4, 4, 2)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(PayloadError, match="v.lpsv"):
+        volume_dims(path)
+
+
+def test_non_finite_payload_names_the_file(tmp_path):
+    vol = random_volume(np.random.default_rng(8), (4, 4, 2))
+    path = tmp_path / "nan.lpsv"
+    save_volume(path, vol)
+    raw = bytearray(path.read_bytes())
+    raw[-8:] = struct.pack("<d", float("nan"))
+    path.write_bytes(bytes(raw))
+    with pytest.raises(PayloadError, match="nan.lpsv.*non-finite"):
+        load_volume(path)
 
 def test_volume_file_layout(tmp_path):
     data = np.array([[1 + 2j], [3 + 4j]], dtype=complex)

@@ -5,7 +5,7 @@ import pytest
 from dataclasses import replace
 
 from lpsrecon import DynamicVolume, generate, psnr, wavelet_forward
-from lpsrecon.phantom import PhantomSpec, default_spec
+from lpsrecon.phantom import PhantomSpec, default_spec, generate_frames
 
 from helpers import support_change, support_set
 
@@ -86,6 +86,21 @@ def test_noise_is_added_at_requested_scale():
 def test_blob_out_of_bounds_rejected():
     with pytest.raises(ValueError, match="blob"):
         generate(PhantomSpec(motion_step=50.0))
+
+
+def test_frame_generator_checks_at_the_call_and_makes_frames_on_demand():
+    with pytest.raises(ValueError, match="blob"):
+        generate_frames(PhantomSpec(motion_step=50.0))  # no frame asked for yet
+    # With noise the frames share one random stream, so taking them one at a
+    # time must draw it in the same order as the whole sequence does.
+    spec = PhantomSpec(noise_sigma=0.01)
+    frames = generate_frames(spec)
+    first = next(frames)
+    whole = generate(spec)
+    for t, parts in enumerate([first, *frames]):
+        truth = (whole.frames[t], whole.l_true[t], whole.s_true[t])
+        assert [p.data.tobytes() for p in parts] == [p.data.tobytes() for p in truth]
+    assert t == spec.n_frames - 1
 
 
 def test_frames_decompose_into_truth():

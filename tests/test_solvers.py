@@ -158,7 +158,7 @@ def test_data_consistency_fixed_point_at_full_sampling():
 
 def test_single_frame_sequence_equals_solve_ls(phantom_50):
     _, y, cfg = phantom_50
-    seq_res = solve_sequence([y], cfg, cfg)
+    seq_res = list(solve_sequence([y], cfg, cfg))
     direct = solve_ls(y, cfg)
     assert len(seq_res) == 1
     assert np.array_equal(seq_res[0].decomposition.L, direct.decomposition.L)
@@ -183,7 +183,7 @@ def test_sequence_keeps_each_frame_as_solved_alone():
     seq = generate(PhantomSpec(n_frames=3))
     frames = [acquire(f, make_mask(32, 32, 0.5 if t == 0 else 0.25, 2.0, seed=t)) for t, f in enumerate(seq.frames)]
     cfg_first, cfg_rest = default_config(frames[0]), default_config(frames[1])
-    results = solve_sequence(frames, cfg_first, cfg_rest)
+    results = list(solve_sequence(frames, cfg_first, cfg_rest))
     alone = solve_ls(frames[0], cfg_first)
     for t, result in enumerate(results):
         if t:
@@ -223,6 +223,24 @@ def test_solve_peak_memory_is_at_most_five_volumes(dims):
         assert peak <= 5 * volume_bytes, f"peak {peak / volume_bytes:.2f} volumes"
 
 
+def test_sequence_reads_each_frame_only_when_it_is_needed(phantom_50):
+    _, y, cfg = phantom_50
+    cfg = replace(cfg, max_iter=3)
+    read = []
+
+    def frames():
+        for t in range(1, 4):
+            read.append(t)
+            yield y
+
+    results = solve_sequence(frames(), cfg, cfg)
+    assert read == []
+    for t in range(1, 4):
+        assert next(results).iterations == 3
+        assert read == list(range(1, t + 1))
+    assert next(results, None) is None
+
+
 def test_sequence_rejects_mixed_dims(phantom_50):
     _, y, cfg = phantom_50
     mask = make_mask(16, 16, 0.5, 2.0, seed=9)
@@ -231,7 +249,7 @@ def test_sequence_rejects_mixed_dims(phantom_50):
         rng.standard_normal((mask.m, 2)) + 0j, mask, (16, 16, 2)
     )
     with pytest.raises(ValueError, match="dims"):
-        solve_sequence([y, other], cfg, cfg)
+        list(solve_sequence([y, other], cfg, cfg))
 
 
 def test_sequence_failure_carries_frame_index():
@@ -244,7 +262,7 @@ def test_sequence_failure_carries_frame_index():
     )
     cfg = SolverConfig(lambda_L=0.1, lambda_S=0.1)
     with pytest.raises(FrameSolveError) as err:
-        solve_sequence([y], cfg, cfg)
+        list(solve_sequence([y], cfg, cfg))
     assert err.value.frame_index == 1
     assert "frame 1" in str(err.value)
 
