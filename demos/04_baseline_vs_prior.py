@@ -43,7 +43,7 @@ plain = solve_ls(y2, cfg2)
 p_plain = psnr(seq.frames[1], DynamicVolume(plain.estimate(), spec.dims))
 
 prior = prior_from_result(res1.decomposition, spec.dims, cfg2.support_eps)
-print(f"\nprior carried over: {len(prior.support_prev)} support entries, "
+print(f"\nprior carried over: {int(prior.support_prev.sum())} support entries, "
       f"spectrum {np.round(prior.sigma_prev, 3)}")
 
 informed = solve_priori_ls(y2, prior, cfg2)

@@ -5,11 +5,8 @@ from .core import (
     DynamicVolume,
     Prior,
     SolverConfig,
-    SupportSet,
-    relative_change,
     soft_threshold,
     soft_threshold_matrix,
-    soft_threshold_restricted,
 )
 from .io import (
     BadMagicError,
@@ -24,19 +21,15 @@ from .io import (
 from .operators import (
     KSpaceData,
     SamplingMask,
-    SpectralDecomposition,
     acquire,
     acquire_adjoint,
     extract_support,
     make_mask,
     sv_threshold,
-    svd,
 )
 from .harness import (
     ExperimentSpec,
-    SolverOptions,
     SweepRow,
-    build_solver_config,
     parse_config,
     run_sweep,
 )
@@ -59,11 +52,8 @@ __all__ = [
     "DynamicVolume",
     "Prior",
     "SolverConfig",
-    "SupportSet",
-    "relative_change",
     "soft_threshold",
     "soft_threshold_matrix",
-    "soft_threshold_restricted",
     "BadMagicError",
     "HeaderError",
     "PayloadError",
@@ -74,17 +64,13 @@ __all__ = [
     "save_volume",
     "KSpaceData",
     "SamplingMask",
-    "SpectralDecomposition",
     "acquire",
     "acquire_adjoint",
     "extract_support",
     "make_mask",
     "sv_threshold",
-    "svd",
     "ExperimentSpec",
-    "SolverOptions",
     "SweepRow",
-    "build_solver_config",
     "parse_config",
     "run_sweep",
     "PhantomSequence",

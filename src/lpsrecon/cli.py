@@ -22,15 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Decomposition, DynamicVolume
-from .harness import (
-    ExperimentSpec,
-    SolverOptions,
-    build_solver_config,
-    parse_config,
-    reconstruct_sequence,
-    run_sweep,
-)
+from .core import Decomposition, DynamicVolume, SolverConfig
+from .harness import ExperimentSpec, parse_config, reconstruct_sequence, run_sweep
 from .io import load_mask, load_volume, save_mask, save_volume, volume_dims
 from .operators import acquire, make_mask
 from .phantom import generate_frames, psnr
@@ -96,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_options(config_path):
     if config_path is None:
-        return ExperimentSpec(), SolverOptions(), SolverOptions()
+        return ExperimentSpec(), SolverConfig(), SolverConfig()
     return parse_config(config_path)
 
 
@@ -168,17 +161,15 @@ def _cmd_recon(args, parser) -> int:
         raise ValueError(
             f"mask grid {mask.pattern.shape} does not match volume dims {volume.dims}"
         )
-    _, ls_opts, priori_opts = _load_options(args.config)
+    _, ls_cfg, priori_cfg = _load_options(args.config)
     y = acquire(volume, mask)
     if args.prior_l is not None:
         previous = Decomposition(load_volume(args.prior_l).data, load_volume(args.prior_s).data)
-        cfg = build_solver_config(y, priori_opts)
-        prior = prior_from_result(previous, volume.dims, cfg.support_eps)
-        result = solve_priori_ls(y, prior, cfg)
+        prior = prior_from_result(previous, volume.dims, priori_cfg.support_eps)
+        result = solve_priori_ls(y, prior, priori_cfg)
         solver = "priori-ls"
     else:
-        cfg = build_solver_config(y, ls_opts)
-        result = solve_ls(y, cfg)
+        result = solve_ls(y, ls_cfg)
         solver = "ls"
     estimate = _write_components(Path(args.out), volume.dims, result.decomposition)
     reference = load_volume(args.reference) if args.reference else volume
@@ -200,7 +191,7 @@ def _cmd_recon_seq(args) -> int:
         if (other := volume_dims(f)) != dims:
             raise ValueError(f"{f}: dims {other} differ from first frame {dims}")
 
-    experiment, ls_opts, priori_opts = _load_options(args.config)
+    experiment, ls_cfg, priori_cfg = _load_options(args.config)
     first_rate = args.first_rate if args.first_rate is not None else experiment.first_frame_rate
     rate = args.rate if args.rate is not None else experiment.rates[0]
     n_x, n_y, _ = dims
@@ -222,7 +213,7 @@ def _cmd_recon_seq(args) -> int:
         print(METRICS_HEADER)
         # As in phantom gen, the results are not enumerated, so that none is
         # held through the next frame's solve.
-        results = reconstruct_sequence(kspace, args.solver, ls_opts, priori_opts)
+        results = reconstruct_sequence(kspace, args.solver, ls_cfg, priori_cfg)
         for t, path in enumerate(frame_files, start=1):
             result = next(results)
             estimate = _write_components(out / f"frame{t:04d}", dims, result.decomposition)
@@ -236,12 +227,12 @@ def _cmd_recon_seq(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    experiment, ls_opts, priori_opts = parse_config(args.config)
+    experiment, ls_cfg, priori_cfg = parse_config(args.config)
     if args.out is not None:
         experiment = replace(experiment, output_dir=args.out)
     if args.n_seeds is not None:
         experiment = replace(experiment, n_seeds=args.n_seeds)
-    rows = run_sweep(experiment, ls_opts, priori_opts)
+    rows = run_sweep(experiment, ls_cfg, priori_cfg)
     if unconverged := sum(not row.converged for row in rows):
         print(f"warning: {unconverged} of {len(rows)} frames stopped at max_iter without "
               "converging (see run.log)", file=sys.stderr)

@@ -15,13 +15,10 @@ import numpy as np
 __all__ = [
     "DynamicVolume",
     "Decomposition",
-    "SupportSet",
     "Prior",
     "SolverConfig",
     "soft_threshold",
     "soft_threshold_matrix",
-    "soft_threshold_restricted",
-    "relative_change",
 ]
 
 
@@ -97,67 +94,17 @@ class Decomposition:
 
 
 @dataclass
-class SupportSet:
-    """A set of (row, col) index pairs into a transform-domain matrix.
-
-    Stored as an (k, 2) int array, lexicographically sorted. Indices must
-    be unique and non-negative; upper bounds are checked against the matrix
-    the set is applied to.
-    """
-
-    indices: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        if idx.size == 0:
-            idx = idx.reshape(0, 2)
-        if idx.ndim != 2 or idx.shape[1] != 2:
-            raise ValueError(f"indices must be (k, 2), got shape {idx.shape}")
-        if idx.size and idx.min() < 0:
-            raise ValueError("support indices must be non-negative")
-        order = np.lexsort((idx[:, 1], idx[:, 0]))
-        idx = idx[order]
-        if idx.shape[0] > 1 and (np.diff(idx, axis=0) == 0).all(axis=1).any():
-            raise ValueError("support indices must be unique")
-        self.indices = idx
-
-    @classmethod
-    def empty(cls) -> "SupportSet":
-        return cls(np.empty((0, 2), dtype=np.int64))
-
-    @classmethod
-    def from_mask(cls, mask: np.ndarray) -> "SupportSet":
-        """Support of the True entries of a boolean matrix."""
-        return cls(np.argwhere(np.asarray(mask, dtype=bool)))
-
-    def to_mask(self, shape: tuple[int, int]) -> np.ndarray:
-        """Boolean membership mask of the given shape.
-
-        Raises ValueError if any index falls outside ``shape``.
-        """
-        rows, cols = shape
-        if len(self) and (self.indices[:, 0].max() >= rows or self.indices[:, 1].max() >= cols):
-            raise ValueError(f"support index out of bounds for shape {shape}")
-        mask = np.zeros(shape, dtype=bool)
-        if len(self):
-            mask[self.indices[:, 0], self.indices[:, 1]] = True
-        return mask
-
-    def __len__(self) -> int:
-        return self.indices.shape[0]
-
-
-@dataclass
 class Prior:
     """Reconstruction knowledge carried over from the previous time instant.
 
     ``sigma_prev`` is the singular-value vector of the previous low-rank
     component; ``support_prev`` the significant-coefficient support of the
-    previous sparse component in the transform domain.
+    previous sparse component, a boolean mask over its transform-domain
+    coefficient matrix.
     """
 
     sigma_prev: np.ndarray
-    support_prev: SupportSet
+    support_prev: np.ndarray
 
     def __post_init__(self):
         sig = np.asarray(self.sigma_prev, dtype=np.float64)
@@ -170,8 +117,10 @@ class Prior:
         if sig.size > 1 and (np.diff(sig) > 0).any():
             raise ValueError("sigma_prev must be sorted descending")
         self.sigma_prev = sig
-        if not isinstance(self.support_prev, SupportSet):
-            self.support_prev = SupportSet(self.support_prev)
+        mask = np.asarray(self.support_prev)
+        if mask.dtype != np.bool_ or mask.ndim != 2:
+            raise ValueError(f"support_prev must be a 2-D boolean mask, got {mask.dtype} ndim={mask.ndim}")
+        self.support_prev = mask
 
 
 @dataclass
@@ -179,23 +128,28 @@ class SolverConfig:
     """Thresholds and stopping rules for the iterative solvers.
 
     lambda_L scales singular-value shrinkage, lambda_S the transform-domain
-    shrinkage, lambda_p in [0, 1] the step toward the prior spectrum (0
-    disables the prior step). ``support_eps`` is the relative magnitude
-    cutoff used when reading a support off a coefficient matrix.
+    shrinkage. A threshold left None is data-scaled from the zero-filled
+    proxy X0 = A^H(y) by ``solvers.default_config``: lambda_L =
+    lambda_l_scale * sigma_max(X0), lambda_S = lambda_s_scale * max|T(X0)|.
+    lambda_p in [0, 1] is the step toward the prior spectrum (0 disables the
+    prior step). ``support_eps`` is the relative magnitude cutoff used when
+    reading a support off a coefficient matrix.
     """
 
-    lambda_L: float
-    lambda_S: float
+    lambda_L: float | None = None
+    lambda_S: float | None = None
     lambda_p: float = 0.7
     tol: float = 1e-3
     max_iter: int = 300
     support_eps: float = 0.02
+    lambda_l_scale: float = 0.05
+    lambda_s_scale: float = 0.02
 
     def __post_init__(self):
-        if not self.lambda_L > 0:
-            raise ValueError(f"lambda_L must be > 0, got {self.lambda_L}")
-        if not self.lambda_S > 0:
-            raise ValueError(f"lambda_S must be > 0, got {self.lambda_S}")
+        for name in ("lambda_L", "lambda_S", "lambda_l_scale", "lambda_s_scale"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not 0 <= self.lambda_p <= 1:
             raise ValueError(f"lambda_p must be in [0, 1], got {self.lambda_p}")
         if not self.tol > 0:
@@ -220,9 +174,18 @@ def soft_threshold(x: complex, lam: float) -> complex:
     return x * ((mag - lam) / mag)
 
 
-def soft_threshold_matrix(m: np.ndarray, lam: float) -> np.ndarray:
-    """Elementwise complex soft-thresholding of a matrix."""
-    return _soft_threshold_keep(np.array(m, dtype=np.complex128), lam)
+def soft_threshold_matrix(m: np.ndarray, lam: float, keep: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise complex soft-thresholding of a matrix, on a copy.
+
+    Entries where the boolean mask ``keep`` is True pass through unchanged
+    (restricted soft-thresholding); with no ``keep`` every entry is shrunk.
+    """
+    m = np.array(m, dtype=np.complex128)
+    if keep is not None:
+        keep = np.asarray(keep)
+        if keep.dtype != np.bool_ or keep.shape != m.shape:
+            raise ValueError(f"keep must be a boolean mask of shape {m.shape}, got {keep.dtype} {keep.shape}")
+    return _soft_threshold_keep(m, lam, keep)
 
 
 def _shrink_scale(m: np.ndarray, lam: float) -> np.ndarray:
@@ -236,16 +199,6 @@ def _shrink_scale(m: np.ndarray, lam: float) -> np.ndarray:
     return scale
 
 
-def soft_threshold_restricted(m: np.ndarray, lam: float, keep: SupportSet) -> np.ndarray:
-    """Soft-threshold every entry except those whose index is in ``keep``.
-
-    Kept entries pass through unchanged; with an empty ``keep`` this is
-    exactly ``soft_threshold_matrix``.
-    """
-    m = np.array(m, dtype=np.complex128)
-    return _soft_threshold_keep(m, lam, keep.to_mask(m.shape))
-
-
 def _soft_threshold_keep(m: np.ndarray, lam: float, keep_mask: np.ndarray | None = None) -> np.ndarray:
     """Soft-threshold the complex array ``m`` in place, except where
     ``keep_mask`` is True; returns ``m``. The real scale multiplies the real
@@ -256,20 +209,3 @@ def _soft_threshold_keep(m: np.ndarray, lam: float, keep_mask: np.ndarray | None
     parts = m[..., None].view(np.float64)
     np.multiply(parts, scale[..., None], out=parts)
     return m
-
-
-def relative_change(x_new: np.ndarray, x_old: np.ndarray) -> float:
-    """Frobenius-relative change ||x_new - x_old||_F / ||x_old||_F.
-
-    When ||x_old||_F = 0 the numerator norm is returned, so the stopping
-    rule stays well-defined on an all-zero iterate.
-    """
-    x_new = np.asarray(x_new)
-    x_old = np.asarray(x_old)
-    if x_new.shape != x_old.shape:
-        raise ValueError(f"shape mismatch: {x_new.shape} vs {x_old.shape}")
-    denom = float(np.linalg.norm(x_old))
-    num = float(np.linalg.norm(x_new - x_old))
-    if denom == 0.0:
-        return num
-    return num / denom

@@ -26,14 +26,12 @@ import numpy as np
 from .core import DynamicVolume, SolverConfig
 from .operators import KSpaceData, acquire, make_mask
 from .phantom import PhantomSpec, generate, psnr
-from .solvers import SolveResult, default_config, solve_sequence
+from .solvers import SolveResult, solve_sequence
 
 __all__ = [
     "ExperimentSpec",
-    "SolverOptions",
     "SweepRow",
     "parse_config",
-    "build_solver_config",
     "reconstruct_sequence",
     "run_sweep",
     "write_sweep_csv",
@@ -41,20 +39,6 @@ __all__ = [
 ]
 
 KNOWN_SOLVERS = ("ls", "priori-ls")
-
-
-@dataclass
-class SolverOptions:
-    """Raw per-solver settings; None thresholds mean data-scaled defaults."""
-
-    lambda_l: float | None = None
-    lambda_s: float | None = None
-    lambda_p: float = 0.7
-    tol: float = 1e-3
-    max_iter: int = 300
-    support_eps: float = 0.02
-    lambda_l_scale: float = 0.05
-    lambda_s_scale: float = 0.02
 
 
 @dataclass
@@ -103,117 +87,95 @@ class SweepRow:
         return (self.solver, round(self.rate, 6), self.seed, self.frame)
 
 
-def _get_typed(section, key, cast, default):
-    if section is None or key not in section:
-        return default
-    raw = section[key].strip()
-    if cast is bool:
-        return raw.lower() in ("1", "true", "yes", "on")
-    return cast(raw)
+def _threshold(raw: str) -> float | None:
+    return None if raw.lower() == "auto" else float(raw)
 
 
-def _parse_phantom(section) -> PhantomSpec:
-    base = PhantomSpec()
-    dims = (
-        _get_typed(section, "n_x", int, base.dims[0]),
-        _get_typed(section, "n_y", int, base.dims[1]),
-        _get_typed(section, "n_z", int, base.dims[2]),
-    )
-    return PhantomSpec(
-        dims=dims,
-        n_frames=_get_typed(section, "n_frames", int, base.n_frames),
-        background_rank=_get_typed(section, "background_rank", int, base.background_rank),
-        n_blobs=_get_typed(section, "n_blobs", int, base.n_blobs),
-        blob_amplitude=_get_typed(section, "blob_amplitude", float, base.blob_amplitude),
-        motion_step=_get_typed(section, "motion_step", float, base.motion_step),
-        noise_sigma=_get_typed(section, "noise_sigma", float, base.noise_sigma),
-        seed=_get_typed(section, "seed", int, base.seed),
-        drift_rate=_get_typed(section, "drift_rate", float, base.drift_rate),
-        blob_width=_get_typed(section, "blob_width", float, base.blob_width),
-    )
+def _name_list(raw: str) -> tuple[str, ...]:
+    return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
 
 
-def _parse_solver(section) -> SolverOptions:
-    base = SolverOptions()
-
-    def threshold(key):
-        if section is None or key not in section:
-            return None
-        raw = section[key].strip().lower()
-        return None if raw == "auto" else float(raw)
-
-    return SolverOptions(
-        lambda_l=threshold("lambda_l"),
-        lambda_s=threshold("lambda_s"),
-        lambda_p=_get_typed(section, "lambda_p", float, base.lambda_p),
-        tol=_get_typed(section, "tol", float, base.tol),
-        max_iter=_get_typed(section, "max_iter", int, base.max_iter),
-        support_eps=_get_typed(section, "support_eps", float, base.support_eps),
-        lambda_l_scale=_get_typed(section, "lambda_l_scale", float, base.lambda_l_scale),
-        lambda_s_scale=_get_typed(section, "lambda_s_scale", float, base.lambda_s_scale),
-    )
+def _float_list(raw: str) -> tuple[float, ...]:
+    return tuple(map(float, _name_list(raw)))
 
 
-def parse_config(path) -> tuple[ExperimentSpec, SolverOptions, SolverOptions]:
-    """Parse a plain-text config file.
+_SOLVER_FIELDS = {
+    "lambda_L": _threshold,
+    "lambda_S": _threshold,
+    "max_iter": int,
+    **dict.fromkeys(("lambda_p", "tol", "support_eps", "lambda_l_scale", "lambda_s_scale"), float),
+}
+# Section -> {field: cast}; a field's key in the file is its lower-cased name.
+_SECTIONS = {
+    "phantom": {
+        **dict.fromkeys(("n_x", "n_y", "n_z", "n_frames", "background_rank", "n_blobs", "seed"), int),
+        **dict.fromkeys(("blob_amplitude", "motion_step", "noise_sigma", "drift_rate", "blob_width"),
+                        float),
+    },
+    "solver.ls": _SOLVER_FIELDS,
+    "solver.priori": _SOLVER_FIELDS,
+    "sweep": {
+        "first_frame_rate": float,
+        "rates": _float_list,
+        "solvers": _name_list,
+        "n_seeds": int,
+        "output_dir": str,
+        "density_falloff": float,
+    },
+}
+
+
+def _section(cp: configparser.ConfigParser, name: str) -> dict:
+    """Typed field values of one section; an unknown key or an unreadable
+    value raises ValueError naming the section and key."""
+    casts = _SECTIONS[name]
+    fields = {field.lower(): field for field in casts}
+    values = {}
+    for key, raw in (cp[name] if cp.has_section(name) else {}).items():
+        if key not in fields:
+            raise ValueError(f"[{name}] unknown key {key!r}, expected one of {', '.join(fields)}")
+        try:
+            values[fields[key]] = casts[fields[key]](raw.strip())
+        except ValueError as exc:
+            raise ValueError(f"[{name}] {key}: {exc}") from None
+    return values
+
+
+def _build(name: str, make, **values):
+    """``make(**values)``, with a validation error prefixed by the section."""
+    try:
+        return make(**values)
+    except ValueError as exc:
+        raise ValueError(f"[{name}] {exc}") from None
+
+
+def parse_config(path) -> tuple[ExperimentSpec, SolverConfig, SolverConfig]:
+    """Parse a plain-text config file into the experiment and the
+    ``[solver.ls]`` and ``[solver.priori]`` solver configs.
 
     Sections: [phantom], [solver.ls], [solver.priori], [sweep]; key=value
-    lines; '#' starts a comment. Missing keys fall back to defaults.
+    lines; '#' starts a comment. Missing sections and keys fall back to
+    defaults; an unknown section or key, or a value that does not parse or
+    validate, raises ValueError naming the section and key.
     """
     cp = configparser.ConfigParser(
         comment_prefixes=("#",), inline_comment_prefixes=("#",), interpolation=None
     )
-    text = Path(path).read_text()
-    cp.read_string(text, source=str(path))
+    cp.read_string(Path(path).read_text(), source=str(path))
+    for name in cp.sections():
+        if name not in _SECTIONS:
+            raise ValueError(f"unknown section [{name}], expected one of "
+                             f"{', '.join(f'[{known}]' for known in _SECTIONS)}")
 
-    phantom = _parse_phantom(cp["phantom"] if cp.has_section("phantom") else None)
-    ls_opts = _parse_solver(cp["solver.ls"] if cp.has_section("solver.ls") else None)
-    priori_opts = _parse_solver(cp["solver.priori"] if cp.has_section("solver.priori") else None)
-
-    sw = cp["sweep"] if cp.has_section("sweep") else None
-    base = ExperimentSpec()
-    rates = base.rates
-    if sw is not None and "rates" in sw:
-        rates = tuple(float(tok) for tok in sw["rates"].split(",") if tok.strip())
-    solvers = base.solvers
-    if sw is not None and "solvers" in sw:
-        solvers = tuple(tok.strip() for tok in sw["solvers"].split(",") if tok.strip())
-    experiment = ExperimentSpec(
-        phantom=phantom,
-        first_frame_rate=_get_typed(sw, "first_frame_rate", float, base.first_frame_rate),
-        rates=rates,
-        solvers=solvers,
-        n_seeds=_get_typed(sw, "n_seeds", int, base.n_seeds),
-        output_dir=_get_typed(sw, "output_dir", str, base.output_dir),
-        density_falloff=_get_typed(sw, "density_falloff", float, base.density_falloff),
+    phantom = _section(cp, "phantom")
+    dims = tuple(phantom.pop(key, n) for key, n in zip(("n_x", "n_y", "n_z"), PhantomSpec().dims))
+    experiment = _build(
+        "sweep", ExperimentSpec, phantom=_build("phantom", PhantomSpec, dims=dims, **phantom),
+        **_section(cp, "sweep"),
     )
-    return experiment, ls_opts, priori_opts
-
-
-def build_solver_config(y: KSpaceData, opts: SolverOptions) -> SolverConfig:
-    """Concrete SolverConfig for one acquisition, resolving auto thresholds."""
-    if opts.lambda_l is None or opts.lambda_s is None:
-        cfg = default_config(
-            y,
-            lambda_p=opts.lambda_p,
-            tol=opts.tol,
-            max_iter=opts.max_iter,
-            support_eps=opts.support_eps,
-            lambda_l_scale=opts.lambda_l_scale,
-            lambda_s_scale=opts.lambda_s_scale,
-        )
-        lambda_l = opts.lambda_l if opts.lambda_l is not None else cfg.lambda_L
-        lambda_s = opts.lambda_s if opts.lambda_s is not None else cfg.lambda_S
-    else:
-        lambda_l, lambda_s = opts.lambda_l, opts.lambda_s
-    return SolverConfig(
-        lambda_L=lambda_l,
-        lambda_S=lambda_s,
-        lambda_p=opts.lambda_p,
-        tol=opts.tol,
-        max_iter=opts.max_iter,
-        support_eps=opts.support_eps,
-    )
+    ls_cfg, priori_cfg = (_build(name, SolverConfig, **_section(cp, name))
+                          for name in ("solver.ls", "solver.priori"))
+    return experiment, ls_cfg, priori_cfg
 
 
 def _mask_seed(base_seed: int, seed_index: int, rate: float, tier: int) -> int:
@@ -226,24 +188,17 @@ def _mask_seed(base_seed: int, seed_index: int, rate: float, tier: int) -> int:
 def reconstruct_sequence(
     frames: Iterable[KSpaceData],
     solver: str,
-    ls_opts: SolverOptions,
-    priori_opts: SolverOptions,
+    ls_cfg: SolverConfig,
+    priori_cfg: SolverConfig,
 ) -> Iterator[SolveResult]:
     """Reconstruct a sequence with ``solver``, yielding each frame's result
     as soon as it is solved (see ``solve_sequence``). Frame 1 has no prior: it
-    is solved by ``ls`` with ``ls_opts``, configured from its own samples.
-    The later frames share one config, resolved from frame 2 with the
-    solver's options."""
+    is solved by ``ls`` with ``ls_cfg``, resolved from its own samples. The
+    later frames share the solver's config, resolved once from frame 2."""
     if solver not in KNOWN_SOLVERS:
         raise ValueError(f"unknown solver {solver!r}, expected one of {KNOWN_SOLVERS}")
     use_prior = solver == "priori-ls"
-    rest_opts = priori_opts if use_prior else ls_opts
-    return solve_sequence(
-        frames,
-        lambda y: build_solver_config(y, ls_opts),
-        lambda y: build_solver_config(y, rest_opts),
-        use_prior=use_prior,
-    )
+    return solve_sequence(frames, ls_cfg, priori_cfg if use_prior else ls_cfg, use_prior=use_prior)
 
 
 def _solve_cell(
@@ -251,8 +206,8 @@ def _solve_cell(
     solver: str,
     rate: float,
     seed_index: int,
-    ls_opts: SolverOptions,
-    priori_opts: SolverOptions,
+    ls_cfg: SolverConfig,
+    priori_cfg: SolverConfig,
 ) -> list[SweepRow]:
     phantom_spec = replace(experiment.phantom, seed=experiment.phantom.seed + seed_index)
     sequence = generate(phantom_spec)
@@ -270,7 +225,7 @@ def _solve_cell(
         acquire(frame, mask_first if t == 0 else mask_rest)
         for t, frame in enumerate(sequence.frames)
     )
-    results = reconstruct_sequence(kspace, solver, ls_opts, priori_opts)
+    results = reconstruct_sequence(kspace, solver, ls_cfg, priori_cfg)
     return [
         SweepRow(
             solver=solver,
@@ -314,8 +269,8 @@ def write_summary_csv(path, rows: list[SweepRow]) -> None:
 
 def run_sweep(
     experiment: ExperimentSpec,
-    ls_opts: SolverOptions | None = None,
-    priori_opts: SolverOptions | None = None,
+    ls_cfg: SolverConfig | None = None,
+    priori_cfg: SolverConfig | None = None,
 ) -> list[SweepRow]:
     """Run the full solver x rate x seed grid and write CSV reports.
 
@@ -323,8 +278,8 @@ def run_sweep(
     output directory and returns the rows. Cells run sequentially; row
     order in the files is sorted, independent of execution order.
     """
-    ls_opts = ls_opts or SolverOptions()
-    priori_opts = priori_opts or SolverOptions()
+    ls_cfg = ls_cfg or SolverConfig()
+    priori_cfg = priori_cfg or SolverConfig()
     out = Path(experiment.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     log_lines = [f"sweep started {time.strftime('%Y-%m-%dT%H:%M:%S')}"]
@@ -334,7 +289,7 @@ def run_sweep(
         for rate in experiment.rates:
             for seed_index in range(experiment.n_seeds):
                 started = time.perf_counter()
-                rows = _solve_cell(experiment, solver, rate, seed_index, ls_opts, priori_opts)
+                rows = _solve_cell(experiment, solver, rate, seed_index, ls_cfg, priori_cfg)
                 wall = time.perf_counter() - started
                 log_lines.append(
                     f"cell solver={solver} rate={rate:.6f} seed={seed_index} wall={wall:.3f}s"

@@ -16,16 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DynamicVolume, SupportSet
+from .core import DynamicVolume
 
 __all__ = [
     "SamplingMask",
     "KSpaceData",
-    "SpectralDecomposition",
     "make_mask",
     "acquire",
     "acquire_adjoint",
-    "svd",
     "sv_threshold",
     "extract_support",
 ]
@@ -86,28 +84,6 @@ class KSpaceData:
             )
         if not np.isfinite(self.samples).all():
             raise ValueError("k-space samples contain non-finite entries")
-
-
-@dataclass
-class SpectralDecomposition:
-    """Thin SVD carrier: M = U @ diag(sigma) @ V^H."""
-
-    U: np.ndarray
-    sigma: np.ndarray
-    V: np.ndarray
-
-    def __post_init__(self):
-        self.sigma = np.asarray(self.sigma, dtype=np.float64)
-        if self.sigma.ndim != 1:
-            raise ValueError("sigma must be a 1-D vector")
-        if self.sigma.size and self.sigma.min() < 0:
-            raise ValueError("singular values must be non-negative")
-        if self.sigma.size > 1 and (np.diff(self.sigma) > 0).any():
-            raise ValueError("singular values must be sorted descending")
-
-    def compose(self) -> np.ndarray:
-        """Rebuild U @ diag(sigma) @ V^H."""
-        return (self.U * self.sigma) @ self.V.conj().T
 
 
 def make_mask(
@@ -238,25 +214,10 @@ def acquire_adjoint(y: KSpaceData) -> DynamicVolume:
     return DynamicVolume(data, y.dims)
 
 
-def svd(m: np.ndarray) -> SpectralDecomposition:
-    """Thin singular value decomposition of a tall matrix.
-
-    LinAlgError from the underlying factorization propagates to the
-    caller.
-    """
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ValueError("svd expects a 2-D matrix")
-    if m.shape[0] < m.shape[1]:
-        raise ValueError(f"expected a tall matrix, got shape {m.shape}")
-    u, sigma, vh = np.linalg.svd(m, full_matrices=False)
-    return SpectralDecomposition(u, sigma, vh.conj().T)
-
-
 def _gram_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Descending singular values and right singular vectors of a tall matrix M
     from eigh(M^H M). Trailing values near 0 read as ~sqrt(eps) * sigma_max, so
-    use :func:`svd` where those matter."""
+    use a full SVD where those matter."""
     eigvals, vecs = np.linalg.eigh(m.T.conj() @ m)
     return np.sqrt(np.maximum(eigvals[::-1], 0.0)), vecs[:, ::-1]
 
@@ -294,8 +255,9 @@ def sv_threshold(
     return ((v.conj() * factor) @ v.T @ m.T).T
 
 
-def extract_support(w: np.ndarray, support_eps: float) -> SupportSet:
-    """Indices of coefficients with magnitude above support_eps * max|w|.
+def extract_support(w: np.ndarray, support_eps: float) -> np.ndarray:
+    """Boolean mask of the coefficients with magnitude above
+    support_eps * max|w|.
 
     An all-zero matrix has empty support. The relative cutoff makes
     "support" well-defined on continuous-valued iterates.
@@ -306,7 +268,4 @@ def extract_support(w: np.ndarray, support_eps: float) -> SupportSet:
     if not np.isfinite(w).all():
         raise ValueError("coefficient matrix contains non-finite entries")
     mag = np.abs(w)
-    peak = mag.max() if mag.size else 0.0
-    if peak == 0.0:
-        return SupportSet.empty()
-    return SupportSet(np.argwhere(mag > support_eps * peak))
+    return mag > support_eps * (mag.max() if mag.size else 0.0)

@@ -186,12 +186,13 @@ def psnr(reference: DynamicVolume, estimate: DynamicVolume) -> float:
     """
     if reference.dims != estimate.dims:
         raise ValueError(f"dims mismatch: {reference.dims} vs {estimate.dims}")
-    ref_mag = np.abs(reference.data)
-    peak = float(ref_mag.max())
+    err = np.abs(reference.data)
+    peak = float(err.max())
     if peak == 0.0:
         raise ValueError("reference volume is all-zero; PSNR undefined")
-    err = ref_mag - np.abs(estimate.data)
-    rmse = float(np.sqrt(np.mean(err**2)))
+    # |reference| - |estimate| and its square, in the |reference| buffer.
+    err -= np.abs(estimate.data)
+    rmse = float(np.sqrt(np.mean(np.square(err, out=err))))
     if rmse == 0.0:
         return PSNR_SENTINEL_DB
     return 20.0 * math.log10(peak / rmse)

@@ -20,12 +20,18 @@ reconstruction estimate is L + S.
 
 With lambda_p = 0 and an empty prior support, the prior-informed solver
 reduces exactly to the baseline one.
+
+Settings come as one ``SolverConfig``. Its thresholds may be left None:
+``default_config`` resolves them from the acquisition before a solve. The
+prior (``core.Prior``) carries the previous frame's singular values and its
+sparse support, a boolean mask over the wavelet coefficient matrix that the
+shrink step uses as it is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -40,7 +46,6 @@ from .operators import (
     acquire_adjoint,
     extract_support,
     sv_threshold,
-    svd,
 )
 from .wavelets import WAVELET_LEVELS, _forward_matrix, _inverse_matrix, wavelet_forward
 
@@ -86,32 +91,27 @@ class SolveResult:
         return self.decomposition.estimate()
 
 
-def default_config(
-    y: KSpaceData,
-    lambda_p: float = 0.7,
-    tol: float = 1e-3,
-    max_iter: int = 300,
-    support_eps: float = 0.02,
-    lambda_l_scale: float = 0.05,
-    lambda_s_scale: float = 0.02,
-) -> SolverConfig:
-    """Data-scaled thresholds computed once from the zero-filled proxy.
+def default_config(y: KSpaceData, cfg: SolverConfig | None = None) -> SolverConfig:
+    """``cfg`` (default ``SolverConfig()``) with every None threshold
+    data-scaled from the zero-filled proxy X0 = A^H(y):
 
-    lambda_L = lambda_l_scale * sigma_max(X0) and
-    lambda_S = lambda_s_scale * max|T(X0)| with X0 = A^H(y).
+        lambda_L = lambda_l_scale * sigma_max(X0)
+        lambda_S = lambda_s_scale * max|T(X0)|
+
+    A config with both thresholds set is returned as it is, without reading y.
     """
+    cfg = cfg or SolverConfig()
+    if cfg.lambda_L is not None and cfg.lambda_S is not None:
+        return cfg
     x0 = acquire_adjoint(y)
     sigma_max = float(_gram_spectrum(x0.data)[0][0])
     coeff_peak = float(np.abs(wavelet_forward(x0)).max())
     if sigma_max == 0.0 or coeff_peak == 0.0:
         raise ValueError("all-zero measurements give no data scale; set thresholds explicitly")
-    return SolverConfig(
-        lambda_L=lambda_l_scale * sigma_max,
-        lambda_S=lambda_s_scale * coeff_peak,
-        lambda_p=lambda_p,
-        tol=tol,
-        max_iter=max_iter,
-        support_eps=support_eps,
+    return replace(
+        cfg,
+        lambda_L=cfg.lambda_L if cfg.lambda_L is not None else cfg.lambda_l_scale * sigma_max,
+        lambda_S=cfg.lambda_S if cfg.lambda_S is not None else cfg.lambda_s_scale * coeff_peak,
     )
 
 
@@ -121,9 +121,7 @@ def _iterate(y: KSpaceData, cfg: SolverConfig, prior: Prior | None) -> SolveResu
     index = _sample_index(y.mask.pattern)
     keep_mask = sigma_prev = None
     if prior is not None:
-        coeff_shape = (dims[0] * dims[1], dims[2])
-        keep_mask = np.asfortranarray(prior.support_prev.to_mask(coeff_shape))
-        sigma_prev = prior.sigma_prev
+        keep_mask, sigma_prev = prior.support_prev, prior.sigma_prev
 
     x = _adjoint_matrix(y.samples, dims, index)
     samples_t = np.ascontiguousarray(y.samples.T)
@@ -173,8 +171,9 @@ def _iterate(y: KSpaceData, cfg: SolverConfig, prior: Prior | None) -> SolveResu
 
 
 def solve_ls(y: KSpaceData, cfg: SolverConfig) -> SolveResult:
-    """Baseline L+S reconstruction of one volume."""
-    return _iterate(y, cfg, prior=None)
+    """Baseline L+S reconstruction of one volume; None thresholds in ``cfg``
+    are resolved by ``default_config``."""
+    return _iterate(y, default_config(y, cfg), prior=None)
 
 
 def solve_priori_ls(y: KSpaceData, prior: Prior, cfg: SolverConfig) -> SolveResult:
@@ -182,26 +181,30 @@ def solve_priori_ls(y: KSpaceData, prior: Prior, cfg: SolverConfig) -> SolveResu
 
     The prior's spectrum pulls the low-rank iterate toward the previous
     frame's singular values; coefficients on the prior support are never
-    shrunk, so the sparse component is penalized only outside it.
+    shrunk, so the sparse component is penalized only outside it. None
+    thresholds in ``cfg`` are resolved by ``default_config``.
     """
-    if prior.sigma_prev.size != y.dims[2]:
+    n_x, n_y, n_z = y.dims
+    if prior.sigma_prev.size != n_z:
+        raise ValueError(f"prior spectrum length {prior.sigma_prev.size} does not match n_z {n_z}")
+    if prior.support_prev.shape != (n_x * n_y, n_z):
         raise ValueError(
-            f"prior spectrum length {prior.sigma_prev.size} does not match n_z {y.dims[2]}"
+            f"prior support shape {prior.support_prev.shape} does not match the "
+            f"coefficient matrix {(n_x * n_y, n_z)}"
         )
-    # Bounds of the prior support are validated against the coefficient
-    # matrix shape inside _iterate.
-    return _iterate(y, cfg, prior=prior)
+    return _iterate(y, default_config(y, cfg), prior=prior)
 
 
 def prior_from_result(
     decomposition: Decomposition, dims: tuple[int, int, int], support_eps: float
 ) -> Prior:
     """Build the next frame's prior from a reconstruction's (L, S) pair. The
-    spectrum comes from a full SVD, which resolves L's trailing singular values."""
+    spectrum comes from a full SVD, which resolves L's trailing singular values
+    (``compute_uv=False`` differs from it in the last bits)."""
     n_x, n_y, n_z = dims
     if decomposition.L.shape != (n_x * n_y, n_z):
         raise ValueError(f"prior L/S shape {decomposition.L.shape} inconsistent with dims {dims}")
-    sigma_prev = svd(decomposition.L).sigma
+    sigma_prev = np.linalg.svd(decomposition.L, full_matrices=False)[1]
     coeffs = _forward_matrix(decomposition.S.copy(order="F"), dims, WAVELET_LEVELS)
     support_prev = extract_support(coeffs, support_eps)
     return Prior(sigma_prev=sigma_prev, support_prev=support_prev)
@@ -209,8 +212,8 @@ def prior_from_result(
 
 def solve_sequence(
     frames: Iterable[KSpaceData],
-    cfg_first: SolverConfig | Callable[[KSpaceData], SolverConfig],
-    cfg_rest: SolverConfig | Callable[[KSpaceData], SolverConfig],
+    cfg_first: SolverConfig,
+    cfg_rest: SolverConfig,
     use_prior: bool = True,
 ) -> Iterator[SolveResult]:
     """Reconstruct a time sequence, yielding each frame's result once solved.
@@ -220,10 +223,11 @@ def solve_sequence(
     frame reuses the previous result's spectrum and sparse support, else it
     too is solved with the baseline. The prior is built when the next frame
     arrives and the previous (L, S) is dropped before that frame's solve, so
-    memory does not grow with the frame count. A config given as a function
-    is resolved from frame 1 (``cfg_first``) or, once, from frame 2
-    (``cfg_rest``). Mixed dims raise ValueError; any other failure at a frame
-    aborts with that frame's 1-based index.
+    memory does not grow with the frame count. Frame 1 is solved with
+    ``cfg_first`` resolved from its own samples (``default_config``); every
+    later frame with ``cfg_rest`` resolved once, from frame 2. Mixed dims
+    raise ValueError; any other failure at a frame aborts with that frame's
+    1-based index.
     """
     dims = cfg = previous = None
     for t, frame in enumerate(frames, start=1):
@@ -233,8 +237,7 @@ def solve_sequence(
             raise ValueError(f"frame {t} dims {frame.dims} differ from frame 1 dims {dims}")
         try:
             if t <= 2:
-                source = cfg_first if t == 1 else cfg_rest
-                cfg = source(frame) if callable(source) else source
+                cfg = default_config(frame, cfg_first if t == 1 else cfg_rest)
             if previous is None:
                 result = solve_ls(frame, cfg)
             else:

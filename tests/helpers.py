@@ -45,7 +45,7 @@ def support_set(volume_or_matrix, dims=None, eps=0.02):
     else:
         vol = DynamicVolume(volume_or_matrix, dims)
     coeffs = wavelet_forward(vol)
-    return set(map(tuple, extract_support(coeffs, eps).indices))
+    return set(map(tuple, np.argwhere(extract_support(coeffs, eps)).tolist()))
 
 
 def support_change(prev: set, current: set) -> float:

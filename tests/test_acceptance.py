@@ -16,7 +16,6 @@ from lpsrecon import (
     KSpaceData,
     Prior,
     SamplingMask,
-    SupportSet,
     SolverConfig,
     acquire,
     acquire_adjoint,
@@ -118,7 +117,7 @@ def test_criterion_3_reduction_regression():
     mask = make_mask(32, 32, 0.5, 2.0, seed=7)
     y = acquire(seq.frames[0], mask)
     cfg = replace(default_config(y), lambda_p=0.0)
-    empty_prior = Prior(np.zeros(4), SupportSet.empty())
+    empty_prior = Prior(np.zeros(4), np.zeros((32 * 32, 4), dtype=bool))
 
     for max_iter in (1, 7, 25, cfg.max_iter):
         cfg_k = replace(cfg, max_iter=max_iter)

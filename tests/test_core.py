@@ -6,11 +6,9 @@ from lpsrecon import (
     DynamicVolume,
     Prior,
     SolverConfig,
-    SupportSet,
-    relative_change,
+    extract_support,
     soft_threshold,
     soft_threshold_matrix,
-    soft_threshold_restricted,
 )
 from lpsrecon.core import _soft_threshold_keep
 
@@ -104,18 +102,18 @@ class TestSoftThresholdRestricted:
     def test_keep_all_is_identity(self):
         rng = np.random.default_rng(6)
         m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        keep = SupportSet.from_mask(np.ones((5, 5), dtype=bool))
-        assert np.array_equal(soft_threshold_restricted(m, 1.0, keep), m)
+        keep = np.ones((5, 5), dtype=bool)
+        assert np.array_equal(soft_threshold_matrix(m, 1.0, keep=keep), m)
 
     def test_empty_keep_reduces_to_matrix_version(self):
         rng = np.random.default_rng(7)
         m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        out = soft_threshold_restricted(m, 0.5, SupportSet.empty())
+        out = soft_threshold_matrix(m, 0.5, keep=np.zeros((5, 5), dtype=bool))
         assert np.array_equal(out, soft_threshold_matrix(m, 0.5))
 
     def test_one_kept_one_shrunk(self):
         m = np.array([[2.0, 2.0]], dtype=complex)
-        out = soft_threshold_restricted(m, 1.0, SupportSet(np.array([[0, 0]])))
+        out = soft_threshold_matrix(m, 1.0, keep=np.array([[True, False]]))
         assert np.allclose(out, [[2.0, 1.0]], atol=1e-14)
 
     def test_agrees_with_pieces_on_random_supports(self):
@@ -123,8 +121,7 @@ class TestSoftThresholdRestricted:
         for shape in [(16, 16)] * 10 + [(16384, 8)]:
             m = np.asfortranarray(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
             mask = rng.random(shape) < 0.3
-            keep = SupportSet.from_mask(mask)
-            out = soft_threshold_restricted(m, 0.8, keep)
+            out = soft_threshold_matrix(m, 0.8, keep=mask)
             plain = soft_threshold_matrix(m, 0.8)
             assert np.array_equal(out[mask], m[mask])
             assert np.array_equal(out[~mask], plain[~mask])
@@ -133,35 +130,9 @@ class TestSoftThresholdRestricted:
     def test_out_of_bounds_keep_rejected(self):
         m = np.zeros((3, 3), dtype=complex)
         with pytest.raises(ValueError):
-            soft_threshold_restricted(m, 1.0, SupportSet(np.array([[3, 0]])))
-
-
-class TestRelativeChange:
-    def test_identical(self):
-        m = np.ones((4, 4))
-        assert relative_change(m, m) == 0.0
-
-    def test_double(self):
-        rng = np.random.default_rng(9)
-        m = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-        assert relative_change(2 * m, m) == pytest.approx(1.0, rel=1e-12)
-
-    def test_small_perturbation(self):
-        rng = np.random.default_rng(10)
-        m = rng.standard_normal((8, 4))
-        e = rng.standard_normal((8, 4))
-        e *= 1e-4 * np.linalg.norm(m) / np.linalg.norm(e)
-        assert relative_change(m + e, m) == pytest.approx(1e-4, rel=1e-10)
-
-    def test_zero_denominator_convention(self):
-        z = np.zeros((3, 3))
-        m = np.full((3, 3), 2.0)
-        assert relative_change(m, z) == pytest.approx(np.linalg.norm(m))
-        assert relative_change(z, z) == 0.0
-
-    def test_shape_mismatch(self):
+            soft_threshold_matrix(m, 1.0, keep=np.zeros((4, 3), dtype=bool))
         with pytest.raises(ValueError):
-            relative_change(np.zeros((2, 2)), np.zeros((3, 2)))
+            soft_threshold_matrix(m, 1.0, keep=np.zeros((3, 3), dtype=int))
 
 
 class TestContainers:
@@ -192,28 +163,28 @@ class TestContainers:
         s = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
         assert np.array_equal(Decomposition(l, s).estimate(), l + s)
 
-    def test_support_set_sorted_and_unique(self):
-        sup = SupportSet(np.array([[2, 1], [0, 3], [2, 0]]))
-        assert sup.indices.tolist() == [[0, 3], [2, 0], [2, 1]]
-        with pytest.raises(ValueError):
-            SupportSet(np.array([[1, 1], [1, 1]]))
-        with pytest.raises(ValueError):
-            SupportSet(np.array([[-1, 0]]))
-
     def test_support_set_mask_round_trip(self):
         rng = np.random.default_rng(13)
         mask = rng.random((7, 5)) < 0.4
-        sup = SupportSet.from_mask(mask)
-        assert np.array_equal(sup.to_mask((7, 5)), mask)
-        assert len(sup) == int(mask.sum())
+        sup = extract_support(np.where(mask, 1.0 + rng.random((7, 5)), 0.0), 0.5)
+        assert np.array_equal(sup, mask)
+        assert np.array_equal(np.argwhere(sup), np.argwhere(mask))
+        assert int(sup.sum()) == int(mask.sum())
 
     def test_prior_validation(self):
         with pytest.raises(ValueError):
-            Prior(np.array([1.0, 2.0]), SupportSet.empty())  # ascending
+            Prior(np.array([1.0, 2.0]), np.zeros((4, 2), dtype=bool))  # ascending
         with pytest.raises(ValueError):
-            Prior(np.array([1.0, -0.5]), SupportSet.empty())  # negative
-        ok = Prior(np.array([2.0, 1.0]), SupportSet.empty())
+            Prior(np.array([1.0, -0.5]), np.zeros((4, 2), dtype=bool))  # negative
+        with pytest.raises(ValueError, match="boolean"):
+            Prior(np.array([2.0, 1.0]), np.zeros((4, 2), dtype=int))  # not a mask
+        with pytest.raises(ValueError, match="2-D"):
+            Prior(np.array([2.0, 1.0]), np.zeros(8, dtype=bool))  # not a matrix
+        with pytest.raises(ValueError, match="2-D"):
+            Prior(np.array([2.0, 1.0]), np.array([[0, 1], [2, 0]]))  # an index list
+        ok = Prior(np.array([2.0, 1.0]), np.zeros((4, 2), dtype=bool))
         assert ok.sigma_prev.dtype == np.float64
+        assert ok.support_prev.dtype == np.bool_ and ok.support_prev.shape == (4, 2)
 
     def test_solver_config_validation(self):
         with pytest.raises(ValueError):
@@ -228,5 +199,10 @@ class TestContainers:
             SolverConfig(lambda_L=1.0, lambda_S=1.0, max_iter=0)
         with pytest.raises(ValueError):
             SolverConfig(lambda_L=1.0, lambda_S=1.0, support_eps=1.0)
+        for scale in ("lambda_l_scale", "lambda_s_scale"):
+            with pytest.raises(ValueError, match=f"^{scale} "):
+                SolverConfig(**{scale: 0.0})
         cfg = SolverConfig(lambda_L=1.0, lambda_S=1.0, lambda_p=0.0)
         assert cfg.lambda_p == 0.0
+        auto = SolverConfig()
+        assert auto.lambda_L is None and auto.lambda_S is None

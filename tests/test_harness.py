@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from dataclasses import replace
 
 from lpsrecon import (
     ExperimentSpec,
-    SolverOptions,
-    build_solver_config,
+    SolverConfig,
+    default_config,
     generate,
     load_mask,
     load_volume,
@@ -67,24 +68,65 @@ def config_file(tmp_path):
 
 
 def test_parse_config_round_trip(config_file):
-    experiment, ls_opts, priori_opts = parse_config(config_file)
+    experiment, ls_cfg, priori_cfg = parse_config(config_file)
     assert experiment.phantom.dims == (32, 32, 4)
     assert experiment.phantom.n_frames == 3
     assert experiment.first_frame_rate == 0.5
     assert experiment.rates == (0.2, 0.333333)
     assert experiment.solvers == ("ls", "priori-ls")
     assert experiment.n_seeds == 1
-    assert ls_opts.lambda_l is None and ls_opts.lambda_s is None
-    assert priori_opts.lambda_p == 0.7
+    assert ls_cfg == SolverConfig()
+    assert priori_cfg == SolverConfig(lambda_p=0.7, support_eps=0.02)
 
 
 def test_parse_config_defaults_for_missing_sections(tmp_path):
     path = tmp_path / "empty.cfg"
     path.write_text("[phantom]\nn_frames = 2\n")
-    experiment, ls_opts, _ = parse_config(path)
+    experiment, ls_cfg, priori_cfg = parse_config(path)
     assert experiment.phantom.n_frames == 2
     assert experiment.rates == ExperimentSpec().rates
-    assert ls_opts.max_iter == 300
+    assert ls_cfg == priori_cfg == SolverConfig()
+
+
+def _config_with(section: str, line: str) -> str:
+    """CONFIG_TEXT with one more line in ``section``, added if it is missing."""
+    header = f"[{section}]\n"
+    if header in CONFIG_TEXT:
+        return CONFIG_TEXT.replace(header, header + line + "\n")
+    return f"{CONFIG_TEXT}\n{header}{line}\n"
+
+
+@pytest.mark.parametrize("section, line, names", [
+    ("solver.priori", "tol = -1", ["tol must be > 0"]),
+    ("solver.priori", "max_iter = 1.5", ["max_iter", "1.5"]),
+    ("solver.priori", "lamda_p = 0.0", ["unknown key 'lamda_p'"]),
+    ("solver.ls", "lambda_l_scale = 0", ["lambda_l_scale must be"]),
+    ("solver.priori", "lambda_s = -2", ["lambda_S must be"]),
+    ("solver.fista", "tol = 1e-3", ["unknown section"]),
+    ("phantom", "blob_width = wide", ["blob_width", "wide"]),
+    ("sweep", "density_falloff = steep", ["density_falloff", "steep"]),
+], ids=["tol", "max_iter", "misspelt", "scale", "threshold", "section", "phantom", "sweep"])
+def test_parse_config_errors_name_the_section_and_key(tmp_path, section, line, names):
+    path = tmp_path / "bad.cfg"
+    path.write_text(_config_with(section, line))
+    with pytest.raises(ValueError) as err:
+        parse_config(path)
+    message = str(err.value)
+    assert f"[{section}]" in message
+    for name in names:
+        assert name in message
+    assert "lambda_L" not in message
+
+
+def test_shipped_configs_parse_cleanly(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    experiment, _, priori_cfg = parse_config(root / "demos" / "experiment.cfg")
+    assert experiment.n_seeds == 5 and priori_cfg.support_eps == 0.02
+    blocks = re.findall(r"```ini\n(.*?)```", (root / "README.md").read_text(), flags=re.S)
+    assert len(blocks) == 1
+    (tmp_path / "readme.cfg").write_text(blocks[0])
+    _, ls_cfg, priori_cfg = parse_config(tmp_path / "readme.cfg")
+    assert ls_cfg.lambda_L is None and priori_cfg.lambda_p == 0.7
 
 
 def test_experiment_spec_validation():
@@ -98,18 +140,6 @@ def test_experiment_spec_validation():
         ExperimentSpec(solvers=("magic",))
     with pytest.raises(ValueError):
         ExperimentSpec(n_seeds=0)
-
-
-def test_build_solver_config_auto_and_override():
-    seq = generate(PhantomSpec())
-    mask = make_mask(32, 32, 0.5, 2.0, seed=7)
-    y = acquire(seq.frames[0], mask)
-    auto = build_solver_config(y, SolverOptions())
-    assert auto.lambda_L > 0 and auto.lambda_S > 0
-    fixed = build_solver_config(y, SolverOptions(lambda_l=0.9, lambda_s=0.8))
-    assert fixed.lambda_L == 0.9 and fixed.lambda_S == 0.8
-    half = build_solver_config(y, SolverOptions(lambda_l=0.9))
-    assert half.lambda_L == 0.9 and half.lambda_S == auto.lambda_S
 
 
 def test_mask_seed_is_stable():
@@ -284,12 +314,12 @@ class TestCli:
 
         # the prior read back from rec1.l/rec1.s is the one solve_sequence
         # builds from the in-memory frame-1 result
-        _, ls_opts, priori_opts = parse_config(config_file)
+        _, ls_cfg, priori_cfg = parse_config(config_file)
         y1 = acquire(vol, load_mask(mask_path))
-        first = solve_ls(y1, build_solver_config(y1, ls_opts))
-        want = prior_from_result(first.decomposition, vol.dims, priori_opts.support_eps)
+        first = solve_ls(y1, ls_cfg)
+        want = prior_from_result(first.decomposition, vol.dims, priori_cfg.support_eps)
         assert np.array_equal(priors[0].sigma_prev, want.sigma_prev)
-        assert np.array_equal(priors[0].support_prev.indices, want.support_prev.indices)
+        assert np.array_equal(priors[0].support_prev, want.support_prev)
 
     def test_recon_seq_single_frame_falls_back(self, tmp_path, capsys):
         seq = generate(PhantomSpec(n_frames=1))
@@ -356,6 +386,24 @@ class TestCli:
         ]
         assert len((out_dir / "metrics.csv").read_text().splitlines()) == 3
         assert "finished" not in (out_dir / "run.log").read_text()
+
+    @pytest.mark.parametrize("line, key", [
+        ("tol = -1", "tol"), ("lamda_p = 0.0", "lamda_p"), ("max_iter = 1.5", "max_iter"),
+    ])
+    def test_bad_solver_settings_fail_before_any_solve(self, tmp_path, capsys, config_file, line, key):
+        frames_dir = tmp_path / "frames"
+        main(["phantom", "gen", "--config", str(config_file), "--out", str(frames_dir)])
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(_config_with("solver.priori", line))
+        capsys.readouterr()
+        out_dir, sweep_dir = tmp_path / "seq", tmp_path / "sw"
+        assert main(["recon-seq", "--frames", str(frames_dir), "--out", str(out_dir),
+                     "--config", str(bad), "--rate", "0.333333"]) == 1
+        assert main(["sweep", "--config", str(bad), "--out", str(sweep_dir)]) == 1
+        for err in capsys.readouterr().err.splitlines():
+            assert err.startswith("error: [solver.priori]") and key in err
+        assert not list(out_dir.glob("frame0001.*")) and not out_dir.exists()
+        assert not (sweep_dir / "sweep.csv").exists() and not sweep_dir.exists()
 
     def test_sweep_cli_with_overrides(self, tmp_path, capsys, config_file):
         out_dir = tmp_path / "sw"
@@ -424,9 +472,9 @@ def test_reconstruct_sequence_matches_the_explicit_chain(solver):
     seq = generate(PhantomSpec(n_frames=3))
     frames = [acquire(f, make_mask(32, 32, 0.5 if t == 0 else 0.25, 2.0, seed=t))
               for t, f in enumerate(seq.frames)]
-    ls_opts, priori_opts = SolverOptions(), SolverOptions(lambda_p=0.5, support_eps=0.05)
-    cfg_first = build_solver_config(frames[0], ls_opts)
-    cfg_rest = build_solver_config(frames[1], priori_opts if solver == "priori-ls" else ls_opts)
+    ls_cfg, priori_cfg = SolverConfig(), SolverConfig(lambda_p=0.5, support_eps=0.05)
+    cfg_first = default_config(frames[0], ls_cfg)
+    cfg_rest = default_config(frames[1], priori_cfg if solver == "priori-ls" else ls_cfg)
     want = [solve_ls(frames[0], cfg_first)]
     for y in frames[1:]:
         if solver == "ls":
@@ -434,7 +482,7 @@ def test_reconstruct_sequence_matches_the_explicit_chain(solver):
         else:
             prior = prior_from_result(want[-1].decomposition, y.dims, cfg_rest.support_eps)
             want.append(solve_priori_ls(y, prior, cfg_rest))
-    got = list(reconstruct_sequence(iter(frames), solver, ls_opts, priori_opts))
+    got = list(reconstruct_sequence(iter(frames), solver, ls_cfg, priori_cfg))
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert np.array_equal(a.decomposition.L, b.decomposition.L)
@@ -444,7 +492,7 @@ def test_reconstruct_sequence_matches_the_explicit_chain(solver):
 
 def test_reconstruct_sequence_rejects_an_unknown_solver():
     with pytest.raises(ValueError, match="unknown solver"):
-        reconstruct_sequence([], "fista", SolverOptions(), SolverOptions())
+        reconstruct_sequence([], "fista", SolverConfig(), SolverConfig())
 
 def _traced_peak(argv) -> int:
     tracemalloc.start()

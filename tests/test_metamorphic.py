@@ -17,7 +17,7 @@ from lpsrecon import (
     DynamicVolume,
     KSpaceData,
     Prior,
-    SupportSet,
+    SolverConfig,
     acquire,
     default_config,
     make_mask,
@@ -48,7 +48,7 @@ def _problem(seed: int) -> KSpaceData:
 
 
 def _solve(y: KSpaceData, prior: Prior | None = None):
-    cfg = default_config(y, tol=TOL, max_iter=MAX_ITER)
+    cfg = default_config(y, SolverConfig(tol=TOL, max_iter=MAX_ITER))
     result = solve_ls(y, cfg) if prior is None else solve_priori_ls(y, prior, cfg)
     assert result.iterations == MAX_ITER
     return result.decomposition.L, result.decomposition.S
@@ -124,8 +124,7 @@ def test_priori_slice_permutation_permutes_columns(seed, perm):
     y = _problem(seed)
     prior = _prior(y)
     l_ref, s_ref = _solve(y, prior)
-    keep = prior.support_prev.to_mask(l_ref.shape)
-    permuted_prior = Prior(prior.sigma_prev, SupportSet.from_mask(keep[:, perm]))
+    permuted_prior = Prior(prior.sigma_prev, prior.support_prev[:, perm])
     l_out, s_out = _solve(KSpaceData(y.samples[:, perm], y.mask, y.dims), permuted_prior)
     _assert_close(l_out, l_ref[:, perm])
     _assert_close(s_out, s_ref[:, perm])

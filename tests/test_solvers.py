@@ -12,7 +12,6 @@ from lpsrecon import (
     Prior,
     SamplingMask,
     SolverConfig,
-    SupportSet,
     acquire,
     acquire_adjoint,
     default_config,
@@ -84,7 +83,7 @@ def test_phantom_50_converges(phantom_50):
 def test_reduction_to_baseline_is_exact(phantom_50):
     _, y, cfg = phantom_50
     cfg0 = replace(cfg, lambda_p=0.0)
-    empty_prior = Prior(np.zeros(4), SupportSet.empty())
+    empty_prior = Prior(np.zeros(4), np.zeros((32 * 32, 4), dtype=bool))
     for max_iter in (1, 5, 20, cfg.max_iter):
         cfg_k = replace(cfg0, max_iter=max_iter)
         a = solve_ls(y, cfg_k)
@@ -101,7 +100,7 @@ def test_priori_zero_data_spectrum_step():
     # large the prior spectrum.
     mask = make_mask(32, 32, 0.25, 2.0, seed=5)
     y = KSpaceData(np.zeros((mask.m, 4)), mask, (32, 32, 4))
-    prior = Prior(np.array([4.0, 2.0, 1.0, 0.0]), SupportSet.empty())
+    prior = Prior(np.array([4.0, 2.0, 1.0, 0.0]), np.zeros((32 * 32, 4), dtype=bool))
     cfg = SolverConfig(lambda_L=0.1, lambda_S=0.1, lambda_p=0.5, max_iter=1)
     res = solve_priori_ls(y, prior, cfg)
     assert np.array_equal(res.decomposition.L, np.zeros((32 * 32, 4)))
@@ -110,7 +109,7 @@ def test_priori_zero_data_spectrum_step():
 def test_priori_zero_data_zero_prior():
     mask = make_mask(16, 16, 0.3, 2.0, seed=6)
     y = KSpaceData(np.zeros((mask.m, 2)), mask, (16, 16, 2))
-    prior = Prior(np.zeros(2), SupportSet.empty())
+    prior = Prior(np.zeros(2), np.zeros((16 * 16, 2), dtype=bool))
     cfg = SolverConfig(lambda_L=0.1, lambda_S=0.1, lambda_p=0.7, max_iter=50)
     res = solve_priori_ls(y, prior, cfg)
     assert np.all(res.decomposition.L == 0)
@@ -183,14 +182,17 @@ def test_sequence_keeps_each_frame_as_solved_alone():
     seq = generate(PhantomSpec(n_frames=3))
     frames = [acquire(f, make_mask(32, 32, 0.5 if t == 0 else 0.25, 2.0, seed=t)) for t, f in enumerate(seq.frames)]
     cfg_first, cfg_rest = default_config(frames[0]), default_config(frames[1])
-    results = list(solve_sequence(frames, cfg_first, cfg_rest))
-    alone = solve_ls(frames[0], cfg_first)
-    for t, result in enumerate(results):
-        if t:
-            prior = prior_from_result(alone.decomposition, frames[t].dims, cfg_rest.support_eps)
-            alone = solve_priori_ls(frames[t], prior, cfg_rest)
-        assert np.array_equal(result.decomposition.S, alone.decomposition.S)
-        assert np.array_equal(result.decomposition.L, alone.decomposition.L)
+    # Unresolved configs resolve from frame 1 and, for every later frame,
+    # once from frame 2: frame 3 reuses frame 2's thresholds.
+    for given in [(cfg_first, cfg_rest), (SolverConfig(), SolverConfig())]:
+        results = list(solve_sequence(frames, *given))
+        alone = solve_ls(frames[0], cfg_first)
+        for t, result in enumerate(results):
+            if t:
+                prior = prior_from_result(alone.decomposition, frames[t].dims, cfg_rest.support_eps)
+                alone = solve_priori_ls(frames[t], prior, cfg_rest)
+            assert np.array_equal(result.decomposition.S, alone.decomposition.S)
+            assert np.array_equal(result.decomposition.L, alone.decomposition.L)
 
 
 def test_prior_from_result_leaves_the_pair_unchanged(phantom_50):
@@ -334,12 +336,28 @@ def test_default_config_rejects_zero_data():
     y = KSpaceData(np.zeros((mask.m, 2)), mask, (16, 16, 2))
     with pytest.raises(ValueError):
         default_config(y)
+    with pytest.raises(ValueError):
+        default_config(y, SolverConfig(lambda_L=0.3))  # lambda_S still needs the data
+    # Both thresholds set: the config comes back as it is, and y is not read.
+    explicit = SolverConfig(lambda_L=0.3, lambda_S=0.2, tol=1e-4)
+    assert default_config(y, explicit) is explicit
+
+
+def test_default_config_auto_and_override(phantom_50):
+    _, y, auto = phantom_50
+    assert auto.lambda_L > 0 and auto.lambda_S > 0
+    fixed = default_config(y, SolverConfig(lambda_L=0.9, lambda_S=0.8))
+    assert fixed.lambda_L == 0.9 and fixed.lambda_S == 0.8
+    half = default_config(y, SolverConfig(lambda_L=0.9))
+    assert half.lambda_L == 0.9 and half.lambda_S == auto.lambda_S
+    half = default_config(y, SolverConfig(lambda_S=0.8, max_iter=7))
+    assert half.lambda_L == auto.lambda_L and half.lambda_S == 0.8 and half.max_iter == 7
 
 
 def test_prior_shape_mismatch_rejected(phantom_50):
     _, y, cfg = phantom_50
     with pytest.raises(ValueError):
-        solve_priori_ls(y, Prior(np.zeros(3), SupportSet.empty()), cfg)
+        solve_priori_ls(y, Prior(np.zeros(3), np.zeros((32 * 32, 4), dtype=bool)), cfg)
 
 
 def test_prior_from_mismatched_pair_rejected():
@@ -350,9 +368,11 @@ def test_prior_from_mismatched_pair_rejected():
 
 def test_prior_support_out_of_bounds_rejected(phantom_50):
     _, y, cfg = phantom_50
-    bad = Prior(np.zeros(4), SupportSet(np.array([[4096, 0]])))
-    with pytest.raises(ValueError):
-        solve_priori_ls(y, bad, cfg)
+    # The support mask must cover exactly the (n_x * n_y, n_z) coefficients.
+    for shape in [(32 * 32 + 1, 4), (32 * 32, 3), (4, 32 * 32), (16 * 16, 4)]:
+        bad = Prior(np.zeros(4), np.zeros(shape, dtype=bool))
+        with pytest.raises(ValueError, match="prior support shape"):
+            solve_priori_ls(y, bad, cfg)
 
 
 def test_kspace_rejects_nonfinite():
