@@ -29,6 +29,9 @@ n_x, n_y, _ = spec.dims
 mask_first = make_mask(n_x, n_y, 0.5, seed=21)
 mask_rest = make_mask(n_x, n_y, 1 / 5, seed=22)
 frames = [acquire(f, mask_first if t == 0 else mask_rest) for t, f in enumerate(seq.frames)]
+# solve_sequence(frames, ls_cfg, priori_cfg=None): frame 1 runs ls with ls_cfg,
+# every later frame priori-ls with priori_cfg (or ls with ls_cfg, given None).
+# Both configs are resolved here, from frames 1 and 2.
 results = list(solve_sequence(frames, default_config(frames[0]), default_config(frames[1])))
 
 print("frame  rate   psnr_db  iterations  converged")

@@ -20,14 +20,12 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .core import Decomposition, DynamicVolume, SolverConfig
-from .harness import ExperimentSpec, parse_config, reconstruct_sequence, run_sweep
+from .harness import KNOWN_SOLVERS, ExperimentSpec, parse_config, run_sweep
 from .io import load_mask, load_volume, save_mask, save_volume, volume_dims
 from .operators import acquire, make_mask
 from .phantom import generate_frames, psnr
-from .solvers import prior_from_result, solve_ls, solve_priori_ls
+from .solvers import prior_from_result, solve_ls, solve_priori_ls, solve_sequence
 
 __all__ = ["main"]
 
@@ -70,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_seq.add_argument("--frames", required=True, help="directory of frame*.x files")
     p_seq.add_argument("--out", required=True, help="output directory")
     p_seq.add_argument("--config", help="config file")
-    p_seq.add_argument("--solver", choices=("ls", "priori-ls"), default="priori-ls")
+    p_seq.add_argument("--solver", choices=KNOWN_SOLVERS, default="priori-ls")
     p_seq.add_argument("--rate", type=float, help="sampling rate for frames >= 2")
     p_seq.add_argument("--first-rate", type=float, help="sampling rate for frame 1")
     p_seq.add_argument("--mask-seed", type=int, default=0)
@@ -213,7 +211,7 @@ def _cmd_recon_seq(args) -> int:
         print(METRICS_HEADER)
         # As in phantom gen, the results are not enumerated, so that none is
         # held through the next frame's solve.
-        results = reconstruct_sequence(kspace, args.solver, ls_cfg, priori_cfg)
+        results = solve_sequence(kspace, ls_cfg, priori_cfg if args.solver == "priori-ls" else None)
         for t, path in enumerate(frame_files, start=1):
             result = next(results)
             estimate = _write_components(out / f"frame{t:04d}", dims, result.decomposition)
@@ -243,8 +241,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_eval(args) -> int:
     reference = load_volume(args.reference)
     estimate = load_volume(args.estimate)
-    value = psnr(reference, estimate)
-    print(f"psnr_db={'inf' if np.isinf(value) else f'{value:.6f}'}")
+    print(f"psnr_db={psnr(reference, estimate):.6f}")
     return 0
 
 

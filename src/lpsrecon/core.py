@@ -29,6 +29,18 @@ def _as_complex_matrix(data, name: str) -> np.ndarray:
     return arr
 
 
+def _slice_view(data: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
+    """The (n_z, n_x, n_y) slice stack of a Casorati matrix, as a view of it.
+
+    Only a column-major matrix has one; for any other, ``data.T.reshape``
+    would be a copy and an in-place transform would be lost without a word.
+    """
+    if not data.flags.f_contiguous:
+        raise ValueError("an in-place slice transform needs a column-major (F-contiguous) matrix")
+    n_x, n_y, n_z = dims
+    return data.T.reshape(n_z, n_x, n_y)
+
+
 @dataclass
 class DynamicVolume:
     """One complex volume at a single time instant, in Casorati form.
@@ -52,20 +64,6 @@ class DynamicVolume:
             )
         if not np.isfinite(self.data).all():
             raise ValueError("volume contains non-finite entries")
-
-    def slices(self) -> np.ndarray:
-        """Return the volume as an (n_z, n_x, n_y) stack of slices."""
-        n_x, n_y, n_z = self.dims
-        return self.data.T.reshape(n_z, n_x, n_y)
-
-    @classmethod
-    def from_slices(cls, slices: np.ndarray, dims: tuple[int, int, int]) -> "DynamicVolume":
-        """Build a volume from an (n_z, n_x, n_y) slice stack."""
-        n_x, n_y, n_z = dims
-        slices = np.asarray(slices, dtype=np.complex128)
-        if slices.shape != (n_z, n_x, n_y):
-            raise ValueError(f"slice stack shape {slices.shape} inconsistent with dims {dims}")
-        return cls(slices.reshape(n_z, n_x * n_y).T.copy(), dims)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.data))

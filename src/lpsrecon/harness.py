@@ -19,20 +19,18 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Iterator
 
 import numpy as np
 
 from .core import DynamicVolume, SolverConfig
-from .operators import KSpaceData, acquire, make_mask
+from .operators import acquire, make_mask
 from .phantom import PhantomSpec, generate, psnr
-from .solvers import SolveResult, solve_sequence
+from .solvers import solve_sequence
 
 __all__ = [
     "ExperimentSpec",
     "SweepRow",
     "parse_config",
-    "reconstruct_sequence",
     "run_sweep",
     "write_sweep_csv",
     "write_summary_csv",
@@ -62,6 +60,8 @@ class ExperimentSpec:
             raise ValueError(f"rates must be strictly increasing, got {self.rates}")
         if not 0 < self.first_frame_rate <= 1:
             raise ValueError(f"first_frame_rate must be in (0, 1], got {self.first_frame_rate}")
+        if not 0 < self.density_falloff < math.inf:
+            raise ValueError(f"density_falloff must be finite and > 0, got {self.density_falloff}")
         if self.n_seeds < 1:
             raise ValueError("n_seeds must be >= 1")
         if len(self.solvers) == 0:
@@ -185,22 +185,6 @@ def _mask_seed(base_seed: int, seed_index: int, rate: float, tier: int) -> int:
     )
 
 
-def reconstruct_sequence(
-    frames: Iterable[KSpaceData],
-    solver: str,
-    ls_cfg: SolverConfig,
-    priori_cfg: SolverConfig,
-) -> Iterator[SolveResult]:
-    """Reconstruct a sequence with ``solver``, yielding each frame's result
-    as soon as it is solved (see ``solve_sequence``). Frame 1 has no prior: it
-    is solved by ``ls`` with ``ls_cfg``, resolved from its own samples. The
-    later frames share the solver's config, resolved once from frame 2."""
-    if solver not in KNOWN_SOLVERS:
-        raise ValueError(f"unknown solver {solver!r}, expected one of {KNOWN_SOLVERS}")
-    use_prior = solver == "priori-ls"
-    return solve_sequence(frames, ls_cfg, priori_cfg if use_prior else ls_cfg, use_prior=use_prior)
-
-
 def _solve_cell(
     experiment: ExperimentSpec,
     solver: str,
@@ -225,7 +209,7 @@ def _solve_cell(
         acquire(frame, mask_first if t == 0 else mask_rest)
         for t, frame in enumerate(sequence.frames)
     )
-    results = reconstruct_sequence(kspace, solver, ls_cfg, priori_cfg)
+    results = solve_sequence(kspace, ls_cfg, priori_cfg if solver == "priori-ls" else None)
     return [
         SweepRow(
             solver=solver,
@@ -240,16 +224,12 @@ def _solve_cell(
     ]
 
 
-def _fmt_psnr(value: float) -> str:
-    return "inf" if math.isinf(value) else f"{value:.6f}"
-
-
 def write_sweep_csv(path, rows: list[SweepRow]) -> None:
     lines = ["solver,rate,seed,frame,psnr_db,iterations,converged"]
     for row in sorted(rows, key=SweepRow.sort_key):
         lines.append(
             f"{row.solver},{row.rate:.6f},{row.seed},{row.frame},"
-            f"{_fmt_psnr(row.psnr_db)},{row.iterations},{str(row.converged).lower()}"
+            f"{row.psnr_db:.6f},{row.iterations},{str(row.converged).lower()}"
         )
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -263,7 +243,7 @@ def write_summary_csv(path, rows: list[SweepRow]) -> None:
         groups.setdefault((row.solver, round(row.rate, 6)), []).append(row.psnr_db)
     lines = ["solver,rate,mean_psnr_db"]
     for (solver, rate), values in sorted(groups.items()):
-        lines.append(f"{solver},{rate:.6f},{_fmt_psnr(float(np.mean(values)))}")
+        lines.append(f"{solver},{rate:.6f},{float(np.mean(values)):.6f}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

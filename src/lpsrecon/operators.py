@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DynamicVolume
+from .core import DynamicVolume, _slice_view
 
 __all__ = [
     "SamplingMask",
@@ -138,30 +138,23 @@ def _sample_index(pattern: np.ndarray) -> np.ndarray:
     return ((ix - n_x // 2) % n_x) * n_y + (iy - n_y // 2) % n_y
 
 
-def _forward_samples(data: np.ndarray, dims: tuple[int, int, int], index: np.ndarray) -> np.ndarray:
-    n_x, n_y, n_z = dims
-    spectra = np.fft.fft2(data.T.reshape(n_z, n_x, n_y), axes=(1, 2), norm="ortho")
-    return np.take(spectra.reshape(n_z, -1), index, axis=1).T
+def _spectra(x: np.ndarray, dims: tuple[int, int, int], inverse: bool = False) -> np.ndarray:
+    """The unitary 2D spectra of the slices of the column-major matrix x (with
+    ``inverse``, the inverse transform), taken in place in x's own
+    (n_z, n_x, n_y) slice stack, which is returned. This is the package's one
+    FFT. It uses ``fftn``/``ifftn``, since ``ifft2`` ignores ``out=``."""
+    slices = _slice_view(x, dims)
+    (np.fft.ifftn if inverse else np.fft.fftn)(slices, axes=(1, 2), norm="ortho", out=slices)
+    return slices
 
 
 def _adjoint_matrix(samples: np.ndarray, dims: tuple[int, int, int], index: np.ndarray) -> np.ndarray:
-    n_x, n_y, n_z = dims
-    spectra = np.zeros((n_z, n_x * n_y), dtype=np.complex128)
-    spectra[:, index] = samples.T
-    slices = np.fft.ifft2(spectra.reshape(n_z, n_x, n_y), axes=(1, 2), norm="ortho")
-    return slices.reshape(n_z, -1).T
-
-
-def _spectra(x: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
-    """The unitary 2D spectra of the slices of the column-major matrix x,
-    taken in place in x's own (n_z, n_x, n_y) slice stack, which is returned.
-    Note ``fft2``/``ifft2`` ignore ``out=``; ``fftn``/``ifftn`` honour it."""
-    if not x.flags.f_contiguous:
-        raise ValueError("an in-place transform needs a column-major (F-contiguous) matrix")
-    n_x, n_y, n_z = dims
-    slices = x.T.reshape(n_z, n_x, n_y)
-    np.fft.fftn(slices, axes=(1, 2), norm="ortho", out=slices)
-    return slices
+    """A^H y as a column-major matrix: the samples scattered into zeroed
+    spectra, inverted in place."""
+    x = np.zeros((dims[0] * dims[1], dims[2]), dtype=np.complex128, order="F")
+    x.T[:, index] = samples.T
+    _spectra(x, dims, inverse=True)
+    return x
 
 
 def _data_consistency(
@@ -173,9 +166,9 @@ def _data_consistency(
     to y]: one transform pair on x's own slice stack, with ``samples_t`` the
     (n_z, m) transpose of y's samples.
     """
-    slices = _spectra(x, dims)
-    slices.reshape(dims[2], -1)[:, index] = samples_t
-    np.fft.ifftn(slices, axes=(1, 2), norm="ortho", out=slices)
+    _spectra(x, dims)
+    x.T[:, index] = samples_t
+    _spectra(x, dims, inverse=True)
     return x
 
 
@@ -200,8 +193,8 @@ def acquire(x: DynamicVolume, mask: SamplingMask) -> KSpaceData:
         raise ValueError(
             f"mask grid {mask.pattern.shape} does not match volume dims {x.dims}"
         )
-    samples = _forward_samples(x.data, x.dims, _sample_index(mask.pattern))
-    return KSpaceData(samples, mask, x.dims)
+    spectra = _spectra(x.data.copy(order="F"), x.dims).reshape(x.dims[2], -1)
+    return KSpaceData(np.take(spectra, _sample_index(mask.pattern), axis=1).T, mask, x.dims)
 
 
 def acquire_adjoint(y: KSpaceData) -> DynamicVolume:

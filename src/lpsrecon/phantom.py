@@ -50,6 +50,9 @@ class PhantomSpec:
             )
         if self.n_blobs < 0:
             raise ValueError("n_blobs must be >= 0")
+        for name in ("blob_amplitude", "motion_step", "noise_sigma", "drift_rate", "blob_width"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
         if self.drift_rate < 0:

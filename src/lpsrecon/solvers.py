@@ -26,6 +26,11 @@ Settings come as one ``SolverConfig``. Its thresholds may be left None:
 prior (``core.Prior``) carries the previous frame's singular values and its
 sparse support, a boolean mask over the wavelet coefficient matrix that the
 shrink step uses as it is.
+
+``solve_sequence(frames, ls_cfg, priori_cfg=None)`` chains the frames of a
+sequence: frame 1 runs the baseline with ``ls_cfg``; every later frame runs
+the prior-informed solver with ``priori_cfg``, or the baseline with
+``ls_cfg`` when ``priori_cfg`` is None.
 """
 
 from __future__ import annotations
@@ -43,11 +48,10 @@ from .operators import (
     _gram_spectrum,
     _sample_index,
     _sample_residual,
-    acquire_adjoint,
     extract_support,
     sv_threshold,
 )
-from .wavelets import WAVELET_LEVELS, _forward_matrix, _inverse_matrix, wavelet_forward
+from .wavelets import _forward_matrix, _inverse_matrix
 
 __all__ = [
     "SolveResult",
@@ -99,13 +103,14 @@ def default_config(y: KSpaceData, cfg: SolverConfig | None = None) -> SolverConf
         lambda_S = lambda_s_scale * max|T(X0)|
 
     A config with both thresholds set is returned as it is, without reading y.
+    X0 becomes T(X0) in place once sigma_max is read.
     """
     cfg = cfg or SolverConfig()
     if cfg.lambda_L is not None and cfg.lambda_S is not None:
         return cfg
-    x0 = acquire_adjoint(y)
-    sigma_max = float(_gram_spectrum(x0.data)[0][0])
-    coeff_peak = float(np.abs(wavelet_forward(x0)).max())
+    x0 = _adjoint_matrix(y.samples, y.dims, _sample_index(y.mask.pattern))
+    sigma_max = float(_gram_spectrum(x0)[0][0])
+    coeff_peak = float(np.abs(_forward_matrix(x0, y.dims)).max())
     if sigma_max == 0.0 or coeff_peak == 0.0:
         raise ValueError("all-zero measurements give no data scale; set thresholds explicitly")
     return replace(
@@ -137,9 +142,9 @@ def _iterate(y: KSpaceData, cfg: SolverConfig, prior: Prior | None) -> SolveResu
         l = s = None
         l = sv_threshold(r, cfg.lambda_L, sigma_prev, cfg.lambda_p)
         np.subtract(x, l, out=r)
-        _forward_matrix(r, dims, WAVELET_LEVELS)
+        _forward_matrix(r, dims)
         _soft_threshold_keep(r, cfg.lambda_S, keep_mask)
-        s = _inverse_matrix(r, dims, WAVELET_LEVELS)
+        s = _inverse_matrix(r, dims)
         x_new = _data_consistency(l + s, samples_t, dims, index)
         # relative_change(x_new, x), taken in the dead old iterate: no new buffer.
         # x is finite, so a non-finite x_new shows as a non-finite norm. A
@@ -205,30 +210,30 @@ def prior_from_result(
     if decomposition.L.shape != (n_x * n_y, n_z):
         raise ValueError(f"prior L/S shape {decomposition.L.shape} inconsistent with dims {dims}")
     sigma_prev = np.linalg.svd(decomposition.L, full_matrices=False)[1]
-    coeffs = _forward_matrix(decomposition.S.copy(order="F"), dims, WAVELET_LEVELS)
+    coeffs = _forward_matrix(decomposition.S.copy(order="F"), dims)
     support_prev = extract_support(coeffs, support_eps)
     return Prior(sigma_prev=sigma_prev, support_prev=support_prev)
 
 
 def solve_sequence(
     frames: Iterable[KSpaceData],
-    cfg_first: SolverConfig,
-    cfg_rest: SolverConfig,
-    use_prior: bool = True,
+    ls_cfg: SolverConfig,
+    priori_cfg: SolverConfig | None = None,
 ) -> Iterator[SolveResult]:
     """Reconstruct a time sequence, yielding each frame's result once solved.
 
     Frames are read from ``frames`` one at a time. Frame 1 is solved with the
-    baseline solver (no prior exists yet); with ``use_prior`` every later
-    frame reuses the previous result's spectrum and sparse support, else it
-    too is solved with the baseline. The prior is built when the next frame
-    arrives and the previous (L, S) is dropped before that frame's solve, so
-    memory does not grow with the frame count. Frame 1 is solved with
-    ``cfg_first`` resolved from its own samples (``default_config``); every
-    later frame with ``cfg_rest`` resolved once, from frame 2. Mixed dims
-    raise ValueError; any other failure at a frame aborts with that frame's
-    1-based index.
+    baseline solver (no prior exists yet), with ``ls_cfg`` resolved from its
+    own samples (``default_config``). With ``priori_cfg`` every later frame
+    reuses the previous result's spectrum and sparse support and is solved
+    with ``priori_cfg``; without it, every later frame is solved with the
+    baseline and ``ls_cfg``. Either config is resolved once, from frame 2.
+    The prior is built when the next frame arrives and the previous (L, S) is
+    dropped before that frame's solve, so memory does not grow with the frame
+    count. Mixed dims raise ValueError; any other failure at a frame aborts
+    with that frame's 1-based index.
     """
+    rest_cfg = ls_cfg if priori_cfg is None else priori_cfg
     dims = cfg = previous = None
     for t, frame in enumerate(frames, start=1):
         if dims is None:
@@ -237,7 +242,7 @@ def solve_sequence(
             raise ValueError(f"frame {t} dims {frame.dims} differ from frame 1 dims {dims}")
         try:
             if t <= 2:
-                cfg = default_config(frame, cfg_first if t == 1 else cfg_rest)
+                cfg = default_config(frame, ls_cfg if t == 1 else rest_cfg)
             if previous is None:
                 result = solve_ls(frame, cfg)
             else:
@@ -247,7 +252,7 @@ def solve_sequence(
         except Exception as exc:  # noqa: BLE001 - abort must carry the frame index
             raise FrameSolveError(t, exc) from exc
         yield result
-        if use_prior:
+        if priori_cfg is not None:
             previous = result.decomposition
         del result
     if dims is None:

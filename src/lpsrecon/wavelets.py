@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import DynamicVolume
+from .core import DynamicVolume, _slice_view
 
 __all__ = ["WAVELET_LEVELS", "wavelet_forward", "wavelet_inverse"]
 
@@ -72,15 +72,6 @@ def _level_matrix(n: int) -> np.ndarray:
             w[i, j] += lo
             w[half + i, j] += hi
     return w
-
-
-def _require_divisible(n_x: int, n_y: int, levels: int) -> None:
-    block = 2 ** levels
-    if n_x % block or n_y % block:
-        raise ValueError(
-            f"slice dims ({n_x}, {n_y}) must each be divisible by 2^{levels} = {block} "
-            f"for a {levels}-level transform"
-        )
 
 
 def _full_tiles(b: int) -> int:
@@ -186,44 +177,40 @@ def _dwt2_stack(slices: np.ndarray, levels: int, inverse: bool = False) -> np.nd
     return slices
 
 
-def _slice_stack(data: np.ndarray, dims: tuple[int, int, int], levels: int) -> np.ndarray:
-    """The (n_z, n_x, n_y) slice stack of a Casorati matrix, as a view of it.
+def _slice_stack(data: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
+    """The (n_z, n_x, n_y) slice stack of a column-major Casorati matrix, as
+    a view of it (``core._slice_view``), once its slices fit WAVELET_LEVELS."""
+    n_x, n_y, _ = dims
+    block = 2 ** WAVELET_LEVELS
+    if n_x % block or n_y % block:
+        raise ValueError(
+            f"slice dims ({n_x}, {n_y}) must each be divisible by 2^{WAVELET_LEVELS} = {block} "
+            f"for a {WAVELET_LEVELS}-level transform"
+        )
+    return _slice_view(data, dims)
 
-    Only a column-major matrix has one; for any other, ``data.T.reshape``
-    would be a copy and an in-place transform would be lost without a word.
-    """
-    n_x, n_y, n_z = dims
-    _require_divisible(n_x, n_y, levels)
-    if not data.flags.f_contiguous:
-        raise ValueError("the in-place wavelet transform needs a column-major (F-contiguous) matrix")
-    return data.T.reshape(n_z, n_x, n_y)
 
-
-def _forward_matrix(data: np.ndarray, dims: tuple[int, int, int], levels: int) -> np.ndarray:
+def _forward_matrix(data: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
     """Coefficients of a column-major Casorati matrix, in place; returns ``data``."""
-    _dwt2_stack(_slice_stack(data, dims, levels), levels)
+    _dwt2_stack(_slice_stack(data, dims), WAVELET_LEVELS)
     return data
 
 
-def _inverse_matrix(w: np.ndarray, dims: tuple[int, int, int], levels: int) -> np.ndarray:
+def _inverse_matrix(w: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
     """Inverse of ``_forward_matrix``, in place in ``w``; returns ``w``."""
-    _dwt2_stack(_slice_stack(w, dims, levels), levels, inverse=True)
+    _dwt2_stack(_slice_stack(w, dims), WAVELET_LEVELS, inverse=True)
     return w
 
 
-def wavelet_forward(s: DynamicVolume, levels: int = WAVELET_LEVELS) -> np.ndarray:
+def wavelet_forward(s: DynamicVolume) -> np.ndarray:
     """Per-slice multi-level 2D wavelet coefficients, same matrix shape."""
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1, got {levels}")
-    return _forward_matrix(s.data.copy(order="F"), s.dims, levels)
+    return _forward_matrix(s.data.copy(order="F"), s.dims)
 
 
-def wavelet_inverse(w: np.ndarray, dims: tuple[int, int, int], levels: int = WAVELET_LEVELS) -> DynamicVolume:
+def wavelet_inverse(w: np.ndarray, dims: tuple[int, int, int]) -> DynamicVolume:
     """Reconstruct a volume from its per-slice wavelet coefficients."""
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1, got {levels}")
     w = np.array(w, dtype=np.complex128, order="F")  # a copy: the transform runs in place
     n_x, n_y, n_z = dims
     if w.shape != (n_x * n_y, n_z):
         raise ValueError(f"coefficient shape {w.shape} inconsistent with dims {dims}")
-    return DynamicVolume(_inverse_matrix(w, dims, levels), dims)
+    return DynamicVolume(_inverse_matrix(w, dims), dims)

@@ -10,7 +10,7 @@ from lpsrecon import (
     soft_threshold,
     soft_threshold_matrix,
 )
-from lpsrecon.core import _soft_threshold_keep
+from lpsrecon.core import _slice_view, _soft_threshold_keep
 
 from helpers import grid_prox_minimizer, prox_objective
 
@@ -149,9 +149,13 @@ class TestContainers:
     def test_volume_slice_round_trip(self):
         rng = np.random.default_rng(11)
         data = rng.standard_normal((12, 2)) + 1j * rng.standard_normal((12, 2))
-        vol = DynamicVolume(data, (3, 4, 2))
-        again = DynamicVolume.from_slices(vol.slices(), (3, 4, 2))
-        assert np.array_equal(again.data, vol.data)
+        vol = DynamicVolume(np.asfortranarray(data), (3, 4, 2))
+        slices = _slice_view(vol.data, (3, 4, 2))
+        assert np.shares_memory(slices, vol.data)
+        assert np.array_equal(slices[1], data[:, 1].reshape(3, 4))
+        assert np.array_equal(slices.reshape(2, 12).T, data)
+        with pytest.raises(ValueError, match="column-major"):
+            _slice_view(np.ascontiguousarray(data), (3, 4, 2))
 
     def test_decomposition_shape_check(self):
         with pytest.raises(ValueError):

@@ -9,11 +9,9 @@ from dataclasses import replace
 from lpsrecon import (
     ExperimentSpec,
     SolverConfig,
-    default_config,
     generate,
     load_mask,
     load_volume,
-    make_mask,
     acquire,
     parse_config,
     prior_from_result,
@@ -24,7 +22,7 @@ from lpsrecon import (
 )
 import lpsrecon.cli as cli
 from lpsrecon.cli import main
-from lpsrecon.harness import _mask_seed, reconstruct_sequence, write_summary_csv, write_sweep_csv
+from lpsrecon.harness import _mask_seed, write_summary_csv, write_sweep_csv
 from lpsrecon.phantom import PhantomSpec
 
 CONFIG_TEXT = """\
@@ -89,11 +87,16 @@ def test_parse_config_defaults_for_missing_sections(tmp_path):
 
 
 def _config_with(section: str, line: str) -> str:
-    """CONFIG_TEXT with one more line in ``section``, added if it is missing."""
+    """CONFIG_TEXT with ``line`` in ``section``, in place of the section's line
+    of the same key; the section is added if it is missing."""
     header = f"[{section}]\n"
-    if header in CONFIG_TEXT:
-        return CONFIG_TEXT.replace(header, header + line + "\n")
-    return f"{CONFIG_TEXT}\n{header}{line}\n"
+    if header not in CONFIG_TEXT:
+        return f"{CONFIG_TEXT}\n{header}{line}\n"
+    head, body = CONFIG_TEXT.split(header)
+    body, sep, rest = body.partition("\n[")
+    key = line.split("=")[0].strip()
+    body = re.sub(rf"^{key} =.*\n", "", body, flags=re.M)
+    return f"{head}{header}{line}\n{body}{sep}{rest}"
 
 
 @pytest.mark.parametrize("section, line, names", [
@@ -105,7 +108,15 @@ def _config_with(section: str, line: str) -> str:
     ("solver.fista", "tol = 1e-3", ["unknown section"]),
     ("phantom", "blob_width = wide", ["blob_width", "wide"]),
     ("sweep", "density_falloff = steep", ["density_falloff", "steep"]),
-], ids=["tol", "max_iter", "misspelt", "scale", "threshold", "section", "phantom", "sweep"])
+    ("phantom", "blob_amplitude = nan", ["blob_amplitude must be finite, got nan"]),
+    ("phantom", "motion_step = inf", ["motion_step must be finite, got inf"]),
+    ("phantom", "noise_sigma = nan", ["noise_sigma must be finite, got nan"]),
+    ("phantom", "drift_rate = inf", ["drift_rate must be finite, got inf"]),
+    ("phantom", "blob_width = nan", ["blob_width must be finite, got nan"]),
+    ("sweep", "density_falloff = -1", ["density_falloff must be finite and > 0, got -1.0"]),
+    ("sweep", "density_falloff = nan", ["density_falloff must be finite and > 0, got nan"]),
+], ids=["tol", "max_iter", "misspelt", "scale", "threshold", "section", "phantom", "sweep",
+        "amplitude", "motion", "noise", "drift", "width", "falloff", "falloff-nan"])
 def test_parse_config_errors_name_the_section_and_key(tmp_path, section, line, names):
     path = tmp_path / "bad.cfg"
     path.write_text(_config_with(section, line))
@@ -387,21 +398,34 @@ class TestCli:
         assert len((out_dir / "metrics.csv").read_text().splitlines()) == 3
         assert "finished" not in (out_dir / "run.log").read_text()
 
-    @pytest.mark.parametrize("line, key", [
-        ("tol = -1", "tol"), ("lamda_p = 0.0", "lamda_p"), ("max_iter = 1.5", "max_iter"),
-    ])
-    def test_bad_solver_settings_fail_before_any_solve(self, tmp_path, capsys, config_file, line, key):
+    BAD_SETTINGS = [
+        ("solver.priori", "tol = -1", "tol"),
+        ("solver.priori", "lamda_p = 0.0", "lamda_p"),
+        ("solver.priori", "max_iter = 1.5", "max_iter"),
+        ("phantom", "noise_sigma = nan", "noise_sigma"),
+        ("sweep", "density_falloff = -1", "density_falloff"),
+    ]
+
+    @pytest.mark.parametrize("section, line, key", BAD_SETTINGS,
+                             ids=[f"{line}-{key}" for _, line, key in BAD_SETTINGS])
+    def test_bad_solver_settings_fail_before_any_solve(
+        self, tmp_path, capsys, config_file, section, line, key
+    ):
         frames_dir = tmp_path / "frames"
         main(["phantom", "gen", "--config", str(config_file), "--out", str(frames_dir)])
         bad = tmp_path / "bad.cfg"
-        bad.write_text(_config_with("solver.priori", line))
+        bad.write_text(_config_with(section, line))
         capsys.readouterr()
-        out_dir, sweep_dir = tmp_path / "seq", tmp_path / "sw"
+        gen_dir, out_dir, sweep_dir = tmp_path / "gen", tmp_path / "seq", tmp_path / "sw"
+        assert main(["phantom", "gen", "--config", str(bad), "--out", str(gen_dir)]) == 1
         assert main(["recon-seq", "--frames", str(frames_dir), "--out", str(out_dir),
                      "--config", str(bad), "--rate", "0.333333"]) == 1
         assert main(["sweep", "--config", str(bad), "--out", str(sweep_dir)]) == 1
-        for err in capsys.readouterr().err.splitlines():
-            assert err.startswith("error: [solver.priori]") and key in err
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 3
+        for err in errors:
+            assert err.startswith(f"error: [{section}]") and key in err
+        assert not gen_dir.exists()
         assert not list(out_dir.glob("frame0001.*")) and not out_dir.exists()
         assert not (sweep_dir / "sweep.csv").exists() and not sweep_dir.exists()
 
@@ -464,35 +488,6 @@ class TestCli:
         assert code == 1
         assert "does not match" in capsys.readouterr().err
 
-
-@pytest.mark.parametrize("solver", ["ls", "priori-ls"])
-def test_reconstruct_sequence_matches_the_explicit_chain(solver):
-    # Frame 1 by ls with its own config; frames >= 2 share the config of
-    # frame 2, and priori-ls builds each prior with that config's support_eps.
-    seq = generate(PhantomSpec(n_frames=3))
-    frames = [acquire(f, make_mask(32, 32, 0.5 if t == 0 else 0.25, 2.0, seed=t))
-              for t, f in enumerate(seq.frames)]
-    ls_cfg, priori_cfg = SolverConfig(), SolverConfig(lambda_p=0.5, support_eps=0.05)
-    cfg_first = default_config(frames[0], ls_cfg)
-    cfg_rest = default_config(frames[1], priori_cfg if solver == "priori-ls" else ls_cfg)
-    want = [solve_ls(frames[0], cfg_first)]
-    for y in frames[1:]:
-        if solver == "ls":
-            want.append(solve_ls(y, cfg_rest))
-        else:
-            prior = prior_from_result(want[-1].decomposition, y.dims, cfg_rest.support_eps)
-            want.append(solve_priori_ls(y, prior, cfg_rest))
-    got = list(reconstruct_sequence(iter(frames), solver, ls_cfg, priori_cfg))
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert np.array_equal(a.decomposition.L, b.decomposition.L)
-        assert np.array_equal(a.decomposition.S, b.decomposition.S)
-        assert a.iterations == b.iterations
-
-
-def test_reconstruct_sequence_rejects_an_unknown_solver():
-    with pytest.raises(ValueError, match="unknown solver"):
-        reconstruct_sequence([], "fista", SolverConfig(), SolverConfig())
 
 def _traced_peak(argv) -> int:
     tracemalloc.start()

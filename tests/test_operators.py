@@ -4,18 +4,22 @@ import pytest
 from lpsrecon import (
     DynamicVolume,
     KSpaceData,
+    PhantomSpec,
     SamplingMask,
     acquire,
     acquire_adjoint,
     extract_support,
+    generate,
+    load_volume,
     make_mask,
+    save_volume,
     sv_threshold,
 )
 from lpsrecon.operators import (
     _adjoint_matrix,
     _data_consistency,
-    _forward_samples,
     _sample_index,
+    _spectra,
 )
 
 from helpers import random_volume, shifted_adjoint, shifted_samples, svd_prox
@@ -259,7 +263,7 @@ class TestShiftFreeSampling:
         rng = np.random.default_rng(sum(dims))
         mask = make_mask(dims[0], dims[1], 0.4, 2.0, seed=dims[0])
         x = random_volume(rng, dims)
-        got = _forward_samples(x.data, dims, _sample_index(mask.pattern))
+        got = acquire(x, mask).samples
         assert np.array_equal(got, shifted_samples(x.data, dims, mask.pattern))
 
     @pytest.mark.parametrize("dims", [(8, 8, 1), (16, 8, 3), (7, 9, 2), (15, 16, 3), (33, 31, 2)])
@@ -273,10 +277,40 @@ class TestShiftFreeSampling:
     def test_keeps_column_major_layout(self):
         rng = np.random.default_rng(25)
         dims = (16, 16, 3)
-        index = _sample_index(make_mask(16, 16, 0.3, 2.0, seed=1).pattern)
-        samples = _forward_samples(random_volume(rng, dims).data, dims, index)
+        mask = make_mask(16, 16, 0.3, 2.0, seed=1)
+        samples = acquire(random_volume(rng, dims), mask).samples
         assert samples.flags.f_contiguous
-        assert _adjoint_matrix(samples, dims, index).flags.f_contiguous
+        assert _adjoint_matrix(samples, dims, _sample_index(mask.pattern)).flags.f_contiguous
+
+
+class TestInPlaceSpectra:
+    def test_round_trip_stays_in_the_buffer_passed_in(self):
+        dims = (16, 8, 3)
+        x = np.asfortranarray(random_volume(np.random.default_rng(28), dims).data)
+        before = x.copy()
+        spectra = _spectra(x, dims)
+        assert np.shares_memory(spectra, x)
+        assert np.array_equal(spectra, np.fft.fft2(before.T.reshape(3, 16, 8), norm="ortho"))
+        assert np.shares_memory(_spectra(x, dims, inverse=True), x)
+        assert np.linalg.norm(x - before) <= 1e-13 * np.linalg.norm(before)
+
+    def test_rejects_row_major_input(self):
+        x = random_volume(np.random.default_rng(29), (8, 8, 2)).data
+        with pytest.raises(ValueError, match="column-major"):
+            _spectra(np.ascontiguousarray(x), (8, 8, 2))
+
+    def test_acquire_leaves_its_input_unchanged(self, tmp_path):
+        # A phantom frame is row-major and a loaded volume column-major; acquire
+        # must transform a copy of either, not the volume's own buffer.
+        frame = generate(PhantomSpec(dims=(16, 16, 3), n_frames=1)).frames[0]
+        save_volume(tmp_path / "f.x", frame)
+        loaded = load_volume(tmp_path / "f.x")
+        assert frame.data.flags.c_contiguous and loaded.data.flags.f_contiguous
+        mask = make_mask(16, 16, 0.3, 2.0, seed=2)
+        for volume in (frame, loaded):
+            kept = volume.data.copy()
+            acquire(volume, mask)
+            assert volume.data.tobytes() == kept.tobytes()
 
 
 class TestDataConsistency:
@@ -306,7 +340,7 @@ class TestDataConsistency:
         assert mask.rate < 1
         index = _sample_index(mask.pattern)
         got = _data_consistency(x, np.ascontiguousarray(y.samples.T), dims, index)
-        residual = _forward_samples(got, dims, index) - y.samples
+        residual = shifted_samples(got, dims, mask.pattern) - y.samples
         assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(y.samples)
 
     def test_updates_the_buffer_passed_in(self):
@@ -316,7 +350,7 @@ class TestDataConsistency:
         index = _sample_index(mask.pattern)
         got = _data_consistency(x, np.ascontiguousarray(y.samples.T), dims, index)
         assert got is x
-        residual = _forward_samples(before, dims, index) - y.samples
+        residual = shifted_samples(before, dims, mask.pattern) - y.samples
         assert np.allclose(x, before - _adjoint_matrix(residual, dims, index), rtol=0, atol=1e-13)
 
     def test_rejects_row_major_input(self):

@@ -26,7 +26,7 @@ from lpsrecon import (
     wavelet_forward,
 )
 from lpsrecon import solvers
-from lpsrecon.operators import _data_consistency, _sample_index, sv_threshold
+from lpsrecon.operators import _data_consistency, _gram_spectrum, _sample_index, sv_threshold
 from lpsrecon.phantom import PhantomSpec
 
 from helpers import support_change, support_set
@@ -195,6 +195,33 @@ def test_sequence_keeps_each_frame_as_solved_alone():
             assert np.array_equal(result.decomposition.L, alone.decomposition.L)
 
 
+@pytest.mark.parametrize("solver", ["ls", "priori-ls"])
+def test_solve_sequence_matches_the_explicit_chain(solver):
+    # Frame 1 by ls with its own config; frames >= 2 share the config of
+    # frame 2, and priori-ls builds each prior with that config's support_eps.
+    # Without a priori config, frames >= 2 run ls with the ls config.
+    seq = generate(PhantomSpec(n_frames=3))
+    frames = [acquire(f, make_mask(32, 32, 0.5 if t == 0 else 0.25, 2.0, seed=t))
+              for t, f in enumerate(seq.frames)]
+    ls_cfg, priori_cfg = SolverConfig(), SolverConfig(lambda_p=0.5, support_eps=0.05)
+    cfg_first = default_config(frames[0], ls_cfg)
+    cfg_rest = default_config(frames[1], priori_cfg if solver == "priori-ls" else ls_cfg)
+    want = [solve_ls(frames[0], cfg_first)]
+    for y in frames[1:]:
+        if solver == "ls":
+            want.append(solve_ls(y, cfg_rest))
+        else:
+            prior = prior_from_result(want[-1].decomposition, y.dims, cfg_rest.support_eps)
+            want.append(solve_priori_ls(y, prior, cfg_rest))
+    got = list(solve_sequence(iter(frames), ls_cfg, priori_cfg if solver == "priori-ls" else None))
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.decomposition.L, b.decomposition.L)
+        assert np.array_equal(a.decomposition.S, b.decomposition.S)
+        assert a.iterations == b.iterations
+
+
+
 def test_prior_from_result_leaves_the_pair_unchanged(phantom_50):
     _, y, cfg = phantom_50
     dec = solve_ls(y, replace(cfg, max_iter=5)).decomposition
@@ -329,6 +356,15 @@ def test_default_config_golden_values(phantom_50):
     assert cfg.tol == 1e-3
     assert cfg.max_iter == 300
     assert cfg.support_eps == 0.02
+
+
+def test_default_config_reads_its_thresholds_off_the_zero_filled_proxy(phantom_50):
+    # default_config transforms X0 in place once sigma_max is read; both
+    # thresholds must still be those of the untouched proxy, bit for bit.
+    _, y, cfg = phantom_50
+    x0 = acquire_adjoint(y)
+    assert cfg.lambda_L == cfg.lambda_l_scale * float(_gram_spectrum(x0.data)[0][0])
+    assert cfg.lambda_S == cfg.lambda_s_scale * float(np.abs(wavelet_forward(x0)).max())
 
 
 def test_default_config_rejects_zero_data():

@@ -73,26 +73,9 @@ def test_divisibility_error_names_requirement():
         wavelet_forward(vol)
 
 
-def test_levels_validation():
-    rng = np.random.default_rng(10)
-    vol = random_volume(rng, (8, 8, 1))
-    with pytest.raises(ValueError):
-        wavelet_forward(vol, levels=0)
-
-
 def test_inverse_shape_validation():
     with pytest.raises(ValueError):
         wavelet_inverse(np.zeros((10, 2), dtype=complex), (4, 4, 2))
-
-
-def test_round_trip_at_other_level_counts():
-    rng = np.random.default_rng(11)
-    dims = (16, 16, 2)
-    vol = random_volume(rng, dims)
-    for levels in (1, 2, 4):
-        coeffs = wavelet_forward(vol, levels=levels)
-        back = wavelet_inverse(coeffs, dims, levels=levels)
-        assert np.linalg.norm(back.data - vol.data) <= 1e-13 * np.linalg.norm(vol.data)
 
 
 def _assert_matches_complex_form(shape, levels):
@@ -133,9 +116,9 @@ def test_matrix_forms_keep_column_major_layout():
     rng = np.random.default_rng(12)
     dims = (16, 16, 3)
     data = np.asfortranarray(random_volume(rng, dims).data)
-    coeffs = _forward_matrix(data, dims, 3)
+    coeffs = _forward_matrix(data, dims)
     assert coeffs.flags.f_contiguous
-    assert _inverse_matrix(coeffs, dims, 3).flags.f_contiguous
+    assert _inverse_matrix(coeffs, dims).flags.f_contiguous
 
 
 def test_matrix_forms_run_in_place():
@@ -143,9 +126,9 @@ def test_matrix_forms_run_in_place():
     dims = (16, 16, 3)
     data = np.asfortranarray(random_volume(rng, dims).data)
     original = data.copy()
-    assert _forward_matrix(data, dims, 3) is data
+    assert _forward_matrix(data, dims) is data
     assert np.array_equal(data, wavelet_forward(DynamicVolume(original, dims)))
-    assert _inverse_matrix(data, dims, 3) is data
+    assert _inverse_matrix(data, dims) is data
     assert np.linalg.norm(data - original) <= 1e-13 * np.linalg.norm(original)
 
 
@@ -154,7 +137,7 @@ def test_matrix_forms_reject_row_major_input():
     data = np.ascontiguousarray(random_volume(np.random.default_rng(14), (16, 16, 3)).data)
     for transform in (_forward_matrix, _inverse_matrix):
         with pytest.raises(ValueError, match="column-major"):
-            transform(data, (16, 16, 3), 3)
+            transform(data, (16, 16, 3))
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
