@@ -65,9 +65,6 @@ class DynamicVolume:
         if not np.isfinite(self.data).all():
             raise ValueError("volume contains non-finite entries")
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
-
 
 @dataclass
 class Decomposition:
@@ -187,23 +184,34 @@ def soft_threshold_matrix(m: np.ndarray, lam: float, keep: np.ndarray | None = N
 
 
 def _shrink_scale(m: np.ndarray, lam: float) -> np.ndarray:
-    """Real factor max(|m| - lam, 0) / |m| per entry, 0 where m = 0."""
+    """Real factor max(|m| - lam, 0) / |m| per entry, 0 where m = 0; NaN
+    where m is NaN or infinite.
+
+    Both parts come from max(|m|, lam), taken in the magnitude's own buffer:
+    less lam it is max(|m| - lam, 0) exactly, and as the divisor it equals
+    |m| wherever that numerator is nonzero. With lam > 0 it turns the 0/0 at
+    m = 0 into 0/lam, so no masked divide is needed.
+    """
     if lam < 0:
         raise ValueError(f"threshold must be >= 0, got {lam}")
     mag = np.abs(m)
+    np.maximum(mag, lam, out=mag)
     scale = mag - lam
-    np.maximum(scale, 0.0, out=scale)
-    np.divide(scale, mag, out=scale, where=mag > 0)
+    if lam > 0:
+        np.divide(scale, mag, out=scale)
+    else:
+        np.divide(scale, mag, out=scale, where=mag > 0)
     return scale
 
 
 def _soft_threshold_keep(m: np.ndarray, lam: float, keep_mask: np.ndarray | None = None) -> np.ndarray:
     """Soft-threshold the complex array ``m`` in place, except where
     ``keep_mask`` is True; returns ``m``. The real scale multiplies the real
-    and imaginary parts through a float64 view, so no complex temporary forms."""
+    and the imaginary parts of ``m`` in place, one strided real multiply
+    each, so no complex temporary forms."""
     scale = _shrink_scale(m, lam)
     if keep_mask is not None:
         scale[keep_mask] = 1.0
-    parts = m[..., None].view(np.float64)
-    np.multiply(parts, scale[..., None], out=parts)
+    np.multiply(m.real, scale, out=m.real)
+    np.multiply(m.imag, scale, out=m.imag)
     return m

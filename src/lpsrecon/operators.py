@@ -105,8 +105,8 @@ def make_mask(
         raise ValueError(f"grid dims must be positive, got ({n_x}, {n_y})")
     if not 0 < rate <= 1:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
-    if not density_falloff > 0:
-        raise ValueError(f"density_falloff must be > 0, got {density_falloff}")
+    if not 0 < density_falloff < np.inf:
+        raise ValueError(f"density_falloff must be finite and > 0, got {density_falloff}")
     total = n_x * n_y
     m = int(round(rate * total))
     if m < 1:
@@ -148,11 +148,24 @@ def _spectra(x: np.ndarray, dims: tuple[int, int, int], inverse: bool = False) -
     return slices
 
 
+def _put_samples(
+    x: np.ndarray, samples_t: np.ndarray, dims: tuple[int, int, int], index: np.ndarray
+) -> None:
+    """Write row z of ``samples_t`` at ``index`` of slice z's flat spectrum, in
+    the column-major matrix x: one ``np.put`` per slice, since a fancy-index
+    assignment over the whole (n_z, n_x*n_y) stack is about twice as slow.
+    ``np.put`` would repeat a short row, so the shape is checked first."""
+    if samples_t.shape != (dims[2], index.size):
+        raise ValueError(f"samples shape {samples_t.T.shape} does not match ({index.size}, {dims[2]})")
+    for spectrum, samples in zip(_slice_view(x, dims).reshape(dims[2], -1), samples_t):
+        np.put(spectrum, index, samples)
+
+
 def _adjoint_matrix(samples: np.ndarray, dims: tuple[int, int, int], index: np.ndarray) -> np.ndarray:
     """A^H y as a column-major matrix: the samples scattered into zeroed
     spectra, inverted in place."""
     x = np.zeros((dims[0] * dims[1], dims[2]), dtype=np.complex128, order="F")
-    x.T[:, index] = samples.T
+    _put_samples(x, samples.T, dims, index)
     _spectra(x, dims, inverse=True)
     return x
 
@@ -167,7 +180,7 @@ def _data_consistency(
     (n_z, m) transpose of y's samples.
     """
     _spectra(x, dims)
-    x.T[:, index] = samples_t
+    _put_samples(x, samples_t, dims, index)
     _spectra(x, dims, inverse=True)
     return x
 

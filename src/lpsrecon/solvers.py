@@ -21,6 +21,23 @@ reconstruction estimate is L + S.
 With lambda_p = 0 and an empty prior support, the prior-informed solver
 reduces exactly to the baseline one.
 
+The baseline ``ls`` solver targets the convex objective
+
+    F(L, S) = 1/2 ||A(L + S) - y||^2 + lambda_L ||L||_* + lambda_S ||T S||_1
+
+with T the orthogonal wavelet transform: with g = A^H(A(L + S) - y), the
+loop's fixed points satisfy L = SVT(L - g) and S = T^H soft(T(S - g)), the
+proximal-gradient optimality conditions of F. ``priori-ls`` changes two
+terms:
+
+- the sigma pull: the prior step adds (c/2) ||sigma(L) - sigma_prev||^2 with
+  c = lambda_p / (1 - lambda_p), a difference of convex terms, so the
+  objective is no longer convex; the step f <- f - lambda_p (f - sigma_prev)
+  is its exact prox wherever sigma >= lambda_L, and lambda_p = 1 pins the
+  spectrum to sigma_prev;
+- the exempt support: coefficients on the prior support carry no l1 weight,
+  so the sparse term is lambda_S times the l1 norm of T S off that support.
+
 Settings come as one ``SolverConfig``. Its thresholds may be left None:
 ``default_config`` resolves them from the acquisition before a solve. The
 prior (``core.Prior``) carries the previous frame's singular values and its
@@ -35,12 +52,13 @@ the prior-informed solver with ``priori_cfg``, or the baseline with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core import Decomposition, Prior, SolverConfig, _soft_threshold_keep
+from .core import Decomposition, Prior, SolverConfig, _slice_view, _soft_threshold_keep
 from .operators import (
     KSpaceData,
     _adjoint_matrix,
@@ -120,6 +138,20 @@ def default_config(y: KSpaceData, cfg: SolverConfig | None = None) -> SolverConf
     )
 
 
+def _relative_change(x: np.ndarray, x_new: np.ndarray, dims: tuple[int, int, int]) -> float:
+    """||x - x_new|| / ||x|| (the plain ||x - x_new|| when x = 0), taken in the
+    column-major buffer of x, which is left holding x - x_new.
+
+    Each norm is one contiguous real dot over the float64 view of that buffer.
+    The view dies on return, so it never keeps the caller's old iterate alive.
+    """
+    parts = _slice_view(x, dims).reshape(-1).view(np.float64)
+    norm_old = math.sqrt(parts @ parts)
+    x -= x_new
+    norm_diff = math.sqrt(parts @ parts)
+    return norm_diff / norm_old if norm_old else norm_diff
+
+
 def _iterate(y: KSpaceData, cfg: SolverConfig, prior: Prior | None) -> SolveResult:
     # Iterates stay column-major (a C-contiguous slice stack): no reshape copies.
     dims = y.dims
@@ -146,16 +178,12 @@ def _iterate(y: KSpaceData, cfg: SolverConfig, prior: Prior | None) -> SolveResu
         _soft_threshold_keep(r, cfg.lambda_S, keep_mask)
         s = _inverse_matrix(r, dims)
         x_new = _data_consistency(l + s, samples_t, dims, index)
-        # relative_change(x_new, x), taken in the dead old iterate: no new buffer.
-        # x is finite, so a non-finite x_new shows as a non-finite norm. A
+        # x is finite, so a non-finite x_new shows as a non-finite change. A
         # non-finite L + S shows in x_new unless every frequency is sampled;
         # the data residual below catches that case.
-        norm_old = float(np.linalg.norm(x))
-        x -= x_new
-        norm_diff = float(np.linalg.norm(x))
-        if not np.isfinite(norm_diff):
+        change = _relative_change(x, x_new, dims)
+        if not np.isfinite(change):
             raise FloatingPointError(f"solver produced a non-finite iterate at iteration {it}")
-        change = norm_diff / norm_old if norm_old else norm_diff
         history.append(change)
         x = x_new
         if change < cfg.tol:

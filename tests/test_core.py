@@ -135,6 +135,67 @@ class TestSoftThresholdRestricted:
             soft_threshold_matrix(m, 1.0, keep=np.zeros((3, 3), dtype=int))
 
 
+def _view_form_shrink(m, lam, keep=None):
+    """The shrink in its earlier form, on a copy: a masked divide, then one
+    multiply through the float64 view of the complex entries."""
+    m = m.copy(order="K")
+    mag = np.abs(m)
+    scale = np.maximum(mag - lam, 0.0)
+    np.divide(scale, mag, out=scale, where=mag > 0)
+    if keep is not None:
+        scale[keep] = 1.0
+    parts = m[..., None].view(np.float64)
+    np.multiply(parts, scale[..., None], out=parts)
+    return m
+
+
+def _assert_same_bits(got, want):
+    """Bit for bit, except that a NaN part need only be NaN in both."""
+    got = np.ascontiguousarray(got).view(np.float64)
+    want = np.ascontiguousarray(want).view(np.float64)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+class TestInPlaceShrink:
+    """``_soft_threshold_keep`` against its earlier float64-view form."""
+
+    LAM = 0.75
+    SPECIAL = [
+        0j, complex(-0.0, 0.0), complex(0.0, -0.0), LAM, -LAM, 1j * LAM, LAM * (0.6 + 0.8j),
+        np.nextafter(LAM, 1.0), np.nextafter(LAM, 0.0), 5e-324, 5e-324j, complex(1e-310, -1e-310),
+        complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0), complex(0.0, -np.inf),
+        complex(np.inf, np.inf), complex(np.nan, 1.0), complex(1e308, 1e308),
+    ]
+
+    def _matrix(self, order):
+        rng = np.random.default_rng(9)
+        m = rng.standard_normal((64, 5)) + 1j * rng.standard_normal((64, 5))
+        m.ravel()[: len(self.SPECIAL)] = self.SPECIAL
+        return np.asarray(m, order=order)
+
+    @pytest.mark.parametrize("lam", [LAM, 0.0, 5e-324])
+    @pytest.mark.parametrize("with_keep", [False, True])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bit_for_bit_against_the_view_form(self, lam, with_keep, order):
+        m = self._matrix(order)
+        keep = np.random.default_rng(10).random(m.shape) < 0.3 if with_keep else None
+        got = m.copy(order=order)
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = _view_form_shrink(m, lam, keep)
+            assert _soft_threshold_keep(got, lam, keep) is got
+        _assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("lam", [LAM, 0.0])
+    def test_public_form_gives_nan_for_nan_and_inf(self, lam):
+        m = np.array([[np.nan, complex(np.inf, 0.0), complex(0.0, -np.inf), complex(2.0, 0.0)]])
+        with np.errstate(invalid="ignore"):
+            out = soft_threshold_matrix(m, lam)
+        assert np.isnan(out.real[0, :3]).all() and np.isnan(out.imag[0, :3]).all()
+        assert out[0, 3] == 2.0 - lam
+
+
 class TestContainers:
     def test_volume_shape_validation(self):
         with pytest.raises(ValueError):

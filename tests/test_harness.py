@@ -284,6 +284,14 @@ class TestCli:
         mask = load_mask(out)
         assert mask.m == round(0.25 * 1024)
 
+    def test_mask_gen_rejects_an_infinite_falloff(self, tmp_path, capsys):
+        out = tmp_path / "m.lpsm"
+        code = main(["mask", "gen", "--nx", "32", "--ny", "32", "--rate", "0.25",
+                     "--falloff", "inf", "--out", str(out)])
+        assert code == 1
+        assert "density_falloff must be finite and > 0, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_phantom_gen_and_recon(self, tmp_path, capsys, config_file, monkeypatch):
         frames_dir = tmp_path / "frames"
         assert main(["phantom", "gen", "--config", str(config_file),

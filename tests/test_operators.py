@@ -75,6 +75,11 @@ class TestMakeMask:
         with pytest.raises(ValueError):
             make_mask(8, 8, 0.5, 0.0, seed=0)
 
+    @pytest.mark.parametrize("falloff", [np.inf, np.nan, -1.0])
+    def test_density_falloff_must_be_finite_and_positive(self, falloff):
+        with pytest.raises(ValueError, match=f"density_falloff must be finite and > 0, got {falloff}$"):
+            make_mask(8, 8, 0.5, falloff, seed=0)
+
 
 class TestAcquire:
     def test_zero_volume_gives_zero_samples(self):
@@ -352,6 +357,34 @@ class TestDataConsistency:
         assert got is x
         residual = shifted_samples(before, dims, mask.pattern) - y.samples
         assert np.allclose(x, before - _adjoint_matrix(residual, dims, index), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("dims", SHAPES)
+    def test_per_slice_scatter_matches_the_fancy_index_form(self, dims):
+        # The samples once went in with one fancy-index assignment over the
+        # whole (n_z, n_x*n_y) stack; the per-slice np.put must match it bit for bit.
+        x, y, mask = self._problem(dims, sum(dims) + 4)
+        index = _sample_index(mask.pattern)
+        samples_t = np.ascontiguousarray(y.samples.T)
+        want = x.copy(order="F")
+        _spectra(want, dims)
+        want.T[:, index] = samples_t
+        _spectra(want, dims, inverse=True)
+        assert np.array_equal(_data_consistency(x, samples_t, dims, index), want)
+        want = np.zeros_like(x)
+        want.T[:, index] = y.samples.T
+        _spectra(want, dims, inverse=True)
+        assert np.array_equal(_adjoint_matrix(y.samples, dims, index), want)
+
+    def test_scatter_rejects_samples_of_the_wrong_shape(self):
+        # np.put repeats a short row; the old fancy-index scatter raised.
+        dims = (8, 8, 2)
+        x, y, mask = self._problem(dims, 28)
+        index = _sample_index(mask.pattern)
+        for samples in (y.samples[:-1], y.samples[:, :1]):
+            with pytest.raises(ValueError, match=r"samples shape .* does not match"):
+                _adjoint_matrix(samples, dims, index)
+            with pytest.raises(ValueError, match=r"samples shape .* does not match"):
+                _data_consistency(x, np.ascontiguousarray(samples.T), dims, index)
 
     def test_rejects_row_major_input(self):
         dims = (8, 8, 2)
