@@ -13,8 +13,8 @@ from pathlib import Path
 from lpsrecon import (
     DynamicVolume,
     ExperimentSpec,
+    SolverConfig,
     acquire,
-    default_config,
     make_mask,
     psnr,
     run_sweep,
@@ -29,10 +29,10 @@ n_x, n_y, _ = spec.dims
 mask_first = make_mask(n_x, n_y, 0.5, seed=21)
 mask_rest = make_mask(n_x, n_y, 1 / 5, seed=22)
 frames = [acquire(f, mask_first if t == 0 else mask_rest) for t, f in enumerate(seq.frames)]
-# solve_sequence(frames, ls_cfg, priori_cfg=None): frame 1 runs ls with ls_cfg,
-# every later frame priori-ls with priori_cfg (or ls with ls_cfg, given None).
-# Both configs are resolved here, from frames 1 and 2.
-results = list(solve_sequence(frames, default_config(frames[0]), default_config(frames[1])))
+# solve_sequence(frames, cfg, solver): frame 1 runs ls, every later frame the
+# named solver, all under one config. Its unset thresholds are resolved from
+# frame 1 for frame 1 and, once, from frame 2 for every later frame.
+results = list(solve_sequence(frames, SolverConfig(), "priori-ls"))
 
 print("frame  rate   psnr_db  iterations  converged")
 for t, res in enumerate(results):

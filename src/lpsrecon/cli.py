@@ -21,11 +21,13 @@ from dataclasses import replace
 from pathlib import Path
 
 from .core import Decomposition, DynamicVolume, SolverConfig
-from .harness import KNOWN_SOLVERS, ExperimentSpec, parse_config, run_sweep
+from .harness import ExperimentSpec, parse_config, run_sweep
 from .io import load_mask, load_volume, save_mask, save_volume, volume_dims
 from .operators import acquire, make_mask
 from .phantom import generate_frames, psnr
-from .solvers import prior_from_result, solve_ls, solve_priori_ls, solve_sequence
+from .solvers import (
+    KNOWN_SOLVERS, prior_from_result, solve_ls, solve_priori_ls, solve_sequence, uses_prior,
+)
 
 __all__ = ["main"]
 
@@ -87,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_options(config_path):
     if config_path is None:
-        return ExperimentSpec(), SolverConfig(), SolverConfig()
+        return ExperimentSpec(), SolverConfig()
     return parse_config(config_path)
 
 
@@ -101,7 +103,7 @@ def _write_components(out_base: Path, dims, decomposition: Decomposition) -> Dyn
 
 
 def _cmd_phantom_gen(args) -> int:
-    experiment, _, _ = _load_options(args.config)
+    experiment, _ = _load_options(args.config)
     spec = experiment.phantom
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
@@ -153,21 +155,27 @@ def _warn_unconverged(frame: int, result, log=None) -> None:
 def _cmd_recon(args, parser) -> int:
     if (args.prior_l is None) != (args.prior_s is None):
         parser.error("--prior-l and --prior-s must be given together")
+    # The prior and reference files' headers and sizes are checked against the
+    # input's before any payload is read, so a mismatch fails before the solve.
+    dims = volume_dims(args.input)
+    for path in filter(None, (args.prior_l, args.prior_s, args.reference)):
+        if (other := volume_dims(path)) != dims:
+            raise ValueError(f"{path}: dims {other} differ from input volume {dims}")
     volume = load_volume(args.input)
     mask = load_mask(args.mask)
     if mask.pattern.shape != volume.dims[:2]:
         raise ValueError(
             f"mask grid {mask.pattern.shape} does not match volume dims {volume.dims}"
         )
-    _, ls_cfg, priori_cfg = _load_options(args.config)
+    _, cfg = _load_options(args.config)
     y = acquire(volume, mask)
     if args.prior_l is not None:
         previous = Decomposition(load_volume(args.prior_l).data, load_volume(args.prior_s).data)
-        prior = prior_from_result(previous, volume.dims, priori_cfg.support_eps)
-        result = solve_priori_ls(y, prior, priori_cfg)
+        prior = prior_from_result(previous, volume.dims, cfg.support_eps)
+        result = solve_priori_ls(y, prior, cfg)
         solver = "priori-ls"
     else:
-        result = solve_ls(y, ls_cfg)
+        result = solve_ls(y, cfg)
         solver = "ls"
     estimate = _write_components(Path(args.out), volume.dims, result.decomposition)
     reference = load_volume(args.reference) if args.reference else volume
@@ -189,7 +197,7 @@ def _cmd_recon_seq(args) -> int:
         if (other := volume_dims(f)) != dims:
             raise ValueError(f"{f}: dims {other} differ from first frame {dims}")
 
-    experiment, ls_cfg, priori_cfg = _load_options(args.config)
+    experiment, cfg = _load_options(args.config)
     first_rate = args.first_rate if args.first_rate is not None else experiment.first_frame_rate
     rate = args.rate if args.rate is not None else experiment.rates[0]
     n_x, n_y, _ = dims
@@ -203,7 +211,7 @@ def _cmd_recon_seq(args) -> int:
     # Each frame's files and metrics line are written as soon as it is solved.
     with open(out / "metrics.csv", "w") as metrics, open(out / "run.log", "w") as log:
         print(f"recon-seq started {time.strftime('%Y-%m-%dT%H:%M:%S')}", file=log)
-        if args.solver == "priori-ls":
+        if uses_prior(args.solver):
             note = "frame 1: no prior available, falling back to plain L+S"
             print(note, file=log)
             print(note, file=sys.stderr)
@@ -211,7 +219,7 @@ def _cmd_recon_seq(args) -> int:
         print(METRICS_HEADER)
         # As in phantom gen, the results are not enumerated, so that none is
         # held through the next frame's solve.
-        results = solve_sequence(kspace, ls_cfg, priori_cfg if args.solver == "priori-ls" else None)
+        results = solve_sequence(kspace, cfg, args.solver)
         for t, path in enumerate(frame_files, start=1):
             result = next(results)
             estimate = _write_components(out / f"frame{t:04d}", dims, result.decomposition)
@@ -225,12 +233,12 @@ def _cmd_recon_seq(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    experiment, ls_cfg, priori_cfg = parse_config(args.config)
+    experiment, cfg = parse_config(args.config)
     if args.out is not None:
         experiment = replace(experiment, output_dir=args.out)
     if args.n_seeds is not None:
         experiment = replace(experiment, n_seeds=args.n_seeds)
-    rows = run_sweep(experiment, ls_cfg, priori_cfg)
+    rows = run_sweep(experiment, cfg)
     if unconverged := sum(not row.converged for row in rows):
         print(f"warning: {unconverged} of {len(rows)} frames stopped at max_iter without "
               "converging (see run.log)", file=sys.stderr)

@@ -147,8 +147,8 @@ class SolverConfig:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not 0 <= self.lambda_p <= 1:
             raise ValueError(f"lambda_p must be in [0, 1], got {self.lambda_p}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be > 0 and finite, got {self.tol}")
         if not (isinstance(self.max_iter, int) and self.max_iter >= 1):
             raise ValueError(f"max_iter must be a positive integer, got {self.max_iter}")
         if not 0 < self.support_eps < 1:

@@ -7,9 +7,10 @@ per-frame PSNR. The first frame is always sampled at ``first_frame_rate``
 summary rows average frames 2..n only.
 
 Masks are regenerated per (seed, rate, frame-tier) with seeds derived
-arithmetically from the experiment seed, and are shared by both solvers so
-comparisons are paired. sweep.csv is byte-stable across reruns of the same
-config: wall-clock times and timestamps go to run.log only.
+arithmetically from the experiment seed. They are shared by both solvers, as
+is the one solver config, so comparisons are paired. sweep.csv is
+byte-stable across reruns of the same config: wall-clock times and
+timestamps go to run.log only.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .core import DynamicVolume, SolverConfig
 from .operators import acquire, make_mask
 from .phantom import PhantomSpec, generate, psnr
-from .solvers import solve_sequence
+from .solvers import KNOWN_SOLVERS, solve_sequence
 
 __all__ = [
     "ExperimentSpec",
@@ -35,9 +36,6 @@ __all__ = [
     "write_sweep_csv",
     "write_summary_csv",
 ]
-
-KNOWN_SOLVERS = ("ls", "priori-ls")
-
 
 @dataclass
 class ExperimentSpec:
@@ -99,12 +97,6 @@ def _float_list(raw: str) -> tuple[float, ...]:
     return tuple(map(float, _name_list(raw)))
 
 
-_SOLVER_FIELDS = {
-    "lambda_L": _threshold,
-    "lambda_S": _threshold,
-    "max_iter": int,
-    **dict.fromkeys(("lambda_p", "tol", "support_eps", "lambda_l_scale", "lambda_s_scale"), float),
-}
 # Section -> {field: cast}; a field's key in the file is its lower-cased name.
 _SECTIONS = {
     "phantom": {
@@ -112,8 +104,13 @@ _SECTIONS = {
         **dict.fromkeys(("blob_amplitude", "motion_step", "noise_sigma", "drift_rate", "blob_width"),
                         float),
     },
-    "solver.ls": _SOLVER_FIELDS,
-    "solver.priori": _SOLVER_FIELDS,
+    "solver": {
+        "lambda_L": _threshold,
+        "lambda_S": _threshold,
+        "max_iter": int,
+        **dict.fromkeys(("lambda_p", "tol", "support_eps", "lambda_l_scale", "lambda_s_scale"),
+                        float),
+    },
     "sweep": {
         "first_frame_rate": float,
         "rates": _float_list,
@@ -149,14 +146,14 @@ def _build(name: str, make, **values):
         raise ValueError(f"[{name}] {exc}") from None
 
 
-def parse_config(path) -> tuple[ExperimentSpec, SolverConfig, SolverConfig]:
-    """Parse a plain-text config file into the experiment and the
-    ``[solver.ls]`` and ``[solver.priori]`` solver configs.
+def parse_config(path) -> tuple[ExperimentSpec, SolverConfig]:
+    """Parse a plain-text config file into the experiment and the one solver
+    config that every solver and frame of the run uses.
 
-    Sections: [phantom], [solver.ls], [solver.priori], [sweep]; key=value
-    lines; '#' starts a comment. Missing sections and keys fall back to
-    defaults; an unknown section or key, or a value that does not parse or
-    validate, raises ValueError naming the section and key.
+    Sections: [phantom], [solver], [sweep]; key=value lines; '#' starts a
+    comment. Missing sections and keys fall back to defaults; an unknown
+    section or key, or a value that does not parse or validate, raises
+    ValueError naming the section and key.
     """
     cp = configparser.ConfigParser(
         comment_prefixes=("#",), inline_comment_prefixes=("#",), interpolation=None
@@ -173,9 +170,7 @@ def parse_config(path) -> tuple[ExperimentSpec, SolverConfig, SolverConfig]:
         "sweep", ExperimentSpec, phantom=_build("phantom", PhantomSpec, dims=dims, **phantom),
         **_section(cp, "sweep"),
     )
-    ls_cfg, priori_cfg = (_build(name, SolverConfig, **_section(cp, name))
-                          for name in ("solver.ls", "solver.priori"))
-    return experiment, ls_cfg, priori_cfg
+    return experiment, _build("solver", SolverConfig, **_section(cp, "solver"))
 
 
 def _mask_seed(base_seed: int, seed_index: int, rate: float, tier: int) -> int:
@@ -190,8 +185,7 @@ def _solve_cell(
     solver: str,
     rate: float,
     seed_index: int,
-    ls_cfg: SolverConfig,
-    priori_cfg: SolverConfig,
+    cfg: SolverConfig,
 ) -> list[SweepRow]:
     phantom_spec = replace(experiment.phantom, seed=experiment.phantom.seed + seed_index)
     sequence = generate(phantom_spec)
@@ -209,7 +203,7 @@ def _solve_cell(
         acquire(frame, mask_first if t == 0 else mask_rest)
         for t, frame in enumerate(sequence.frames)
     )
-    results = solve_sequence(kspace, ls_cfg, priori_cfg if solver == "priori-ls" else None)
+    results = solve_sequence(kspace, cfg, solver)
     return [
         SweepRow(
             solver=solver,
@@ -247,19 +241,14 @@ def write_summary_csv(path, rows: list[SweepRow]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def run_sweep(
-    experiment: ExperimentSpec,
-    ls_cfg: SolverConfig | None = None,
-    priori_cfg: SolverConfig | None = None,
-) -> list[SweepRow]:
+def run_sweep(experiment: ExperimentSpec, cfg: SolverConfig | None = None) -> list[SweepRow]:
     """Run the full solver x rate x seed grid and write CSV reports.
 
     Writes sweep.csv, summary.csv, and run.log into the experiment's
     output directory and returns the rows. Cells run sequentially; row
     order in the files is sorted, independent of execution order.
     """
-    ls_cfg = ls_cfg or SolverConfig()
-    priori_cfg = priori_cfg or SolverConfig()
+    cfg = cfg or SolverConfig()
     out = Path(experiment.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     log_lines = [f"sweep started {time.strftime('%Y-%m-%dT%H:%M:%S')}"]
@@ -269,7 +258,7 @@ def run_sweep(
         for rate in experiment.rates:
             for seed_index in range(experiment.n_seeds):
                 started = time.perf_counter()
-                rows = _solve_cell(experiment, solver, rate, seed_index, ls_cfg, priori_cfg)
+                rows = _solve_cell(experiment, solver, rate, seed_index, cfg)
                 wall = time.perf_counter() - started
                 log_lines.append(
                     f"cell solver={solver} rate={rate:.6f} seed={seed_index} wall={wall:.3f}s"

@@ -221,9 +221,10 @@ def acquire_adjoint(y: KSpaceData) -> DynamicVolume:
 
 
 def _gram_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Descending singular values and right singular vectors of a tall matrix M
-    from eigh(M^H M). Trailing values near 0 read as ~sqrt(eps) * sigma_max, so
-    use a full SVD where those matter."""
+    """Descending singular values and right singular vectors of an m x n matrix
+    M from eigh(M^H M): n of each, so a wide M (m < n) gets n - m more values
+    of 0. Trailing values near 0 read as ~sqrt(eps) * sigma_max, so use a full
+    SVD where those matter."""
     eigvals, vecs = np.linalg.eigh(m.T.conj() @ m)
     return np.sqrt(np.maximum(eigvals[::-1], 0.0)), vecs[:, ::-1]
 

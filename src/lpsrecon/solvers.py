@@ -44,10 +44,10 @@ prior (``core.Prior``) carries the previous frame's singular values and its
 sparse support, a boolean mask over the wavelet coefficient matrix that the
 shrink step uses as it is.
 
-``solve_sequence(frames, ls_cfg, priori_cfg=None)`` chains the frames of a
-sequence: frame 1 runs the baseline with ``ls_cfg``; every later frame runs
-the prior-informed solver with ``priori_cfg``, or the baseline with
-``ls_cfg`` when ``priori_cfg`` is None.
+``solve_sequence(frames, cfg, solver)`` chains the frames of a sequence
+under one config: frame 1 runs the baseline (no prior exists yet); every
+later frame runs the prior-informed solver for ``priori-ls``, or the
+baseline for ``ls``.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ from .operators import (
 from .wavelets import _forward_matrix, _inverse_matrix
 
 __all__ = [
+    "KNOWN_SOLVERS",
     "SolveResult",
     "FrameSolveError",
     "default_config",
@@ -79,7 +80,10 @@ __all__ = [
     "solve_priori_ls",
     "solve_sequence",
     "prior_from_result",
+    "uses_prior",
 ]
+
+KNOWN_SOLVERS = ("ls", "priori-ls")
 
 
 class FrameSolveError(RuntimeError):
@@ -233,36 +237,41 @@ def prior_from_result(
 ) -> Prior:
     """Build the next frame's prior from a reconstruction's (L, S) pair. The
     spectrum comes from a full SVD, which resolves L's trailing singular values
-    (``compute_uv=False`` differs from it in the last bits)."""
+    (``compute_uv=False`` differs from it in the last bits). It has n_z values:
+    a wide L (n_x n_y < n_z) has only n_x n_y, and the rest are exactly 0."""
     n_x, n_y, n_z = dims
     if decomposition.L.shape != (n_x * n_y, n_z):
         raise ValueError(f"prior L/S shape {decomposition.L.shape} inconsistent with dims {dims}")
-    sigma_prev = np.linalg.svd(decomposition.L, full_matrices=False)[1]
+    sigma = np.linalg.svd(decomposition.L, full_matrices=False)[1]
     coeffs = _forward_matrix(decomposition.S.copy(order="F"), dims)
     support_prev = extract_support(coeffs, support_eps)
-    return Prior(sigma_prev=sigma_prev, support_prev=support_prev)
+    return Prior(sigma_prev=np.pad(sigma, (0, n_z - sigma.size)), support_prev=support_prev)
+
+
+def uses_prior(solver: str) -> bool:
+    """Whether ``solver`` reuses the previous frame's prior; an unknown name raises ValueError."""
+    if solver not in KNOWN_SOLVERS:
+        raise ValueError(f"unknown solver {solver!r}, expected one of {KNOWN_SOLVERS}")
+    return solver == "priori-ls"
 
 
 def solve_sequence(
-    frames: Iterable[KSpaceData],
-    ls_cfg: SolverConfig,
-    priori_cfg: SolverConfig | None = None,
+    frames: Iterable[KSpaceData], cfg: SolverConfig, solver: str
 ) -> Iterator[SolveResult]:
-    """Reconstruct a time sequence, yielding each frame's result once solved.
+    """Reconstruct a time sequence with ``solver``, yielding each frame's result once solved.
 
     Frames are read from ``frames`` one at a time. Frame 1 is solved with the
-    baseline solver (no prior exists yet), with ``ls_cfg`` resolved from its
-    own samples (``default_config``). With ``priori_cfg`` every later frame
-    reuses the previous result's spectrum and sparse support and is solved
-    with ``priori_cfg``; without it, every later frame is solved with the
-    baseline and ``ls_cfg``. Either config is resolved once, from frame 2.
-    The prior is built when the next frame arrives and the previous (L, S) is
-    dropped before that frame's solve, so memory does not grow with the frame
-    count. Mixed dims raise ValueError; any other failure at a frame aborts
-    with that frame's 1-based index.
+    baseline (no prior exists yet) and ``cfg`` resolved from its own samples
+    (``default_config``); every later frame with ``cfg`` resolved once, from
+    frame 2, reusing the previous result's spectrum and sparse support under
+    ``priori-ls`` and alone under ``ls``. The prior is built when the next
+    frame arrives and the previous (L, S) is dropped before that frame's
+    solve, so memory does not grow with the frame count. An unknown solver
+    raises ValueError before any frame is read, and mixed dims raise
+    ValueError; any other failure at a frame aborts with its 1-based index.
     """
-    rest_cfg = ls_cfg if priori_cfg is None else priori_cfg
-    dims = cfg = previous = None
+    threads_prior = uses_prior(solver)
+    dims = resolved = previous = None
     for t, frame in enumerate(frames, start=1):
         if dims is None:
             dims = frame.dims
@@ -270,17 +279,17 @@ def solve_sequence(
             raise ValueError(f"frame {t} dims {frame.dims} differ from frame 1 dims {dims}")
         try:
             if t <= 2:
-                cfg = default_config(frame, ls_cfg if t == 1 else rest_cfg)
+                resolved = default_config(frame, cfg)
             if previous is None:
-                result = solve_ls(frame, cfg)
+                result = solve_ls(frame, resolved)
             else:
-                prior = prior_from_result(previous, dims, cfg.support_eps)
+                prior = prior_from_result(previous, dims, resolved.support_eps)
                 previous = None
-                result = solve_priori_ls(frame, prior, cfg)
+                result = solve_priori_ls(frame, prior, resolved)
         except Exception as exc:  # noqa: BLE001 - abort must carry the frame index
             raise FrameSolveError(t, exc) from exc
         yield result
-        if priori_cfg is not None:
+        if threads_prior:
             previous = result.decomposition
         del result
     if dims is None:

@@ -194,19 +194,18 @@ def prior_validity_chain():
     mask_first = make_mask(32, 32, 0.5, 2.0, seed=101)
     mask_rest = make_mask(32, 32, 1 / 3, 2.0, seed=102)
     frames = [acquire(f, mask_first if t == 0 else mask_rest) for t, f in enumerate(seq.frames)]
-    cfg_first = default_config(frames[0])
-    cfg_rest = default_config(frames[1])
-    results = list(solve_sequence(frames, cfg_first, cfg_rest))
-    return spec, cfg_rest, results
+    cfg = SolverConfig()
+    results = list(solve_sequence(frames, cfg, "priori-ls"))
+    return spec, cfg, results
 
 
 def test_criterion_6_prior_validity(prior_validity_chain):
     """Reconstructed S support and L spectrum stay stable frame to frame."""
-    spec, cfg_rest, results = prior_validity_chain
+    spec, cfg, results = prior_validity_chain
     churn, sdist = [], []
     sup_prev = sig_prev = None
     for t, res in enumerate(results):
-        sup = support_set(res.decomposition.S, spec.dims, cfg_rest.support_eps)
+        sup = support_set(res.decomposition.S, spec.dims, cfg.support_eps)
         sig = np.linalg.svd(res.decomposition.L, compute_uv=False)
         if t:
             churn.append(support_change(sup_prev, sup))
@@ -242,12 +241,12 @@ def test_criterion_7_sweep_determinism(tmp_path):
 
 def test_criterion_8_convergence_bookkeeping(prior_validity_chain):
     """Converged runs stopped below 1e-3 relative change; histories are sane."""
-    spec, cfg_rest, results = prior_validity_chain
+    spec, cfg, results = prior_validity_chain
     checked = 0
     for res in results:
         assert np.isfinite(res.residual_history).all()
         assert res.residual_history.shape == (res.iterations,)
-        assert res.iterations <= cfg_rest.max_iter
+        assert res.iterations <= cfg.max_iter
         if res.converged:
             assert res.residual_history[-1] < 1e-3
             checked += 1

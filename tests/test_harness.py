@@ -7,6 +7,7 @@ import pytest
 from dataclasses import replace
 
 from lpsrecon import (
+    DynamicVolume,
     ExperimentSpec,
     SolverConfig,
     generate,
@@ -39,15 +40,13 @@ motion_step = 1.0
 noise_sigma = 0.0
 seed = 0
 
-[solver.ls]
+[solver]
 lambda_l = auto
 lambda_s = auto   # data-scaled default
-tol = 1e-3
-max_iter = 300
-
-[solver.priori]
 lambda_p = 0.7
 support_eps = 0.02
+tol = 1e-3
+max_iter = 300
 
 [sweep]
 first_frame_rate = 0.5
@@ -66,24 +65,23 @@ def config_file(tmp_path):
 
 
 def test_parse_config_round_trip(config_file):
-    experiment, ls_cfg, priori_cfg = parse_config(config_file)
+    experiment, cfg = parse_config(config_file)
     assert experiment.phantom.dims == (32, 32, 4)
     assert experiment.phantom.n_frames == 3
     assert experiment.first_frame_rate == 0.5
     assert experiment.rates == (0.2, 0.333333)
     assert experiment.solvers == ("ls", "priori-ls")
     assert experiment.n_seeds == 1
-    assert ls_cfg == SolverConfig()
-    assert priori_cfg == SolverConfig(lambda_p=0.7, support_eps=0.02)
+    assert cfg == SolverConfig(lambda_p=0.7, support_eps=0.02)
 
 
 def test_parse_config_defaults_for_missing_sections(tmp_path):
     path = tmp_path / "empty.cfg"
     path.write_text("[phantom]\nn_frames = 2\n")
-    experiment, ls_cfg, priori_cfg = parse_config(path)
+    experiment, cfg = parse_config(path)
     assert experiment.phantom.n_frames == 2
     assert experiment.rates == ExperimentSpec().rates
-    assert ls_cfg == priori_cfg == SolverConfig()
+    assert cfg == SolverConfig()
 
 
 def _config_with(section: str, line: str) -> str:
@@ -100,12 +98,14 @@ def _config_with(section: str, line: str) -> str:
 
 
 @pytest.mark.parametrize("section, line, names", [
-    ("solver.priori", "tol = -1", ["tol must be > 0"]),
-    ("solver.priori", "max_iter = 1.5", ["max_iter", "1.5"]),
-    ("solver.priori", "lamda_p = 0.0", ["unknown key 'lamda_p'"]),
-    ("solver.ls", "lambda_l_scale = 0", ["lambda_l_scale must be"]),
-    ("solver.priori", "lambda_s = -2", ["lambda_S must be"]),
+    ("solver", "tol = -1", ["tol must be > 0"]),
+    ("solver", "tol = inf", ["tol must be > 0", "inf"]),
+    ("solver", "max_iter = 1.5", ["max_iter", "1.5"]),
+    ("solver", "lamda_p = 0.0", ["unknown key 'lamda_p'"]),
+    ("solver", "lambda_l_scale = 0", ["lambda_l_scale must be"]),
+    ("solver", "lambda_s = -2", ["lambda_S must be"]),
     ("solver.fista", "tol = 1e-3", ["unknown section"]),
+    ("solver.ls", "tol = 1e-3", ["unknown section", "[solver], [sweep]"]),
     ("phantom", "blob_width = wide", ["blob_width", "wide"]),
     ("sweep", "density_falloff = steep", ["density_falloff", "steep"]),
     ("phantom", "blob_amplitude = nan", ["blob_amplitude must be finite, got nan"]),
@@ -115,8 +115,9 @@ def _config_with(section: str, line: str) -> str:
     ("phantom", "blob_width = nan", ["blob_width must be finite, got nan"]),
     ("sweep", "density_falloff = -1", ["density_falloff must be finite and > 0, got -1.0"]),
     ("sweep", "density_falloff = nan", ["density_falloff must be finite and > 0, got nan"]),
-], ids=["tol", "max_iter", "misspelt", "scale", "threshold", "section", "phantom", "sweep",
-        "amplitude", "motion", "noise", "drift", "width", "falloff", "falloff-nan"])
+], ids=["tol", "tol-inf", "max_iter", "misspelt", "scale", "threshold", "section", "old-section",
+        "phantom", "sweep", "amplitude", "motion", "noise", "drift", "width", "falloff",
+        "falloff-nan"])
 def test_parse_config_errors_name_the_section_and_key(tmp_path, section, line, names):
     path = tmp_path / "bad.cfg"
     path.write_text(_config_with(section, line))
@@ -131,13 +132,13 @@ def test_parse_config_errors_name_the_section_and_key(tmp_path, section, line, n
 
 def test_shipped_configs_parse_cleanly(tmp_path):
     root = Path(__file__).resolve().parents[1]
-    experiment, _, priori_cfg = parse_config(root / "demos" / "experiment.cfg")
-    assert experiment.n_seeds == 5 and priori_cfg.support_eps == 0.02
+    experiment, cfg = parse_config(root / "demos" / "experiment.cfg")
+    assert experiment.n_seeds == 5 and cfg.support_eps == 0.02
     blocks = re.findall(r"```ini\n(.*?)```", (root / "README.md").read_text(), flags=re.S)
     assert len(blocks) == 1
     (tmp_path / "readme.cfg").write_text(blocks[0])
-    _, ls_cfg, priori_cfg = parse_config(tmp_path / "readme.cfg")
-    assert ls_cfg.lambda_L is None and priori_cfg.lambda_p == 0.7
+    _, cfg = parse_config(tmp_path / "readme.cfg")
+    assert cfg.lambda_L is None and cfg.lambda_p == 0.7
 
 
 def test_experiment_spec_validation():
@@ -333,10 +334,10 @@ class TestCli:
 
         # the prior read back from rec1.l/rec1.s is the one solve_sequence
         # builds from the in-memory frame-1 result
-        _, ls_cfg, priori_cfg = parse_config(config_file)
+        _, cfg = parse_config(config_file)
         y1 = acquire(vol, load_mask(mask_path))
-        first = solve_ls(y1, ls_cfg)
-        want = prior_from_result(first.decomposition, vol.dims, priori_cfg.support_eps)
+        first = solve_ls(y1, cfg)
+        want = prior_from_result(first.decomposition, vol.dims, cfg.support_eps)
         assert np.array_equal(priors[0].sigma_prev, want.sigma_prev)
         assert np.array_equal(priors[0].support_prev, want.support_prev)
 
@@ -407,9 +408,10 @@ class TestCli:
         assert "finished" not in (out_dir / "run.log").read_text()
 
     BAD_SETTINGS = [
-        ("solver.priori", "tol = -1", "tol"),
-        ("solver.priori", "lamda_p = 0.0", "lamda_p"),
-        ("solver.priori", "max_iter = 1.5", "max_iter"),
+        ("solver", "tol = -1", "tol"),
+        ("solver", "tol = inf", "tol"),
+        ("solver", "lamda_p = 0.0", "lamda_p"),
+        ("solver", "max_iter = 1.5", "max_iter"),
         ("phantom", "noise_sigma = nan", "noise_sigma"),
         ("sweep", "density_falloff = -1", "density_falloff"),
     ]
@@ -446,8 +448,7 @@ class TestCli:
 
     def test_unconverged_frames_warn_on_stderr(self, tmp_path, capsys):
         config = tmp_path / "one_iter.cfg"
-        config.write_text(CONFIG_TEXT.replace("max_iter = 300", "max_iter = 1").replace(
-            "support_eps = 0.02", "support_eps = 0.02\nmax_iter = 1"))
+        config.write_text(CONFIG_TEXT.replace("max_iter = 300", "max_iter = 1"))
         frames_dir = tmp_path / "frames"
         main(["phantom", "gen", "--config", str(config), "--out", str(frames_dir)])
         mask_path = tmp_path / "m.lpsm"
@@ -496,6 +497,26 @@ class TestCli:
         assert code == 1
         assert "does not match" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--prior-l", "other.x", "--prior-s", "a.x"],
+                                       ["--reference", "other.x"]], ids=["prior", "reference"])
+    def test_recon_rejects_a_file_on_another_grid_before_the_solve(self, tmp_path, capsys, flags):
+        # A 16x64x4 volume flattens to the same (1024, 4) matrix as the
+        # 32x32x4 input, so only the files' own dims tell them apart.
+        save_volume(tmp_path / "a.x", generate(PhantomSpec(n_frames=1)).frames[0])
+        rng = np.random.default_rng(0)
+        save_volume(tmp_path / "other.x",
+                    DynamicVolume(rng.standard_normal((1024, 4)) + 0j, (16, 64, 4)))
+        mask_path = tmp_path / "m.lpsm"
+        main(["mask", "gen", "--nx", "32", "--ny", "32", "--rate", "0.5", "--out", str(mask_path)])
+        capsys.readouterr()
+        code = main(["recon", "--input", str(tmp_path / "a.x"), "--mask", str(mask_path),
+                     "--out", str(tmp_path / "r"),
+                     *[f if f.startswith("--") else str(tmp_path / f) for f in flags]])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "other.x: dims (16, 64, 4) differ from input volume (32, 32, 4)" in captured.err
+        assert captured.out == "" and not list(tmp_path.glob("r.*"))
+
 
 def _traced_peak(argv) -> int:
     tracemalloc.start()
@@ -517,7 +538,7 @@ def test_sequence_commands_memory_is_flat_in_the_frame_count(tmp_path, capsys):
         config.write_text(
             f"[phantom]\nn_x = {dims[0]}\nn_y = {dims[1]}\nn_z = {dims[2]}\n"
             f"n_frames = {n_frames}\nseed = 0\n\n"
-            "[solver.ls]\nmax_iter = 3\n\n[solver.priori]\nmax_iter = 3\n"
+            "[solver]\nmax_iter = 3\n"
         )
         frames, out = tmp_path / f"{tag}-frames", tmp_path / f"{tag}-out"
         gen = _traced_peak(["phantom", "gen", "--config", str(config), "--out", str(frames)])

@@ -27,7 +27,7 @@ from lpsrecon import (
 )
 from lpsrecon import solvers
 from lpsrecon.operators import _data_consistency, _gram_spectrum, _sample_index, sv_threshold
-from lpsrecon.phantom import PhantomSpec
+from lpsrecon.phantom import PhantomSpec, default_spec
 
 from helpers import support_change, support_set
 
@@ -157,7 +157,7 @@ def test_data_consistency_fixed_point_at_full_sampling():
 
 def test_single_frame_sequence_equals_solve_ls(phantom_50):
     _, y, cfg = phantom_50
-    seq_res = list(solve_sequence([y], cfg, cfg))
+    seq_res = list(solve_sequence([y], cfg, "priori-ls"))
     direct = solve_ls(y, cfg)
     assert len(seq_res) == 1
     assert np.array_equal(seq_res[0].decomposition.L, direct.decomposition.L)
@@ -170,7 +170,7 @@ def test_static_sequence_support_stabilizes():
     m1 = make_mask(32, 32, 0.5, 2.0, seed=41)
     mr = make_mask(32, 32, 1 / 3, 2.0, seed=42)
     frames = [acquire(f, m1 if t == 0 else mr) for t, f in enumerate(seq.frames)]
-    results = solve_sequence(frames, default_config(frames[0]), default_config(frames[1]))
+    results = solve_sequence(frames, SolverConfig(), "priori-ls")
     sups = [support_set(r.decomposition.S, spec.dims) for r in results]
     ratios = [support_change(sups[t - 1], sups[t]) for t in range(1, len(sups))]
     assert all(r <= ratios[0] + 1e-12 for r in ratios[1:])
@@ -182,30 +182,28 @@ def test_sequence_keeps_each_frame_as_solved_alone():
     seq = generate(PhantomSpec(n_frames=3))
     frames = [acquire(f, make_mask(32, 32, 0.5 if t == 0 else 0.25, 2.0, seed=t)) for t, f in enumerate(seq.frames)]
     cfg_first, cfg_rest = default_config(frames[0]), default_config(frames[1])
-    # Unresolved configs resolve from frame 1 and, for every later frame,
+    # An unresolved config resolves from frame 1 and, for every later frame,
     # once from frame 2: frame 3 reuses frame 2's thresholds.
-    for given in [(cfg_first, cfg_rest), (SolverConfig(), SolverConfig())]:
-        results = list(solve_sequence(frames, *given))
-        alone = solve_ls(frames[0], cfg_first)
-        for t, result in enumerate(results):
-            if t:
-                prior = prior_from_result(alone.decomposition, frames[t].dims, cfg_rest.support_eps)
-                alone = solve_priori_ls(frames[t], prior, cfg_rest)
-            assert np.array_equal(result.decomposition.S, alone.decomposition.S)
-            assert np.array_equal(result.decomposition.L, alone.decomposition.L)
+    results = list(solve_sequence(frames, SolverConfig(), "priori-ls"))
+    alone = solve_ls(frames[0], cfg_first)
+    for t, result in enumerate(results):
+        if t:
+            prior = prior_from_result(alone.decomposition, frames[t].dims, cfg_rest.support_eps)
+            alone = solve_priori_ls(frames[t], prior, cfg_rest)
+        assert np.array_equal(result.decomposition.S, alone.decomposition.S)
+        assert np.array_equal(result.decomposition.L, alone.decomposition.L)
 
 
 @pytest.mark.parametrize("solver", ["ls", "priori-ls"])
 def test_solve_sequence_matches_the_explicit_chain(solver):
-    # Frame 1 by ls with its own config; frames >= 2 share the config of
-    # frame 2, and priori-ls builds each prior with that config's support_eps.
-    # Without a priori config, frames >= 2 run ls with the ls config.
+    # Frame 1 by ls with the config resolved from it; frames >= 2 share the
+    # config resolved from frame 2, and priori-ls builds each prior with its
+    # support_eps. With ls, frames >= 2 are solved alone.
     seq = generate(PhantomSpec(n_frames=3))
     frames = [acquire(f, make_mask(32, 32, 0.5 if t == 0 else 0.25, 2.0, seed=t))
               for t, f in enumerate(seq.frames)]
-    ls_cfg, priori_cfg = SolverConfig(), SolverConfig(lambda_p=0.5, support_eps=0.05)
-    cfg_first = default_config(frames[0], ls_cfg)
-    cfg_rest = default_config(frames[1], priori_cfg if solver == "priori-ls" else ls_cfg)
+    cfg = SolverConfig(lambda_p=0.5, support_eps=0.05)
+    cfg_first, cfg_rest = default_config(frames[0], cfg), default_config(frames[1], cfg)
     want = [solve_ls(frames[0], cfg_first)]
     for y in frames[1:]:
         if solver == "ls":
@@ -213,13 +211,43 @@ def test_solve_sequence_matches_the_explicit_chain(solver):
         else:
             prior = prior_from_result(want[-1].decomposition, y.dims, cfg_rest.support_eps)
             want.append(solve_priori_ls(y, prior, cfg_rest))
-    got = list(solve_sequence(iter(frames), ls_cfg, priori_cfg if solver == "priori-ls" else None))
+    got = list(solve_sequence(iter(frames), cfg, solver))
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert np.array_equal(a.decomposition.L, b.decomposition.L)
         assert np.array_equal(a.decomposition.S, b.decomposition.S)
         assert a.iterations == b.iterations
 
+
+
+def test_sequence_rejects_an_unknown_solver_before_reading_a_frame(phantom_50):
+    _, y, cfg = phantom_50
+    read = []
+
+    def frames():
+        read.append(1)
+        yield y
+
+    results = solve_sequence(frames(), cfg, "fista")
+    with pytest.raises(ValueError, match="unknown solver 'fista'"):
+        next(results)
+    assert read == []
+
+
+def test_priori_ls_runs_on_a_wide_casorati_matrix():
+    # 8x8 slices and 80 of them: L is 64 x 80, so it has 64 singular values and
+    # the prior spectrum carries 16 exact zeros to reach n_z.
+    spec = default_spec(dims=(8, 8, 80), n_frames=3, n_blobs=0, blob_width=1.0)
+    seq = generate(spec)
+    frames = [acquire(f, make_mask(8, 8, 0.5, 2.0, seed=t)) for t, f in enumerate(seq.frames)]
+    results = list(solve_sequence(frames, SolverConfig(), "priori-ls"))
+    assert len(results) == 3 and all(r.converged for r in results)
+    prior = prior_from_result(results[0].decomposition, spec.dims, 0.02)
+    assert prior.sigma_prev.shape == (80,)
+    assert np.array_equal(prior.sigma_prev[64:], np.zeros(16))
+    assert np.array_equal(
+        prior.sigma_prev[:64], np.linalg.svd(results[0].decomposition.L, full_matrices=False)[1]
+    )
 
 
 def test_prior_from_result_leaves_the_pair_unchanged(phantom_50):
@@ -262,7 +290,7 @@ def test_sequence_reads_each_frame_only_when_it_is_needed(phantom_50):
             read.append(t)
             yield y
 
-    results = solve_sequence(frames(), cfg, cfg)
+    results = solve_sequence(frames(), cfg, "priori-ls")
     assert read == []
     for t in range(1, 4):
         assert next(results).iterations == 3
@@ -278,7 +306,7 @@ def test_sequence_rejects_mixed_dims(phantom_50):
         rng.standard_normal((mask.m, 2)) + 0j, mask, (16, 16, 2)
     )
     with pytest.raises(ValueError, match="dims"):
-        list(solve_sequence([y, other], cfg, cfg))
+        list(solve_sequence([y, other], cfg, "priori-ls"))
 
 
 def test_sequence_failure_carries_frame_index():
@@ -291,7 +319,7 @@ def test_sequence_failure_carries_frame_index():
     )
     cfg = SolverConfig(lambda_L=0.1, lambda_S=0.1)
     with pytest.raises(FrameSolveError) as err:
-        list(solve_sequence([y], cfg, cfg))
+        list(solve_sequence([y], cfg, "priori-ls"))
     assert err.value.frame_index == 1
     assert "frame 1" in str(err.value)
 
