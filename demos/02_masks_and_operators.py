@@ -16,10 +16,10 @@ from lpsrecon import (
     make_mask,
     psnr,
 )
-from lpsrecon.phantom import default_spec, generate
+from lpsrecon.phantom import PhantomSpec, generate
 
 # A 25% mask: sampling density decays away from the k-space center.
-mask = make_mask(64, 64, rate=0.25, density_falloff=2.0, seed=7)
+mask = make_mask(64, 64, rate=0.25, seed=7)
 ix, iy = np.meshgrid(np.arange(64), np.arange(64), indexing="ij")
 dist = np.hypot(ix - 32, iy - 32)
 print(f"sampled {mask.m} of {mask.pattern.size} points (rate {mask.rate:.3f})")
@@ -33,7 +33,7 @@ for row in block:
     print("".join("#" if v else "." for v in row))
 
 # Acquire a phantom frame and look at the zero-filled adjoint.
-seq = generate(default_spec(dims=(64, 64, 4), blob_width=8.0))
+seq = generate(PhantomSpec(dims=(64, 64, 4), blob_width=8.0))
 frame = seq.frames[0]
 y = acquire(frame, mask)
 zero_filled = acquire_adjoint(y)

@@ -10,7 +10,7 @@ coefficient matrix.
 import numpy as np
 
 from lpsrecon import DynamicVolume, wavelet_forward, wavelet_inverse
-from lpsrecon.phantom import default_spec, generate
+from lpsrecon.phantom import PhantomSpec, generate
 
 dims = (32, 32, 4)
 rng = np.random.default_rng(0)
@@ -26,7 +26,7 @@ print(f"energy ratio ||T x|| / ||x||: {np.linalg.norm(coeffs) / np.linalg.norm(v
 
 # The phantom's dynamic component compresses hard: a few percent of the
 # coefficients carry nearly all of its energy.
-seq = generate(default_spec())
+seq = generate(PhantomSpec())
 s_coeffs = wavelet_forward(seq.s_true[0])
 mags = np.sort(np.abs(s_coeffs).ravel())[::-1]
 energy = np.cumsum(mags**2) / np.sum(mags**2)

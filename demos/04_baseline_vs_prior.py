@@ -19,10 +19,10 @@ from lpsrecon import (
     solve_ls,
     solve_priori_ls,
 )
-from lpsrecon.phantom import default_spec, generate
+from lpsrecon.phantom import PhantomSpec, generate
 from lpsrecon.solvers import prior_from_result
 
-spec = default_spec()
+spec = PhantomSpec()
 seq = generate(spec)
 n_x, n_y, _ = spec.dims
 

@@ -20,9 +20,9 @@ from lpsrecon import (
     run_sweep,
     solve_sequence,
 )
-from lpsrecon.phantom import default_spec, generate
+from lpsrecon.phantom import PhantomSpec, generate
 
-spec = default_spec()
+spec = PhantomSpec()
 seq = generate(spec)
 n_x, n_y, _ = spec.dims
 
@@ -43,7 +43,7 @@ for t, res in enumerate(results):
 # A small sweep: 2 solvers x 2 rates x 2 seeds, reports written as CSV.
 out = Path(tempfile.mkdtemp(prefix="lps_sweep_"))
 experiment = ExperimentSpec(
-    phantom=default_spec(),
+    phantom=PhantomSpec(),
     rates=(1 / 7, 1 / 3),
     solvers=("ls", "priori-ls"),
     n_seeds=2,

@@ -33,7 +33,7 @@ from .harness import (
     parse_config,
     run_sweep,
 )
-from .phantom import PhantomSequence, PhantomSpec, default_spec, generate, psnr
+from .phantom import PhantomSequence, PhantomSpec, generate, psnr
 from .solvers import (
     FrameSolveError,
     SolveResult,
@@ -75,7 +75,6 @@ __all__ = [
     "run_sweep",
     "PhantomSequence",
     "PhantomSpec",
-    "default_spec",
     "generate",
     "psnr",
     "FrameSolveError",

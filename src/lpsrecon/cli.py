@@ -28,8 +28,16 @@ from .phantom import generate_frames, psnr
 from .solvers import (
     KNOWN_SOLVERS, prior_from_result, solve_ls, solve_priori_ls, solve_sequence, uses_prior,
 )
+from .wavelets import check_slice_dims
 
 __all__ = ["main"]
+
+
+def _seed(text: str) -> int:
+    """argparse type of a mask seed: a non-negative integer."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -44,8 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pg = phantom_sub.add_parser("gen", help="generate a phantom sequence")
     p_pg.add_argument("--config", help="config file with a [phantom] section")
     p_pg.add_argument("--out", required=True, help="output directory")
-    p_pg.add_argument("--seed", type=int, help="override the phantom seed")
-    p_pg.add_argument("--frames", type=int, help="override the frame count")
 
     p_mask = sub.add_parser("mask", help="mask utilities")
     mask_sub = p_mask.add_subparsers(dest="subcommand", required=True)
@@ -53,8 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mg.add_argument("--nx", type=int, required=True)
     p_mg.add_argument("--ny", type=int, required=True)
     p_mg.add_argument("--rate", type=float, required=True)
-    p_mg.add_argument("--falloff", type=float, default=2.0)
-    p_mg.add_argument("--seed", type=int, default=0)
+    p_mg.add_argument("--seed", type=_seed, default=0)
     p_mg.add_argument("--out", required=True, help="output .lpsm file")
 
     p_recon = sub.add_parser("recon", help="reconstruct a single volume")
@@ -73,12 +78,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_seq.add_argument("--solver", choices=KNOWN_SOLVERS, default="priori-ls")
     p_seq.add_argument("--rate", type=float, help="sampling rate for frames >= 2")
     p_seq.add_argument("--first-rate", type=float, help="sampling rate for frame 1")
-    p_seq.add_argument("--mask-seed", type=int, default=0)
+    p_seq.add_argument("--mask-seed", type=_seed, default=0)
 
     p_sweep = sub.add_parser("sweep", help="run the full experiment grid")
     p_sweep.add_argument("--config", required=True, help="config file")
     p_sweep.add_argument("--out", help="override the output directory")
-    p_sweep.add_argument("--n-seeds", type=int, help="override the seed count")
 
     p_eval = sub.add_parser("eval", help="PSNR between two volume files")
     p_eval.add_argument("reference")
@@ -103,12 +107,7 @@ def _write_components(out_base: Path, dims, decomposition: Decomposition) -> Dyn
 
 
 def _cmd_phantom_gen(args) -> int:
-    experiment, _ = _load_options(args.config)
-    spec = experiment.phantom
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
-    if args.frames is not None:
-        spec = replace(spec, n_frames=args.frames)
+    spec = _load_options(args.config)[0].phantom
     frames = generate_frames(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -126,7 +125,7 @@ def _cmd_phantom_gen(args) -> int:
 
 
 def _cmd_mask_gen(args) -> int:
-    mask = make_mask(args.nx, args.ny, args.rate, args.falloff, args.seed)
+    mask = make_mask(args.nx, args.ny, args.rate, seed=args.seed)
     save_mask(args.out, mask)
     print(f"wrote mask {args.out}: {mask.m} of {mask.pattern.size} samples "
           f"(rate {mask.rate:.4f})")
@@ -158,6 +157,7 @@ def _cmd_recon(args, parser) -> int:
     # The prior and reference files' headers and sizes are checked against the
     # input's before any payload is read, so a mismatch fails before the solve.
     dims = volume_dims(args.input)
+    check_slice_dims(dims)
     for path in filter(None, (args.prior_l, args.prior_s, args.reference)):
         if (other := volume_dims(path)) != dims:
             raise ValueError(f"{path}: dims {other} differ from input volume {dims}")
@@ -196,13 +196,14 @@ def _cmd_recon_seq(args) -> int:
     for f in frame_files[1:]:
         if (other := volume_dims(f)) != dims:
             raise ValueError(f"{f}: dims {other} differ from first frame {dims}")
+    check_slice_dims(dims)
 
     experiment, cfg = _load_options(args.config)
     first_rate = args.first_rate if args.first_rate is not None else experiment.first_frame_rate
     rate = args.rate if args.rate is not None else experiment.rates[0]
     n_x, n_y, _ = dims
-    mask_first = make_mask(n_x, n_y, first_rate, experiment.density_falloff, seed=args.mask_seed)
-    mask_rest = make_mask(n_x, n_y, rate, experiment.density_falloff, seed=args.mask_seed + 1)
+    mask_first = make_mask(n_x, n_y, first_rate, seed=args.mask_seed)
+    mask_rest = make_mask(n_x, n_y, rate, seed=args.mask_seed + 1)
     kspace = (acquire(load_volume(f), mask_first if t == 0 else mask_rest)
               for t, f in enumerate(frame_files))
 
@@ -236,8 +237,6 @@ def _cmd_sweep(args) -> int:
     experiment, cfg = parse_config(args.config)
     if args.out is not None:
         experiment = replace(experiment, output_dir=args.out)
-    if args.n_seeds is not None:
-        experiment = replace(experiment, n_seeds=args.n_seeds)
     rows = run_sweep(experiment, cfg)
     if unconverged := sum(not row.converged for row in rows):
         print(f"warning: {unconverged} of {len(rows)} frames stopped at max_iter without "

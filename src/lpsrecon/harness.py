@@ -16,7 +16,6 @@ timestamps go to run.log only.
 from __future__ import annotations
 
 import configparser
-import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -27,6 +26,7 @@ from .core import DynamicVolume, SolverConfig
 from .operators import acquire, make_mask
 from .phantom import PhantomSpec, generate, psnr
 from .solvers import KNOWN_SOLVERS, solve_sequence
+from .wavelets import check_slice_dims
 
 __all__ = [
     "ExperimentSpec",
@@ -47,7 +47,6 @@ class ExperimentSpec:
     solvers: tuple[str, ...] = KNOWN_SOLVERS
     n_seeds: int = 5
     output_dir: str = "sweep_out"
-    density_falloff: float = 2.0
 
     def __post_init__(self):
         if len(self.rates) == 0:
@@ -58,8 +57,6 @@ class ExperimentSpec:
             raise ValueError(f"rates must be strictly increasing, got {self.rates}")
         if not 0 < self.first_frame_rate <= 1:
             raise ValueError(f"first_frame_rate must be in (0, 1], got {self.first_frame_rate}")
-        if not 0 < self.density_falloff < math.inf:
-            raise ValueError(f"density_falloff must be finite and > 0, got {self.density_falloff}")
         if self.n_seeds < 1:
             raise ValueError("n_seeds must be >= 1")
         if len(self.solvers) == 0:
@@ -117,7 +114,6 @@ _SECTIONS = {
         "solvers": _name_list,
         "n_seeds": int,
         "output_dir": str,
-        "density_falloff": float,
     },
 }
 
@@ -191,14 +187,9 @@ def _solve_cell(
     sequence = generate(phantom_spec)
     n_x, n_y, _ = phantom_spec.dims
     base = experiment.phantom.seed
-    mask_first = make_mask(
-        n_x, n_y, experiment.first_frame_rate, experiment.density_falloff,
-        seed=_mask_seed(base, seed_index, rate, 0),
-    )
-    mask_rest = make_mask(
-        n_x, n_y, rate, experiment.density_falloff,
-        seed=_mask_seed(base, seed_index, rate, 1),
-    )
+    mask_first = make_mask(n_x, n_y, experiment.first_frame_rate,
+                           seed=_mask_seed(base, seed_index, rate, 0))
+    mask_rest = make_mask(n_x, n_y, rate, seed=_mask_seed(base, seed_index, rate, 1))
     kspace = (
         acquire(frame, mask_first if t == 0 else mask_rest)
         for t, frame in enumerate(sequence.frames)
@@ -249,6 +240,7 @@ def run_sweep(experiment: ExperimentSpec, cfg: SolverConfig | None = None) -> li
     order in the files is sorted, independent of execution order.
     """
     cfg = cfg or SolverConfig()
+    check_slice_dims(experiment.phantom.dims)
     out = Path(experiment.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     log_lines = [f"sweep started {time.strftime('%Y-%m-%dT%H:%M:%S')}"]

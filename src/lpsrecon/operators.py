@@ -86,27 +86,25 @@ class KSpaceData:
             raise ValueError("k-space samples contain non-finite entries")
 
 
-def make_mask(
-    n_x: int,
-    n_y: int,
-    rate: float,
-    density_falloff: float = 2.0,
-    seed: int = 0,
-) -> SamplingMask:
+# Exponent of the variable-density weight in make_mask.
+DENSITY_FALLOFF = 2.0
+
+
+def make_mask(n_x: int, n_y: int, rate: float, *, seed: int = 0) -> SamplingMask:
     """Variable-density sampling mask with denser sampling near the center.
 
     Selects exactly round(rate * n_x * n_y) grid points, weighting the
-    selection probability by (1 + d/d0)^(-density_falloff) where d is the
-    distance from the grid center and d0 is one eighth of the grid
+    selection probability by (1 + d/d0)^(-2) (``DENSITY_FALLOFF``) where d
+    is the distance from the grid center and d0 is one eighth of the grid
     diagonal. The center point (DC) is always included. Deterministic for
-    a fixed seed.
+    a fixed seed, which must be >= 0.
     """
     if min(n_x, n_y) < 1:
         raise ValueError(f"grid dims must be positive, got ({n_x}, {n_y})")
     if not 0 < rate <= 1:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
-    if not 0 < density_falloff < np.inf:
-        raise ValueError(f"density_falloff must be finite and > 0, got {density_falloff}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     total = n_x * n_y
     m = int(round(rate * total))
     if m < 1:
@@ -118,7 +116,7 @@ def make_mask(
     ix, iy = np.meshgrid(np.arange(n_x), np.arange(n_y), indexing="ij")
     dist = np.hypot(ix - cx, iy - cy)
     d0 = np.hypot(n_x, n_y) / 8.0
-    weight = (1.0 + dist / d0) ** (-density_falloff)
+    weight = (1.0 + dist / d0) ** (-DENSITY_FALLOFF)
 
     # Weighted sampling without replacement: smallest exponential keys win.
     rng = np.random.default_rng(seed)

@@ -11,14 +11,14 @@ solver is designed for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .core import DynamicVolume
 
-__all__ = ["PhantomSpec", "PhantomSequence", "default_spec", "generate", "generate_frames", "psnr"]
+__all__ = ["PhantomSpec", "PhantomSequence", "generate", "generate_frames", "psnr"]
 
 PSNR_SENTINEL_DB = float("inf")
 
@@ -50,6 +50,8 @@ class PhantomSpec:
             )
         if self.n_blobs < 0:
             raise ValueError("n_blobs must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("blob_amplitude", "motion_step", "noise_sigma", "drift_rate", "blob_width"):
             if not math.isfinite(value := getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -68,11 +70,6 @@ class PhantomSequence:
     frames: list[DynamicVolume]
     l_true: list[DynamicVolume]
     s_true: list[DynamicVolume]
-
-
-def default_spec(**overrides) -> PhantomSpec:
-    """The 32x32x4, 6-frame desk-scale phantom used throughout the tests."""
-    return replace(PhantomSpec(), **overrides) if overrides else PhantomSpec()
 
 
 def _smooth_modes(rng: np.random.Generator, n_x: int, n_y: int, rank: int) -> np.ndarray:

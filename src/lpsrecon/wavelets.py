@@ -26,7 +26,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .core import DynamicVolume, _slice_view
 
-__all__ = ["WAVELET_LEVELS", "wavelet_forward", "wavelet_inverse"]
+__all__ = ["WAVELET_LEVELS", "check_slice_dims", "wavelet_forward", "wavelet_inverse"]
 
 WAVELET_LEVELS = 3
 # Rows of a level block per banded tile. A block with no tile clear of the
@@ -177,9 +177,9 @@ def _dwt2_stack(slices: np.ndarray, levels: int, inverse: bool = False) -> np.nd
     return slices
 
 
-def _slice_stack(data: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
-    """The (n_z, n_x, n_y) slice stack of a column-major Casorati matrix, as
-    a view of it (``core._slice_view``), once its slices fit WAVELET_LEVELS."""
+def check_slice_dims(dims: tuple[int, int, int]) -> None:
+    """Raise ValueError, naming the dims, unless the slices of a volume of
+    these dims fit WAVELET_LEVELS: n_x and n_y divisible by 2^WAVELET_LEVELS."""
     n_x, n_y, _ = dims
     block = 2 ** WAVELET_LEVELS
     if n_x % block or n_y % block:
@@ -187,6 +187,12 @@ def _slice_stack(data: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
             f"slice dims ({n_x}, {n_y}) must each be divisible by 2^{WAVELET_LEVELS} = {block} "
             f"for a {WAVELET_LEVELS}-level transform"
         )
+
+
+def _slice_stack(data: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
+    """The (n_z, n_x, n_y) slice stack of a column-major Casorati matrix, as
+    a view of it (``core._slice_view``), once its slices fit WAVELET_LEVELS."""
+    check_slice_dims(dims)
     return _slice_view(data, dims)
 
 

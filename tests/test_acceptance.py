@@ -82,7 +82,7 @@ def test_criterion_2_operator_algebra():
     for dims in shapes:
         n_x, n_y, n_z = dims
         for k in range(25):
-            mask = make_mask(n_x, n_y, rng.uniform(0.2, 0.9), 2.0, seed=k)
+            mask = make_mask(n_x, n_y, rng.uniform(0.2, 0.9), seed=k)
             x = random_volume(rng, dims)
             y = KSpaceData(
                 rng.standard_normal((mask.m, n_z)) + 1j * rng.standard_normal((mask.m, n_z)),
@@ -114,7 +114,7 @@ def test_criterion_3_reduction_regression():
     """solve_priori_ls(lambda_p=0, empty support) is iterate-identical to solve_ls."""
     started = time.perf_counter()
     seq = generate(PhantomSpec())
-    mask = make_mask(32, 32, 0.5, 2.0, seed=7)
+    mask = make_mask(32, 32, 0.5, seed=7)
     y = acquire(seq.frames[0], mask)
     cfg = replace(default_config(y), lambda_p=0.0)
     empty_prior = Prior(np.zeros(4), np.zeros((32 * 32, 4), dtype=bool))
@@ -191,8 +191,8 @@ def prior_validity_chain():
     """Frozen protocol: default phantom, 50% first frame, 1/3 afterwards."""
     spec = PhantomSpec()
     seq = generate(spec)
-    mask_first = make_mask(32, 32, 0.5, 2.0, seed=101)
-    mask_rest = make_mask(32, 32, 1 / 3, 2.0, seed=102)
+    mask_first = make_mask(32, 32, 0.5, seed=101)
+    mask_rest = make_mask(32, 32, 1 / 3, seed=102)
     frames = [acquire(f, mask_first if t == 0 else mask_rest) for t, f in enumerate(seq.frames)]
     cfg = SolverConfig()
     results = list(solve_sequence(frames, cfg, "priori-ls"))

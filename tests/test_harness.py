@@ -1,4 +1,5 @@
 import re
+import shlex
 import tracemalloc
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from lpsrecon import (
 )
 import lpsrecon.cli as cli
 from lpsrecon.cli import main
-from lpsrecon.harness import _mask_seed, write_summary_csv, write_sweep_csv
+from lpsrecon.harness import _SECTIONS, _mask_seed, write_summary_csv, write_sweep_csv
 from lpsrecon.phantom import PhantomSpec
 
 CONFIG_TEXT = """\
@@ -107,16 +108,18 @@ def _config_with(section: str, line: str) -> str:
     ("solver.fista", "tol = 1e-3", ["unknown section"]),
     ("solver.ls", "tol = 1e-3", ["unknown section", "[solver], [sweep]"]),
     ("phantom", "blob_width = wide", ["blob_width", "wide"]),
-    ("sweep", "density_falloff = steep", ["density_falloff", "steep"]),
+    ("sweep", "n_seeds = many", ["n_seeds", "many"]),
     ("phantom", "blob_amplitude = nan", ["blob_amplitude must be finite, got nan"]),
     ("phantom", "motion_step = inf", ["motion_step must be finite, got inf"]),
     ("phantom", "noise_sigma = nan", ["noise_sigma must be finite, got nan"]),
     ("phantom", "drift_rate = inf", ["drift_rate must be finite, got inf"]),
     ("phantom", "blob_width = nan", ["blob_width must be finite, got nan"]),
-    ("sweep", "density_falloff = -1", ["density_falloff must be finite and > 0, got -1.0"]),
-    ("sweep", "density_falloff = nan", ["density_falloff must be finite and > 0, got nan"]),
+    ("phantom", "seed = -1", ["seed must be >= 0, got -1"]),
+    # The mask falloff is a fixed constant; its old key fails by name.
+    ("sweep", "density_falloff = 2.0", ["unknown key 'density_falloff'"]),
+    ("sweep", "density_falloff = nan", ["unknown key 'density_falloff'"]),
 ], ids=["tol", "tol-inf", "max_iter", "misspelt", "scale", "threshold", "section", "old-section",
-        "phantom", "sweep", "amplitude", "motion", "noise", "drift", "width", "falloff",
+        "phantom", "sweep", "amplitude", "motion", "noise", "drift", "width", "seed", "falloff",
         "falloff-nan"])
 def test_parse_config_errors_name_the_section_and_key(tmp_path, section, line, names):
     path = tmp_path / "bad.cfg"
@@ -139,6 +142,28 @@ def test_shipped_configs_parse_cleanly(tmp_path):
     (tmp_path / "readme.cfg").write_text(blocks[0])
     _, cfg = parse_config(tmp_path / "readme.cfg")
     assert cfg.lambda_L is None and cfg.lambda_p == 0.7
+
+
+def _readme_commands(text: str) -> list[str]:
+    """The ``lpsrecon ...`` lines of README's command-line block, with
+    backslash continuations joined and ``#`` comments stripped."""
+    block = re.search(r"## Command line\n.*?```bash\n(.*?)```", text, flags=re.S).group(1)
+    lines = [line.split("#")[0].strip() for line in block.replace("\\\n", " ").splitlines()]
+    return [line for line in lines if line.startswith("lpsrecon ")]
+
+
+def test_readme_matches_the_command_line_and_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = _readme_commands(readme)
+    assert len(commands) >= 6
+    for command in commands:
+        try:
+            cli._build_parser().parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
+    table = readme.split("The `[solver]` section is one `SolverConfig`")[1].split("\n\n")[1]
+    keys = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
+    assert sorted(keys) == sorted(key.lower() for key in _SECTIONS["solver"])
 
 
 def test_experiment_spec_validation():
@@ -286,11 +311,41 @@ class TestCli:
         assert mask.m == round(0.25 * 1024)
 
     def test_mask_gen_rejects_an_infinite_falloff(self, tmp_path, capsys):
+        # The falloff is a fixed constant, so the flag itself is a usage error.
         out = tmp_path / "m.lpsm"
-        code = main(["mask", "gen", "--nx", "32", "--ny", "32", "--rate", "0.25",
-                     "--falloff", "inf", "--out", str(out)])
-        assert code == 1
-        assert "density_falloff must be finite and > 0, got inf" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["mask", "gen", "--nx", "32", "--ny", "32", "--rate", "0.25",
+                  "--falloff", "inf", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --falloff inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        (["phantom", "gen"], ["--seed", "1"]),
+        (["phantom", "gen"], ["--frames", "2"]),
+        (["sweep"], ["--n-seeds", "1"]),
+    ], ids=["phantom-seed", "phantom-frames", "sweep-n-seeds"])
+    def test_flags_that_duplicate_a_config_key_are_usage_errors(
+        self, tmp_path, capsys, config_file, command, flag
+    ):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--config", str(config_file), "--out", str(out), *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["mask", "gen", "--nx", "32", "--ny", "32", "--rate", "0.25", "--seed", "-3"], "--seed"),
+        (["recon-seq", "--frames", "frames", "--mask-seed", "-1"], "--mask-seed"),
+    ], ids=["mask-gen", "recon-seq"])
+    def test_negative_seed_flags_are_usage_errors(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        value = argv[argv.index(flag) + 1]
+        assert f"argument {flag}: must be an integer >= 0, got '{value}'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_phantom_gen_and_recon(self, tmp_path, capsys, config_file, monkeypatch):
@@ -413,7 +468,8 @@ class TestCli:
         ("solver", "lamda_p = 0.0", "lamda_p"),
         ("solver", "max_iter = 1.5", "max_iter"),
         ("phantom", "noise_sigma = nan", "noise_sigma"),
-        ("sweep", "density_falloff = -1", "density_falloff"),
+        ("phantom", "seed = -1", "seed"),
+        ("sweep", "density_falloff = -1", "density_falloff"),  # a removed key
     ]
 
     @pytest.mark.parametrize("section, line, key", BAD_SETTINGS,
@@ -438,6 +494,36 @@ class TestCli:
         assert not gen_dir.exists()
         assert not list(out_dir.glob("frame0001.*")) and not out_dir.exists()
         assert not (sweep_dir / "sweep.csv").exists() and not sweep_dir.exists()
+
+    def test_slice_dims_off_the_wavelet_grid_fail_before_anything_is_written(
+        self, tmp_path, capsys
+    ):
+        config = tmp_path / "n30.cfg"
+        config.write_text(CONFIG_TEXT.replace("n_x = 32", "n_x = 30"))
+        frames_dir = tmp_path / "frames"
+        # A phantom is not tied to the wavelet, so phantom gen takes any dims.
+        assert main(["phantom", "gen", "--config", str(config), "--out", str(frames_dir)]) == 0
+        # A non-finite payload would fail when read: the dims check comes first.
+        first = frames_dir / "frame0001.x"
+        raw = bytearray(first.read_bytes())
+        raw[-8:] = np.float64(np.nan).tobytes()
+        first.write_bytes(bytes(raw))
+        mask_path = tmp_path / "m.lpsm"
+        assert main(["mask", "gen", "--nx", "30", "--ny", "32", "--rate", "0.5",
+                     "--out", str(mask_path)]) == 0
+        capsys.readouterr()
+        out_dir, sweep_dir = tmp_path / "seq", tmp_path / "sw"
+        assert main(["recon", "--input", str(first), "--mask", str(mask_path),
+                     "--out", str(tmp_path / "r")]) == 1
+        assert main(["recon-seq", "--frames", str(frames_dir), "--out", str(out_dir),
+                     "--config", str(config)]) == 1
+        assert main(["sweep", "--config", str(config), "--out", str(sweep_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: slice dims (30, 32) must each be divisible by 2^3 = 8 for a 3-level transform"
+        ] * 3
+        assert captured.out == ""
+        assert not list(tmp_path.glob("r.*")) and not out_dir.exists() and not sweep_dir.exists()
 
     def test_sweep_cli_with_overrides(self, tmp_path, capsys, config_file):
         out_dir = tmp_path / "sw"

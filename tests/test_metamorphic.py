@@ -43,7 +43,7 @@ def _problem(seed: int) -> KSpaceData:
     data = left @ right
     spots = rng.choice(data.size, 6, replace=False)
     data.flat[spots] += 5.0 * np.exp(1j * rng.uniform(0, 2 * np.pi, 6))
-    mask = make_mask(n_x, n_y, 0.4, 2.0, seed=seed)
+    mask = make_mask(n_x, n_y, 0.4, seed=seed)
     return acquire(DynamicVolume(data, DIMS), mask)
 
 

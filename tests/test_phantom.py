@@ -5,7 +5,7 @@ import pytest
 from dataclasses import replace
 
 from lpsrecon import DynamicVolume, generate, psnr, wavelet_forward
-from lpsrecon.phantom import PhantomSpec, default_spec, generate_frames
+from lpsrecon.phantom import PhantomSpec, generate_frames
 
 from helpers import support_change, support_set
 
@@ -36,7 +36,7 @@ def test_default_spec_adjacent_frame_statistics():
     # coefficients every frame), so the measured level is frozen as a
     # regression bound; the 15% stability requirement applies to the
     # *reconstructed* S and lives in the acceptance suite.
-    spec = default_spec()
+    spec = PhantomSpec()
     seq = generate(spec)
     churn, sdist = [], []
     sup_prev = sig_prev = None
@@ -61,13 +61,13 @@ def test_determinism_and_seed_variation():
 
 
 def test_energy_split():
-    seq = generate(default_spec())
+    seq = generate(PhantomSpec())
     ratio = np.linalg.norm(seq.s_true[0].data) / np.linalg.norm(seq.l_true[0].data)
     assert 0.0 < ratio < 1.0
 
 
 def test_sparse_component_is_wavelet_compressible():
-    seq = generate(default_spec())
+    seq = generate(PhantomSpec())
     coeffs = wavelet_forward(seq.s_true[0])
     mags = np.sort(np.abs(coeffs).ravel())[::-1]
     top = int(0.10 * mags.size)
@@ -104,7 +104,7 @@ def test_frame_generator_checks_at_the_call_and_makes_frames_on_demand():
 
 
 def test_frames_decompose_into_truth():
-    spec = default_spec()
+    spec = PhantomSpec()
     seq = generate(spec)
     for t in range(spec.n_frames):
         total = seq.l_true[t].data + seq.s_true[t].data
@@ -120,6 +120,8 @@ def test_spec_validation():
         PhantomSpec(noise_sigma=-1.0)
     with pytest.raises(ValueError):
         PhantomSpec(blob_width=0.0)
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        PhantomSpec(seed=-1)
 
 
 class TestPsnr:

@@ -27,7 +27,7 @@ from lpsrecon import (
 )
 from lpsrecon import solvers
 from lpsrecon.operators import _data_consistency, _gram_spectrum, _sample_index, sv_threshold
-from lpsrecon.phantom import PhantomSpec, default_spec
+from lpsrecon.phantom import PhantomSpec
 
 from helpers import support_change, support_set
 
@@ -36,13 +36,13 @@ from helpers import support_change, support_set
 def phantom_50():
     """Default phantom frame 1 acquired at 50% with a fixed mask."""
     seq = generate(PhantomSpec())
-    mask = make_mask(32, 32, 0.5, 2.0, seed=7)
+    mask = make_mask(32, 32, 0.5, seed=7)
     y = acquire(seq.frames[0], mask)
     return seq, y, default_config(y)
 
 
 def test_zero_data_fixed_point():
-    mask = make_mask(16, 16, 0.4, 2.0, seed=1)
+    mask = make_mask(16, 16, 0.4, seed=1)
     y = KSpaceData(np.zeros((mask.m, 2)), mask, (16, 16, 2))
     cfg = SolverConfig(lambda_L=0.5, lambda_S=0.5)
     res = solve_ls(y, cfg)
@@ -98,7 +98,7 @@ def test_priori_zero_data_spectrum_step():
     # The prior step acts on the singular vectors of X - S, so L's columns
     # lie in range(X - S). Zero data gives X - S = 0, hence L = 0, however
     # large the prior spectrum.
-    mask = make_mask(32, 32, 0.25, 2.0, seed=5)
+    mask = make_mask(32, 32, 0.25, seed=5)
     y = KSpaceData(np.zeros((mask.m, 4)), mask, (32, 32, 4))
     prior = Prior(np.array([4.0, 2.0, 1.0, 0.0]), np.zeros((32 * 32, 4), dtype=bool))
     cfg = SolverConfig(lambda_L=0.1, lambda_S=0.1, lambda_p=0.5, max_iter=1)
@@ -107,7 +107,7 @@ def test_priori_zero_data_spectrum_step():
 
 
 def test_priori_zero_data_zero_prior():
-    mask = make_mask(16, 16, 0.3, 2.0, seed=6)
+    mask = make_mask(16, 16, 0.3, seed=6)
     y = KSpaceData(np.zeros((mask.m, 2)), mask, (16, 16, 2))
     prior = Prior(np.zeros(2), np.zeros((16 * 16, 2), dtype=bool))
     cfg = SolverConfig(lambda_L=0.1, lambda_S=0.1, lambda_p=0.7, max_iter=50)
@@ -121,7 +121,7 @@ def test_exact_prior_beats_baseline_at_quarter_sampling():
     for seed in range(5):
         spec = PhantomSpec(seed=seed)
         seq = generate(spec)
-        mask = make_mask(32, 32, 0.25, 2.0, seed=300 + seed)
+        mask = make_mask(32, 32, 0.25, seed=300 + seed)
         y = acquire(seq.frames[1], mask)
         cfg = default_config(y)
         prior = Prior(
@@ -167,8 +167,8 @@ def test_single_frame_sequence_equals_solve_ls(phantom_50):
 def test_static_sequence_support_stabilizes():
     spec = PhantomSpec(motion_step=0.0, drift_rate=0.0)
     seq = generate(spec)
-    m1 = make_mask(32, 32, 0.5, 2.0, seed=41)
-    mr = make_mask(32, 32, 1 / 3, 2.0, seed=42)
+    m1 = make_mask(32, 32, 0.5, seed=41)
+    mr = make_mask(32, 32, 1 / 3, seed=42)
     frames = [acquire(f, m1 if t == 0 else mr) for t, f in enumerate(seq.frames)]
     results = solve_sequence(frames, SolverConfig(), "priori-ls")
     sups = [support_set(r.decomposition.S, spec.dims) for r in results]
@@ -180,7 +180,7 @@ def test_sequence_keeps_each_frame_as_solved_alone():
     # prior_from_result must not transform a frame's S in place after the
     # sequence has stored it.
     seq = generate(PhantomSpec(n_frames=3))
-    frames = [acquire(f, make_mask(32, 32, 0.5 if t == 0 else 0.25, 2.0, seed=t)) for t, f in enumerate(seq.frames)]
+    frames = [acquire(f, make_mask(32, 32, 0.5 if t == 0 else 0.25, seed=t)) for t, f in enumerate(seq.frames)]
     cfg_first, cfg_rest = default_config(frames[0]), default_config(frames[1])
     # An unresolved config resolves from frame 1 and, for every later frame,
     # once from frame 2: frame 3 reuses frame 2's thresholds.
@@ -200,7 +200,7 @@ def test_solve_sequence_matches_the_explicit_chain(solver):
     # config resolved from frame 2, and priori-ls builds each prior with its
     # support_eps. With ls, frames >= 2 are solved alone.
     seq = generate(PhantomSpec(n_frames=3))
-    frames = [acquire(f, make_mask(32, 32, 0.5 if t == 0 else 0.25, 2.0, seed=t))
+    frames = [acquire(f, make_mask(32, 32, 0.5 if t == 0 else 0.25, seed=t))
               for t, f in enumerate(seq.frames)]
     cfg = SolverConfig(lambda_p=0.5, support_eps=0.05)
     cfg_first, cfg_rest = default_config(frames[0], cfg), default_config(frames[1], cfg)
@@ -237,9 +237,9 @@ def test_sequence_rejects_an_unknown_solver_before_reading_a_frame(phantom_50):
 def test_priori_ls_runs_on_a_wide_casorati_matrix():
     # 8x8 slices and 80 of them: L is 64 x 80, so it has 64 singular values and
     # the prior spectrum carries 16 exact zeros to reach n_z.
-    spec = default_spec(dims=(8, 8, 80), n_frames=3, n_blobs=0, blob_width=1.0)
+    spec = PhantomSpec(dims=(8, 8, 80), n_frames=3, n_blobs=0, blob_width=1.0)
     seq = generate(spec)
-    frames = [acquire(f, make_mask(8, 8, 0.5, 2.0, seed=t)) for t, f in enumerate(seq.frames)]
+    frames = [acquire(f, make_mask(8, 8, 0.5, seed=t)) for t, f in enumerate(seq.frames)]
     results = list(solve_sequence(frames, SolverConfig(), "priori-ls"))
     assert len(results) == 3 and all(r.converged for r in results)
     prior = prior_from_result(results[0].decomposition, spec.dims, 0.02)
@@ -265,7 +265,7 @@ def test_solve_peak_memory_is_at_most_five_volumes(dims):
     # L and S count towards the peak.
     n_x, n_y, n_z = dims
     seq = generate(PhantomSpec(dims=dims, n_frames=2))
-    frames = [acquire(f, make_mask(n_x, n_y, 0.25, 2.0, seed=t)) for t, f in enumerate(seq.frames)]
+    frames = [acquire(f, make_mask(n_x, n_y, 0.25, seed=t)) for t, f in enumerate(seq.frames)]
     cfg = replace(default_config(frames[0]), max_iter=3)
     first = solve_ls(frames[0], cfg)  # also fills the wavelet band caches
     prior = prior_from_result(first.decomposition, dims, cfg.support_eps)
@@ -300,7 +300,7 @@ def test_sequence_reads_each_frame_only_when_it_is_needed(phantom_50):
 
 def test_sequence_rejects_mixed_dims(phantom_50):
     _, y, cfg = phantom_50
-    mask = make_mask(16, 16, 0.5, 2.0, seed=9)
+    mask = make_mask(16, 16, 0.5, seed=9)
     rng = np.random.default_rng(0)
     other = KSpaceData(
         rng.standard_normal((mask.m, 2)) + 0j, mask, (16, 16, 2)
@@ -313,7 +313,7 @@ def test_sequence_failure_carries_frame_index():
     # 12x12 slices are not divisible by 2^3: the wavelet step fails and the
     # sequence must abort naming the frame.
     rng = np.random.default_rng(1)
-    mask = make_mask(12, 12, 0.5, 2.0, seed=3)
+    mask = make_mask(12, 12, 0.5, seed=3)
     y = KSpaceData(
         rng.standard_normal((mask.m, 2)) + 0j, mask, (12, 12, 2)
     )
@@ -396,7 +396,7 @@ def test_default_config_reads_its_thresholds_off_the_zero_filled_proxy(phantom_5
 
 
 def test_default_config_rejects_zero_data():
-    mask = make_mask(16, 16, 0.4, 2.0, seed=2)
+    mask = make_mask(16, 16, 0.4, seed=2)
     y = KSpaceData(np.zeros((mask.m, 2)), mask, (16, 16, 2))
     with pytest.raises(ValueError):
         default_config(y)
@@ -440,7 +440,7 @@ def test_prior_support_out_of_bounds_rejected(phantom_50):
 
 
 def test_kspace_rejects_nonfinite():
-    mask = make_mask(8, 8, 0.5, 2.0, seed=1)
+    mask = make_mask(8, 8, 0.5, seed=1)
     samples = np.zeros((mask.m, 1), dtype=complex)
     samples[0, 0] = np.inf
     with pytest.raises(ValueError):
@@ -474,7 +474,7 @@ def test_residual_history_matches_the_norm_ratio(phantom_50, monkeypatch, solver
         run = lambda: solve_ls(y, cfg)  # noqa: E731
     else:
         prior = prior_from_result(solve_ls(y, cfg).decomposition, y.dims, cfg.support_eps)
-        y2 = acquire(seq.frames[1], make_mask(32, 32, 0.25, 2.0, seed=8))
+        y2 = acquire(seq.frames[1], make_mask(32, 32, 0.25, seed=8))
         run = lambda: solve_priori_ls(y2, prior, cfg)  # noqa: E731
     got = run()
     monkeypatch.setattr(solvers, "_relative_change", _norm_ratio)
