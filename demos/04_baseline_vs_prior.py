@@ -16,8 +16,7 @@ from lpsrecon import (
     default_config,
     make_mask,
     psnr,
-    solve_ls,
-    solve_priori_ls,
+    solve,
 )
 from lpsrecon.phantom import PhantomSpec, generate
 from lpsrecon.solvers import prior_from_result
@@ -30,7 +29,7 @@ n_x, n_y, _ = spec.dims
 mask_first = make_mask(n_x, n_y, 0.5, seed=11)
 y1 = acquire(seq.frames[0], mask_first)
 cfg1 = default_config(y1)
-res1 = solve_ls(y1, cfg1)
+res1 = solve(y1, cfg1)
 print(f"frame 1 at 50%: {psnr(seq.frames[0], DynamicVolume(res1.estimate(), spec.dims)):.2f} dB "
       f"({res1.iterations} iterations)")
 
@@ -39,14 +38,14 @@ mask_rest = make_mask(n_x, n_y, 0.25, seed=12)
 y2 = acquire(seq.frames[1], mask_rest)
 cfg2 = default_config(y2)
 
-plain = solve_ls(y2, cfg2)
+plain = solve(y2, cfg2)
 p_plain = psnr(seq.frames[1], DynamicVolume(plain.estimate(), spec.dims))
 
 prior = prior_from_result(res1.decomposition, spec.dims, cfg2.support_eps)
 print(f"\nprior carried over: {int(prior.support_prev.sum())} support entries, "
       f"spectrum {np.round(prior.sigma_prev, 3)}")
 
-informed = solve_priori_ls(y2, prior, cfg2)
+informed = solve(y2, cfg2, prior)
 p_informed = psnr(seq.frames[1], DynamicVolume(informed.estimate(), spec.dims))
 
 print(f"\nframe 2 at 25%, plain solver:          {p_plain:6.2f} dB ({plain.iterations} it)")

@@ -39,8 +39,7 @@ from .solvers import (
     SolveResult,
     default_config,
     prior_from_result,
-    solve_ls,
-    solve_priori_ls,
+    solve,
     solve_sequence,
 )
 from .wavelets import WAVELET_LEVELS, wavelet_forward, wavelet_inverse
@@ -81,8 +80,7 @@ __all__ = [
     "SolveResult",
     "default_config",
     "prior_from_result",
-    "solve_ls",
-    "solve_priori_ls",
+    "solve",
     "solve_sequence",
     "WAVELET_LEVELS",
     "wavelet_forward",

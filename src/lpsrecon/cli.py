@@ -25,9 +25,7 @@ from .harness import ExperimentSpec, parse_config, run_sweep
 from .io import load_mask, load_volume, save_mask, save_volume, volume_dims
 from .operators import acquire, make_mask
 from .phantom import generate_frames, psnr
-from .solvers import (
-    KNOWN_SOLVERS, prior_from_result, solve_ls, solve_priori_ls, solve_sequence, uses_prior,
-)
+from .solvers import KNOWN_SOLVERS, prior_from_result, solve, solve_sequence, uses_prior
 from .wavelets import check_slice_dims
 
 __all__ = ["main"]
@@ -169,20 +167,18 @@ def _cmd_recon(args, parser) -> int:
         )
     _, cfg = _load_options(args.config)
     y = acquire(volume, mask)
+    prior = None
     if args.prior_l is not None:
         previous = Decomposition(load_volume(args.prior_l).data, load_volume(args.prior_s).data)
         prior = prior_from_result(previous, volume.dims, cfg.support_eps)
-        result = solve_priori_ls(y, prior, cfg)
-        solver = "priori-ls"
-    else:
-        result = solve_ls(y, cfg)
-        solver = "ls"
+    result = solve(y, cfg, prior)
     estimate = _write_components(Path(args.out), volume.dims, result.decomposition)
     reference = load_volume(args.reference) if args.reference else volume
     print(METRICS_HEADER)
     print(_metrics_line(1, result, reference, estimate))
     _warn_unconverged(1, result)
-    print(f"# solver={solver} m={mask.m} rate={mask.rate:.4f}", file=sys.stderr)
+    print(f"# solver={'ls' if prior is None else 'priori-ls'} m={mask.m} rate={mask.rate:.4f}",
+          file=sys.stderr)
     return 0
 
 

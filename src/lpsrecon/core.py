@@ -8,6 +8,7 @@ correlation; the sparse component captures localized change.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,15 @@ def _as_complex_matrix(data, name: str) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError(f"{name} must be a 2-D matrix, got ndim={arr.ndim}")
     return arr
+
+
+def _require_int(name: str, value, minimum: int) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer (a
+    ``numbers.Integral`` other than bool) and at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 def _slice_view(data: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
@@ -125,7 +135,8 @@ class SolverConfig:
     lambda_L scales singular-value shrinkage, lambda_S the transform-domain
     shrinkage. A threshold left None is data-scaled from the zero-filled
     proxy X0 = A^H(y) by ``solvers.default_config``: lambda_L =
-    lambda_l_scale * sigma_max(X0), lambda_S = lambda_s_scale * max|T(X0)|.
+    0.05 sigma_max(X0) and lambda_S = 0.02 max|T(X0)|, the scales being
+    ``solvers.LAMBDA_L_SCALE`` and ``LAMBDA_S_SCALE``.
     lambda_p in [0, 1] is the step toward the prior spectrum (0 disables the
     prior step). ``support_eps`` is the relative magnitude cutoff used when
     reading a support off a coefficient matrix.
@@ -137,11 +148,9 @@ class SolverConfig:
     tol: float = 1e-3
     max_iter: int = 300
     support_eps: float = 0.02
-    lambda_l_scale: float = 0.05
-    lambda_s_scale: float = 0.02
 
     def __post_init__(self):
-        for name in ("lambda_L", "lambda_S", "lambda_l_scale", "lambda_s_scale"):
+        for name in ("lambda_L", "lambda_S"):
             value = getattr(self, name)
             if value is not None and not 0 < value < np.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
@@ -149,8 +158,7 @@ class SolverConfig:
             raise ValueError(f"lambda_p must be in [0, 1], got {self.lambda_p}")
         if not 0 < self.tol < np.inf:
             raise ValueError(f"tol must be > 0 and finite, got {self.tol}")
-        if not (isinstance(self.max_iter, int) and self.max_iter >= 1):
-            raise ValueError(f"max_iter must be a positive integer, got {self.max_iter}")
+        _require_int("max_iter", self.max_iter, 1)
         if not 0 < self.support_eps < 1:
             raise ValueError(f"support_eps must be in (0, 1), got {self.support_eps}")
 

@@ -22,10 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DynamicVolume, SolverConfig
+from .core import DynamicVolume, SolverConfig, _require_int
 from .operators import acquire, make_mask
 from .phantom import PhantomSpec, generate, psnr
-from .solvers import KNOWN_SOLVERS, solve_sequence
+from .solvers import KNOWN_SOLVERS, solve_sequence, uses_prior
 from .wavelets import check_slice_dims
 
 __all__ = [
@@ -57,13 +57,11 @@ class ExperimentSpec:
             raise ValueError(f"rates must be strictly increasing, got {self.rates}")
         if not 0 < self.first_frame_rate <= 1:
             raise ValueError(f"first_frame_rate must be in (0, 1], got {self.first_frame_rate}")
-        if self.n_seeds < 1:
-            raise ValueError("n_seeds must be >= 1")
+        _require_int("n_seeds", self.n_seeds, 1)
         if len(self.solvers) == 0:
             raise ValueError("solvers must be nonempty")
         for s in self.solvers:
-            if s not in KNOWN_SOLVERS:
-                raise ValueError(f"unknown solver {s!r}, expected one of {KNOWN_SOLVERS}")
+            uses_prior(s)  # an unknown name raises ValueError
 
 
 @dataclass
@@ -105,8 +103,7 @@ _SECTIONS = {
         "lambda_L": _threshold,
         "lambda_S": _threshold,
         "max_iter": int,
-        **dict.fromkeys(("lambda_p", "tol", "support_eps", "lambda_l_scale", "lambda_s_scale"),
-                        float),
+        **dict.fromkeys(("lambda_p", "tol", "support_eps"), float),
     },
     "sweep": {
         "first_frame_rate": float,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DynamicVolume, _slice_view
+from .core import DynamicVolume, _require_int, _slice_view
 
 __all__ = [
     "SamplingMask",
@@ -97,14 +97,13 @@ def make_mask(n_x: int, n_y: int, rate: float, *, seed: int = 0) -> SamplingMask
     selection probability by (1 + d/d0)^(-2) (``DENSITY_FALLOFF``) where d
     is the distance from the grid center and d0 is one eighth of the grid
     diagonal. The center point (DC) is always included. Deterministic for
-    a fixed seed, which must be >= 0.
+    a fixed seed, which must be an integer >= 0.
     """
     if min(n_x, n_y) < 1:
         raise ValueError(f"grid dims must be positive, got ({n_x}, {n_y})")
     if not 0 < rate <= 1:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    _require_int("seed", seed, 0)
     total = n_x * n_y
     m = int(round(rate * total))
     if m < 1:

@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import DynamicVolume
+from .core import DynamicVolume, _require_int
 
 __all__ = ["PhantomSpec", "PhantomSequence", "generate", "generate_frames", "psnr"]
 
@@ -42,16 +42,10 @@ class PhantomSpec:
         n_x, n_y, n_z = self.dims
         if min(n_x, n_y, n_z) < 1:
             raise ValueError(f"dims must be positive, got {self.dims}")
-        if self.n_frames < 1:
-            raise ValueError("n_frames must be >= 1")
-        if not 1 <= self.background_rank <= n_z:
-            raise ValueError(
-                f"background_rank must be in [1, n_z={n_z}], got {self.background_rank}"
-            )
-        if self.n_blobs < 0:
-            raise ValueError("n_blobs must be >= 0")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name, minimum in (("n_frames", 1), ("background_rank", 1), ("n_blobs", 0), ("seed", 0)):
+            _require_int(name, getattr(self, name), minimum)
+        if self.background_rank > n_z:
+            raise ValueError(f"background_rank must be in [1, n_z={n_z}], got {self.background_rank}")
         for name in ("blob_amplitude", "motion_step", "noise_sigma", "drift_rate", "blob_width"):
             if not math.isfinite(value := getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {value}")

@@ -1,7 +1,8 @@
 """Iterative low-rank plus sparse solvers and the sequential pipeline.
 
-Both solvers run the same soft-thresholding iteration from the zero-filled
-proxy X0 = A^H(y), S0 = 0:
+``solve(y, cfg, prior=None)`` runs one soft-thresholding scheme, the
+baseline ``ls`` without a prior and the prior-informed ``priori-ls`` with
+one, from the zero-filled proxy X0 = A^H(y), S0 = 0:
 
     1. L <- singular-value soft-thresholding of (X - S) with lambda_L; with
        a prior, the thresholded spectrum is then stepped toward the previous
@@ -18,8 +19,8 @@ proxy X0 = A^H(y), S0 = 0:
 and stop once the relative change of X drops below ``tol``. The returned
 reconstruction estimate is L + S.
 
-With lambda_p = 0 and an empty prior support, the prior-informed solver
-reduces exactly to the baseline one.
+With lambda_p = 0 and an empty prior support, a solve with a prior reduces
+exactly to one without.
 
 The baseline ``ls`` solver targets the convex objective
 
@@ -45,9 +46,8 @@ sparse support, a boolean mask over the wavelet coefficient matrix that the
 shrink step uses as it is.
 
 ``solve_sequence(frames, cfg, solver)`` chains the frames of a sequence
-under one config: frame 1 runs the baseline (no prior exists yet); every
-later frame runs the prior-informed solver for ``priori-ls``, or the
-baseline for ``ls``.
+under one config: frame 1 has no prior; every later frame gets the previous
+frame's prior for ``priori-ls``, and none for ``ls``.
 """
 
 from __future__ import annotations
@@ -73,17 +73,21 @@ from .wavelets import _forward_matrix, _inverse_matrix
 
 __all__ = [
     "KNOWN_SOLVERS",
+    "LAMBDA_L_SCALE",
+    "LAMBDA_S_SCALE",
     "SolveResult",
     "FrameSolveError",
     "default_config",
-    "solve_ls",
-    "solve_priori_ls",
+    "solve",
     "solve_sequence",
     "prior_from_result",
     "uses_prior",
 ]
 
 KNOWN_SOLVERS = ("ls", "priori-ls")
+# Scales of the data-scaled default thresholds (``default_config``).
+LAMBDA_L_SCALE = 0.05
+LAMBDA_S_SCALE = 0.02
 
 
 class FrameSolveError(RuntimeError):
@@ -121,8 +125,8 @@ def default_config(y: KSpaceData, cfg: SolverConfig | None = None) -> SolverConf
     """``cfg`` (default ``SolverConfig()``) with every None threshold
     data-scaled from the zero-filled proxy X0 = A^H(y):
 
-        lambda_L = lambda_l_scale * sigma_max(X0)
-        lambda_S = lambda_s_scale * max|T(X0)|
+        lambda_L = LAMBDA_L_SCALE * sigma_max(X0)
+        lambda_S = LAMBDA_S_SCALE * max|T(X0)|
 
     A config with both thresholds set is returned as it is, without reading y.
     X0 becomes T(X0) in place once sigma_max is read.
@@ -137,8 +141,8 @@ def default_config(y: KSpaceData, cfg: SolverConfig | None = None) -> SolverConf
         raise ValueError("all-zero measurements give no data scale; set thresholds explicitly")
     return replace(
         cfg,
-        lambda_L=cfg.lambda_L if cfg.lambda_L is not None else cfg.lambda_l_scale * sigma_max,
-        lambda_S=cfg.lambda_S if cfg.lambda_S is not None else cfg.lambda_s_scale * coeff_peak,
+        lambda_L=cfg.lambda_L if cfg.lambda_L is not None else LAMBDA_L_SCALE * sigma_max,
+        lambda_S=cfg.lambda_S if cfg.lambda_S is not None else LAMBDA_S_SCALE * coeff_peak,
     )
 
 
@@ -207,29 +211,24 @@ def _iterate(y: KSpaceData, cfg: SolverConfig, prior: Prior | None) -> SolveResu
     )
 
 
-def solve_ls(y: KSpaceData, cfg: SolverConfig) -> SolveResult:
-    """Baseline L+S reconstruction of one volume; None thresholds in ``cfg``
-    are resolved by ``default_config``."""
-    return _iterate(y, default_config(y, cfg), prior=None)
-
-
-def solve_priori_ls(y: KSpaceData, prior: Prior, cfg: SolverConfig) -> SolveResult:
-    """Prior-informed L+S reconstruction of one volume.
+def solve(y: KSpaceData, cfg: SolverConfig, prior: Prior | None = None) -> SolveResult:
+    """L+S reconstruction of one volume: ``ls`` without a prior, ``priori-ls``
+    with one. None thresholds in ``cfg`` are resolved by ``default_config``.
 
     The prior's spectrum pulls the low-rank iterate toward the previous
     frame's singular values; coefficients on the prior support are never
-    shrunk, so the sparse component is penalized only outside it. None
-    thresholds in ``cfg`` are resolved by ``default_config``.
+    shrunk, so the sparse component is penalized only outside it.
     """
-    n_x, n_y, n_z = y.dims
-    if prior.sigma_prev.size != n_z:
-        raise ValueError(f"prior spectrum length {prior.sigma_prev.size} does not match n_z {n_z}")
-    if prior.support_prev.shape != (n_x * n_y, n_z):
-        raise ValueError(
-            f"prior support shape {prior.support_prev.shape} does not match the "
-            f"coefficient matrix {(n_x * n_y, n_z)}"
-        )
-    return _iterate(y, default_config(y, cfg), prior=prior)
+    if prior is not None:
+        n_x, n_y, n_z = y.dims
+        if prior.sigma_prev.size != n_z:
+            raise ValueError(f"prior spectrum length {prior.sigma_prev.size} does not match n_z {n_z}")
+        if prior.support_prev.shape != (n_x * n_y, n_z):
+            raise ValueError(
+                f"prior support shape {prior.support_prev.shape} does not match the "
+                f"coefficient matrix {(n_x * n_y, n_z)}"
+            )
+    return _iterate(y, default_config(y, cfg), prior)
 
 
 def prior_from_result(
@@ -260,8 +259,8 @@ def solve_sequence(
 ) -> Iterator[SolveResult]:
     """Reconstruct a time sequence with ``solver``, yielding each frame's result once solved.
 
-    Frames are read from ``frames`` one at a time. Frame 1 is solved with the
-    baseline (no prior exists yet) and ``cfg`` resolved from its own samples
+    Frames are read from ``frames`` one at a time. Frame 1 is solved with no
+    prior (none exists yet) and ``cfg`` resolved from its own samples
     (``default_config``); every later frame with ``cfg`` resolved once, from
     frame 2, reusing the previous result's spectrum and sparse support under
     ``priori-ls`` and alone under ``ls``. The prior is built when the next
@@ -280,12 +279,9 @@ def solve_sequence(
         try:
             if t <= 2:
                 resolved = default_config(frame, cfg)
-            if previous is None:
-                result = solve_ls(frame, resolved)
-            else:
-                prior = prior_from_result(previous, dims, resolved.support_eps)
-                previous = None
-                result = solve_priori_ls(frame, prior, resolved)
+            prior = None if previous is None else prior_from_result(previous, dims, resolved.support_eps)
+            previous = None
+            result = solve(frame, resolved, prior)
         except Exception as exc:  # noqa: BLE001 - abort must carry the frame index
             raise FrameSolveError(t, exc) from exc
         yield result

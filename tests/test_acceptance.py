@@ -24,8 +24,7 @@ from lpsrecon import (
     make_mask,
     psnr,
     run_sweep,
-    solve_ls,
-    solve_priori_ls,
+    solve,
     solve_sequence,
     soft_threshold,
     sv_threshold,
@@ -111,7 +110,7 @@ def test_criterion_2_operator_algebra():
 
 
 def test_criterion_3_reduction_regression():
-    """solve_priori_ls(lambda_p=0, empty support) is iterate-identical to solve_ls."""
+    """solve with a prior of lambda_p=0 and empty support is iterate-identical to solve without."""
     started = time.perf_counter()
     seq = generate(PhantomSpec())
     mask = make_mask(32, 32, 0.5, seed=7)
@@ -121,8 +120,8 @@ def test_criterion_3_reduction_regression():
 
     for max_iter in (1, 7, 25, cfg.max_iter):
         cfg_k = replace(cfg, max_iter=max_iter)
-        a = solve_ls(y, cfg_k)
-        b = solve_priori_ls(y, empty_prior, cfg_k)
+        a = solve(y, cfg_k)
+        b = solve(y, cfg_k, empty_prior)
         scale = np.linalg.norm(a.decomposition.L) + np.linalg.norm(a.decomposition.S)
         assert np.linalg.norm(a.decomposition.L - b.decomposition.L) <= 1e-12 * scale
         assert np.linalg.norm(a.decomposition.S - b.decomposition.S) <= 1e-12 * scale
@@ -142,7 +141,7 @@ def test_criterion_4_exact_regime_recovery():
     y = acquire(seq.frames[0], mask)
     sigma_max = np.linalg.svd(acquire_adjoint(y).data, compute_uv=False)[0]
     cfg = SolverConfig(lambda_L=1e-8 * sigma_max, lambda_S=1e9, max_iter=50)
-    res = solve_ls(y, cfg)
+    res = solve(y, cfg)
     value = psnr(seq.frames[0], DynamicVolume(res.estimate(), spec.dims))
     assert res.iterations <= 50
     assert value > 100.0

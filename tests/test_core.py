@@ -264,9 +264,6 @@ class TestContainers:
             SolverConfig(lambda_L=1.0, lambda_S=1.0, max_iter=0)
         with pytest.raises(ValueError):
             SolverConfig(lambda_L=1.0, lambda_S=1.0, support_eps=1.0)
-        for scale in ("lambda_l_scale", "lambda_s_scale"):
-            with pytest.raises(ValueError, match=f"^{scale} "):
-                SolverConfig(**{scale: 0.0})
         cfg = SolverConfig(lambda_L=1.0, lambda_S=1.0, lambda_p=0.0)
         assert cfg.lambda_p == 0.0
         auto = SolverConfig()

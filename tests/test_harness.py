@@ -15,12 +15,12 @@ from lpsrecon import (
     load_mask,
     load_volume,
     acquire,
+    make_mask,
     parse_config,
     prior_from_result,
     run_sweep,
     save_volume,
-    solve_ls,
-    solve_priori_ls,
+    solve,
 )
 import lpsrecon.cli as cli
 from lpsrecon.cli import main
@@ -103,7 +103,7 @@ def _config_with(section: str, line: str) -> str:
     ("solver", "tol = inf", ["tol must be > 0", "inf"]),
     ("solver", "max_iter = 1.5", ["max_iter", "1.5"]),
     ("solver", "lamda_p = 0.0", ["unknown key 'lamda_p'"]),
-    ("solver", "lambda_l_scale = 0", ["lambda_l_scale must be"]),
+    ("solver", "lambda_l_scale = 0", ["unknown key 'lambda_l_scale'"]),
     ("solver", "lambda_s = -2", ["lambda_S must be"]),
     ("solver.fista", "tol = 1e-3", ["unknown section"]),
     ("solver.ls", "tol = 1e-3", ["unknown section", "[solver], [sweep]"]),
@@ -164,6 +164,32 @@ def test_readme_matches_the_command_line_and_config_keys():
     table = readme.split("The `[solver]` section is one `SolverConfig`")[1].split("\n\n")[1]
     keys = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
     assert sorted(keys) == sorted(key.lower() for key in _SECTIONS["solver"])
+
+
+def test_readme_quickstart_prints_one_line_per_frame(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Library quickstart\n.*?```python\n(.*?)```", readme, flags=re.S).group(1)
+    exec(compile(block, "README.md quickstart", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:1] for line in lines] == [[str(t)] for t in range(1, 7)]
+    assert all(line.split()[2] == "dB" for line in lines)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda v: make_mask(8, 8, 0.5, seed=v), "seed"),
+    (lambda v: PhantomSpec(seed=v), "seed"),
+    (lambda v: PhantomSpec(n_frames=v), "n_frames"),
+    (lambda v: PhantomSpec(background_rank=v), "background_rank"),
+    (lambda v: PhantomSpec(n_blobs=v), "n_blobs"),
+    (lambda v: ExperimentSpec(n_seeds=v), "n_seeds"),
+    (lambda v: SolverConfig(max_iter=v), "max_iter"),
+], ids=["mask-seed", "phantom-seed", "n_frames", "background_rank", "n_blobs", "n_seeds",
+        "max_iter"])
+def test_integer_settings_fail_by_name_at_the_boundary(build, name):
+    for bad in (1.5, True, "2"):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
+            build(bad)
+    build(np.int64(2))  # any integral type passes
 
 
 def test_experiment_spec_validation():
@@ -378,8 +404,8 @@ class TestCli:
 
         # prior-informed reconstruction of the next frame
         priors = []
-        monkeypatch.setattr(cli, "solve_priori_ls", lambda y, prior, cfg: (
-            priors.append(prior) or solve_priori_ls(y, prior, cfg)))
+        monkeypatch.setattr(cli, "solve", lambda y, cfg, prior=None: (
+            priors.append(prior) or solve(y, cfg, prior)))
         code = main(["recon", "--input", str(files[1]), "--mask", str(mask_path),
                      "--out", str(tmp_path / "rec2"), "--config", str(config_file),
                      "--prior-l", str(tmp_path / "rec1.l"),
@@ -391,7 +417,7 @@ class TestCli:
         # builds from the in-memory frame-1 result
         _, cfg = parse_config(config_file)
         y1 = acquire(vol, load_mask(mask_path))
-        first = solve_ls(y1, cfg)
+        first = solve(y1, cfg)
         want = prior_from_result(first.decomposition, vol.dims, cfg.support_eps)
         assert np.array_equal(priors[0].sigma_prev, want.sigma_prev)
         assert np.array_equal(priors[0].support_prev, want.support_prev)

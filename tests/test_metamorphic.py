@@ -22,8 +22,7 @@ from lpsrecon import (
     default_config,
     make_mask,
     prior_from_result,
-    solve_ls,
-    solve_priori_ls,
+    solve,
 )
 
 DIMS = (16, 16, 3)
@@ -49,7 +48,7 @@ def _problem(seed: int) -> KSpaceData:
 
 def _solve(y: KSpaceData, prior: Prior | None = None):
     cfg = default_config(y, SolverConfig(tol=TOL, max_iter=MAX_ITER))
-    result = solve_ls(y, cfg) if prior is None else solve_priori_ls(y, prior, cfg)
+    result = solve(y, cfg, prior)
     assert result.iterations == MAX_ITER
     return result.decomposition.L, result.decomposition.S
 

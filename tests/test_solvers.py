@@ -20,8 +20,7 @@ from lpsrecon import (
     make_mask,
     prior_from_result,
     psnr,
-    solve_ls,
-    solve_priori_ls,
+    solve,
     solve_sequence,
     wavelet_forward,
 )
@@ -45,7 +44,7 @@ def test_zero_data_fixed_point():
     mask = make_mask(16, 16, 0.4, seed=1)
     y = KSpaceData(np.zeros((mask.m, 2)), mask, (16, 16, 2))
     cfg = SolverConfig(lambda_L=0.5, lambda_S=0.5)
-    res = solve_ls(y, cfg)
+    res = solve(y, cfg)
     assert res.iterations == 1
     assert res.converged
     assert np.all(res.decomposition.L == 0)
@@ -59,7 +58,7 @@ def test_full_sampling_rank1_recovery():
     y = acquire(seq.frames[0], mask)
     sigma_max = np.linalg.svd(acquire_adjoint(y).data, compute_uv=False)[0]
     cfg = SolverConfig(lambda_L=1e-8 * sigma_max, lambda_S=1e9, max_iter=50)
-    res = solve_ls(y, cfg)
+    res = solve(y, cfg)
     estimate = DynamicVolume(res.estimate(), spec.dims)
     assert psnr(seq.frames[0], estimate) > 100.0
     assert np.all(res.decomposition.S == 0)
@@ -71,8 +70,8 @@ def test_phantom_50_converges(phantom_50):
     # well within 200 iterations at tol 1e-3, the final data residual sits
     # under 0.1, and the iterate-change history decreases from iteration 1.
     _, y, cfg = phantom_50
-    first = solve_ls(y, replace(cfg, max_iter=1))
-    res = solve_ls(y, replace(cfg, max_iter=200))
+    first = solve(y, replace(cfg, max_iter=1))
+    res = solve(y, replace(cfg, max_iter=200))
     assert res.converged
     assert res.iterations <= 200
     assert res.data_residual < 0.1
@@ -86,8 +85,8 @@ def test_reduction_to_baseline_is_exact(phantom_50):
     empty_prior = Prior(np.zeros(4), np.zeros((32 * 32, 4), dtype=bool))
     for max_iter in (1, 5, 20, cfg.max_iter):
         cfg_k = replace(cfg0, max_iter=max_iter)
-        a = solve_ls(y, cfg_k)
-        b = solve_priori_ls(y, empty_prior, cfg_k)
+        a = solve(y, cfg_k)
+        b = solve(y, cfg_k, empty_prior)
         assert np.array_equal(a.decomposition.L, b.decomposition.L)
         assert np.array_equal(a.decomposition.S, b.decomposition.S)
         assert np.array_equal(a.residual_history, b.residual_history)
@@ -102,7 +101,7 @@ def test_priori_zero_data_spectrum_step():
     y = KSpaceData(np.zeros((mask.m, 4)), mask, (32, 32, 4))
     prior = Prior(np.array([4.0, 2.0, 1.0, 0.0]), np.zeros((32 * 32, 4), dtype=bool))
     cfg = SolverConfig(lambda_L=0.1, lambda_S=0.1, lambda_p=0.5, max_iter=1)
-    res = solve_priori_ls(y, prior, cfg)
+    res = solve(y, cfg, prior)
     assert np.array_equal(res.decomposition.L, np.zeros((32 * 32, 4)))
 
 
@@ -111,7 +110,7 @@ def test_priori_zero_data_zero_prior():
     y = KSpaceData(np.zeros((mask.m, 2)), mask, (16, 16, 2))
     prior = Prior(np.zeros(2), np.zeros((16 * 16, 2), dtype=bool))
     cfg = SolverConfig(lambda_L=0.1, lambda_S=0.1, lambda_p=0.7, max_iter=50)
-    res = solve_priori_ls(y, prior, cfg)
+    res = solve(y, cfg, prior)
     assert np.all(res.decomposition.L == 0)
     assert np.all(res.decomposition.S == 0)
 
@@ -128,9 +127,9 @@ def test_exact_prior_beats_baseline_at_quarter_sampling():
             np.linalg.svd(seq.l_true[1].data, compute_uv=False),
             extract_support(wavelet_forward(seq.s_true[1]), cfg.support_eps),
         )
-        p_ls = psnr(seq.frames[1], DynamicVolume(solve_ls(y, cfg).estimate(), spec.dims))
+        p_ls = psnr(seq.frames[1], DynamicVolume(solve(y, cfg).estimate(), spec.dims))
         p_pr = psnr(
-            seq.frames[1], DynamicVolume(solve_priori_ls(y, prior, cfg).estimate(), spec.dims)
+            seq.frames[1], DynamicVolume(solve(y, cfg, prior).estimate(), spec.dims)
         )
         assert p_pr > p_ls
 
@@ -158,7 +157,7 @@ def test_data_consistency_fixed_point_at_full_sampling():
 def test_single_frame_sequence_equals_solve_ls(phantom_50):
     _, y, cfg = phantom_50
     seq_res = list(solve_sequence([y], cfg, "priori-ls"))
-    direct = solve_ls(y, cfg)
+    direct = solve(y, cfg)
     assert len(seq_res) == 1
     assert np.array_equal(seq_res[0].decomposition.L, direct.decomposition.L)
     assert np.array_equal(seq_res[0].decomposition.S, direct.decomposition.S)
@@ -185,11 +184,11 @@ def test_sequence_keeps_each_frame_as_solved_alone():
     # An unresolved config resolves from frame 1 and, for every later frame,
     # once from frame 2: frame 3 reuses frame 2's thresholds.
     results = list(solve_sequence(frames, SolverConfig(), "priori-ls"))
-    alone = solve_ls(frames[0], cfg_first)
+    alone = solve(frames[0], cfg_first)
     for t, result in enumerate(results):
         if t:
             prior = prior_from_result(alone.decomposition, frames[t].dims, cfg_rest.support_eps)
-            alone = solve_priori_ls(frames[t], prior, cfg_rest)
+            alone = solve(frames[t], cfg_rest, prior)
         assert np.array_equal(result.decomposition.S, alone.decomposition.S)
         assert np.array_equal(result.decomposition.L, alone.decomposition.L)
 
@@ -204,13 +203,13 @@ def test_solve_sequence_matches_the_explicit_chain(solver):
               for t, f in enumerate(seq.frames)]
     cfg = SolverConfig(lambda_p=0.5, support_eps=0.05)
     cfg_first, cfg_rest = default_config(frames[0], cfg), default_config(frames[1], cfg)
-    want = [solve_ls(frames[0], cfg_first)]
+    want = [solve(frames[0], cfg_first)]
     for y in frames[1:]:
         if solver == "ls":
-            want.append(solve_ls(y, cfg_rest))
+            want.append(solve(y, cfg_rest))
         else:
             prior = prior_from_result(want[-1].decomposition, y.dims, cfg_rest.support_eps)
-            want.append(solve_priori_ls(y, prior, cfg_rest))
+            want.append(solve(y, cfg_rest, prior))
     got = list(solve_sequence(iter(frames), cfg, solver))
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -252,7 +251,7 @@ def test_priori_ls_runs_on_a_wide_casorati_matrix():
 
 def test_prior_from_result_leaves_the_pair_unchanged(phantom_50):
     _, y, cfg = phantom_50
-    dec = solve_ls(y, replace(cfg, max_iter=5)).decomposition
+    dec = solve(y, replace(cfg, max_iter=5)).decomposition
     before_l, before_s = dec.L.copy(), dec.S.copy()
     prior_from_result(dec, y.dims, cfg.support_eps)
     assert dec.L.tobytes() == before_l.tobytes()
@@ -267,13 +266,13 @@ def test_solve_peak_memory_is_at_most_five_volumes(dims):
     seq = generate(PhantomSpec(dims=dims, n_frames=2))
     frames = [acquire(f, make_mask(n_x, n_y, 0.25, seed=t)) for t, f in enumerate(seq.frames)]
     cfg = replace(default_config(frames[0]), max_iter=3)
-    first = solve_ls(frames[0], cfg)  # also fills the wavelet band caches
+    first = solve(frames[0], cfg)  # also fills the wavelet band caches
     prior = prior_from_result(first.decomposition, dims, cfg.support_eps)
     volume_bytes = n_x * n_y * n_z * np.dtype(np.complex128).itemsize
-    for solve in (lambda: solve_ls(frames[0], cfg), lambda: solve_priori_ls(frames[1], prior, cfg)):
+    for run in (lambda: solve(frames[0], cfg), lambda: solve(frames[1], cfg, prior)):
         tracemalloc.start()
         try:
-            solve()
+            run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -326,8 +325,8 @@ def test_sequence_failure_carries_frame_index():
 
 def test_determinism_bitwise(phantom_50):
     _, y, cfg = phantom_50
-    a = solve_ls(y, cfg)
-    b = solve_ls(y, cfg)
+    a = solve(y, cfg)
+    b = solve(y, cfg)
     assert np.array_equal(a.decomposition.L, b.decomposition.L)
     assert np.array_equal(a.decomposition.S, b.decomposition.S)
     assert np.array_equal(a.residual_history, b.residual_history)
@@ -349,7 +348,7 @@ def test_non_finite_iterate_names_iteration(phantom_50, monkeypatch):
     with np.errstate(invalid="ignore"), pytest.raises(
         FloatingPointError, match="non-finite iterate at iteration 2$"
     ):
-        solve_ls(y, cfg)
+        solve(y, cfg)
 
 
 def test_non_finite_estimate_caught_at_full_sampling(monkeypatch):
@@ -371,7 +370,7 @@ def test_non_finite_estimate_caught_at_full_sampling(monkeypatch):
     with np.errstate(invalid="ignore"), pytest.raises(
         FloatingPointError, match="non-finite estimate at iteration 1$"
     ):
-        solve_ls(y, cfg)
+        solve(y, cfg)
 
 
 def test_default_config_golden_values(phantom_50):
@@ -391,8 +390,8 @@ def test_default_config_reads_its_thresholds_off_the_zero_filled_proxy(phantom_5
     # thresholds must still be those of the untouched proxy, bit for bit.
     _, y, cfg = phantom_50
     x0 = acquire_adjoint(y)
-    assert cfg.lambda_L == cfg.lambda_l_scale * float(_gram_spectrum(x0.data)[0][0])
-    assert cfg.lambda_S == cfg.lambda_s_scale * float(np.abs(wavelet_forward(x0)).max())
+    assert cfg.lambda_L == solvers.LAMBDA_L_SCALE * float(_gram_spectrum(x0.data)[0][0])
+    assert cfg.lambda_S == solvers.LAMBDA_S_SCALE * float(np.abs(wavelet_forward(x0)).max())
 
 
 def test_default_config_rejects_zero_data():
@@ -421,7 +420,7 @@ def test_default_config_auto_and_override(phantom_50):
 def test_prior_shape_mismatch_rejected(phantom_50):
     _, y, cfg = phantom_50
     with pytest.raises(ValueError):
-        solve_priori_ls(y, Prior(np.zeros(3), np.zeros((32 * 32, 4), dtype=bool)), cfg)
+        solve(y, cfg, Prior(np.zeros(3), np.zeros((32 * 32, 4), dtype=bool)))
 
 
 def test_prior_from_mismatched_pair_rejected():
@@ -436,7 +435,7 @@ def test_prior_support_out_of_bounds_rejected(phantom_50):
     for shape in [(32 * 32 + 1, 4), (32 * 32, 3), (4, 32 * 32), (16 * 16, 4)]:
         bad = Prior(np.zeros(4), np.zeros(shape, dtype=bool))
         with pytest.raises(ValueError, match="prior support shape"):
-            solve_priori_ls(y, bad, cfg)
+            solve(y, cfg, bad)
 
 
 def test_kspace_rejects_nonfinite():
@@ -449,7 +448,7 @@ def test_kspace_rejects_nonfinite():
 
 def test_residual_history_contract(phantom_50):
     _, y, cfg = phantom_50
-    res = solve_ls(y, cfg)
+    res = solve(y, cfg)
     assert res.residual_history.shape == (res.iterations,)
     assert np.isfinite(res.residual_history).all()
     assert (res.residual_history >= 0).all()
@@ -471,11 +470,11 @@ def test_residual_history_matches_the_norm_ratio(phantom_50, monkeypatch, solver
     seq, y, cfg = phantom_50
     cfg = replace(cfg, tol=1e-5)
     if solver == "ls":
-        run = lambda: solve_ls(y, cfg)  # noqa: E731
+        run = lambda: solve(y, cfg)  # noqa: E731
     else:
-        prior = prior_from_result(solve_ls(y, cfg).decomposition, y.dims, cfg.support_eps)
+        prior = prior_from_result(solve(y, cfg).decomposition, y.dims, cfg.support_eps)
         y2 = acquire(seq.frames[1], make_mask(32, 32, 0.25, seed=8))
-        run = lambda: solve_priori_ls(y2, prior, cfg)  # noqa: E731
+        run = lambda: solve(y2, cfg, prior)  # noqa: E731
     got = run()
     monkeypatch.setattr(solvers, "_relative_change", _norm_ratio)
     want = run()
