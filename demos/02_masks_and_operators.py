@@ -16,7 +16,7 @@ from lpsrecon import (
     make_mask,
     psnr,
 )
-from lpsrecon.phantom import PhantomSpec, generate
+from lpsrecon.phantom import PhantomSpec, generate_frames
 
 # A 25% mask: sampling density decays away from the k-space center.
 mask = make_mask(64, 64, rate=0.25, seed=7)
@@ -33,8 +33,7 @@ for row in block:
     print("".join("#" if v else "." for v in row))
 
 # Acquire a phantom frame and look at the zero-filled adjoint.
-seq = generate(PhantomSpec(dims=(64, 64, 4), blob_width=8.0))
-frame = seq.frames[0]
+frame, _, _ = next(generate_frames(PhantomSpec(dims=(64, 64, 4), blob_width=8.0)))
 y = acquire(frame, mask)
 zero_filled = acquire_adjoint(y)
 print(f"\nzero-filled PSNR at 25% sampling: {psnr(frame, zero_filled):.2f} dB")

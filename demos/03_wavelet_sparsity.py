@@ -10,7 +10,7 @@ coefficient matrix.
 import numpy as np
 
 from lpsrecon import DynamicVolume, wavelet_forward, wavelet_inverse
-from lpsrecon.phantom import PhantomSpec, generate
+from lpsrecon.phantom import PhantomSpec, generate_frames
 
 dims = (32, 32, 4)
 rng = np.random.default_rng(0)
@@ -26,8 +26,8 @@ print(f"energy ratio ||T x|| / ||x||: {np.linalg.norm(coeffs) / np.linalg.norm(v
 
 # The phantom's dynamic component compresses hard: a few percent of the
 # coefficients carry nearly all of its energy.
-seq = generate(PhantomSpec())
-s_coeffs = wavelet_forward(seq.s_true[0])
+_, l_true, s_true = next(generate_frames(PhantomSpec()))
+s_coeffs = wavelet_forward(s_true)
 mags = np.sort(np.abs(s_coeffs).ravel())[::-1]
 energy = np.cumsum(mags**2) / np.sum(mags**2)
 for frac in (0.01, 0.02, 0.05, 0.10):
@@ -36,7 +36,7 @@ for frac in (0.01, 0.02, 0.05, 0.10):
 
 # The smooth low-rank background also compresses, but spreads over the
 # coarse approximation band rather than a sparse set of detail entries.
-l_coeffs = wavelet_forward(seq.l_true[0])
+l_coeffs = wavelet_forward(l_true)
 lm = np.sort(np.abs(l_coeffs).ravel())[::-1]
 le = np.cumsum(lm**2) / np.sum(lm**2)
 k = int(0.02 * lm.size)

@@ -33,7 +33,7 @@ from .harness import (
     parse_config,
     run_sweep,
 )
-from .phantom import PhantomSequence, PhantomSpec, generate, psnr
+from .phantom import PhantomSpec, generate_frames, psnr
 from .solvers import (
     FrameSolveError,
     SolveResult,
@@ -72,9 +72,8 @@ __all__ = [
     "SweepRow",
     "parse_config",
     "run_sweep",
-    "PhantomSequence",
     "PhantomSpec",
-    "generate",
+    "generate_frames",
     "psnr",
     "FrameSolveError",
     "SolveResult",

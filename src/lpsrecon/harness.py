@@ -1,14 +1,14 @@
 """Reproducible experiments: config files, paired sweeps, CSV reports.
 
-A sweep runs every (solver, rate, seed) cell of the experiment grid on
-freshly generated phantoms, reconstructs the whole sequence, and reports
-per-frame PSNR. The first frame is always sampled at ``first_frame_rate``
-(no prior exists for it); the swept rate applies to the later frames, so
-summary rows average frames 2..n only.
+A sweep runs every (solver, rate, seed) cell of the experiment grid,
+reconstructs the whole sequence, and reports per-frame PSNR. The first frame
+is always sampled at ``first_frame_rate`` (no prior exists for it); the swept
+rate applies to the later frames, so summary rows average frames 2..n only.
 
-Masks are regenerated per (seed, rate, frame-tier) with seeds derived
-arithmetically from the experiment seed. They are shared by both solvers, as
-is the one solver config, so comparisons are paired. sweep.csv is
+The pairing is structural: each seed's phantom is generated once, and each
+(rate, seed) acquisition -- two masks, with seeds derived arithmetically from
+the experiment seed, and the k-space of every frame -- is built once and
+handed to every solver, under the one solver config. sweep.csv is
 byte-stable across reruns of the same config: wall-clock times and
 timestamps go to run.log only.
 """
@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import DynamicVolume, SolverConfig, _require_int
 from .operators import acquire, make_mask
-from .phantom import PhantomSpec, generate, psnr
+from .phantom import PhantomSpec, generate_frames, psnr
 from .solvers import KNOWN_SOLVERS, solve_sequence, uses_prior
 from .wavelets import check_slice_dims
 
@@ -167,43 +167,10 @@ def parse_config(path) -> tuple[ExperimentSpec, SolverConfig]:
 
 
 def _mask_seed(base_seed: int, seed_index: int, rate: float, tier: int) -> int:
-    # Stable arithmetic derivation; keeps masks paired across solvers.
+    # Stable arithmetic derivation: the masks depend only on (seed, rate, tier).
     return (base_seed * 1_000_003 + seed_index * 9_176 + int(round(rate * 1e6)) * 31 + tier) % (
         2**31 - 1
     )
-
-
-def _solve_cell(
-    experiment: ExperimentSpec,
-    solver: str,
-    rate: float,
-    seed_index: int,
-    cfg: SolverConfig,
-) -> list[SweepRow]:
-    phantom_spec = replace(experiment.phantom, seed=experiment.phantom.seed + seed_index)
-    sequence = generate(phantom_spec)
-    n_x, n_y, _ = phantom_spec.dims
-    base = experiment.phantom.seed
-    mask_first = make_mask(n_x, n_y, experiment.first_frame_rate,
-                           seed=_mask_seed(base, seed_index, rate, 0))
-    mask_rest = make_mask(n_x, n_y, rate, seed=_mask_seed(base, seed_index, rate, 1))
-    kspace = (
-        acquire(frame, mask_first if t == 0 else mask_rest)
-        for t, frame in enumerate(sequence.frames)
-    )
-    results = solve_sequence(kspace, cfg, solver)
-    return [
-        SweepRow(
-            solver=solver,
-            rate=experiment.first_frame_rate if t == 0 else rate,
-            seed=seed_index,
-            frame=t + 1,
-            psnr_db=psnr(reference, DynamicVolume(result.estimate(), phantom_spec.dims)),
-            iterations=result.iterations,
-            converged=result.converged,
-        )
-        for t, (reference, result) in enumerate(zip(sequence.frames, results))
-    ]
 
 
 def write_sweep_csv(path, rows: list[SweepRow]) -> None:
@@ -242,17 +209,35 @@ def run_sweep(experiment: ExperimentSpec, cfg: SolverConfig | None = None) -> li
     out.mkdir(parents=True, exist_ok=True)
     log_lines = [f"sweep started {time.strftime('%Y-%m-%dT%H:%M:%S')}"]
 
+    n_x, n_y, _ = experiment.phantom.dims
+    base = experiment.phantom.seed
     all_rows: list[SweepRow] = []
-    for solver in experiment.solvers:
+    for seed_index in range(experiment.n_seeds):
+        phantom_spec = replace(experiment.phantom, seed=base + seed_index)
+        frames = [x for x, _, _ in generate_frames(phantom_spec)]
         for rate in experiment.rates:
-            for seed_index in range(experiment.n_seeds):
+            mask_first = make_mask(n_x, n_y, experiment.first_frame_rate,
+                                   seed=_mask_seed(base, seed_index, rate, 0))
+            mask_rest = make_mask(n_x, n_y, rate, seed=_mask_seed(base, seed_index, rate, 1))
+            kspace = [acquire(frame, mask_first if t == 0 else mask_rest)
+                      for t, frame in enumerate(frames)]
+            for solver in experiment.solvers:
                 started = time.perf_counter()
-                rows = _solve_cell(experiment, solver, rate, seed_index, cfg)
+                results = solve_sequence(kspace, cfg, solver)
+                for t, (reference, result) in enumerate(zip(frames, results)):
+                    all_rows.append(SweepRow(
+                        solver=solver,
+                        rate=experiment.first_frame_rate if t == 0 else rate,
+                        seed=seed_index,
+                        frame=t + 1,
+                        psnr_db=psnr(reference, DynamicVolume(result.estimate(), reference.dims)),
+                        iterations=result.iterations,
+                        converged=result.converged,
+                    ))
                 wall = time.perf_counter() - started
                 log_lines.append(
                     f"cell solver={solver} rate={rate:.6f} seed={seed_index} wall={wall:.3f}s"
                 )
-                all_rows.extend(rows)
 
     write_sweep_csv(out / "sweep.csv", all_rows)
     write_summary_csv(out / "summary.csv", all_rows)

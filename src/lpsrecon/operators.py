@@ -12,7 +12,7 @@ sits at (n_x // 2, n_y // 2), the geometric center of the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,19 +31,28 @@ __all__ = [
 
 @dataclass
 class SamplingMask:
-    """Boolean frequency-sampling pattern over an (n_x, n_y) grid."""
+    """Boolean frequency-sampling pattern over an (n_x, n_y) grid.
+
+    ``index`` holds the flat indices of the sampled entries in the unshifted
+    spectrum (``_sample_index``), derived once here for every transform that
+    reads or writes the samples. The mask keeps a read-only copy of the
+    pattern, so the index cannot go stale.
+    """
 
     pattern: np.ndarray
+    index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pat = np.asarray(self.pattern)
+        pat = np.array(self.pattern)
         if pat.dtype != bool:
             raise ValueError(f"mask pattern must be boolean, got dtype {pat.dtype}")
         if pat.ndim != 2:
             raise ValueError(f"mask pattern must be 2-D, got ndim {pat.ndim}")
         if not pat.any():
             raise ValueError("mask must sample at least one frequency")
+        pat.flags.writeable = False
         self.pattern = pat
+        self.index = _sample_index(pat)
 
     @property
     def m(self) -> int:
@@ -99,8 +108,8 @@ def make_mask(n_x: int, n_y: int, rate: float, *, seed: int = 0) -> SamplingMask
     diagonal. The center point (DC) is always included. Deterministic for
     a fixed seed, which must be an integer >= 0.
     """
-    if min(n_x, n_y) < 1:
-        raise ValueError(f"grid dims must be positive, got ({n_x}, {n_y})")
+    _require_int("n_x", n_x, 1)
+    _require_int("n_y", n_y, 1)
     if not 0 < rate <= 1:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
     _require_int("seed", seed, 0)
@@ -204,7 +213,7 @@ def acquire(x: DynamicVolume, mask: SamplingMask) -> KSpaceData:
             f"mask grid {mask.pattern.shape} does not match volume dims {x.dims}"
         )
     spectra = _spectra(x.data.copy(order="F"), x.dims).reshape(x.dims[2], -1)
-    return KSpaceData(np.take(spectra, _sample_index(mask.pattern), axis=1).T, mask, x.dims)
+    return KSpaceData(np.take(spectra, mask.index, axis=1).T, mask, x.dims)
 
 
 def acquire_adjoint(y: KSpaceData) -> DynamicVolume:
@@ -213,7 +222,7 @@ def acquire_adjoint(y: KSpaceData) -> DynamicVolume:
     Because the transform is unitary, this is also the least-squares
     zero-filled reconstruction.
     """
-    data = _adjoint_matrix(y.samples, y.dims, _sample_index(y.mask.pattern))
+    data = _adjoint_matrix(y.samples, y.dims, y.mask.index)
     return DynamicVolume(data, y.dims)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import DynamicVolume, _require_int
 
-__all__ = ["PhantomSpec", "PhantomSequence", "generate", "generate_frames", "psnr"]
+__all__ = ["PhantomSpec", "generate_frames", "psnr"]
 
 PSNR_SENTINEL_DB = float("inf")
 
@@ -40,8 +40,8 @@ class PhantomSpec:
 
     def __post_init__(self):
         n_x, n_y, n_z = self.dims
-        if min(n_x, n_y, n_z) < 1:
-            raise ValueError(f"dims must be positive, got {self.dims}")
+        for name, value in zip(("n_x", "n_y", "n_z"), self.dims):
+            _require_int(f"dims {name}", value, 1)
         for name, minimum in (("n_frames", 1), ("background_rank", 1), ("n_blobs", 0), ("seed", 0)):
             _require_int(name, getattr(self, name), minimum)
         if self.background_rank > n_z:
@@ -55,15 +55,6 @@ class PhantomSpec:
             raise ValueError("drift_rate must be >= 0")
         if self.blob_width <= 0:
             raise ValueError("blob_width must be > 0")
-
-
-@dataclass
-class PhantomSequence:
-    """Generated frames plus the per-frame ground-truth components."""
-
-    frames: list[DynamicVolume]
-    l_true: list[DynamicVolume]
-    s_true: list[DynamicVolume]
 
 
 def _smooth_modes(rng: np.random.Generator, n_x: int, n_y: int, rank: int) -> np.ndarray:
@@ -138,38 +129,34 @@ def generate_frames(spec: PhantomSpec) -> Iterator[tuple[DynamicVolume, DynamicV
     gx = np.arange(n_x)[:, None]
     gy = np.arange(n_y)[None, :]
 
-    def frame(t):
-        scale = amps * (1.0 + spec.drift_rate * t * drift_weights)
-        l_mat = (modes * scale) @ mixing
+    n_xy = n_x * n_y
+    amp_bump = np.empty(n_xy)
+    blob_column = np.empty(n_xy, dtype=np.complex128)
 
-        s_mat = np.zeros((n_x * n_y, n_z), dtype=np.complex128)
+    def frame(t):
+        # Column-major, like every Casorati matrix of the package. Each bump
+        # is added one slice column at a time through one reused column buffer.
+        l_mat = np.empty((n_xy, n_z), dtype=np.complex128, order="F")
+        np.matmul(modes * (amps * (1.0 + spec.drift_rate * t * drift_weights)), mixing, out=l_mat)
+
+        s_mat = np.zeros((n_xy, n_z), dtype=np.complex128, order="F")
         for b in range(spec.n_blobs):
             cx, cy = starts[b] + spec.motion_step * t * direction
             bump = np.exp(-((gx - cx) ** 2 + (gy - cy) ** 2) / (2.0 * spec.blob_width**2))
-            s_mat += spec.blob_amplitude * bump.ravel()[:, None] * slice_weights[b][None, :]
+            np.multiply(spec.blob_amplitude, bump.ravel(), out=amp_bump)
+            for z, weight in enumerate(slice_weights[b]):
+                s_mat[:, z] += np.multiply(amp_bump, weight, out=blob_column)
 
         x_mat = l_mat + s_mat
         if spec.noise_sigma > 0:
-            noise = rng.standard_normal((n_x * n_y, n_z)) + 1j * rng.standard_normal(
-                (n_x * n_y, n_z)
-            )
-            x_mat = x_mat + spec.noise_sigma / math.sqrt(2.0) * noise
+            noise = rng.standard_normal((n_xy, n_z)) + 1j * rng.standard_normal((n_xy, n_z))
+            x_mat += spec.noise_sigma / math.sqrt(2.0) * noise
 
         return (DynamicVolume(x_mat, spec.dims), DynamicVolume(l_mat, spec.dims),
                 DynamicVolume(s_mat, spec.dims))
 
     # The checks above run at the call; each frame is made when it is asked for.
     return (frame(t) for t in range(spec.n_frames))
-
-
-def generate(spec: PhantomSpec) -> PhantomSequence:
-    """Generate frames X = L + S + noise together with L and S ground truth.
-
-    Raises ValueError when a blob trajectory would leave the grid within
-    the requested number of frames.
-    """
-    frames, l_true, s_true = zip(*generate_frames(spec))
-    return PhantomSequence(list(frames), list(l_true), list(s_true))
 
 
 def psnr(reference: DynamicVolume, estimate: DynamicVolume) -> float:

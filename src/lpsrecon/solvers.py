@@ -64,7 +64,6 @@ from .operators import (
     _adjoint_matrix,
     _data_consistency,
     _gram_spectrum,
-    _sample_index,
     _sample_residual,
     extract_support,
     sv_threshold,
@@ -134,7 +133,7 @@ def default_config(y: KSpaceData, cfg: SolverConfig | None = None) -> SolverConf
     cfg = cfg or SolverConfig()
     if cfg.lambda_L is not None and cfg.lambda_S is not None:
         return cfg
-    x0 = _adjoint_matrix(y.samples, y.dims, _sample_index(y.mask.pattern))
+    x0 = _adjoint_matrix(y.samples, y.dims, y.mask.index)
     sigma_max = float(_gram_spectrum(x0)[0][0])
     coeff_peak = float(np.abs(_forward_matrix(x0, y.dims)).max())
     if sigma_max == 0.0 or coeff_peak == 0.0:
@@ -163,7 +162,7 @@ def _relative_change(x: np.ndarray, x_new: np.ndarray, dims: tuple[int, int, int
 def _iterate(y: KSpaceData, cfg: SolverConfig, prior: Prior | None) -> SolveResult:
     # Iterates stay column-major (a C-contiguous slice stack): no reshape copies.
     dims = y.dims
-    index = _sample_index(y.mask.pattern)
+    index = y.mask.index
     keep_mask = sigma_prev = None
     if prior is not None:
         keep_mask, sigma_prev = prior.support_prev, prior.sigma_prev

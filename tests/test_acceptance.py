@@ -20,7 +20,7 @@ from lpsrecon import (
     acquire,
     acquire_adjoint,
     default_config,
-    generate,
+    generate_frames,
     make_mask,
     psnr,
     run_sweep,
@@ -112,9 +112,9 @@ def test_criterion_2_operator_algebra():
 def test_criterion_3_reduction_regression():
     """solve with a prior of lambda_p=0 and empty support is iterate-identical to solve without."""
     started = time.perf_counter()
-    seq = generate(PhantomSpec())
+    truth = [x for x, _, _ in generate_frames(PhantomSpec())]
     mask = make_mask(32, 32, 0.5, seed=7)
-    y = acquire(seq.frames[0], mask)
+    y = acquire(truth[0], mask)
     cfg = replace(default_config(y), lambda_p=0.0)
     empty_prior = Prior(np.zeros(4), np.zeros((32 * 32, 4), dtype=bool))
 
@@ -136,13 +136,13 @@ def test_criterion_3_reduction_regression():
 def test_criterion_4_exact_regime_recovery():
     """Rank-1 noiseless volume, full sampling: baseline recovers > 100 dB."""
     spec = PhantomSpec(background_rank=1, n_blobs=0, noise_sigma=0.0, drift_rate=0.0, n_frames=1)
-    seq = generate(spec)
+    truth = [x for x, _, _ in generate_frames(spec)]
     mask = SamplingMask(np.ones((32, 32), dtype=bool))
-    y = acquire(seq.frames[0], mask)
+    y = acquire(truth[0], mask)
     sigma_max = np.linalg.svd(acquire_adjoint(y).data, compute_uv=False)[0]
     cfg = SolverConfig(lambda_L=1e-8 * sigma_max, lambda_S=1e9, max_iter=50)
     res = solve(y, cfg)
-    value = psnr(seq.frames[0], DynamicVolume(res.estimate(), spec.dims))
+    value = psnr(truth[0], DynamicVolume(res.estimate(), spec.dims))
     assert res.iterations <= 50
     assert value > 100.0
     print(f"\nACCEPTANCE 4 PASS: exact-regime recovery at {value:.1f} dB in {res.iterations} it")
@@ -189,10 +189,10 @@ def test_criterion_5_priori_outperforms_baseline(tmp_path):
 def prior_validity_chain():
     """Frozen protocol: default phantom, 50% first frame, 1/3 afterwards."""
     spec = PhantomSpec()
-    seq = generate(spec)
+    truth = [x for x, _, _ in generate_frames(spec)]
     mask_first = make_mask(32, 32, 0.5, seed=101)
     mask_rest = make_mask(32, 32, 1 / 3, seed=102)
-    frames = [acquire(f, mask_first if t == 0 else mask_rest) for t, f in enumerate(seq.frames)]
+    frames = [acquire(f, mask_first if t == 0 else mask_rest) for t, f in enumerate(truth)]
     cfg = SolverConfig()
     results = list(solve_sequence(frames, cfg, "priori-ls"))
     return spec, cfg, results

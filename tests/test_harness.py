@@ -11,7 +11,7 @@ from lpsrecon import (
     DynamicVolume,
     ExperimentSpec,
     SolverConfig,
-    generate,
+    generate_frames,
     load_mask,
     load_volume,
     acquire,
@@ -23,6 +23,8 @@ from lpsrecon import (
     solve,
 )
 import lpsrecon.cli as cli
+import lpsrecon.harness as harness
+import lpsrecon.operators as operators
 from lpsrecon.cli import main
 from lpsrecon.harness import _SECTIONS, _mask_seed, write_summary_csv, write_sweep_csv
 from lpsrecon.phantom import PhantomSpec
@@ -183,10 +185,15 @@ def test_readme_quickstart_prints_one_line_per_frame(capsys):
     (lambda v: PhantomSpec(n_blobs=v), "n_blobs"),
     (lambda v: ExperimentSpec(n_seeds=v), "n_seeds"),
     (lambda v: SolverConfig(max_iter=v), "max_iter"),
+    (lambda v: PhantomSpec(dims=(v, 32, 4)), "dims n_x"),
+    (lambda v: PhantomSpec(dims=(32, v, 4)), "dims n_y"),
+    (lambda v: PhantomSpec(dims=(32, 32, v)), "dims n_z"),
+    (lambda v: make_mask(v, 8, 0.5), "n_x"),
+    (lambda v: make_mask(8, v, 0.5), "n_y"),
 ], ids=["mask-seed", "phantom-seed", "n_frames", "background_rank", "n_blobs", "n_seeds",
-        "max_iter"])
+        "max_iter", "phantom-n_x", "phantom-n_y", "phantom-n_z", "mask-n_x", "mask-n_y"])
 def test_integer_settings_fail_by_name_at_the_boundary(build, name):
-    for bad in (1.5, True, "2"):
+    for bad in (1.5, 2.0, True, "2"):
         with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
             build(bad)
     build(np.int64(2))  # any integral type passes
@@ -294,6 +301,35 @@ def test_sweep_is_paired_across_solvers(small_sweep):
     assert ls_first and ls_first == pr_first
 
 
+def test_sweep_builds_each_input_once(small_sweep, tmp_path, monkeypatch):
+    # One phantom per seed, and per (rate, seed) one mask pair, one sample
+    # index per mask and one acquisition per frame, shared by every solver.
+    experiment, _, out = small_sweep
+    calls = {}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("generate_frames", "make_mask", "acquire"):
+        counted(harness, name)
+    counted(operators, "_sample_index")
+    run_sweep(replace(experiment, output_dir=str(tmp_path)))
+    cells = len(experiment.rates) * experiment.n_seeds
+    assert calls == {
+        "generate_frames": experiment.n_seeds,
+        "make_mask": 2 * cells,
+        "_sample_index": 2 * cells,
+        "acquire": cells * experiment.phantom.n_frames,
+    }
+    assert (tmp_path / "sweep.csv").read_bytes() == (out / "sweep.csv").read_bytes()
+
+
 def test_run_log_holds_timing_not_csv(small_sweep):
     _, _, out = small_sweep
     log = (out / "run.log").read_text()
@@ -316,9 +352,9 @@ def test_csv_writers_handle_sentinel(tmp_path):
 
 class TestCli:
     def test_eval_self_comparison(self, tmp_path, capsys):
-        seq = generate(PhantomSpec(n_frames=1))
+        truth = [x for x, _, _ in generate_frames(PhantomSpec(n_frames=1))]
         path = tmp_path / "a.x"
-        save_volume(path, seq.frames[0])
+        save_volume(path, truth[0])
         assert main(["eval", str(path), str(path)]) == 0
         assert "psnr_db=inf" in capsys.readouterr().out
 
@@ -423,10 +459,10 @@ class TestCli:
         assert np.array_equal(priors[0].support_prev, want.support_prev)
 
     def test_recon_seq_single_frame_falls_back(self, tmp_path, capsys):
-        seq = generate(PhantomSpec(n_frames=1))
+        truth = [x for x, _, _ in generate_frames(PhantomSpec(n_frames=1))]
         frames_dir = tmp_path / "one"
         frames_dir.mkdir()
-        save_volume(frames_dir / "frame0001.x", seq.frames[0])
+        save_volume(frames_dir / "frame0001.x", truth[0])
         out_dir = tmp_path / "seqout"
         code = main(["recon-seq", "--frames", str(frames_dir), "--out", str(out_dir),
                      "--solver", "priori-ls", "--rate", "0.333333"])
@@ -456,7 +492,7 @@ class TestCli:
         main(["phantom", "gen", "--config", str(config_file), "--out", str(frames_dir)])
         last = frames_dir / "frame0003.x"
         if fault == "other dims":
-            save_volume(last, generate(PhantomSpec(dims=(16, 16, 4), n_frames=1)).frames[0])
+            save_volume(last, next(generate_frames(PhantomSpec(dims=(16, 16, 4), n_frames=1)))[0])
         else:
             last.write_bytes(last.read_bytes()[:-16])
         capsys.readouterr()
@@ -597,9 +633,9 @@ class TestCli:
         assert exc.value.code == 2
 
     def test_recon_dim_mismatch_exits_1(self, tmp_path, capsys):
-        seq = generate(PhantomSpec(n_frames=1))
+        truth = [x for x, _, _ in generate_frames(PhantomSpec(n_frames=1))]
         vol_path = tmp_path / "a.x"
-        save_volume(vol_path, seq.frames[0])
+        save_volume(vol_path, truth[0])
         mask_path = tmp_path / "small.lpsm"
         main(["mask", "gen", "--nx", "16", "--ny", "16", "--rate", "0.5",
               "--out", str(mask_path)])
@@ -614,7 +650,7 @@ class TestCli:
     def test_recon_rejects_a_file_on_another_grid_before_the_solve(self, tmp_path, capsys, flags):
         # A 16x64x4 volume flattens to the same (1024, 4) matrix as the
         # 32x32x4 input, so only the files' own dims tell them apart.
-        save_volume(tmp_path / "a.x", generate(PhantomSpec(n_frames=1)).frames[0])
+        save_volume(tmp_path / "a.x", next(generate_frames(PhantomSpec(n_frames=1)))[0])
         rng = np.random.default_rng(0)
         save_volume(tmp_path / "other.x",
                     DynamicVolume(rng.standard_normal((1024, 4)) + 0j, (16, 64, 4)))

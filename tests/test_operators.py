@@ -9,16 +9,13 @@ from lpsrecon import (
     acquire,
     acquire_adjoint,
     extract_support,
-    generate,
-    load_volume,
+    generate_frames,
     make_mask,
-    save_volume,
     sv_threshold,
 )
 from lpsrecon.operators import (
     _adjoint_matrix,
     _data_consistency,
-    _sample_index,
     _spectra,
 )
 
@@ -76,6 +73,18 @@ class TestMakeMask:
     def test_negative_seed_is_rejected_by_name(self):
         with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
             make_mask(8, 8, 0.5, seed=-1)
+
+
+    def test_pattern_is_a_read_only_copy(self):
+        # The sample index is derived once, so the pattern it came from must
+        # not change under it.
+        pattern = np.zeros((8, 8), dtype=bool)
+        pattern[4, 4] = True
+        mask = SamplingMask(pattern)
+        pattern[0, 0] = True
+        assert mask.m == 1 and mask.index.tolist() == [0]
+        with pytest.raises(ValueError, match="read-only"):
+            mask.pattern[0, 0] = True
 
 
 class TestAcquire:
@@ -273,7 +282,7 @@ class TestShiftFreeSampling:
         rng = np.random.default_rng(sum(dims) + 1)
         mask = make_mask(dims[0], dims[1], 0.4, seed=dims[1])
         y = random_kspace(rng, mask, dims)
-        got = _adjoint_matrix(y.samples, dims, _sample_index(mask.pattern))
+        got = _adjoint_matrix(y.samples, dims, mask.index)
         assert np.array_equal(got, shifted_adjoint(y.samples, dims, mask.pattern))
 
     def test_keeps_column_major_layout(self):
@@ -282,7 +291,7 @@ class TestShiftFreeSampling:
         mask = make_mask(16, 16, 0.3, seed=1)
         samples = acquire(random_volume(rng, dims), mask).samples
         assert samples.flags.f_contiguous
-        assert _adjoint_matrix(samples, dims, _sample_index(mask.pattern)).flags.f_contiguous
+        assert _adjoint_matrix(samples, dims, mask.index).flags.f_contiguous
 
 
 class TestInPlaceSpectra:
@@ -301,15 +310,14 @@ class TestInPlaceSpectra:
         with pytest.raises(ValueError, match="column-major"):
             _spectra(np.ascontiguousarray(x), (8, 8, 2))
 
-    def test_acquire_leaves_its_input_unchanged(self, tmp_path):
-        # A phantom frame is row-major and a loaded volume column-major; acquire
-        # must transform a copy of either, not the volume's own buffer.
-        frame = generate(PhantomSpec(dims=(16, 16, 3), n_frames=1)).frames[0]
-        save_volume(tmp_path / "f.x", frame)
-        loaded = load_volume(tmp_path / "f.x")
-        assert frame.data.flags.c_contiguous and loaded.data.flags.f_contiguous
+    def test_acquire_leaves_its_input_unchanged(self):
+        # A phantom frame is column-major; acquire must transform a copy of it
+        # or of a row-major volume, not the volume's own buffer.
+        frame = next(generate_frames(PhantomSpec(dims=(16, 16, 3), n_frames=1)))[0]
+        row_major = DynamicVolume(np.ascontiguousarray(frame.data), frame.dims)
+        assert frame.data.flags.f_contiguous and row_major.data.flags.c_contiguous
         mask = make_mask(16, 16, 0.3, seed=2)
-        for volume in (frame, loaded):
+        for volume in (frame, row_major):
             kept = volume.data.copy()
             acquire(volume, mask)
             assert volume.data.tobytes() == kept.tobytes()
@@ -333,14 +341,14 @@ class TestDataConsistency:
     def test_matches_textbook_step(self, dims):
         x, y, mask = self._problem(dims, sum(dims) + 2)
         want = x - shifted_adjoint(shifted_samples(x, dims, mask.pattern) - y.samples, dims, mask.pattern)
-        got = _data_consistency(x, np.ascontiguousarray(y.samples.T), dims, _sample_index(mask.pattern))
+        got = _data_consistency(x, np.ascontiguousarray(y.samples.T), dims, mask.index)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("dims", SHAPES)
     def test_result_reproduces_samples(self, dims):
         x, y, mask = self._problem(dims, sum(dims) + 3)
         assert mask.rate < 1
-        index = _sample_index(mask.pattern)
+        index = mask.index
         got = _data_consistency(x, np.ascontiguousarray(y.samples.T), dims, index)
         residual = shifted_samples(got, dims, mask.pattern) - y.samples
         assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(y.samples)
@@ -349,7 +357,7 @@ class TestDataConsistency:
         dims = (16, 8, 3)
         x, y, mask = self._problem(dims, 26)
         before = x.copy()
-        index = _sample_index(mask.pattern)
+        index = mask.index
         got = _data_consistency(x, np.ascontiguousarray(y.samples.T), dims, index)
         assert got is x
         residual = shifted_samples(before, dims, mask.pattern) - y.samples
@@ -360,7 +368,7 @@ class TestDataConsistency:
         # The samples once went in with one fancy-index assignment over the
         # whole (n_z, n_x*n_y) stack; the per-slice np.put must match it bit for bit.
         x, y, mask = self._problem(dims, sum(dims) + 4)
-        index = _sample_index(mask.pattern)
+        index = mask.index
         samples_t = np.ascontiguousarray(y.samples.T)
         want = x.copy(order="F")
         _spectra(want, dims)
@@ -376,7 +384,7 @@ class TestDataConsistency:
         # np.put repeats a short row; the old fancy-index scatter raised.
         dims = (8, 8, 2)
         x, y, mask = self._problem(dims, 28)
-        index = _sample_index(mask.pattern)
+        index = mask.index
         for samples in (y.samples[:-1], y.samples[:, :1]):
             with pytest.raises(ValueError, match=r"samples shape .* does not match"):
                 _adjoint_matrix(samples, dims, index)
@@ -388,7 +396,7 @@ class TestDataConsistency:
         x, y, mask = self._problem(dims, 27)
         with pytest.raises(ValueError, match="column-major"):
             _data_consistency(
-                np.ascontiguousarray(x), np.ascontiguousarray(y.samples.T), dims, _sample_index(mask.pattern)
+                np.ascontiguousarray(x), np.ascontiguousarray(y.samples.T), dims, mask.index
             )
 
 

@@ -4,27 +4,26 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from lpsrecon import DynamicVolume, generate, psnr, wavelet_forward
-from lpsrecon.phantom import PhantomSpec, generate_frames
+from lpsrecon import DynamicVolume, generate_frames, psnr, wavelet_forward
+from lpsrecon.phantom import PhantomSpec
 
 from helpers import support_change, support_set
 
 
 def test_background_rank_is_exact():
     spec = PhantomSpec(n_blobs=0, noise_sigma=0.0)
-    seq = generate(spec)
-    for frame in seq.frames:
+    for frame, _, _ in generate_frames(spec):
         sigma = np.linalg.svd(frame.data, compute_uv=False)
         assert sigma[spec.background_rank] / sigma[0] < 1e-10
 
 
 def test_static_sequence_is_constant():
     spec = PhantomSpec(motion_step=0.0, drift_rate=0.0)
-    seq = generate(spec)
+    frames, l_true, _ = zip(*generate_frames(spec))
     for t in range(1, spec.n_frames):
-        assert np.array_equal(seq.frames[t].data, seq.frames[0].data)
-        sig_t = np.linalg.svd(seq.l_true[t].data, compute_uv=False)
-        sig_p = np.linalg.svd(seq.l_true[t - 1].data, compute_uv=False)
+        assert np.array_equal(frames[t].data, frames[0].data)
+        sig_t = np.linalg.svd(l_true[t].data, compute_uv=False)
+        sig_p = np.linalg.svd(l_true[t - 1].data, compute_uv=False)
         assert np.linalg.norm(sig_t - sig_p) == 0.0
 
 
@@ -37,12 +36,11 @@ def test_default_spec_adjacent_frame_statistics():
     # regression bound; the 15% stability requirement applies to the
     # *reconstructed* S and lives in the acceptance suite.
     spec = PhantomSpec()
-    seq = generate(spec)
     churn, sdist = [], []
     sup_prev = sig_prev = None
-    for t in range(spec.n_frames):
-        sup = support_set(seq.s_true[t], spec.dims)
-        sig = np.linalg.svd(seq.l_true[t].data, compute_uv=False)
+    for t, (_, l_true, s_true) in enumerate(generate_frames(spec)):
+        sup = support_set(s_true, spec.dims)
+        sig = np.linalg.svd(l_true.data, compute_uv=False)
         if t:
             churn.append(support_change(sup_prev, sup))
             sdist.append(np.linalg.norm(sig - sig_prev) / np.linalg.norm(sig))
@@ -53,22 +51,20 @@ def test_default_spec_adjacent_frame_statistics():
 
 
 def test_determinism_and_seed_variation():
-    a = generate(PhantomSpec(seed=4))
-    b = generate(PhantomSpec(seed=4))
-    c = generate(PhantomSpec(seed=5))
-    assert np.array_equal(a.frames[0].data, b.frames[0].data)
-    assert not np.array_equal(a.frames[0].data, c.frames[0].data)
+    a, b, c = (next(generate_frames(PhantomSpec(seed=seed)))[0] for seed in (4, 4, 5))
+    assert np.array_equal(a.data, b.data)
+    assert not np.array_equal(a.data, c.data)
 
 
 def test_energy_split():
-    seq = generate(PhantomSpec())
-    ratio = np.linalg.norm(seq.s_true[0].data) / np.linalg.norm(seq.l_true[0].data)
+    _, l_true, s_true = next(generate_frames(PhantomSpec()))
+    ratio = np.linalg.norm(s_true.data) / np.linalg.norm(l_true.data)
     assert 0.0 < ratio < 1.0
 
 
 def test_sparse_component_is_wavelet_compressible():
-    seq = generate(PhantomSpec())
-    coeffs = wavelet_forward(seq.s_true[0])
+    _, _, s_true = next(generate_frames(PhantomSpec()))
+    coeffs = wavelet_forward(s_true)
     mags = np.sort(np.abs(coeffs).ravel())[::-1]
     top = int(0.10 * mags.size)
     assert np.sum(mags[:top] ** 2) >= 0.95 * np.sum(mags**2)
@@ -76,16 +72,16 @@ def test_sparse_component_is_wavelet_compressible():
 
 def test_noise_is_added_at_requested_scale():
     spec = PhantomSpec(noise_sigma=0.01)
-    seq = generate(spec)
-    clean = generate(replace(spec, noise_sigma=0.0))
-    diff = seq.frames[0].data - clean.frames[0].data
+    noisy, _, _ = next(generate_frames(spec))
+    clean, _, _ = next(generate_frames(replace(spec, noise_sigma=0.0)))
+    diff = noisy.data - clean.data
     rms = np.sqrt(np.mean(np.abs(diff) ** 2))
     assert rms == pytest.approx(0.01, rel=0.2)
 
 
 def test_blob_out_of_bounds_rejected():
     with pytest.raises(ValueError, match="blob"):
-        generate(PhantomSpec(motion_step=50.0))
+        list(generate_frames(PhantomSpec(motion_step=50.0)))
 
 
 def test_frame_generator_checks_at_the_call_and_makes_frames_on_demand():
@@ -96,19 +92,18 @@ def test_frame_generator_checks_at_the_call_and_makes_frames_on_demand():
     spec = PhantomSpec(noise_sigma=0.01)
     frames = generate_frames(spec)
     first = next(frames)
-    whole = generate(spec)
+    whole = list(generate_frames(spec))
     for t, parts in enumerate([first, *frames]):
-        truth = (whole.frames[t], whole.l_true[t], whole.s_true[t])
+        truth = whole[t]
         assert [p.data.tobytes() for p in parts] == [p.data.tobytes() for p in truth]
     assert t == spec.n_frames - 1
 
 
 def test_frames_decompose_into_truth():
     spec = PhantomSpec()
-    seq = generate(spec)
-    for t in range(spec.n_frames):
-        total = seq.l_true[t].data + seq.s_true[t].data
-        assert np.allclose(seq.frames[t].data, total, atol=1e-14)
+    for frame, l_true, s_true in generate_frames(spec):
+        total = l_true.data + s_true.data
+        assert np.allclose(frame.data, total, atol=1e-14)
 
 
 def test_spec_validation():

@@ -16,7 +16,7 @@ from lpsrecon import (
     acquire_adjoint,
     default_config,
     extract_support,
-    generate,
+    generate_frames,
     make_mask,
     prior_from_result,
     psnr,
@@ -25,7 +25,7 @@ from lpsrecon import (
     wavelet_forward,
 )
 from lpsrecon import solvers
-from lpsrecon.operators import _data_consistency, _gram_spectrum, _sample_index, sv_threshold
+from lpsrecon.operators import _data_consistency, _gram_spectrum, sv_threshold
 from lpsrecon.phantom import PhantomSpec
 
 from helpers import support_change, support_set
@@ -34,10 +34,10 @@ from helpers import support_change, support_set
 @pytest.fixture(scope="module")
 def phantom_50():
     """Default phantom frame 1 acquired at 50% with a fixed mask."""
-    seq = generate(PhantomSpec())
+    truth = [x for x, _, _ in generate_frames(PhantomSpec())]
     mask = make_mask(32, 32, 0.5, seed=7)
-    y = acquire(seq.frames[0], mask)
-    return seq, y, default_config(y)
+    y = acquire(truth[0], mask)
+    return truth, y, default_config(y)
 
 
 def test_zero_data_fixed_point():
@@ -53,14 +53,14 @@ def test_zero_data_fixed_point():
 
 def test_full_sampling_rank1_recovery():
     spec = PhantomSpec(background_rank=1, n_blobs=0, noise_sigma=0.0, drift_rate=0.0, n_frames=1)
-    seq = generate(spec)
+    truth = [x for x, _, _ in generate_frames(spec)]
     mask = SamplingMask(np.ones((32, 32), dtype=bool))
-    y = acquire(seq.frames[0], mask)
+    y = acquire(truth[0], mask)
     sigma_max = np.linalg.svd(acquire_adjoint(y).data, compute_uv=False)[0]
     cfg = SolverConfig(lambda_L=1e-8 * sigma_max, lambda_S=1e9, max_iter=50)
     res = solve(y, cfg)
     estimate = DynamicVolume(res.estimate(), spec.dims)
-    assert psnr(seq.frames[0], estimate) > 100.0
+    assert psnr(truth[0], estimate) > 100.0
     assert np.all(res.decomposition.S == 0)
     assert res.iterations <= 50
 
@@ -119,17 +119,17 @@ def test_exact_prior_beats_baseline_at_quarter_sampling():
     # Paired runs over 5 seeds; the prior comes from the frame's own truth.
     for seed in range(5):
         spec = PhantomSpec(seed=seed)
-        seq = generate(spec)
+        truth, l_true, s_true = zip(*generate_frames(spec))
         mask = make_mask(32, 32, 0.25, seed=300 + seed)
-        y = acquire(seq.frames[1], mask)
+        y = acquire(truth[1], mask)
         cfg = default_config(y)
         prior = Prior(
-            np.linalg.svd(seq.l_true[1].data, compute_uv=False),
-            extract_support(wavelet_forward(seq.s_true[1]), cfg.support_eps),
+            np.linalg.svd(l_true[1].data, compute_uv=False),
+            extract_support(wavelet_forward(s_true[1]), cfg.support_eps),
         )
-        p_ls = psnr(seq.frames[1], DynamicVolume(solve(y, cfg).estimate(), spec.dims))
+        p_ls = psnr(truth[1], DynamicVolume(solve(y, cfg).estimate(), spec.dims))
         p_pr = psnr(
-            seq.frames[1], DynamicVolume(solve(y, cfg, prior).estimate(), spec.dims)
+            truth[1], DynamicVolume(solve(y, cfg, prior).estimate(), spec.dims)
         )
         assert p_pr > p_ls
 
@@ -148,7 +148,7 @@ def test_data_consistency_fixed_point_at_full_sampling():
     s = rng.standard_normal((256, 2)) + 1j * rng.standard_normal((256, 2))
     combined = np.asfortranarray(l + s)
     x = _data_consistency(
-        combined, np.ascontiguousarray(y.samples.T), dims, _sample_index(mask.pattern)
+        combined, np.ascontiguousarray(y.samples.T), dims, mask.index
     )
     z = acquire(DynamicVolume(x, dims), mask)
     assert np.linalg.norm(z.samples - y.samples) <= 1e-10 * np.linalg.norm(y.samples)
@@ -165,10 +165,10 @@ def test_single_frame_sequence_equals_solve_ls(phantom_50):
 
 def test_static_sequence_support_stabilizes():
     spec = PhantomSpec(motion_step=0.0, drift_rate=0.0)
-    seq = generate(spec)
+    truth = [x for x, _, _ in generate_frames(spec)]
     m1 = make_mask(32, 32, 0.5, seed=41)
     mr = make_mask(32, 32, 1 / 3, seed=42)
-    frames = [acquire(f, m1 if t == 0 else mr) for t, f in enumerate(seq.frames)]
+    frames = [acquire(f, m1 if t == 0 else mr) for t, f in enumerate(truth)]
     results = solve_sequence(frames, SolverConfig(), "priori-ls")
     sups = [support_set(r.decomposition.S, spec.dims) for r in results]
     ratios = [support_change(sups[t - 1], sups[t]) for t in range(1, len(sups))]
@@ -178,8 +178,8 @@ def test_static_sequence_support_stabilizes():
 def test_sequence_keeps_each_frame_as_solved_alone():
     # prior_from_result must not transform a frame's S in place after the
     # sequence has stored it.
-    seq = generate(PhantomSpec(n_frames=3))
-    frames = [acquire(f, make_mask(32, 32, 0.5 if t == 0 else 0.25, seed=t)) for t, f in enumerate(seq.frames)]
+    truth = [x for x, _, _ in generate_frames(PhantomSpec(n_frames=3))]
+    frames = [acquire(f, make_mask(32, 32, 0.5 if t == 0 else 0.25, seed=t)) for t, f in enumerate(truth)]
     cfg_first, cfg_rest = default_config(frames[0]), default_config(frames[1])
     # An unresolved config resolves from frame 1 and, for every later frame,
     # once from frame 2: frame 3 reuses frame 2's thresholds.
@@ -198,9 +198,9 @@ def test_solve_sequence_matches_the_explicit_chain(solver):
     # Frame 1 by ls with the config resolved from it; frames >= 2 share the
     # config resolved from frame 2, and priori-ls builds each prior with its
     # support_eps. With ls, frames >= 2 are solved alone.
-    seq = generate(PhantomSpec(n_frames=3))
+    truth = [x for x, _, _ in generate_frames(PhantomSpec(n_frames=3))]
     frames = [acquire(f, make_mask(32, 32, 0.5 if t == 0 else 0.25, seed=t))
-              for t, f in enumerate(seq.frames)]
+              for t, f in enumerate(truth)]
     cfg = SolverConfig(lambda_p=0.5, support_eps=0.05)
     cfg_first, cfg_rest = default_config(frames[0], cfg), default_config(frames[1], cfg)
     want = [solve(frames[0], cfg_first)]
@@ -237,8 +237,8 @@ def test_priori_ls_runs_on_a_wide_casorati_matrix():
     # 8x8 slices and 80 of them: L is 64 x 80, so it has 64 singular values and
     # the prior spectrum carries 16 exact zeros to reach n_z.
     spec = PhantomSpec(dims=(8, 8, 80), n_frames=3, n_blobs=0, blob_width=1.0)
-    seq = generate(spec)
-    frames = [acquire(f, make_mask(8, 8, 0.5, seed=t)) for t, f in enumerate(seq.frames)]
+    truth = [x for x, _, _ in generate_frames(spec)]
+    frames = [acquire(f, make_mask(8, 8, 0.5, seed=t)) for t, f in enumerate(truth)]
     results = list(solve_sequence(frames, SolverConfig(), "priori-ls"))
     assert len(results) == 3 and all(r.converged for r in results)
     prior = prior_from_result(results[0].decomposition, spec.dims, 0.02)
@@ -263,8 +263,8 @@ def test_solve_peak_memory_is_at_most_five_volumes(dims):
     # X, L, S and one work buffer, plus small per-level scratch; the returned
     # L and S count towards the peak.
     n_x, n_y, n_z = dims
-    seq = generate(PhantomSpec(dims=dims, n_frames=2))
-    frames = [acquire(f, make_mask(n_x, n_y, 0.25, seed=t)) for t, f in enumerate(seq.frames)]
+    truth = [x for x, _, _ in generate_frames(PhantomSpec(dims=dims, n_frames=2))]
+    frames = [acquire(f, make_mask(n_x, n_y, 0.25, seed=t)) for t, f in enumerate(truth)]
     cfg = replace(default_config(frames[0]), max_iter=3)
     first = solve(frames[0], cfg)  # also fills the wavelet band caches
     prior = prior_from_result(first.decomposition, dims, cfg.support_eps)
@@ -467,13 +467,13 @@ def _norm_ratio(x, x_new, dims):
 def test_residual_history_matches_the_norm_ratio(phantom_50, monkeypatch, solver):
     # The one-dot relative change moves only the stopping test's last bits:
     # L, S and the iteration count stay bit-identical.
-    seq, y, cfg = phantom_50
+    truth, y, cfg = phantom_50
     cfg = replace(cfg, tol=1e-5)
     if solver == "ls":
         run = lambda: solve(y, cfg)  # noqa: E731
     else:
         prior = prior_from_result(solve(y, cfg).decomposition, y.dims, cfg.support_eps)
-        y2 = acquire(seq.frames[1], make_mask(32, 32, 0.25, seed=8))
+        y2 = acquire(truth[1], make_mask(32, 32, 0.25, seed=8))
         run = lambda: solve(y2, cfg, prior)  # noqa: E731
     got = run()
     monkeypatch.setattr(solvers, "_relative_change", _norm_ratio)
