@@ -4,8 +4,9 @@ Baseline vs prior-informed reconstruction of one frame
 
 Reconstructs frame 2 of a moving phantom from 25% of its k-space, first
 with the plain low-rank plus sparse solver, then reusing frame 1's
-reconstruction as a prior: the previous sparse support is exempted from
-shrinkage and the previous singular values anchor the background.
+reconstruction as a prior: the previous sparse support (read off at the
+cutoff ``solvers.SUPPORT_EPS``) is exempted from shrinkage and the previous
+singular values anchor the background (step ``solvers.LAMBDA_P``).
 """
 
 import numpy as np
@@ -41,7 +42,7 @@ cfg2 = default_config(y2)
 plain = solve(y2, cfg2)
 p_plain = psnr(truth[1], DynamicVolume(plain.estimate(), spec.dims))
 
-prior = prior_from_result(res1.decomposition, spec.dims, cfg2.support_eps)
+prior = prior_from_result(res1.decomposition, spec.dims)
 print(f"\nprior carried over: {int(prior.support_prev.sum())} support entries, "
       f"spectrum {np.round(prior.sigma_prev, 3)}")
 

@@ -74,13 +74,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_seq.add_argument("--out", required=True, help="output directory")
     p_seq.add_argument("--config", help="config file")
     p_seq.add_argument("--solver", choices=KNOWN_SOLVERS, default="priori-ls")
-    p_seq.add_argument("--rate", type=float, help="sampling rate for frames >= 2")
-    p_seq.add_argument("--first-rate", type=float, help="sampling rate for frame 1")
+    p_seq.add_argument("--rate", type=float, default=ExperimentSpec.rates[0],
+                       help="sampling rate for frames >= 2 (default 1/7)")
+    p_seq.add_argument("--first-rate", type=float, default=ExperimentSpec.first_frame_rate,
+                       help="sampling rate for frame 1 (default %(default)s)")
     p_seq.add_argument("--mask-seed", type=_seed, default=0)
 
     p_sweep = sub.add_parser("sweep", help="run the full experiment grid")
     p_sweep.add_argument("--config", required=True, help="config file")
-    p_sweep.add_argument("--out", help="override the output directory")
+    p_sweep.add_argument("--out", default=ExperimentSpec.output_dir,
+                         help="output directory (default %(default)s)")
 
     p_eval = sub.add_parser("eval", help="PSNR between two volume files")
     p_eval.add_argument("reference")
@@ -161,16 +164,12 @@ def _cmd_recon(args, parser) -> int:
             raise ValueError(f"{path}: dims {other} differ from input volume {dims}")
     volume = load_volume(args.input)
     mask = load_mask(args.mask)
-    if mask.pattern.shape != volume.dims[:2]:
-        raise ValueError(
-            f"mask grid {mask.pattern.shape} does not match volume dims {volume.dims}"
-        )
     _, cfg = _load_options(args.config)
     y = acquire(volume, mask)
     prior = None
     if args.prior_l is not None:
         previous = Decomposition(load_volume(args.prior_l).data, load_volume(args.prior_s).data)
-        prior = prior_from_result(previous, volume.dims, cfg.support_eps)
+        prior = prior_from_result(previous, volume.dims)
     result = solve(y, cfg, prior)
     estimate = _write_components(Path(args.out), volume.dims, result.decomposition)
     reference = load_volume(args.reference) if args.reference else volume
@@ -194,12 +193,10 @@ def _cmd_recon_seq(args) -> int:
             raise ValueError(f"{f}: dims {other} differ from first frame {dims}")
     check_slice_dims(dims)
 
-    experiment, cfg = _load_options(args.config)
-    first_rate = args.first_rate if args.first_rate is not None else experiment.first_frame_rate
-    rate = args.rate if args.rate is not None else experiment.rates[0]
+    _, cfg = _load_options(args.config)
     n_x, n_y, _ = dims
-    mask_first = make_mask(n_x, n_y, first_rate, seed=args.mask_seed)
-    mask_rest = make_mask(n_x, n_y, rate, seed=args.mask_seed + 1)
+    mask_first = make_mask(n_x, n_y, args.first_rate, seed=args.mask_seed)
+    mask_rest = make_mask(n_x, n_y, args.rate, seed=args.mask_seed + 1)
     kspace = (acquire(load_volume(f), mask_first if t == 0 else mask_rest)
               for t, f in enumerate(frame_files))
 
@@ -231,8 +228,7 @@ def _cmd_recon_seq(args) -> int:
 
 def _cmd_sweep(args) -> int:
     experiment, cfg = parse_config(args.config)
-    if args.out is not None:
-        experiment = replace(experiment, output_dir=args.out)
+    experiment = replace(experiment, output_dir=args.out)
     rows = run_sweep(experiment, cfg)
     if unconverged := sum(not row.converged for row in rows):
         print(f"warning: {unconverged} of {len(rows)} frames stopped at max_iter without "

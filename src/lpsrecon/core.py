@@ -39,6 +39,12 @@ def _require_int(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
+def _require_threshold(lam) -> None:
+    """Raise ValueError unless the shrinkage threshold ``lam`` is finite and >= 0."""
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"threshold must be finite and >= 0, got {lam}")
+
+
 def _slice_view(data: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
     """The (n_z, n_x, n_y) slice stack of a Casorati matrix, as a view of it.
 
@@ -136,31 +142,24 @@ class SolverConfig:
     shrinkage. A threshold left None is data-scaled from the zero-filled
     proxy X0 = A^H(y) by ``solvers.default_config``: lambda_L =
     0.05 sigma_max(X0) and lambda_S = 0.02 max|T(X0)|, the scales being
-    ``solvers.LAMBDA_L_SCALE`` and ``LAMBDA_S_SCALE``.
-    lambda_p in [0, 1] is the step toward the prior spectrum (0 disables the
-    prior step). ``support_eps`` is the relative magnitude cutoff used when
-    reading a support off a coefficient matrix.
+    ``solvers.LAMBDA_L_SCALE`` and ``LAMBDA_S_SCALE``. The prior step and
+    the support cutoff of ``priori-ls`` are the constants
+    ``solvers.LAMBDA_P`` and ``solvers.SUPPORT_EPS``.
     """
 
     lambda_L: float | None = None
     lambda_S: float | None = None
-    lambda_p: float = 0.7
     tol: float = 1e-3
     max_iter: int = 300
-    support_eps: float = 0.02
 
     def __post_init__(self):
         for name in ("lambda_L", "lambda_S"):
             value = getattr(self, name)
             if value is not None and not 0 < value < np.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if not 0 <= self.lambda_p <= 1:
-            raise ValueError(f"lambda_p must be in [0, 1], got {self.lambda_p}")
         if not 0 < self.tol < np.inf:
             raise ValueError(f"tol must be > 0 and finite, got {self.tol}")
         _require_int("max_iter", self.max_iter, 1)
-        if not 0 < self.support_eps < 1:
-            raise ValueError(f"support_eps must be in (0, 1), got {self.support_eps}")
 
 
 def soft_threshold(x: complex, lam: float) -> complex:
@@ -169,8 +168,7 @@ def soft_threshold(x: complex, lam: float) -> complex:
     Returns exactly 0 when |x| <= lam (in particular at x = 0, where the
     phase is undefined).
     """
-    if lam < 0:
-        raise ValueError(f"threshold must be >= 0, got {lam}")
+    _require_threshold(lam)
     mag = abs(x)
     if mag <= lam:
         return 0j
@@ -200,8 +198,7 @@ def _shrink_scale(m: np.ndarray, lam: float) -> np.ndarray:
     |m| wherever that numerator is nonzero. With lam > 0 it turns the 0/0 at
     m = 0 into 0/lam, so no masked divide is needed.
     """
-    if lam < 0:
-        raise ValueError(f"threshold must be >= 0, got {lam}")
+    _require_threshold(lam)
     mag = np.abs(m)
     np.maximum(mag, lam, out=mag)
     scale = mag - lam

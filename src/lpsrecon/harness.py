@@ -60,6 +60,8 @@ class ExperimentSpec:
         _require_int("n_seeds", self.n_seeds, 1)
         if len(self.solvers) == 0:
             raise ValueError("solvers must be nonempty")
+        if len(set(self.solvers)) != len(self.solvers):
+            raise ValueError(f"solvers must not repeat a name, got {self.solvers}")
         for s in self.solvers:
             uses_prior(s)  # an unknown name raises ValueError
 
@@ -99,18 +101,12 @@ _SECTIONS = {
         **dict.fromkeys(("blob_amplitude", "motion_step", "noise_sigma", "drift_rate", "blob_width"),
                         float),
     },
-    "solver": {
-        "lambda_L": _threshold,
-        "lambda_S": _threshold,
-        "max_iter": int,
-        **dict.fromkeys(("lambda_p", "tol", "support_eps"), float),
-    },
+    "solver": {"lambda_L": _threshold, "lambda_S": _threshold, "tol": float, "max_iter": int},
     "sweep": {
         "first_frame_rate": float,
         "rates": _float_list,
         "solvers": _name_list,
         "n_seeds": int,
-        "output_dir": str,
     },
 }
 

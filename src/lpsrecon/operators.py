@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DynamicVolume, _require_int, _slice_view
+from .core import DynamicVolume, _require_int, _require_threshold, _slice_view
 
 __all__ = [
     "SamplingMask",
@@ -250,8 +250,7 @@ def sv_threshold(
     Where sigma = 0 the factor stays 0, so the result lies in range(M).
     lambda_p = 0 gives exactly the prox alone.
     """
-    if lam < 0:
-        raise ValueError(f"threshold must be >= 0, got {lam}")
+    _require_threshold(lam)
     m = np.asarray(m, dtype=np.complex128)
     sigma, v = _gram_spectrum(m)
     shrunk = np.maximum(sigma - lam, 0.0)

@@ -19,8 +19,10 @@ one, from the zero-filled proxy X0 = A^H(y), S0 = 0:
 and stop once the relative change of X drops below ``tol``. The returned
 reconstruction estimate is L + S.
 
-With lambda_p = 0 and an empty prior support, a solve with a prior reduces
-exactly to one without.
+The step lambda_p is the constant ``LAMBDA_P`` (0.7), read at each solve;
+the prior support is read off the previous S with the relative cutoff
+``SUPPORT_EPS`` (0.02). With lambda_p = 0 and an empty prior support, a
+solve with a prior reduces exactly to one without.
 
 The baseline ``ls`` solver targets the convex objective
 
@@ -74,6 +76,8 @@ __all__ = [
     "KNOWN_SOLVERS",
     "LAMBDA_L_SCALE",
     "LAMBDA_S_SCALE",
+    "LAMBDA_P",
+    "SUPPORT_EPS",
     "SolveResult",
     "FrameSolveError",
     "default_config",
@@ -87,6 +91,10 @@ KNOWN_SOLVERS = ("ls", "priori-ls")
 # Scales of the data-scaled default thresholds (``default_config``).
 LAMBDA_L_SCALE = 0.05
 LAMBDA_S_SCALE = 0.02
+# Step of the prior spectrum pull, and the relative magnitude cutoff that
+# reads a support off a coefficient matrix (``prior_from_result``).
+LAMBDA_P = 0.7
+SUPPORT_EPS = 0.02
 
 
 class FrameSolveError(RuntimeError):
@@ -179,7 +187,7 @@ def _iterate(y: KSpaceData, cfg: SolverConfig, prior: Prior | None) -> SolveResu
     for it in range(1, cfg.max_iter + 1):
         r = x - s
         l = s = None
-        l = sv_threshold(r, cfg.lambda_L, sigma_prev, cfg.lambda_p)
+        l = sv_threshold(r, cfg.lambda_L, sigma_prev, LAMBDA_P)
         np.subtract(x, l, out=r)
         _forward_matrix(r, dims)
         _soft_threshold_keep(r, cfg.lambda_S, keep_mask)
@@ -230,11 +238,10 @@ def solve(y: KSpaceData, cfg: SolverConfig, prior: Prior | None = None) -> Solve
     return _iterate(y, default_config(y, cfg), prior)
 
 
-def prior_from_result(
-    decomposition: Decomposition, dims: tuple[int, int, int], support_eps: float
-) -> Prior:
-    """Build the next frame's prior from a reconstruction's (L, S) pair. The
-    spectrum comes from a full SVD, which resolves L's trailing singular values
+def prior_from_result(decomposition: Decomposition, dims: tuple[int, int, int]) -> Prior:
+    """Build the next frame's prior from a reconstruction's (L, S) pair: the
+    support of S's coefficients at the cutoff ``SUPPORT_EPS``, and L's
+    spectrum. The spectrum comes from a full SVD, which resolves L's trailing singular values
     (``compute_uv=False`` differs from it in the last bits). It has n_z values:
     a wide L (n_x n_y < n_z) has only n_x n_y, and the rest are exactly 0."""
     n_x, n_y, n_z = dims
@@ -242,7 +249,7 @@ def prior_from_result(
         raise ValueError(f"prior L/S shape {decomposition.L.shape} inconsistent with dims {dims}")
     sigma = np.linalg.svd(decomposition.L, full_matrices=False)[1]
     coeffs = _forward_matrix(decomposition.S.copy(order="F"), dims)
-    support_prev = extract_support(coeffs, support_eps)
+    support_prev = extract_support(coeffs, SUPPORT_EPS)
     return Prior(sigma_prev=np.pad(sigma, (0, n_z - sigma.size)), support_prev=support_prev)
 
 
@@ -278,7 +285,7 @@ def solve_sequence(
         try:
             if t <= 2:
                 resolved = default_config(frame, cfg)
-            prior = None if previous is None else prior_from_result(previous, dims, resolved.support_eps)
+            prior = None if previous is None else prior_from_result(previous, dims)
             previous = None
             result = solve(frame, resolved, prior)
         except Exception as exc:  # noqa: BLE001 - abort must carry the frame index

@@ -32,6 +32,7 @@ from lpsrecon import (
     wavelet_inverse,
 )
 from lpsrecon.phantom import PhantomSpec
+from lpsrecon import solvers
 
 from helpers import (
     grid_prox_minimizer,
@@ -109,13 +110,14 @@ def test_criterion_2_operator_algebra():
     print(f"\nACCEPTANCE 2 PASS: operator algebra holds at 1e-10 ({elapsed:.1f}s)")
 
 
-def test_criterion_3_reduction_regression():
+def test_criterion_3_reduction_regression(monkeypatch):
     """solve with a prior of lambda_p=0 and empty support is iterate-identical to solve without."""
+    monkeypatch.setattr(solvers, "LAMBDA_P", 0.0)
     started = time.perf_counter()
     truth = [x for x, _, _ in generate_frames(PhantomSpec())]
     mask = make_mask(32, 32, 0.5, seed=7)
     y = acquire(truth[0], mask)
-    cfg = replace(default_config(y), lambda_p=0.0)
+    cfg = default_config(y)
     empty_prior = Prior(np.zeros(4), np.zeros((32 * 32, 4), dtype=bool))
 
     for max_iter in (1, 7, 25, cfg.max_iter):
@@ -204,7 +206,7 @@ def test_criterion_6_prior_validity(prior_validity_chain):
     churn, sdist = [], []
     sup_prev = sig_prev = None
     for t, res in enumerate(results):
-        sup = support_set(res.decomposition.S, spec.dims, cfg.support_eps)
+        sup = support_set(res.decomposition.S, spec.dims, solvers.SUPPORT_EPS)
         sig = np.linalg.svd(res.decomposition.L, compute_uv=False)
         if t:
             churn.append(support_change(sup_prev, sup))

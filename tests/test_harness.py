@@ -46,8 +46,6 @@ seed = 0
 [solver]
 lambda_l = auto
 lambda_s = auto   # data-scaled default
-lambda_p = 0.7
-support_eps = 0.02
 tol = 1e-3
 max_iter = 300
 
@@ -56,7 +54,6 @@ first_frame_rate = 0.5
 rates = 0.2, 0.333333
 solvers = ls, priori-ls
 n_seeds = 1
-output_dir = unused
 """
 
 
@@ -75,7 +72,7 @@ def test_parse_config_round_trip(config_file):
     assert experiment.rates == (0.2, 0.333333)
     assert experiment.solvers == ("ls", "priori-ls")
     assert experiment.n_seeds == 1
-    assert cfg == SolverConfig(lambda_p=0.7, support_eps=0.02)
+    assert cfg == SolverConfig()
 
 
 def test_parse_config_defaults_for_missing_sections(tmp_path):
@@ -120,9 +117,14 @@ def _config_with(section: str, line: str) -> str:
     # The mask falloff is a fixed constant; its old key fails by name.
     ("sweep", "density_falloff = 2.0", ["unknown key 'density_falloff'"]),
     ("sweep", "density_falloff = nan", ["unknown key 'density_falloff'"]),
+    # So are the old priori-ls constants and the sweep's output directory.
+    ("solver", "lambda_p = 0.7", ["unknown key 'lambda_p'"]),
+    ("solver", "support_eps = 0.02", ["unknown key 'support_eps'"]),
+    ("sweep", "output_dir = out", ["unknown key 'output_dir'"]),
+    ("sweep", "solvers = ls, priori-ls, ls", ["solvers must not repeat a name", "'ls'"]),
 ], ids=["tol", "tol-inf", "max_iter", "misspelt", "scale", "threshold", "section", "old-section",
         "phantom", "sweep", "amplitude", "motion", "noise", "drift", "width", "seed", "falloff",
-        "falloff-nan"])
+        "falloff-nan", "lambda_p", "support_eps", "output_dir", "repeated-solver"])
 def test_parse_config_errors_name_the_section_and_key(tmp_path, section, line, names):
     path = tmp_path / "bad.cfg"
     path.write_text(_config_with(section, line))
@@ -138,12 +140,12 @@ def test_parse_config_errors_name_the_section_and_key(tmp_path, section, line, n
 def test_shipped_configs_parse_cleanly(tmp_path):
     root = Path(__file__).resolve().parents[1]
     experiment, cfg = parse_config(root / "demos" / "experiment.cfg")
-    assert experiment.n_seeds == 5 and cfg.support_eps == 0.02
+    assert experiment.n_seeds == 5 and cfg == SolverConfig()
     blocks = re.findall(r"```ini\n(.*?)```", (root / "README.md").read_text(), flags=re.S)
     assert len(blocks) == 1
     (tmp_path / "readme.cfg").write_text(blocks[0])
     _, cfg = parse_config(tmp_path / "readme.cfg")
-    assert cfg.lambda_L is None and cfg.lambda_p == 0.7
+    assert cfg.lambda_L is None and cfg == SolverConfig()
 
 
 def _readme_commands(text: str) -> list[str]:
@@ -454,7 +456,7 @@ class TestCli:
         _, cfg = parse_config(config_file)
         y1 = acquire(vol, load_mask(mask_path))
         first = solve(y1, cfg)
-        want = prior_from_result(first.decomposition, vol.dims, cfg.support_eps)
+        want = prior_from_result(first.decomposition, vol.dims)
         assert np.array_equal(priors[0].sigma_prev, want.sigma_prev)
         assert np.array_equal(priors[0].support_prev, want.support_prev)
 
@@ -472,6 +474,35 @@ class TestCli:
         assert "falling back to plain L+S" in (out_dir / "run.log").read_text()
         assert (out_dir / "metrics.csv").exists()
         assert (out_dir / "frame0001.x").exists()
+
+    def test_recon_rejects_a_mask_on_another_grid_before_writing(self, tmp_path, capsys):
+        volume = tmp_path / "v.x"
+        save_volume(volume, next(generate_frames(PhantomSpec(n_frames=1)))[0])
+        mask_path = tmp_path / "m16.lpsm"
+        assert main(["mask", "gen", "--nx", "16", "--ny", "16", "--rate", "0.5",
+                     "--out", str(mask_path)]) == 0
+        capsys.readouterr()
+        assert main(["recon", "--input", str(volume), "--mask", str(mask_path),
+                     "--out", str(tmp_path / "r")]) == 1
+        captured = capsys.readouterr()
+        assert "mask grid (16, 16) does not match volume dims (32, 32, 4)" in captured.err
+        assert captured.out == ""
+        assert not list(tmp_path.glob("r.*"))
+
+    def test_recon_seq_reads_no_sweep_key(self, tmp_path, capsys, config_file):
+        # The sampling rates are the flags' defaults, whatever [sweep] says.
+        frames_dir = tmp_path / "frames"
+        main(["phantom", "gen", "--config", str(config_file), "--out", str(frames_dir)])
+        config = tmp_path / "quarter.cfg"
+        config.write_text(_config_with("sweep", "first_frame_rate = 0.25"))
+        written = {}
+        for name, flags in (("plain", []), ("config", ["--config", str(config)])):
+            out_dir = tmp_path / name
+            assert main(["recon-seq", "--frames", str(frames_dir), "--out", str(out_dir),
+                         *flags]) == 0
+            written[name] = {p.name: p.read_bytes() for p in out_dir.iterdir() if p.name != "run.log"}
+        assert len(written["plain"]) == 1 + 3 * 3  # metrics.csv and .x/.l/.s per frame
+        assert written["config"] == written["plain"]
 
     def test_recon_seq_writes_metrics_for_all_frames(self, tmp_path, capsys, config_file):
         frames_dir = tmp_path / "frames"
@@ -531,7 +562,11 @@ class TestCli:
         ("solver", "max_iter = 1.5", "max_iter"),
         ("phantom", "noise_sigma = nan", "noise_sigma"),
         ("phantom", "seed = -1", "seed"),
-        ("sweep", "density_falloff = -1", "density_falloff"),  # a removed key
+        # Removed keys.
+        ("sweep", "density_falloff = -1", "density_falloff"),
+        ("solver", "lambda_p = 0.7", "lambda_p"),
+        ("solver", "support_eps = 0.02", "support_eps"),
+        ("sweep", "output_dir = out", "output_dir"),
     ]
 
     @pytest.mark.parametrize("section, line, key", BAD_SETTINGS,

@@ -55,7 +55,7 @@ def _solve(y: KSpaceData, prior: Prior | None = None):
 
 def _prior(y: KSpaceData) -> Prior:
     """The prior a sequence would carry over from a baseline solve of y."""
-    return prior_from_result(Decomposition(*_solve(y)), DIMS, 0.02)
+    return prior_from_result(Decomposition(*_solve(y)), DIMS)
 
 
 def _assert_close(got, want):

@@ -79,12 +79,12 @@ def test_phantom_50_converges(phantom_50):
     assert first.iterations == 1
 
 
-def test_reduction_to_baseline_is_exact(phantom_50):
+def test_reduction_to_baseline_is_exact(phantom_50, monkeypatch):
     _, y, cfg = phantom_50
-    cfg0 = replace(cfg, lambda_p=0.0)
+    monkeypatch.setattr(solvers, "LAMBDA_P", 0.0)
     empty_prior = Prior(np.zeros(4), np.zeros((32 * 32, 4), dtype=bool))
     for max_iter in (1, 5, 20, cfg.max_iter):
-        cfg_k = replace(cfg0, max_iter=max_iter)
+        cfg_k = replace(cfg, max_iter=max_iter)
         a = solve(y, cfg_k)
         b = solve(y, cfg_k, empty_prior)
         assert np.array_equal(a.decomposition.L, b.decomposition.L)
@@ -93,14 +93,15 @@ def test_reduction_to_baseline_is_exact(phantom_50):
         assert a.iterations == b.iterations and a.converged == b.converged
 
 
-def test_priori_zero_data_spectrum_step():
+def test_priori_zero_data_spectrum_step(monkeypatch):
     # The prior step acts on the singular vectors of X - S, so L's columns
     # lie in range(X - S). Zero data gives X - S = 0, hence L = 0, however
     # large the prior spectrum.
     mask = make_mask(32, 32, 0.25, seed=5)
     y = KSpaceData(np.zeros((mask.m, 4)), mask, (32, 32, 4))
     prior = Prior(np.array([4.0, 2.0, 1.0, 0.0]), np.zeros((32 * 32, 4), dtype=bool))
-    cfg = SolverConfig(lambda_L=0.1, lambda_S=0.1, lambda_p=0.5, max_iter=1)
+    monkeypatch.setattr(solvers, "LAMBDA_P", 0.5)
+    cfg = SolverConfig(lambda_L=0.1, lambda_S=0.1, max_iter=1)
     res = solve(y, cfg, prior)
     assert np.array_equal(res.decomposition.L, np.zeros((32 * 32, 4)))
 
@@ -109,7 +110,7 @@ def test_priori_zero_data_zero_prior():
     mask = make_mask(16, 16, 0.3, seed=6)
     y = KSpaceData(np.zeros((mask.m, 2)), mask, (16, 16, 2))
     prior = Prior(np.zeros(2), np.zeros((16 * 16, 2), dtype=bool))
-    cfg = SolverConfig(lambda_L=0.1, lambda_S=0.1, lambda_p=0.7, max_iter=50)
+    cfg = SolverConfig(lambda_L=0.1, lambda_S=0.1, max_iter=50)
     res = solve(y, cfg, prior)
     assert np.all(res.decomposition.L == 0)
     assert np.all(res.decomposition.S == 0)
@@ -125,7 +126,7 @@ def test_exact_prior_beats_baseline_at_quarter_sampling():
         cfg = default_config(y)
         prior = Prior(
             np.linalg.svd(l_true[1].data, compute_uv=False),
-            extract_support(wavelet_forward(s_true[1]), cfg.support_eps),
+            extract_support(wavelet_forward(s_true[1]), solvers.SUPPORT_EPS),
         )
         p_ls = psnr(truth[1], DynamicVolume(solve(y, cfg).estimate(), spec.dims))
         p_pr = psnr(
@@ -187,28 +188,30 @@ def test_sequence_keeps_each_frame_as_solved_alone():
     alone = solve(frames[0], cfg_first)
     for t, result in enumerate(results):
         if t:
-            prior = prior_from_result(alone.decomposition, frames[t].dims, cfg_rest.support_eps)
+            prior = prior_from_result(alone.decomposition, frames[t].dims)
             alone = solve(frames[t], cfg_rest, prior)
         assert np.array_equal(result.decomposition.S, alone.decomposition.S)
         assert np.array_equal(result.decomposition.L, alone.decomposition.L)
 
 
 @pytest.mark.parametrize("solver", ["ls", "priori-ls"])
-def test_solve_sequence_matches_the_explicit_chain(solver):
+def test_solve_sequence_matches_the_explicit_chain(solver, monkeypatch):
     # Frame 1 by ls with the config resolved from it; frames >= 2 share the
-    # config resolved from frame 2, and priori-ls builds each prior with its
-    # support_eps. With ls, frames >= 2 are solved alone.
+    # config resolved from frame 2, and priori-ls builds each prior at the
+    # support cutoff read at call time. With ls, frames >= 2 are solved alone.
     truth = [x for x, _, _ in generate_frames(PhantomSpec(n_frames=3))]
     frames = [acquire(f, make_mask(32, 32, 0.5 if t == 0 else 0.25, seed=t))
               for t, f in enumerate(truth)]
-    cfg = SolverConfig(lambda_p=0.5, support_eps=0.05)
+    monkeypatch.setattr(solvers, "LAMBDA_P", 0.5)
+    monkeypatch.setattr(solvers, "SUPPORT_EPS", 0.05)
+    cfg = SolverConfig()
     cfg_first, cfg_rest = default_config(frames[0], cfg), default_config(frames[1], cfg)
     want = [solve(frames[0], cfg_first)]
     for y in frames[1:]:
         if solver == "ls":
             want.append(solve(y, cfg_rest))
         else:
-            prior = prior_from_result(want[-1].decomposition, y.dims, cfg_rest.support_eps)
+            prior = prior_from_result(want[-1].decomposition, y.dims)
             want.append(solve(y, cfg_rest, prior))
     got = list(solve_sequence(iter(frames), cfg, solver))
     assert len(got) == len(want)
@@ -241,7 +244,7 @@ def test_priori_ls_runs_on_a_wide_casorati_matrix():
     frames = [acquire(f, make_mask(8, 8, 0.5, seed=t)) for t, f in enumerate(truth)]
     results = list(solve_sequence(frames, SolverConfig(), "priori-ls"))
     assert len(results) == 3 and all(r.converged for r in results)
-    prior = prior_from_result(results[0].decomposition, spec.dims, 0.02)
+    prior = prior_from_result(results[0].decomposition, spec.dims)
     assert prior.sigma_prev.shape == (80,)
     assert np.array_equal(prior.sigma_prev[64:], np.zeros(16))
     assert np.array_equal(
@@ -253,7 +256,7 @@ def test_prior_from_result_leaves_the_pair_unchanged(phantom_50):
     _, y, cfg = phantom_50
     dec = solve(y, replace(cfg, max_iter=5)).decomposition
     before_l, before_s = dec.L.copy(), dec.S.copy()
-    prior_from_result(dec, y.dims, cfg.support_eps)
+    prior_from_result(dec, y.dims)
     assert dec.L.tobytes() == before_l.tobytes()
     assert dec.S.tobytes() == before_s.tobytes()
 
@@ -267,7 +270,7 @@ def test_solve_peak_memory_is_at_most_five_volumes(dims):
     frames = [acquire(f, make_mask(n_x, n_y, 0.25, seed=t)) for t, f in enumerate(truth)]
     cfg = replace(default_config(frames[0]), max_iter=3)
     first = solve(frames[0], cfg)  # also fills the wavelet band caches
-    prior = prior_from_result(first.decomposition, dims, cfg.support_eps)
+    prior = prior_from_result(first.decomposition, dims)
     volume_bytes = n_x * n_y * n_z * np.dtype(np.complex128).itemsize
     for run in (lambda: solve(frames[0], cfg), lambda: solve(frames[1], cfg, prior)):
         tracemalloc.start()
@@ -379,10 +382,10 @@ def test_default_config_golden_values(phantom_50):
     _, _, cfg = phantom_50
     assert cfg.lambda_L == pytest.approx(0.05207259759189849, rel=1e-9)
     assert cfg.lambda_S == pytest.approx(0.005286858860663305, rel=1e-9)
-    assert cfg.lambda_p == 0.7
+    assert solvers.LAMBDA_P == 0.7
     assert cfg.tol == 1e-3
     assert cfg.max_iter == 300
-    assert cfg.support_eps == 0.02
+    assert solvers.SUPPORT_EPS == 0.02
 
 
 def test_default_config_reads_its_thresholds_off_the_zero_filled_proxy(phantom_50):
@@ -426,7 +429,7 @@ def test_prior_shape_mismatch_rejected(phantom_50):
 def test_prior_from_mismatched_pair_rejected():
     pair = Decomposition(np.zeros((16 * 16, 4)), np.zeros((16 * 16, 4)))
     with pytest.raises(ValueError, match="inconsistent with dims"):
-        prior_from_result(pair, (32, 32, 4), 0.02)
+        prior_from_result(pair, (32, 32, 4))
 
 
 def test_prior_support_out_of_bounds_rejected(phantom_50):
@@ -472,7 +475,7 @@ def test_residual_history_matches_the_norm_ratio(phantom_50, monkeypatch, solver
     if solver == "ls":
         run = lambda: solve(y, cfg)  # noqa: E731
     else:
-        prior = prior_from_result(solve(y, cfg).decomposition, y.dims, cfg.support_eps)
+        prior = prior_from_result(solve(y, cfg).decomposition, y.dims)
         y2 = acquire(truth[1], make_mask(32, 32, 0.25, seed=8))
         run = lambda: solve(y2, cfg, prior)  # noqa: E731
     got = run()
