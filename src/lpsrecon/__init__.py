@@ -13,9 +13,7 @@ from .io import (
     HeaderError,
     PayloadError,
     VolumeFileError,
-    load_mask,
     load_volume,
-    save_mask,
     save_volume,
 )
 from .operators import (
@@ -57,9 +55,7 @@ __all__ = [
     "HeaderError",
     "PayloadError",
     "VolumeFileError",
-    "load_mask",
     "load_volume",
-    "save_mask",
     "save_volume",
     "KSpaceData",
     "SamplingMask",

@@ -2,7 +2,6 @@
 
 Subcommands:
     phantom gen   generate a synthetic sequence and write frame files
-    mask gen      generate a variable-density sampling mask
     recon         reconstruct one volume from a simulated acquisition
     recon-seq     reconstruct a whole sequence, threading priors
     sweep         run the full solver x rate x seed grid from a config
@@ -22,7 +21,7 @@ from pathlib import Path
 
 from .core import Decomposition, DynamicVolume, SolverConfig
 from .harness import ExperimentSpec, parse_config, run_sweep
-from .io import load_mask, load_volume, save_mask, save_volume, volume_dims
+from .io import load_volume, save_volume, volume_dims
 from .operators import acquire, make_mask
 from .phantom import generate_frames, psnr
 from .solvers import KNOWN_SOLVERS, prior_from_result, solve, solve_sequence, uses_prior
@@ -51,23 +50,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pg.add_argument("--config", help="config file with a [phantom] section")
     p_pg.add_argument("--out", required=True, help="output directory")
 
-    p_mask = sub.add_parser("mask", help="mask utilities")
-    mask_sub = p_mask.add_subparsers(dest="subcommand", required=True)
-    p_mg = mask_sub.add_parser("gen", help="generate a variable-density mask")
-    p_mg.add_argument("--nx", type=int, required=True)
-    p_mg.add_argument("--ny", type=int, required=True)
-    p_mg.add_argument("--rate", type=float, required=True)
-    p_mg.add_argument("--seed", type=_seed, default=0)
-    p_mg.add_argument("--out", required=True, help="output .lpsm file")
-
     p_recon = sub.add_parser("recon", help="reconstruct a single volume")
     p_recon.add_argument("--input", required=True, help="ground-truth volume file")
-    p_recon.add_argument("--mask", required=True, help="sampling mask file")
     p_recon.add_argument("--out", required=True, help="output basename (writes .x/.l/.s)")
     p_recon.add_argument("--config", help="config file for solver settings")
     p_recon.add_argument("--prior-l", help="previous frame's L volume file")
     p_recon.add_argument("--prior-s", help="previous frame's S volume file")
-    p_recon.add_argument("--reference", help="reference volume for PSNR")
+    p_recon.add_argument("--rate", type=float, default=ExperimentSpec.rates[0],
+                         help="sampling rate (default 1/7)")
+    p_recon.add_argument("--mask-seed", type=_seed, default=0)
 
     p_seq = sub.add_parser("recon-seq", help="reconstruct a sequence of volumes")
     p_seq.add_argument("--frames", required=True, help="directory of frame*.x files")
@@ -125,14 +116,6 @@ def _cmd_phantom_gen(args) -> int:
     return 0
 
 
-def _cmd_mask_gen(args) -> int:
-    mask = make_mask(args.nx, args.ny, args.rate, seed=args.seed)
-    save_mask(args.out, mask)
-    print(f"wrote mask {args.out}: {mask.m} of {mask.pattern.size} samples "
-          f"(rate {mask.rate:.4f})")
-    return 0
-
-
 METRICS_HEADER = "frame,iterations,converged,data_residual,psnr_db"
 
 
@@ -155,15 +138,16 @@ def _warn_unconverged(frame: int, result, log=None) -> None:
 def _cmd_recon(args, parser) -> int:
     if (args.prior_l is None) != (args.prior_s is None):
         parser.error("--prior-l and --prior-s must be given together")
-    # The prior and reference files' headers and sizes are checked against the
-    # input's before any payload is read, so a mismatch fails before the solve.
+    # The prior files' headers and sizes are checked against the input's, and
+    # the mask is made, before any payload is read, so a mismatch or a bad rate
+    # fails before the solve.
     dims = volume_dims(args.input)
     check_slice_dims(dims)
-    for path in filter(None, (args.prior_l, args.prior_s, args.reference)):
+    for path in filter(None, (args.prior_l, args.prior_s)):
         if (other := volume_dims(path)) != dims:
             raise ValueError(f"{path}: dims {other} differ from input volume {dims}")
+    mask = make_mask(dims[0], dims[1], args.rate, seed=args.mask_seed)
     volume = load_volume(args.input)
-    mask = load_mask(args.mask)
     _, cfg = _load_options(args.config)
     y = acquire(volume, mask)
     prior = None
@@ -172,9 +156,8 @@ def _cmd_recon(args, parser) -> int:
         prior = prior_from_result(previous, volume.dims)
     result = solve(y, cfg, prior)
     estimate = _write_components(Path(args.out), volume.dims, result.decomposition)
-    reference = load_volume(args.reference) if args.reference else volume
     print(METRICS_HEADER)
-    print(_metrics_line(1, result, reference, estimate))
+    print(_metrics_line(1, result, volume, estimate))
     _warn_unconverged(1, result)
     print(f"# solver={'ls' if prior is None else 'priori-ls'} m={mask.m} rate={mask.rate:.4f}",
           file=sys.stderr)
@@ -250,8 +233,6 @@ def main(argv=None) -> int:
     try:
         if args.command == "phantom":
             return _cmd_phantom_gen(args)
-        if args.command == "mask":
-            return _cmd_mask_gen(args)
         if args.command == "recon":
             return _cmd_recon(args, parser)
         if args.command == "recon-seq":

@@ -12,7 +12,6 @@ from lpsrecon import (
     ExperimentSpec,
     SolverConfig,
     generate_frames,
-    load_mask,
     load_volume,
     acquire,
     make_mask,
@@ -364,26 +363,6 @@ class TestCli:
         assert main(["eval", str(tmp_path / "no.x"), str(tmp_path / "no.x")]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_mask_gen(self, tmp_path, capsys):
-        out = tmp_path / "m.lpsm"
-        code = main(
-            ["mask", "gen", "--nx", "32", "--ny", "32", "--rate", "0.25", "--seed", "3",
-             "--out", str(out)]
-        )
-        assert code == 0
-        mask = load_mask(out)
-        assert mask.m == round(0.25 * 1024)
-
-    def test_mask_gen_rejects_an_infinite_falloff(self, tmp_path, capsys):
-        # The falloff is a fixed constant, so the flag itself is a usage error.
-        out = tmp_path / "m.lpsm"
-        with pytest.raises(SystemExit) as exc:
-            main(["mask", "gen", "--nx", "32", "--ny", "32", "--rate", "0.25",
-                  "--falloff", "inf", "--out", str(out)])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --falloff inf" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize("command, flag", [
         (["phantom", "gen"], ["--seed", "1"]),
         (["phantom", "gen"], ["--frames", "2"]),
@@ -400,9 +379,9 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, flag", [
-        (["mask", "gen", "--nx", "32", "--ny", "32", "--rate", "0.25", "--seed", "-3"], "--seed"),
+        (["recon", "--input", "a.x", "--mask-seed", "-3"], "--mask-seed"),
         (["recon-seq", "--frames", "frames", "--mask-seed", "-1"], "--mask-seed"),
-    ], ids=["mask-gen", "recon-seq"])
+    ], ids=["recon", "recon-seq"])
     def test_negative_seed_flags_are_usage_errors(self, tmp_path, capsys, argv, flag):
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
@@ -421,11 +400,8 @@ class TestCli:
         vol = load_volume(files[0])
         assert vol.dims == (32, 32, 4)
 
-        mask_path = tmp_path / "m.lpsm"
-        main(["mask", "gen", "--nx", "32", "--ny", "32", "--rate", "0.5", "--out",
-              str(mask_path)])
         out_base = tmp_path / "rec1"
-        code = main(["recon", "--input", str(files[0]), "--mask", str(mask_path),
+        code = main(["recon", "--input", str(files[0]), "--rate", "0.5",
                      "--out", str(out_base), "--config", str(config_file)])
         assert code == 0
         captured = capsys.readouterr()
@@ -436,7 +412,7 @@ class TestCli:
 
         # prior flags must come together
         with pytest.raises(SystemExit) as exc:
-            main(["recon", "--input", str(files[0]), "--mask", str(mask_path),
+            main(["recon", "--input", str(files[0]), "--rate", "0.5",
                   "--out", str(out_base), "--prior-l", "x.l"])
         assert exc.value.code == 2
 
@@ -444,7 +420,7 @@ class TestCli:
         priors = []
         monkeypatch.setattr(cli, "solve", lambda y, cfg, prior=None: (
             priors.append(prior) or solve(y, cfg, prior)))
-        code = main(["recon", "--input", str(files[1]), "--mask", str(mask_path),
+        code = main(["recon", "--input", str(files[1]), "--rate", "0.5",
                      "--out", str(tmp_path / "rec2"), "--config", str(config_file),
                      "--prior-l", str(tmp_path / "rec1.l"),
                      "--prior-s", str(tmp_path / "rec1.s")])
@@ -454,11 +430,41 @@ class TestCli:
         # the prior read back from rec1.l/rec1.s is the one solve_sequence
         # builds from the in-memory frame-1 result
         _, cfg = parse_config(config_file)
-        y1 = acquire(vol, load_mask(mask_path))
+        y1 = acquire(vol, make_mask(32, 32, 0.5, seed=0))
         first = solve(y1, cfg)
         want = prior_from_result(first.decomposition, vol.dims)
         assert np.array_equal(priors[0].sigma_prev, want.sigma_prev)
         assert np.array_equal(priors[0].support_prev, want.support_prev)
+
+    def test_recon_reproduces_recon_seq_frame_by_frame(self, tmp_path, capsys):
+        # recon builds its mask as recon-seq does, and a prior read back from
+        # frame 1's .l/.s files is the one recon-seq carries in memory.
+        config = tmp_path / "two.cfg"
+        config.write_text(CONFIG_TEXT.replace("n_frames = 3", "n_frames = 2"))
+        frames_dir, seq = tmp_path / "frames", tmp_path / "seq"
+        assert main(["phantom", "gen", "--config", str(config), "--out", str(frames_dir)]) == 0
+        assert main(["recon-seq", "--frames", str(frames_dir), "--out", str(seq),
+                     "--solver", "priori-ls", "--first-rate", "0.5", "--rate", "0.25",
+                     "--mask-seed", "4"]) == 0
+        capsys.readouterr()
+        rows = (seq / "metrics.csv").read_text().splitlines()[1:]
+        prior = ["--prior-l", str(seq / "frame0001.l"), "--prior-s", str(seq / "frame0001.s")]
+        for t, rate, seed, flags in ((1, "0.5", "4", []), (2, "0.25", "5", prior)):
+            base = tmp_path / f"rec{t}"
+            assert main(["recon", "--input", str(frames_dir / f"frame000{t}.x"), "--rate", rate,
+                         "--mask-seed", seed, "--out", str(base), *flags]) == 0
+            header, row = capsys.readouterr().out.splitlines()
+            assert header == cli.METRICS_HEADER
+            assert row == "1," + rows[t - 1].split(",", 1)[1]
+            for part in "xls":
+                got = base.with_suffix(f".{part}").read_bytes()
+                assert got == (seq / f"frame000{t}.{part}").read_bytes()
+
+        assert main(["recon", "--input", str(frames_dir / "frame0001.x"), "--rate", "1.5",
+                     "--out", str(tmp_path / "bad")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: rate must be in (0, 1], got 1.5\n"
+        assert captured.out == "" and not list(tmp_path.glob("bad.*"))
 
     def test_recon_seq_single_frame_falls_back(self, tmp_path, capsys):
         truth = [x for x, _, _ in generate_frames(PhantomSpec(n_frames=1))]
@@ -474,20 +480,6 @@ class TestCli:
         assert "falling back to plain L+S" in (out_dir / "run.log").read_text()
         assert (out_dir / "metrics.csv").exists()
         assert (out_dir / "frame0001.x").exists()
-
-    def test_recon_rejects_a_mask_on_another_grid_before_writing(self, tmp_path, capsys):
-        volume = tmp_path / "v.x"
-        save_volume(volume, next(generate_frames(PhantomSpec(n_frames=1)))[0])
-        mask_path = tmp_path / "m16.lpsm"
-        assert main(["mask", "gen", "--nx", "16", "--ny", "16", "--rate", "0.5",
-                     "--out", str(mask_path)]) == 0
-        capsys.readouterr()
-        assert main(["recon", "--input", str(volume), "--mask", str(mask_path),
-                     "--out", str(tmp_path / "r")]) == 1
-        captured = capsys.readouterr()
-        assert "mask grid (16, 16) does not match volume dims (32, 32, 4)" in captured.err
-        assert captured.out == ""
-        assert not list(tmp_path.glob("r.*"))
 
     def test_recon_seq_reads_no_sweep_key(self, tmp_path, capsys, config_file):
         # The sampling rates are the flags' defaults, whatever [sweep] says.
@@ -605,12 +597,9 @@ class TestCli:
         raw = bytearray(first.read_bytes())
         raw[-8:] = np.float64(np.nan).tobytes()
         first.write_bytes(bytes(raw))
-        mask_path = tmp_path / "m.lpsm"
-        assert main(["mask", "gen", "--nx", "30", "--ny", "32", "--rate", "0.5",
-                     "--out", str(mask_path)]) == 0
         capsys.readouterr()
         out_dir, sweep_dir = tmp_path / "seq", tmp_path / "sw"
-        assert main(["recon", "--input", str(first), "--mask", str(mask_path),
+        assert main(["recon", "--input", str(first), "--rate", "0.5",
                      "--out", str(tmp_path / "r")]) == 1
         assert main(["recon-seq", "--frames", str(frames_dir), "--out", str(out_dir),
                      "--config", str(config)]) == 1
@@ -634,11 +623,9 @@ class TestCli:
         config.write_text(CONFIG_TEXT.replace("max_iter = 300", "max_iter = 1"))
         frames_dir = tmp_path / "frames"
         main(["phantom", "gen", "--config", str(config), "--out", str(frames_dir)])
-        mask_path = tmp_path / "m.lpsm"
-        main(["mask", "gen", "--nx", "32", "--ny", "32", "--rate", "0.5", "--out", str(mask_path)])
         capsys.readouterr()
 
-        code = main(["recon", "--input", str(frames_dir / "frame0001.x"), "--mask", str(mask_path),
+        code = main(["recon", "--input", str(frames_dir / "frame0001.x"), "--rate", "0.5",
                      "--out", str(tmp_path / "rec"), "--config", str(config)])
         assert code == 0
         err = capsys.readouterr().err
@@ -664,24 +651,25 @@ class TestCli:
 
     def test_usage_error_on_missing_required_flag(self):
         with pytest.raises(SystemExit) as exc:
-            main(["mask", "gen", "--nx", "32"])
+            main(["recon", "--input", "a.x"])
         assert exc.value.code == 2
 
     def test_recon_dim_mismatch_exits_1(self, tmp_path, capsys):
+        # recon makes its mask on the input's grid, so only a prior file can
+        # be on another grid; here it has another size, too.
         truth = [x for x, _, _ in generate_frames(PhantomSpec(n_frames=1))]
         vol_path = tmp_path / "a.x"
         save_volume(vol_path, truth[0])
-        mask_path = tmp_path / "small.lpsm"
-        main(["mask", "gen", "--nx", "16", "--ny", "16", "--rate", "0.5",
-              "--out", str(mask_path)])
-        capsys.readouterr()
-        code = main(["recon", "--input", str(vol_path), "--mask", str(mask_path),
+        small = tmp_path / "small.x"
+        save_volume(small, next(generate_frames(PhantomSpec(dims=(16, 16, 4), n_frames=1)))[0])
+        code = main(["recon", "--input", str(vol_path), "--rate", "0.5",
+                     "--prior-l", str(small), "--prior-s", str(small),
                      "--out", str(tmp_path / "r")])
         assert code == 1
-        assert "does not match" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "small.x: dims (16, 16, 4) differ from input volume (32, 32, 4)" in err
 
-    @pytest.mark.parametrize("flags", [["--prior-l", "other.x", "--prior-s", "a.x"],
-                                       ["--reference", "other.x"]], ids=["prior", "reference"])
+    @pytest.mark.parametrize("flags", [["--prior-l", "other.x", "--prior-s", "a.x"]], ids=["prior"])
     def test_recon_rejects_a_file_on_another_grid_before_the_solve(self, tmp_path, capsys, flags):
         # A 16x64x4 volume flattens to the same (1024, 4) matrix as the
         # 32x32x4 input, so only the files' own dims tell them apart.
@@ -689,10 +677,7 @@ class TestCli:
         rng = np.random.default_rng(0)
         save_volume(tmp_path / "other.x",
                     DynamicVolume(rng.standard_normal((1024, 4)) + 0j, (16, 64, 4)))
-        mask_path = tmp_path / "m.lpsm"
-        main(["mask", "gen", "--nx", "32", "--ny", "32", "--rate", "0.5", "--out", str(mask_path)])
-        capsys.readouterr()
-        code = main(["recon", "--input", str(tmp_path / "a.x"), "--mask", str(mask_path),
+        code = main(["recon", "--input", str(tmp_path / "a.x"), "--rate", "0.5",
                      "--out", str(tmp_path / "r"),
                      *[f if f.startswith("--") else str(tmp_path / f) for f in flags]])
         assert code == 1

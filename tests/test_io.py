@@ -8,10 +8,7 @@ from lpsrecon import (
     DynamicVolume,
     HeaderError,
     PayloadError,
-    SamplingMask,
-    load_mask,
     load_volume,
-    save_mask,
     save_volume,
 )
 from lpsrecon.io import volume_dims
@@ -96,18 +93,6 @@ def test_volume_file_bytes(tmp_path, order):
     assert path.read_bytes() == header + vol.data.ravel(order="F").astype("<c16").tobytes()
 
 
-def test_mask_round_trip(tmp_path):
-    rng = np.random.default_rng(2)
-    pattern = rng.random((9, 7)) < 0.4
-    pattern[0, 0] = True
-    path = tmp_path / "m.lpsm"
-    save_mask(path, SamplingMask(pattern))
-    header = struct.pack("<4sIIII", b"LPSM", 1, 9, 7, 1)
-    assert path.read_bytes() == header + pattern.astype(np.uint8).ravel(order="F").tobytes()
-    back = load_mask(path)
-    assert np.array_equal(back.pattern, pattern)
-
-
 def test_wrong_magic(tmp_path):
     path = tmp_path / "bad.lpsv"
     path.write_bytes(b"NOPE" + bytes(16))
@@ -116,10 +101,10 @@ def test_wrong_magic(tmp_path):
 
 
 def test_mask_magic_rejected_as_volume(tmp_path):
-    rng = np.random.default_rng(3)
+    # A 4x4 mask file of the retired LPSM format: a full header, foreign magic.
     path = tmp_path / "m.lpsm"
-    save_mask(path, SamplingMask(rng.random((4, 4)) < 0.5))
-    with pytest.raises(BadMagicError):
+    path.write_bytes(struct.pack("<4sIIII", b"LPSM", 1, 4, 4, 1) + bytes(16))
+    with pytest.raises(BadMagicError, match="bad magic b'LPSM', expected b'LPSV'"):
         load_volume(path)
 
 
@@ -163,17 +148,3 @@ def test_short_header(tmp_path):
     path.write_bytes(b"LPSV\x01\x00")
     with pytest.raises(HeaderError):
         load_volume(path)
-
-
-def test_mask_requires_nz_one(tmp_path):
-    path = tmp_path / "m.lpsm"
-    path.write_bytes(struct.pack("<4sIIII", b"LPSM", 1, 2, 2, 3) + bytes(4))
-    with pytest.raises(HeaderError):
-        load_mask(path)
-
-
-def test_mask_payload_values_validated(tmp_path):
-    path = tmp_path / "m.lpsm"
-    path.write_bytes(struct.pack("<4sIIII", b"LPSM", 1, 2, 2, 1) + bytes([0, 1, 2, 1]))
-    with pytest.raises(PayloadError):
-        load_mask(path)

@@ -2,11 +2,14 @@
 
 With data-scaled ("auto") thresholds the solve commutes with a global
 positive scale, a global phase and a permutation of the slices. For the
-prior-informed solve the prior transforms along: a scale c scales the prior
-spectrum by c, and a slice permutation permutes the columns of the prior
-support and leaves the spectrum alone. Each solve runs a fixed number of
-iterations (tol far below any reachable change), so the stopping rule
-cannot pick different iteration counts for the two sides.
+prior-informed solve the prior is built, as a sequence builds it, from the
+baseline reconstruction of the transformed data, that is from the
+transformed (L, S) pair. ``prior_from_result`` commutes with each symmetry:
+a scale c scales the prior spectrum by c, a phase leaves the prior alone,
+and a slice permutation permutes the columns of the prior support and
+leaves the spectrum alone. Each solve runs a fixed number of iterations
+(tol far below any reachable change), so the stopping rule cannot pick
+different iteration counts for the two sides.
 """
 
 import numpy as np
@@ -53,9 +56,9 @@ def _solve(y: KSpaceData, prior: Prior | None = None):
     return result.decomposition.L, result.decomposition.S
 
 
-def _prior(y: KSpaceData) -> Prior:
-    """The prior a sequence would carry over from a baseline solve of y."""
-    return prior_from_result(Decomposition(*_solve(y)), DIMS)
+def _prior(l, s) -> Prior:
+    """The prior a sequence would carry over from a baseline solve's (L, S)."""
+    return prior_from_result(Decomposition(l, s), DIMS)
 
 
 def _assert_close(got, want):
@@ -93,13 +96,20 @@ def test_slice_permutation_permutes_columns(seed, perm):
     _assert_close(s_out, s_ref[:, perm])
 
 
+def _assert_same_prior(got: Prior, sigma_prev, support_prev):
+    _assert_close(got.sigma_prev, sigma_prev)
+    assert np.array_equal(got.support_prev, support_prev)
+
+
 @PROPERTY
 @given(seed=st.integers(0, 2**16), c=st.floats(1e-3, 1e3))
 def test_priori_scaling_data_and_prior_spectrum(seed, c):
     y = _problem(seed)
-    prior = _prior(y)
+    l_1, s_1 = _solve(y)
+    prior = _prior(l_1, s_1)
     l_ref, s_ref = _solve(y, prior)
-    scaled_prior = Prior(c * prior.sigma_prev, prior.support_prev)
+    scaled_prior = _prior(c * l_1, c * s_1)
+    _assert_same_prior(scaled_prior, c * prior.sigma_prev, prior.support_prev)
     l_out, s_out = _solve(KSpaceData(c * y.samples, y.mask, y.dims), scaled_prior)
     _assert_close(l_out, c * l_ref)
     _assert_close(s_out, c * s_ref)
@@ -109,10 +119,13 @@ def test_priori_scaling_data_and_prior_spectrum(seed, c):
 @given(seed=st.integers(0, 2**16), theta=st.floats(0.0, 2 * np.pi))
 def test_priori_global_phase_rotates_both_components(seed, theta):
     y = _problem(seed)
-    prior = _prior(y)
+    l_1, s_1 = _solve(y)
+    prior = _prior(l_1, s_1)
     l_ref, s_ref = _solve(y, prior)
     phase = np.exp(1j * theta)
-    l_out, s_out = _solve(KSpaceData(phase * y.samples, y.mask, y.dims), prior)
+    rotated_prior = _prior(phase * l_1, phase * s_1)
+    _assert_same_prior(rotated_prior, prior.sigma_prev, prior.support_prev)
+    l_out, s_out = _solve(KSpaceData(phase * y.samples, y.mask, y.dims), rotated_prior)
     _assert_close(l_out, phase * l_ref)
     _assert_close(s_out, phase * s_ref)
 
@@ -121,9 +134,11 @@ def test_priori_global_phase_rotates_both_components(seed, theta):
 @given(seed=st.integers(0, 2**16), perm=st.permutations(range(DIMS[2])))
 def test_priori_slice_permutation_permutes_columns(seed, perm):
     y = _problem(seed)
-    prior = _prior(y)
+    l_1, s_1 = _solve(y)
+    prior = _prior(l_1, s_1)
     l_ref, s_ref = _solve(y, prior)
-    permuted_prior = Prior(prior.sigma_prev, prior.support_prev[:, perm])
+    permuted_prior = _prior(l_1[:, perm], s_1[:, perm])
+    _assert_same_prior(permuted_prior, prior.sigma_prev, prior.support_prev[:, perm])
     l_out, s_out = _solve(KSpaceData(y.samples[:, perm], y.mask, y.dims), permuted_prior)
     _assert_close(l_out, l_ref[:, perm])
     _assert_close(s_out, s_ref[:, perm])
