@@ -3,10 +3,11 @@ Baseline vs prior-informed reconstruction of one frame
 ======================================================
 
 Reconstructs frame 2 of a moving phantom from 25% of its k-space, first
-with the plain low-rank plus sparse solver, then reusing frame 1's
-reconstruction as a prior: the previous sparse support (read off at the
-cutoff ``solvers.SUPPORT_EPS``) is exempted from shrinkage and the previous
-singular values anchor the background (step ``solvers.LAMBDA_P``).
+with the plain low-rank plus sparse solver, then passing frame 1's
+reconstruction (L, S) to ``solve``, which derives the prior from it: the
+previous sparse support (read off at the cutoff ``solvers.SUPPORT_EPS``)
+is exempted from shrinkage and the previous singular values anchor the
+background (step ``solvers.LAMBDA_P``).
 """
 
 import numpy as np
@@ -42,11 +43,12 @@ cfg2 = default_config(y2)
 plain = solve(y2, cfg2)
 p_plain = psnr(truth[1], DynamicVolume(plain.estimate(), spec.dims))
 
-prior = prior_from_result(res1.decomposition, spec.dims)
-print(f"\nprior carried over: {int(prior.support_prev.sum())} support entries, "
-      f"spectrum {np.round(prior.sigma_prev, 3)}")
+# The prior solve derives from frame 1's (L, S), shown here for inspection.
+sigma_prev, support_prev = prior_from_result(res1.decomposition, spec.dims)
+print(f"\nprior carried over: {int(support_prev.sum())} support entries, "
+      f"spectrum {np.round(sigma_prev, 3)}")
 
-informed = solve(y2, cfg2, prior)
+informed = solve(y2, cfg2, res1.decomposition)
 p_informed = psnr(truth[1], DynamicVolume(informed.estimate(), spec.dims))
 
 print(f"\nframe 2 at 25%, plain solver:          {p_plain:6.2f} dB ({plain.iterations} it)")

@@ -3,7 +3,6 @@
 from .core import (
     Decomposition,
     DynamicVolume,
-    Prior,
     SolverConfig,
     soft_threshold,
     soft_threshold_matrix,
@@ -47,7 +46,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Decomposition",
     "DynamicVolume",
-    "Prior",
     "SolverConfig",
     "soft_threshold",
     "soft_threshold_matrix",

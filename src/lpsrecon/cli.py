@@ -24,7 +24,7 @@ from .harness import ExperimentSpec, parse_config, run_sweep
 from .io import load_volume, save_volume, volume_dims
 from .operators import acquire, make_mask
 from .phantom import generate_frames, psnr
-from .solvers import KNOWN_SOLVERS, prior_from_result, solve, solve_sequence, uses_prior
+from .solvers import KNOWN_SOLVERS, solve, solve_sequence, uses_prior
 from .wavelets import check_slice_dims
 
 __all__ = ["main"]
@@ -41,16 +41,17 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lpsrecon",
         description="Low-rank plus sparse reconstruction of dynamic volumes.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_phantom = sub.add_parser("phantom", help="phantom utilities")
+    p_phantom = sub.add_parser("phantom", help="phantom utilities", allow_abbrev=False)
     phantom_sub = p_phantom.add_subparsers(dest="subcommand", required=True)
-    p_pg = phantom_sub.add_parser("gen", help="generate a phantom sequence")
+    p_pg = phantom_sub.add_parser("gen", help="generate a phantom sequence", allow_abbrev=False)
     p_pg.add_argument("--config", help="config file with a [phantom] section")
     p_pg.add_argument("--out", required=True, help="output directory")
 
-    p_recon = sub.add_parser("recon", help="reconstruct a single volume")
+    p_recon = sub.add_parser("recon", help="reconstruct a single volume", allow_abbrev=False)
     p_recon.add_argument("--input", required=True, help="ground-truth volume file")
     p_recon.add_argument("--out", required=True, help="output basename (writes .x/.l/.s)")
     p_recon.add_argument("--config", help="config file for solver settings")
@@ -60,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="sampling rate (default 1/7)")
     p_recon.add_argument("--mask-seed", type=_seed, default=0)
 
-    p_seq = sub.add_parser("recon-seq", help="reconstruct a sequence of volumes")
+    p_seq = sub.add_parser("recon-seq", help="reconstruct a sequence of volumes", allow_abbrev=False)
     p_seq.add_argument("--frames", required=True, help="directory of frame*.x files")
     p_seq.add_argument("--out", required=True, help="output directory")
     p_seq.add_argument("--config", help="config file")
@@ -71,12 +72,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="sampling rate for frame 1 (default %(default)s)")
     p_seq.add_argument("--mask-seed", type=_seed, default=0)
 
-    p_sweep = sub.add_parser("sweep", help="run the full experiment grid")
+    p_sweep = sub.add_parser("sweep", help="run the full experiment grid", allow_abbrev=False)
     p_sweep.add_argument("--config", required=True, help="config file")
     p_sweep.add_argument("--out", default=ExperimentSpec.output_dir,
                          help="output directory (default %(default)s)")
 
-    p_eval = sub.add_parser("eval", help="PSNR between two volume files")
+    p_eval = sub.add_parser("eval", help="PSNR between two volume files", allow_abbrev=False)
     p_eval.add_argument("reference")
     p_eval.add_argument("estimate")
 
@@ -150,16 +151,15 @@ def _cmd_recon(args, parser) -> int:
     volume = load_volume(args.input)
     _, cfg = _load_options(args.config)
     y = acquire(volume, mask)
-    prior = None
+    previous = None
     if args.prior_l is not None:
         previous = Decomposition(load_volume(args.prior_l).data, load_volume(args.prior_s).data)
-        prior = prior_from_result(previous, volume.dims)
-    result = solve(y, cfg, prior)
+    result = solve(y, cfg, previous)
     estimate = _write_components(Path(args.out), volume.dims, result.decomposition)
     print(METRICS_HEADER)
     print(_metrics_line(1, result, volume, estimate))
     _warn_unconverged(1, result)
-    print(f"# solver={'ls' if prior is None else 'priori-ls'} m={mask.m} rate={mask.rate:.4f}",
+    print(f"# solver={'ls' if previous is None else 'priori-ls'} m={mask.m} rate={mask.rate:.4f}",
           file=sys.stderr)
     return 0
 

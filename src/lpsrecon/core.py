@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "DynamicVolume",
     "Decomposition",
-    "Prior",
     "SolverConfig",
     "soft_threshold",
     "soft_threshold_matrix",
@@ -105,36 +104,6 @@ class Decomposition:
 
 
 @dataclass
-class Prior:
-    """Reconstruction knowledge carried over from the previous time instant.
-
-    ``sigma_prev`` is the singular-value vector of the previous low-rank
-    component; ``support_prev`` the significant-coefficient support of the
-    previous sparse component, a boolean mask over its transform-domain
-    coefficient matrix.
-    """
-
-    sigma_prev: np.ndarray
-    support_prev: np.ndarray
-
-    def __post_init__(self):
-        sig = np.asarray(self.sigma_prev, dtype=np.float64)
-        if sig.ndim != 1:
-            raise ValueError("sigma_prev must be a 1-D vector")
-        if not np.isfinite(sig).all():
-            raise ValueError("sigma_prev contains non-finite entries")
-        if sig.size and sig.min() < 0:
-            raise ValueError("sigma_prev must be non-negative")
-        if sig.size > 1 and (np.diff(sig) > 0).any():
-            raise ValueError("sigma_prev must be sorted descending")
-        self.sigma_prev = sig
-        mask = np.asarray(self.support_prev)
-        if mask.dtype != np.bool_ or mask.ndim != 2:
-            raise ValueError(f"support_prev must be a 2-D boolean mask, got {mask.dtype} ndim={mask.ndim}")
-        self.support_prev = mask
-
-
-@dataclass
 class SolverConfig:
     """Thresholds and stopping rules for the iterative solvers.
 
@@ -175,18 +144,9 @@ def soft_threshold(x: complex, lam: float) -> complex:
     return x * ((mag - lam) / mag)
 
 
-def soft_threshold_matrix(m: np.ndarray, lam: float, keep: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise complex soft-thresholding of a matrix, on a copy.
-
-    Entries where the boolean mask ``keep`` is True pass through unchanged
-    (restricted soft-thresholding); with no ``keep`` every entry is shrunk.
-    """
-    m = np.array(m, dtype=np.complex128)
-    if keep is not None:
-        keep = np.asarray(keep)
-        if keep.dtype != np.bool_ or keep.shape != m.shape:
-            raise ValueError(f"keep must be a boolean mask of shape {m.shape}, got {keep.dtype} {keep.shape}")
-    return _soft_threshold_keep(m, lam, keep)
+def soft_threshold_matrix(m: np.ndarray, lam: float) -> np.ndarray:
+    """Elementwise complex soft-thresholding of a matrix, on a copy."""
+    return _soft_threshold_keep(np.array(m, dtype=np.complex128), lam)
 
 
 def _shrink_scale(m: np.ndarray, lam: float) -> np.ndarray:

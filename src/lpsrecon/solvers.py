@@ -1,8 +1,9 @@
 """Iterative low-rank plus sparse solvers and the sequential pipeline.
 
-``solve(y, cfg, prior=None)`` runs one soft-thresholding scheme, the
-baseline ``ls`` without a prior and the prior-informed ``priori-ls`` with
-one, from the zero-filled proxy X0 = A^H(y), S0 = 0:
+``solve(y, cfg, previous=None)`` runs one soft-thresholding scheme, the
+baseline ``ls`` without a previous frame and the prior-informed
+``priori-ls`` with the previous frame's (L, S), from the zero-filled proxy
+X0 = A^H(y), S0 = 0:
 
     1. L <- singular-value soft-thresholding of (X - S) with lambda_L; with
        a prior, the thresholded spectrum is then stepped toward the previous
@@ -43,13 +44,13 @@ terms:
 
 Settings come as one ``SolverConfig``. Its thresholds may be left None:
 ``default_config`` resolves them from the acquisition before a solve. The
-prior (``core.Prior``) carries the previous frame's singular values and its
-sparse support, a boolean mask over the wavelet coefficient matrix that the
-shrink step uses as it is.
+prior is formed here, by ``prior_from_result``, from the previous (L, S):
+L's singular values and the support of S, a boolean mask over the wavelet
+coefficient matrix that the shrink step uses as it is.
 
 ``solve_sequence(frames, cfg, solver)`` chains the frames of a sequence
-under one config: frame 1 has no prior; every later frame gets the previous
-frame's prior for ``priori-ls``, and none for ``ls``.
+under one config: frame 1 has no prior; every later frame gets the prior of the
+previous frame's (L, S) for ``priori-ls``, and none for ``ls``.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core import Decomposition, Prior, SolverConfig, _slice_view, _soft_threshold_keep
+from .core import Decomposition, SolverConfig, _slice_view, _soft_threshold_keep
 from .operators import (
     KSpaceData,
     _adjoint_matrix,
@@ -167,13 +168,11 @@ def _relative_change(x: np.ndarray, x_new: np.ndarray, dims: tuple[int, int, int
     return norm_diff / norm_old if norm_old else norm_diff
 
 
-def _iterate(y: KSpaceData, cfg: SolverConfig, prior: Prior | None) -> SolveResult:
+def _iterate(y: KSpaceData, cfg: SolverConfig, prior: tuple | None) -> SolveResult:
     # Iterates stay column-major (a C-contiguous slice stack): no reshape copies.
     dims = y.dims
     index = y.mask.index
-    keep_mask = sigma_prev = None
-    if prior is not None:
-        keep_mask, sigma_prev = prior.support_prev, prior.sigma_prev
+    sigma_prev, keep_mask = prior or (None, None)
 
     x = _adjoint_matrix(y.samples, dims, index)
     samples_t = np.ascontiguousarray(y.samples.T)
@@ -218,39 +217,38 @@ def _iterate(y: KSpaceData, cfg: SolverConfig, prior: Prior | None) -> SolveResu
     )
 
 
-def solve(y: KSpaceData, cfg: SolverConfig, prior: Prior | None = None) -> SolveResult:
-    """L+S reconstruction of one volume: ``ls`` without a prior, ``priori-ls``
-    with one. None thresholds in ``cfg`` are resolved by ``default_config``.
+def solve(y: KSpaceData, cfg: SolverConfig, previous: Decomposition | None = None) -> SolveResult:
+    """L+S reconstruction of one volume: ``ls`` without ``previous``,
+    ``priori-ls`` with the previous frame's (L, S). None thresholds in
+    ``cfg`` are resolved by ``default_config``.
 
-    The prior's spectrum pulls the low-rank iterate toward the previous
-    frame's singular values; coefficients on the prior support are never
-    shrunk, so the sparse component is penalized only outside it.
+    The prior (``prior_from_result``) pulls the low-rank iterate toward the
+    singular values of the previous L; coefficients on the support of the
+    previous S are never shrunk, so the sparse component is penalized only
+    outside it.
     """
-    if prior is not None:
-        n_x, n_y, n_z = y.dims
-        if prior.sigma_prev.size != n_z:
-            raise ValueError(f"prior spectrum length {prior.sigma_prev.size} does not match n_z {n_z}")
-        if prior.support_prev.shape != (n_x * n_y, n_z):
-            raise ValueError(
-                f"prior support shape {prior.support_prev.shape} does not match the "
-                f"coefficient matrix {(n_x * n_y, n_z)}"
-            )
+    if previous is not None and not isinstance(previous, Decomposition):
+        raise TypeError(f"previous must be a Decomposition (the previous frame's L, S), "
+                        f"got {type(previous).__name__}")
+    prior = None if previous is None else prior_from_result(previous, y.dims)
     return _iterate(y, default_config(y, cfg), prior)
 
 
-def prior_from_result(decomposition: Decomposition, dims: tuple[int, int, int]) -> Prior:
-    """Build the next frame's prior from a reconstruction's (L, S) pair: the
-    support of S's coefficients at the cutoff ``SUPPORT_EPS``, and L's
-    spectrum. The spectrum comes from a full SVD, which resolves L's trailing singular values
-    (``compute_uv=False`` differs from it in the last bits). It has n_z values:
-    a wide L (n_x n_y < n_z) has only n_x n_y, and the rest are exactly 0."""
+def prior_from_result(
+    decomposition: Decomposition, dims: tuple[int, int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The next frame's prior ``(sigma_prev, support_prev)`` from a
+    reconstruction's (L, S) pair: L's spectrum, and the support of S's
+    coefficients at the cutoff ``SUPPORT_EPS``. The spectrum comes from a full
+    SVD, which resolves L's trailing singular values (``compute_uv=False``
+    differs from it in the last bits). It has n_z values: a wide L
+    (n_x n_y < n_z) has only n_x n_y, and the rest are exactly 0."""
     n_x, n_y, n_z = dims
     if decomposition.L.shape != (n_x * n_y, n_z):
         raise ValueError(f"prior L/S shape {decomposition.L.shape} inconsistent with dims {dims}")
     sigma = np.linalg.svd(decomposition.L, full_matrices=False)[1]
     coeffs = _forward_matrix(decomposition.S.copy(order="F"), dims)
-    support_prev = extract_support(coeffs, SUPPORT_EPS)
-    return Prior(sigma_prev=np.pad(sigma, (0, n_z - sigma.size)), support_prev=support_prev)
+    return np.pad(sigma, (0, n_z - sigma.size)), extract_support(coeffs, SUPPORT_EPS)
 
 
 def uses_prior(solver: str) -> bool:
@@ -285,9 +283,11 @@ def solve_sequence(
         try:
             if t <= 2:
                 resolved = default_config(frame, cfg)
+            # Not solve(frame, resolved, previous), which would keep the
+            # previous pair alive through this frame's whole solve.
             prior = None if previous is None else prior_from_result(previous, dims)
             previous = None
-            result = solve(frame, resolved, prior)
+            result = _iterate(frame, resolved, prior)
         except Exception as exc:  # noqa: BLE001 - abort must carry the frame index
             raise FrameSolveError(t, exc) from exc
         yield result

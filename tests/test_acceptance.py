@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from lpsrecon import (
+    Decomposition,
     DynamicVolume,
     ExperimentSpec,
     KSpaceData,
-    Prior,
     SamplingMask,
     SolverConfig,
     acquire,
@@ -118,12 +118,13 @@ def test_criterion_3_reduction_regression(monkeypatch):
     mask = make_mask(32, 32, 0.5, seed=7)
     y = acquire(truth[0], mask)
     cfg = default_config(y)
-    empty_prior = Prior(np.zeros(4), np.zeros((32 * 32, 4), dtype=bool))
+    # A zero (L, S) gives the prior spectrum 0 and an empty support.
+    zero_pair = Decomposition(np.zeros((32 * 32, 4)), np.zeros((32 * 32, 4)))
 
     for max_iter in (1, 7, 25, cfg.max_iter):
         cfg_k = replace(cfg, max_iter=max_iter)
         a = solve(y, cfg_k)
-        b = solve(y, cfg_k, empty_prior)
+        b = solve(y, cfg_k, zero_pair)
         scale = np.linalg.norm(a.decomposition.L) + np.linalg.norm(a.decomposition.S)
         assert np.linalg.norm(a.decomposition.L - b.decomposition.L) <= 1e-12 * scale
         assert np.linalg.norm(a.decomposition.S - b.decomposition.S) <= 1e-12 * scale

@@ -4,7 +4,6 @@ import pytest
 from lpsrecon import (
     Decomposition,
     DynamicVolume,
-    Prior,
     SolverConfig,
     extract_support,
     soft_threshold,
@@ -111,21 +110,23 @@ def test_every_shrink_rejects_a_non_finite_or_negative_threshold(shrink, lam):
 
 
 class TestSoftThresholdRestricted:
+    """``_soft_threshold_keep`` with a keep mask, the solver's restricted shrink."""
+
     def test_keep_all_is_identity(self):
         rng = np.random.default_rng(6)
         m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         keep = np.ones((5, 5), dtype=bool)
-        assert np.array_equal(soft_threshold_matrix(m, 1.0, keep=keep), m)
+        assert np.array_equal(_soft_threshold_keep(m.copy(), 1.0, keep), m)
 
     def test_empty_keep_reduces_to_matrix_version(self):
         rng = np.random.default_rng(7)
         m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        out = soft_threshold_matrix(m, 0.5, keep=np.zeros((5, 5), dtype=bool))
+        out = _soft_threshold_keep(m.copy(), 0.5, np.zeros((5, 5), dtype=bool))
         assert np.array_equal(out, soft_threshold_matrix(m, 0.5))
 
     def test_one_kept_one_shrunk(self):
         m = np.array([[2.0, 2.0]], dtype=complex)
-        out = soft_threshold_matrix(m, 1.0, keep=np.array([[True, False]]))
+        out = _soft_threshold_keep(m.copy(), 1.0, np.array([[True, False]]))
         assert np.allclose(out, [[2.0, 1.0]], atol=1e-14)
 
     def test_agrees_with_pieces_on_random_supports(self):
@@ -133,18 +134,11 @@ class TestSoftThresholdRestricted:
         for shape in [(16, 16)] * 10 + [(16384, 8)]:
             m = np.asfortranarray(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
             mask = rng.random(shape) < 0.3
-            out = soft_threshold_matrix(m, 0.8, keep=mask)
+            out = _soft_threshold_keep(m.copy(order="K"), 0.8, mask)
             plain = soft_threshold_matrix(m, 0.8)
             assert np.array_equal(out[mask], m[mask])
             assert np.array_equal(out[~mask], plain[~mask])
             assert out.flags.f_contiguous
-
-    def test_out_of_bounds_keep_rejected(self):
-        m = np.zeros((3, 3), dtype=complex)
-        with pytest.raises(ValueError):
-            soft_threshold_matrix(m, 1.0, keep=np.zeros((4, 3), dtype=bool))
-        with pytest.raises(ValueError):
-            soft_threshold_matrix(m, 1.0, keep=np.zeros((3, 3), dtype=int))
 
 
 def _view_form_shrink(m, lam, keep=None):
@@ -247,21 +241,6 @@ class TestContainers:
         assert np.array_equal(sup, mask)
         assert np.array_equal(np.argwhere(sup), np.argwhere(mask))
         assert int(sup.sum()) == int(mask.sum())
-
-    def test_prior_validation(self):
-        with pytest.raises(ValueError):
-            Prior(np.array([1.0, 2.0]), np.zeros((4, 2), dtype=bool))  # ascending
-        with pytest.raises(ValueError):
-            Prior(np.array([1.0, -0.5]), np.zeros((4, 2), dtype=bool))  # negative
-        with pytest.raises(ValueError, match="boolean"):
-            Prior(np.array([2.0, 1.0]), np.zeros((4, 2), dtype=int))  # not a mask
-        with pytest.raises(ValueError, match="2-D"):
-            Prior(np.array([2.0, 1.0]), np.zeros(8, dtype=bool))  # not a matrix
-        with pytest.raises(ValueError, match="2-D"):
-            Prior(np.array([2.0, 1.0]), np.array([[0, 1], [2, 0]]))  # an index list
-        ok = Prior(np.array([2.0, 1.0]), np.zeros((4, 2), dtype=bool))
-        assert ok.sigma_prev.dtype == np.float64
-        assert ok.support_prev.dtype == np.bool_ and ok.support_prev.shape == (4, 2)
 
     def test_solver_config_validation(self):
         with pytest.raises(ValueError):

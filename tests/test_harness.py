@@ -391,6 +391,26 @@ class TestCli:
         assert f"argument {flag}: must be an integer >= 0, got '{value}'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag", [
+        (["recon-seq", "--frames", "{frames}"], ["--first", "0.3"]),
+        (["recon", "--input", "{frames}/frame0001.x"], ["--mask", "7"]),
+    ], ids=["recon-seq-first", "recon-mask"])
+    def test_a_prefix_of_a_flag_is_not_that_flag(
+        self, tmp_path, capsys, config_file, command, flag
+    ):
+        # Without this, argparse would run --first as --first-rate and --mask
+        # as --mask-seed.
+        frames = tmp_path / "frames"
+        assert main(["phantom", "gen", "--config", str(config_file), "--out", str(frames)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = [arg.format(frames=frames) for arg in command]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out), *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("out*"))  # neither out/ nor out.x/.l/.s
+
     def test_phantom_gen_and_recon(self, tmp_path, capsys, config_file, monkeypatch):
         frames_dir = tmp_path / "frames"
         assert main(["phantom", "gen", "--config", str(config_file),
@@ -417,9 +437,9 @@ class TestCli:
         assert exc.value.code == 2
 
         # prior-informed reconstruction of the next frame
-        priors = []
-        monkeypatch.setattr(cli, "solve", lambda y, cfg, prior=None: (
-            priors.append(prior) or solve(y, cfg, prior)))
+        pairs = []
+        monkeypatch.setattr(cli, "solve", lambda y, cfg, previous=None: (
+            pairs.append(previous) or solve(y, cfg, previous)))
         code = main(["recon", "--input", str(files[1]), "--rate", "0.5",
                      "--out", str(tmp_path / "rec2"), "--config", str(config_file),
                      "--prior-l", str(tmp_path / "rec1.l"),
@@ -427,14 +447,15 @@ class TestCli:
         assert code == 0
         assert "priori-ls" in capsys.readouterr().err
 
-        # the prior read back from rec1.l/rec1.s is the one solve_sequence
-        # builds from the in-memory frame-1 result
+        # the prior of the pair read back from rec1.l/rec1.s is the one
+        # solve_sequence builds from the in-memory frame-1 result
         _, cfg = parse_config(config_file)
         y1 = acquire(vol, make_mask(32, 32, 0.5, seed=0))
         first = solve(y1, cfg)
+        got = prior_from_result(pairs[0], vol.dims)
         want = prior_from_result(first.decomposition, vol.dims)
-        assert np.array_equal(priors[0].sigma_prev, want.sigma_prev)
-        assert np.array_equal(priors[0].support_prev, want.support_prev)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
 
     def test_recon_reproduces_recon_seq_frame_by_frame(self, tmp_path, capsys):
         # recon builds its mask as recon-seq does, and a prior read back from

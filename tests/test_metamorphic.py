@@ -2,9 +2,9 @@
 
 With data-scaled ("auto") thresholds the solve commutes with a global
 positive scale, a global phase and a permutation of the slices. For the
-prior-informed solve the prior is built, as a sequence builds it, from the
-baseline reconstruction of the transformed data, that is from the
-transformed (L, S) pair. ``prior_from_result`` commutes with each symmetry:
+prior-informed solve the previous (L, S) is, as in a sequence, the
+baseline reconstruction of the transformed data, that is the transformed
+pair. ``prior_from_result`` commutes with each symmetry:
 a scale c scales the prior spectrum by c, a phase leaves the prior alone,
 and a slice permutation permutes the columns of the prior support and
 leaves the spectrum alone. Each solve runs a fixed number of iterations
@@ -19,7 +19,6 @@ from lpsrecon import (
     Decomposition,
     DynamicVolume,
     KSpaceData,
-    Prior,
     SolverConfig,
     acquire,
     default_config,
@@ -49,15 +48,15 @@ def _problem(seed: int) -> KSpaceData:
     return acquire(DynamicVolume(data, DIMS), mask)
 
 
-def _solve(y: KSpaceData, prior: Prior | None = None):
+def _solve(y: KSpaceData, previous: Decomposition | None = None):
     cfg = default_config(y, SolverConfig(tol=TOL, max_iter=MAX_ITER))
-    result = solve(y, cfg, prior)
+    result = solve(y, cfg, previous)
     assert result.iterations == MAX_ITER
     return result.decomposition.L, result.decomposition.S
 
 
-def _prior(l, s) -> Prior:
-    """The prior a sequence would carry over from a baseline solve's (L, S)."""
+def _prior(l, s):
+    """The prior ``solve`` derives from a baseline solve's (L, S)."""
     return prior_from_result(Decomposition(l, s), DIMS)
 
 
@@ -96,9 +95,9 @@ def test_slice_permutation_permutes_columns(seed, perm):
     _assert_close(s_out, s_ref[:, perm])
 
 
-def _assert_same_prior(got: Prior, sigma_prev, support_prev):
-    _assert_close(got.sigma_prev, sigma_prev)
-    assert np.array_equal(got.support_prev, support_prev)
+def _assert_same_prior(got, sigma_prev, support_prev):
+    _assert_close(got[0], sigma_prev)
+    assert np.array_equal(got[1], support_prev)
 
 
 @PROPERTY
@@ -106,11 +105,11 @@ def _assert_same_prior(got: Prior, sigma_prev, support_prev):
 def test_priori_scaling_data_and_prior_spectrum(seed, c):
     y = _problem(seed)
     l_1, s_1 = _solve(y)
-    prior = _prior(l_1, s_1)
-    l_ref, s_ref = _solve(y, prior)
-    scaled_prior = _prior(c * l_1, c * s_1)
-    _assert_same_prior(scaled_prior, c * prior.sigma_prev, prior.support_prev)
-    l_out, s_out = _solve(KSpaceData(c * y.samples, y.mask, y.dims), scaled_prior)
+    sigma, support = _prior(l_1, s_1)
+    l_ref, s_ref = _solve(y, Decomposition(l_1, s_1))
+    _assert_same_prior(_prior(c * l_1, c * s_1), c * sigma, support)
+    scaled = Decomposition(c * l_1, c * s_1)
+    l_out, s_out = _solve(KSpaceData(c * y.samples, y.mask, y.dims), scaled)
     _assert_close(l_out, c * l_ref)
     _assert_close(s_out, c * s_ref)
 
@@ -120,12 +119,12 @@ def test_priori_scaling_data_and_prior_spectrum(seed, c):
 def test_priori_global_phase_rotates_both_components(seed, theta):
     y = _problem(seed)
     l_1, s_1 = _solve(y)
-    prior = _prior(l_1, s_1)
-    l_ref, s_ref = _solve(y, prior)
+    sigma, support = _prior(l_1, s_1)
+    l_ref, s_ref = _solve(y, Decomposition(l_1, s_1))
     phase = np.exp(1j * theta)
-    rotated_prior = _prior(phase * l_1, phase * s_1)
-    _assert_same_prior(rotated_prior, prior.sigma_prev, prior.support_prev)
-    l_out, s_out = _solve(KSpaceData(phase * y.samples, y.mask, y.dims), rotated_prior)
+    _assert_same_prior(_prior(phase * l_1, phase * s_1), sigma, support)
+    rotated = Decomposition(phase * l_1, phase * s_1)
+    l_out, s_out = _solve(KSpaceData(phase * y.samples, y.mask, y.dims), rotated)
     _assert_close(l_out, phase * l_ref)
     _assert_close(s_out, phase * s_ref)
 
@@ -135,10 +134,10 @@ def test_priori_global_phase_rotates_both_components(seed, theta):
 def test_priori_slice_permutation_permutes_columns(seed, perm):
     y = _problem(seed)
     l_1, s_1 = _solve(y)
-    prior = _prior(l_1, s_1)
-    l_ref, s_ref = _solve(y, prior)
-    permuted_prior = _prior(l_1[:, perm], s_1[:, perm])
-    _assert_same_prior(permuted_prior, prior.sigma_prev, prior.support_prev[:, perm])
-    l_out, s_out = _solve(KSpaceData(y.samples[:, perm], y.mask, y.dims), permuted_prior)
+    sigma, support = _prior(l_1, s_1)
+    l_ref, s_ref = _solve(y, Decomposition(l_1, s_1))
+    _assert_same_prior(_prior(l_1[:, perm], s_1[:, perm]), sigma, support[:, perm])
+    permuted = Decomposition(l_1[:, perm], s_1[:, perm])
+    l_out, s_out = _solve(KSpaceData(y.samples[:, perm], y.mask, y.dims), permuted)
     _assert_close(l_out, l_ref[:, perm])
     _assert_close(s_out, s_ref[:, perm])

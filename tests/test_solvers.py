@@ -9,13 +9,11 @@ from lpsrecon import (
     DynamicVolume,
     FrameSolveError,
     KSpaceData,
-    Prior,
     SamplingMask,
     SolverConfig,
     acquire,
     acquire_adjoint,
     default_config,
-    extract_support,
     generate_frames,
     make_mask,
     prior_from_result,
@@ -82,11 +80,12 @@ def test_phantom_50_converges(phantom_50):
 def test_reduction_to_baseline_is_exact(phantom_50, monkeypatch):
     _, y, cfg = phantom_50
     monkeypatch.setattr(solvers, "LAMBDA_P", 0.0)
-    empty_prior = Prior(np.zeros(4), np.zeros((32 * 32, 4), dtype=bool))
+    # A zero (L, S) gives the prior spectrum 0 and an empty support.
+    zero_pair = Decomposition(np.zeros((32 * 32, 4)), np.zeros((32 * 32, 4)))
     for max_iter in (1, 5, 20, cfg.max_iter):
         cfg_k = replace(cfg, max_iter=max_iter)
         a = solve(y, cfg_k)
-        b = solve(y, cfg_k, empty_prior)
+        b = solve(y, cfg_k, zero_pair)
         assert np.array_equal(a.decomposition.L, b.decomposition.L)
         assert np.array_equal(a.decomposition.S, b.decomposition.S)
         assert np.array_equal(a.residual_history, b.residual_history)
@@ -99,19 +98,22 @@ def test_priori_zero_data_spectrum_step(monkeypatch):
     # large the prior spectrum.
     mask = make_mask(32, 32, 0.25, seed=5)
     y = KSpaceData(np.zeros((mask.m, 4)), mask, (32, 32, 4))
-    prior = Prior(np.array([4.0, 2.0, 1.0, 0.0]), np.zeros((32 * 32, 4), dtype=bool))
+    # A previous L with singular values exactly [4, 2, 1, 0], and no support.
+    l_prev = np.zeros((32 * 32, 4))
+    l_prev[[0, 1, 2], [0, 1, 2]] = [4.0, 2.0, 1.0]
+    previous = Decomposition(l_prev, np.zeros((32 * 32, 4)))
     monkeypatch.setattr(solvers, "LAMBDA_P", 0.5)
     cfg = SolverConfig(lambda_L=0.1, lambda_S=0.1, max_iter=1)
-    res = solve(y, cfg, prior)
+    res = solve(y, cfg, previous)
     assert np.array_equal(res.decomposition.L, np.zeros((32 * 32, 4)))
 
 
 def test_priori_zero_data_zero_prior():
     mask = make_mask(16, 16, 0.3, seed=6)
     y = KSpaceData(np.zeros((mask.m, 2)), mask, (16, 16, 2))
-    prior = Prior(np.zeros(2), np.zeros((16 * 16, 2), dtype=bool))
+    previous = Decomposition(np.zeros((16 * 16, 2)), np.zeros((16 * 16, 2)))
     cfg = SolverConfig(lambda_L=0.1, lambda_S=0.1, max_iter=50)
-    res = solve(y, cfg, prior)
+    res = solve(y, cfg, previous)
     assert np.all(res.decomposition.L == 0)
     assert np.all(res.decomposition.S == 0)
 
@@ -124,13 +126,10 @@ def test_exact_prior_beats_baseline_at_quarter_sampling():
         mask = make_mask(32, 32, 0.25, seed=300 + seed)
         y = acquire(truth[1], mask)
         cfg = default_config(y)
-        prior = Prior(
-            np.linalg.svd(l_true[1].data, compute_uv=False),
-            extract_support(wavelet_forward(s_true[1]), solvers.SUPPORT_EPS),
-        )
+        exact = Decomposition(l_true[1].data, s_true[1].data)
         p_ls = psnr(truth[1], DynamicVolume(solve(y, cfg).estimate(), spec.dims))
         p_pr = psnr(
-            truth[1], DynamicVolume(solve(y, cfg, prior).estimate(), spec.dims)
+            truth[1], DynamicVolume(solve(y, cfg, exact).estimate(), spec.dims)
         )
         assert p_pr > p_ls
 
@@ -188,8 +187,7 @@ def test_sequence_keeps_each_frame_as_solved_alone():
     alone = solve(frames[0], cfg_first)
     for t, result in enumerate(results):
         if t:
-            prior = prior_from_result(alone.decomposition, frames[t].dims)
-            alone = solve(frames[t], cfg_rest, prior)
+            alone = solve(frames[t], cfg_rest, alone.decomposition)
         assert np.array_equal(result.decomposition.S, alone.decomposition.S)
         assert np.array_equal(result.decomposition.L, alone.decomposition.L)
 
@@ -211,8 +209,7 @@ def test_solve_sequence_matches_the_explicit_chain(solver, monkeypatch):
         if solver == "ls":
             want.append(solve(y, cfg_rest))
         else:
-            prior = prior_from_result(want[-1].decomposition, y.dims)
-            want.append(solve(y, cfg_rest, prior))
+            want.append(solve(y, cfg_rest, want[-1].decomposition))
     got = list(solve_sequence(iter(frames), cfg, solver))
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -244,19 +241,25 @@ def test_priori_ls_runs_on_a_wide_casorati_matrix():
     frames = [acquire(f, make_mask(8, 8, 0.5, seed=t)) for t, f in enumerate(truth)]
     results = list(solve_sequence(frames, SolverConfig(), "priori-ls"))
     assert len(results) == 3 and all(r.converged for r in results)
-    prior = prior_from_result(results[0].decomposition, spec.dims)
-    assert prior.sigma_prev.shape == (80,)
-    assert np.array_equal(prior.sigma_prev[64:], np.zeros(16))
+    sigma_prev, _ = prior_from_result(results[0].decomposition, spec.dims)
+    assert sigma_prev.shape == (80,)
+    assert np.array_equal(sigma_prev[64:], np.zeros(16))
     assert np.array_equal(
-        prior.sigma_prev[:64], np.linalg.svd(results[0].decomposition.L, full_matrices=False)[1]
+        sigma_prev[:64], np.linalg.svd(results[0].decomposition.L, full_matrices=False)[1]
     )
 
 
 def test_prior_from_result_leaves_the_pair_unchanged(phantom_50):
-    _, y, cfg = phantom_50
+    # Neither building the prior nor a solve from the pair may write to it:
+    # callers such as list(solve_sequence(...)) still hold it.
+    truth, y, cfg = phantom_50
     dec = solve(y, replace(cfg, max_iter=5)).decomposition
     before_l, before_s = dec.L.copy(), dec.S.copy()
     prior_from_result(dec, y.dims)
+    assert dec.L.tobytes() == before_l.tobytes()
+    assert dec.S.tobytes() == before_s.tobytes()
+    y2 = acquire(truth[1], make_mask(32, 32, 0.25, seed=8))
+    solve(y2, replace(cfg, max_iter=5), dec)
     assert dec.L.tobytes() == before_l.tobytes()
     assert dec.S.tobytes() == before_s.tobytes()
 
@@ -270,9 +273,8 @@ def test_solve_peak_memory_is_at_most_five_volumes(dims):
     frames = [acquire(f, make_mask(n_x, n_y, 0.25, seed=t)) for t, f in enumerate(truth)]
     cfg = replace(default_config(frames[0]), max_iter=3)
     first = solve(frames[0], cfg)  # also fills the wavelet band caches
-    prior = prior_from_result(first.decomposition, dims)
     volume_bytes = n_x * n_y * n_z * np.dtype(np.complex128).itemsize
-    for run in (lambda: solve(frames[0], cfg), lambda: solve(frames[1], cfg, prior)):
+    for run in (lambda: solve(frames[0], cfg), lambda: solve(frames[1], cfg, first.decomposition)):
         tracemalloc.start()
         try:
             run()
@@ -422,8 +424,17 @@ def test_default_config_auto_and_override(phantom_50):
 
 def test_prior_shape_mismatch_rejected(phantom_50):
     _, y, cfg = phantom_50
-    with pytest.raises(ValueError):
-        solve(y, cfg, Prior(np.zeros(3), np.zeros((32 * 32, 4), dtype=bool)))
+    pair = Decomposition(np.zeros((32 * 32, 3)), np.zeros((32 * 32, 3)))
+    with pytest.raises(ValueError, match="inconsistent with dims"):
+        solve(y, cfg, pair)
+
+
+def test_solve_rejects_a_prior_in_place_of_the_previous_pair(phantom_50):
+    # The prior is derived inside solve; the tuple prior_from_result returns is not a pair.
+    _, y, cfg = phantom_50
+    prior = prior_from_result(solve(y, replace(cfg, max_iter=2)).decomposition, y.dims)
+    with pytest.raises(TypeError, match="previous must be a Decomposition"):
+        solve(y, cfg, prior)
 
 
 def test_prior_from_mismatched_pair_rejected():
@@ -434,10 +445,10 @@ def test_prior_from_mismatched_pair_rejected():
 
 def test_prior_support_out_of_bounds_rejected(phantom_50):
     _, y, cfg = phantom_50
-    # The support mask must cover exactly the (n_x * n_y, n_z) coefficients.
+    # The previous pair must cover exactly the (n_x * n_y, n_z) coefficients.
     for shape in [(32 * 32 + 1, 4), (32 * 32, 3), (4, 32 * 32), (16 * 16, 4)]:
-        bad = Prior(np.zeros(4), np.zeros(shape, dtype=bool))
-        with pytest.raises(ValueError, match="prior support shape"):
+        bad = Decomposition(np.zeros(shape), np.zeros(shape))
+        with pytest.raises(ValueError, match="inconsistent with dims"):
             solve(y, cfg, bad)
 
 
@@ -475,9 +486,9 @@ def test_residual_history_matches_the_norm_ratio(phantom_50, monkeypatch, solver
     if solver == "ls":
         run = lambda: solve(y, cfg)  # noqa: E731
     else:
-        prior = prior_from_result(solve(y, cfg).decomposition, y.dims)
+        previous = solve(y, cfg).decomposition
         y2 = acquire(truth[1], make_mask(32, 32, 0.25, seed=8))
-        run = lambda: solve(y2, cfg, prior)  # noqa: E731
+        run = lambda: solve(y2, cfg, previous)  # noqa: E731
     got = run()
     monkeypatch.setattr(solvers, "_relative_change", _norm_ratio)
     want = run()
