@@ -4,9 +4,9 @@ Baseline vs prior-informed reconstruction of one frame
 
 Reconstructs frame 2 of a moving phantom from 25% of its k-space, first
 with the plain low-rank plus sparse solver, then passing frame 1's
-reconstruction (L, S) to ``solve``, which derives the prior from it: the
-previous sparse support (read off at the cutoff ``solvers.SUPPORT_EPS``)
-is exempted from shrinkage and the previous singular values anchor the
+reconstruction (L, S) to ``solve``: it solves for the residual data
+y - A(S_prev) from the previous L, so that only the change of the sparse
+component is left to find, and the previous singular values anchor the
 background (step ``solvers.LAMBDA_P``).
 """
 
@@ -43,10 +43,9 @@ cfg2 = default_config(y2)
 plain = solve(y2, cfg2)
 p_plain = psnr(truth[1], DynamicVolume(plain.estimate(), spec.dims))
 
-# The prior solve derives from frame 1's (L, S), shown here for inspection.
-sigma_prev, support_prev = prior_from_result(res1.decomposition, spec.dims)
-print(f"\nprior carried over: {int(support_prev.sum())} support entries, "
-      f"spectrum {np.round(sigma_prev, 3)}")
+# The prior spectrum the solve derives from frame 1's L, shown here for inspection.
+sigma_prev = prior_from_result(res1.decomposition, spec.dims)
+print(f"\nprior spectrum carried over: {np.round(sigma_prev, 3)}")
 
 informed = solve(y2, cfg2, res1.decomposition)
 p_informed = psnr(truth[1], DynamicVolume(informed.estimate(), spec.dims))

@@ -40,16 +40,16 @@ for t, res in enumerate(results):
     value = psnr(truth[t], DynamicVolume(res.estimate(), spec.dims))
     print(f"{t + 1:5d}  {rate:.3f}  {value:7.2f}  {res.iterations:10d}  {res.converged}")
 
-# A small sweep: 2 solvers x 2 rates x 2 seeds, reports written as CSV.
-out = Path(tempfile.mkdtemp(prefix="lps_sweep_"))
-experiment = ExperimentSpec(
-    phantom=PhantomSpec(),
-    rates=(1 / 7, 1 / 3),
-    solvers=("ls", "priori-ls"),
-    n_seeds=2,
-    output_dir=str(out),
-)
-run_sweep(experiment)
-
-print(f"\nsummary.csv (written to {out}):")
-print((out / "summary.csv").read_text())
+# A small sweep: 2 solvers x 2 rates x 2 seeds, reports written as CSV into
+# a temporary directory that is removed once the summary is printed.
+with tempfile.TemporaryDirectory(prefix="lps_sweep_") as out:
+    experiment = ExperimentSpec(
+        phantom=PhantomSpec(),
+        rates=(1 / 7, 1 / 3),
+        solvers=("ls", "priori-ls"),
+        n_seeds=2,
+        output_dir=out,
+    )
+    run_sweep(experiment)
+    print("\nsummary.csv (mean PSNR of frames >= 2 against the clean frames):")
+    print((Path(out) / "summary.csv").read_text())

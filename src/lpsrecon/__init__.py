@@ -20,7 +20,6 @@ from .operators import (
     SamplingMask,
     acquire,
     acquire_adjoint,
-    extract_support,
     make_mask,
     sv_threshold,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "SamplingMask",
     "acquire",
     "acquire_adjoint",
-    "extract_support",
     "make_mask",
     "sv_threshold",
     "ExperimentSpec",

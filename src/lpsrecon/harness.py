@@ -1,9 +1,11 @@
 """Reproducible experiments: config files, paired sweeps, CSV reports.
 
 A sweep runs every (solver, rate, seed) cell of the experiment grid,
-reconstructs the whole sequence, and reports per-frame PSNR. The first frame
-is always sampled at ``first_frame_rate`` (no prior exists for it); the swept
-rate applies to the later frames, so summary rows average frames 2..n only.
+reconstructs the whole sequence, and reports per-frame PSNR against the
+clean frame L + S (the sampled frame adds the phantom's noise to it). The
+first frame is always sampled at ``first_frame_rate`` (no prior exists for
+it); the swept rate applies to the later frames, so summary rows average
+frames 2..n only.
 
 The pairing is structural: each seed's phantom is generated once, and each
 (rate, seed) acquisition -- two masks, with seeds derived arithmetically from
@@ -210,7 +212,10 @@ def run_sweep(experiment: ExperimentSpec, cfg: SolverConfig | None = None) -> li
     all_rows: list[SweepRow] = []
     for seed_index in range(experiment.n_seeds):
         phantom_spec = replace(experiment.phantom, seed=base + seed_index)
-        frames = [x for x, _, _ in generate_frames(phantom_spec)]
+        frames, truths = [], []
+        for x, l, s in generate_frames(phantom_spec):
+            frames.append(x)
+            truths.append(DynamicVolume(l.data + s.data, x.dims))
         for rate in experiment.rates:
             mask_first = make_mask(n_x, n_y, experiment.first_frame_rate,
                                    seed=_mask_seed(base, seed_index, rate, 0))
@@ -220,7 +225,7 @@ def run_sweep(experiment: ExperimentSpec, cfg: SolverConfig | None = None) -> li
             for solver in experiment.solvers:
                 started = time.perf_counter()
                 results = solve_sequence(kspace, cfg, solver)
-                for t, (reference, result) in enumerate(zip(frames, results)):
+                for t, (reference, result) in enumerate(zip(truths, results)):
                     all_rows.append(SweepRow(
                         solver=solver,
                         rate=experiment.first_frame_rate if t == 0 else rate,

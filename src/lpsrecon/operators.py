@@ -25,7 +25,6 @@ __all__ = [
     "acquire",
     "acquire_adjoint",
     "sv_threshold",
-    "extract_support",
 ]
 
 
@@ -265,19 +264,3 @@ def sv_threshold(
     factor = np.divide(shrunk, sigma, out=np.zeros_like(sigma), where=sigma > 0)
     # (M V diag(f) V^H)^T computed on the row-major transpose M^T.
     return ((v.conj() * factor) @ v.T @ m.T).T
-
-
-def extract_support(w: np.ndarray, support_eps: float) -> np.ndarray:
-    """Boolean mask of the coefficients with magnitude above
-    support_eps * max|w|.
-
-    An all-zero matrix has empty support. The relative cutoff makes
-    "support" well-defined on continuous-valued iterates.
-    """
-    if not 0 < support_eps < 1:
-        raise ValueError(f"support_eps must be in (0, 1), got {support_eps}")
-    w = np.asarray(w)
-    if not np.isfinite(w).all():
-        raise ValueError("coefficient matrix contains non-finite entries")
-    mag = np.abs(w)
-    return mag > support_eps * (mag.max() if mag.size else 0.0)

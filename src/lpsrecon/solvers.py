@@ -2,28 +2,29 @@
 
 ``solve(y, cfg, previous=None)`` runs one soft-thresholding scheme, the
 baseline ``ls`` without a previous frame and the prior-informed
-``priori-ls`` with the previous frame's (L, S), from the zero-filled proxy
-X0 = A^H(y), S0 = 0:
+``priori-ls`` with the previous frame's (L, S). From X0 and S0 = 0 it
+repeats
 
     1. L <- singular-value soft-thresholding of (X - S) with lambda_L; with
        a prior, the thresholded spectrum is then stepped toward the previous
        frame's spectrum with step lambda_p, on the same singular vectors
-    2. S <- inverse transform of the soft-thresholded coefficients of
-       (X - L); with a prior, coefficients on the previous frame's support
-       are exempt from shrinkage
+    2. S <- inverse transform of the soft-thresholded coefficients of (X - L)
     3. X <- L + S - A^H(A(L + S) - y)   (data consistency); the transform
        is unitary, so this is the spectral replacement F^H[F(L + S) with
        the sampled entries set to y], done in place on the L + S buffer
        (``operators._data_consistency``; reference test
        ``tests/test_operators.py::TestDataConsistency``)
 
-and stop once the relative change of X drops below ``tol``. The returned
+and stops once the relative change of X drops below ``tol``. The returned
 reconstruction estimate is L + S.
 
-The step lambda_p is the constant ``LAMBDA_P`` (0.7), read at each solve;
-the prior support is read off the previous S with the relative cutoff
-``SUPPORT_EPS`` (0.02). With lambda_p = 0 and an empty prior support, a
-solve with a prior reduces exactly to one without.
+``ls`` starts from the zero-filled proxy X0 = A^H(y). ``priori-ls`` is the
+same loop on the residual data y - A(S_prev) (CS-residual: only the change
+of the sparse component is left to find), started from the previous L after
+one data-consistency step against those samples, with S_prev added back to
+the S it returns (``_iterate``). The step lambda_p is the constant
+``LAMBDA_P`` (0.7), read at each solve. With lambda_p = 0 and a zero
+previous pair, a solve with a prior reduces exactly to one without.
 
 The baseline ``ls`` solver targets the convex objective
 
@@ -39,18 +40,16 @@ terms:
   objective is no longer convex; the step f <- f - lambda_p (f - sigma_prev)
   is its exact prox wherever sigma >= lambda_L, and lambda_p = 1 pins the
   spectrum to sigma_prev;
-- the exempt support: coefficients on the prior support carry no l1 weight,
-  so the sparse term is lambda_S times the l1 norm of T S off that support.
+- the residual: the sparse term is lambda_S ||T (S - S_prev)||_1, so S is
+  penalized only where it departs from the previous frame's.
 
 Settings come as one ``SolverConfig``. Its thresholds may be left None:
 ``default_config`` resolves them from the acquisition before a solve. The
-prior is formed here, by ``prior_from_result``, from the previous (L, S):
-L's singular values and the support of S, a boolean mask over the wavelet
-coefficient matrix that the shrink step uses as it is.
+prior spectrum is formed here, by ``prior_from_result``, from the previous L.
 
 ``solve_sequence(frames, cfg, solver)`` chains the frames of a sequence
-under one config: frame 1 has no prior; every later frame gets the prior of the
-previous frame's (L, S) for ``priori-ls``, and none for ``ls``.
+under one config: frame 1 has no prior; every later frame is solved from the
+previous frame's (L, S) for ``priori-ls``, and alone for ``ls``.
 """
 
 from __future__ import annotations
@@ -61,14 +60,14 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core import Decomposition, SolverConfig, _slice_view, _soft_threshold_keep
+from .core import Decomposition, DynamicVolume, SolverConfig, _slice_view, _soft_threshold_keep
 from .operators import (
     KSpaceData,
     _adjoint_matrix,
     _data_consistency,
     _gram_spectrum,
     _sample_residual,
-    extract_support,
+    acquire,
     sv_threshold,
 )
 from .wavelets import _forward_matrix, _inverse_matrix
@@ -78,7 +77,6 @@ __all__ = [
     "LAMBDA_L_SCALE",
     "LAMBDA_S_SCALE",
     "LAMBDA_P",
-    "SUPPORT_EPS",
     "SolveResult",
     "FrameSolveError",
     "default_config",
@@ -92,10 +90,8 @@ KNOWN_SOLVERS = ("ls", "priori-ls")
 # Scales of the data-scaled default thresholds (``default_config``).
 LAMBDA_L_SCALE = 0.05
 LAMBDA_S_SCALE = 0.02
-# Step of the prior spectrum pull, and the relative magnitude cutoff that
-# reads a support off a coefficient matrix (``prior_from_result``).
+# Step of the prior spectrum pull (``sv_threshold``).
 LAMBDA_P = 0.7
-SUPPORT_EPS = 0.02
 
 
 class FrameSolveError(RuntimeError):
@@ -168,28 +164,47 @@ def _relative_change(x: np.ndarray, x_new: np.ndarray, dims: tuple[int, int, int
     return norm_diff / norm_old if norm_old else norm_diff
 
 
-def _iterate(y: KSpaceData, cfg: SolverConfig, prior: tuple | None) -> SolveResult:
+def _iterate(y: KSpaceData, cfg: SolverConfig, previous: list[Decomposition]) -> SolveResult:
+    """Solve y from ``previous``: an empty list (``ls``) or one holding the
+    previous frame's (L, S) (``priori-ls``), which the solve takes out of it.
+
+    Without a pair the loop runs on y from X0 = A^H(y). With one it runs on
+    the residual samples y_r = y - A(S_prev), formed in place in the buffer
+    ``acquire`` returns, from X0 = L_prev - A^H(A(L_prev) - y_r) (L_prev
+    after one data-consistency step against those samples); it pulls the
+    spectrum toward L_prev's and adds S_prev to the S it finds. Taken out of
+    the list, L_prev is held only until X0 is formed. A zero pair gives the
+    samples and X0 of the solve without one.
+    """
     # Iterates stay column-major (a C-contiguous slice stack): no reshape copies.
     dims = y.dims
     index = y.mask.index
-    sigma_prev, keep_mask = prior or (None, None)
-
-    x = _adjoint_matrix(y.samples, dims, index)
-    samples_t = np.ascontiguousarray(y.samples.T)
+    if previous:
+        pair = previous.pop()
+        sigma_prev, s_prev = prior_from_result(pair, dims), pair.S
+        residual = acquire(DynamicVolume(s_prev, dims), y.mask).samples
+        samples_t = np.subtract(y.samples, residual, out=residual).T
+        x = _data_consistency(pair.L.copy(order="F"), samples_t, dims, index)
+        pair = None
+    else:
+        sigma_prev = s_prev = None
+        samples_t = np.ascontiguousarray(y.samples.T)
+        x = _adjoint_matrix(y.samples, dims, index)
     s = np.zeros_like(x)
     history: list[float] = []
     converged = False
 
-    # Four full-size buffers: X, L, S and the work buffer r, which holds
-    # X - S, then X - L, and becomes S through the in-place sparse step. S and
-    # the old L are dropped once dead, before sv_threshold allocates the new L.
+    # Four full-size buffers, five with S_prev: X, L, S and the work buffer r,
+    # which holds X - S, then X - L, and becomes S through the in-place sparse
+    # step. S and the old L are dropped once dead, before sv_threshold
+    # allocates the new L.
     for it in range(1, cfg.max_iter + 1):
         r = x - s
         l = s = None
         l = sv_threshold(r, cfg.lambda_L, sigma_prev, LAMBDA_P)
         np.subtract(x, l, out=r)
         _forward_matrix(r, dims)
-        _soft_threshold_keep(r, cfg.lambda_S, keep_mask)
+        _soft_threshold_keep(r, cfg.lambda_S)
         s = _inverse_matrix(r, dims)
         x_new = _data_consistency(l + s, samples_t, dims, index)
         # x is finite, so a non-finite x_new shows as a non-finite change. A
@@ -208,6 +223,8 @@ def _iterate(y: KSpaceData, cfg: SolverConfig, prior: tuple | None) -> SolveResu
     data_residual = _sample_residual(np.add(l, s, out=x), samples_t, dims, index)
     if not np.isfinite(data_residual):
         raise FloatingPointError(f"solver produced a non-finite estimate at iteration {len(history)}")
+    if s_prev is not None:
+        s += s_prev
     return SolveResult(
         decomposition=Decomposition(l, s),
         iterations=len(history),
@@ -222,33 +239,28 @@ def solve(y: KSpaceData, cfg: SolverConfig, previous: Decomposition | None = Non
     ``priori-ls`` with the previous frame's (L, S). None thresholds in
     ``cfg`` are resolved by ``default_config``.
 
-    The prior (``prior_from_result``) pulls the low-rank iterate toward the
-    singular values of the previous L; coefficients on the support of the
-    previous S are never shrunk, so the sparse component is penalized only
-    outside it.
+    With the previous pair, the loop runs on the residual y - A(S_prev) from
+    the previous L made consistent with the data, pulls the low-rank spectrum
+    toward the previous L's (``prior_from_result``), and adds S_prev back to
+    the sparse component it finds.
     """
     if previous is not None and not isinstance(previous, Decomposition):
         raise TypeError(f"previous must be a Decomposition (the previous frame's L, S), "
                         f"got {type(previous).__name__}")
-    prior = None if previous is None else prior_from_result(previous, y.dims)
-    return _iterate(y, default_config(y, cfg), prior)
+    return _iterate(y, default_config(y, cfg), [] if previous is None else [previous])
 
 
-def prior_from_result(
-    decomposition: Decomposition, dims: tuple[int, int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The next frame's prior ``(sigma_prev, support_prev)`` from a
-    reconstruction's (L, S) pair: L's spectrum, and the support of S's
-    coefficients at the cutoff ``SUPPORT_EPS``. The spectrum comes from a full
-    SVD, which resolves L's trailing singular values (``compute_uv=False``
-    differs from it in the last bits). It has n_z values: a wide L
-    (n_x n_y < n_z) has only n_x n_y, and the rest are exactly 0."""
+def prior_from_result(decomposition: Decomposition, dims: tuple[int, int, int]) -> np.ndarray:
+    """The next frame's prior spectrum sigma_prev: the singular values of a
+    reconstruction's L. They come from a full SVD, which resolves L's trailing
+    singular values (``compute_uv=False`` differs from it in the last bits).
+    There are n_z of them: a wide L (n_x n_y < n_z) has only n_x n_y, and the
+    rest are exactly 0."""
     n_x, n_y, n_z = dims
     if decomposition.L.shape != (n_x * n_y, n_z):
         raise ValueError(f"prior L/S shape {decomposition.L.shape} inconsistent with dims {dims}")
     sigma = np.linalg.svd(decomposition.L, full_matrices=False)[1]
-    coeffs = _forward_matrix(decomposition.S.copy(order="F"), dims)
-    return np.pad(sigma, (0, n_z - sigma.size)), extract_support(coeffs, SUPPORT_EPS)
+    return np.pad(sigma, (0, n_z - sigma.size))
 
 
 def uses_prior(solver: str) -> bool:
@@ -266,15 +278,18 @@ def solve_sequence(
     Frames are read from ``frames`` one at a time. Frame 1 is solved with no
     prior (none exists yet) and ``cfg`` resolved from its own samples
     (``default_config``); every later frame with ``cfg`` resolved once, from
-    frame 2, reusing the previous result's spectrum and sparse support under
-    ``priori-ls`` and alone under ``ls``. The prior is built when the next
-    frame arrives and the previous (L, S) is dropped before that frame's
-    solve, so memory does not grow with the frame count. An unknown solver
-    raises ValueError before any frame is read, and mixed dims raise
+    frame 2, from the previous result's (L, S) under ``priori-ls``, as
+    ``solve`` does, and alone under ``ls``. The previous L is dropped once the
+    next frame's first iterate is formed from it, and the previous S once that
+    frame is solved, so memory does not grow with the frame count. An unknown
+    solver raises ValueError before any frame is read, and mixed dims raise
     ValueError; any other failure at a frame aborts with its 1-based index.
     """
     threads_prior = uses_prior(solver)
-    dims = resolved = previous = None
+    dims = resolved = None
+    # The previous pair, handed to _iterate in the list rather than by
+    # solve(frame, resolved, previous), which would hold it through the solve.
+    previous: list[Decomposition] = []
     for t, frame in enumerate(frames, start=1):
         if dims is None:
             dims = frame.dims
@@ -283,16 +298,12 @@ def solve_sequence(
         try:
             if t <= 2:
                 resolved = default_config(frame, cfg)
-            # Not solve(frame, resolved, previous), which would keep the
-            # previous pair alive through this frame's whole solve.
-            prior = None if previous is None else prior_from_result(previous, dims)
-            previous = None
-            result = _iterate(frame, resolved, prior)
+            result = _iterate(frame, resolved, previous)
         except Exception as exc:  # noqa: BLE001 - abort must carry the frame index
             raise FrameSolveError(t, exc) from exc
         yield result
         if threads_prior:
-            previous = result.decomposition
+            previous.append(result.decomposition)
         del result
     if dims is None:
         raise ValueError("frame list must be nonempty")

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from lpsrecon import DynamicVolume, extract_support, wavelet_forward
+from lpsrecon import DynamicVolume, wavelet_forward
+
+# Relative magnitude cutoff that reads a support off wavelet coefficients.
+SUPPORT_EPS = 0.02
 
 
 def prox_objective(u, x, lam):
@@ -38,14 +41,21 @@ def grid_prox_minimizer(x, lam, rounds=5, points=61):
     return best_u, best_f
 
 
-def support_set(volume_or_matrix, dims=None, eps=0.02):
+def support_mask(coeffs, eps=SUPPORT_EPS):
+    """Boolean mask of the coefficients with magnitude above eps * max|coeffs|;
+    an all-zero matrix has empty support."""
+    mag = np.abs(coeffs)
+    return mag > eps * (mag.max() if mag.size else 0.0)
+
+
+def support_set(volume_or_matrix, dims=None, eps=SUPPORT_EPS):
     """Wavelet support of a sparse component as a set of (row, col) tuples."""
     if isinstance(volume_or_matrix, DynamicVolume):
         vol = volume_or_matrix
     else:
         vol = DynamicVolume(volume_or_matrix, dims)
     coeffs = wavelet_forward(vol)
-    return set(map(tuple, np.argwhere(extract_support(coeffs, eps)).tolist()))
+    return set(map(tuple, np.argwhere(support_mask(coeffs, eps)).tolist()))
 
 
 def support_change(prev: set, current: set) -> float:

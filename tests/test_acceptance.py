@@ -111,14 +111,15 @@ def test_criterion_2_operator_algebra():
 
 
 def test_criterion_3_reduction_regression(monkeypatch):
-    """solve with a prior of lambda_p=0 and empty support is iterate-identical to solve without."""
+    """solve from a zero previous pair with lambda_p=0 is iterate-identical to solve without."""
     monkeypatch.setattr(solvers, "LAMBDA_P", 0.0)
     started = time.perf_counter()
     truth = [x for x, _, _ in generate_frames(PhantomSpec())]
     mask = make_mask(32, 32, 0.5, seed=7)
     y = acquire(truth[0], mask)
     cfg = default_config(y)
-    # A zero (L, S) gives the prior spectrum 0 and an empty support.
+    # A zero (L, S) gives the prior spectrum 0, the residual y - A(0) = y and
+    # the first iterate A^H(y).
     zero_pair = Decomposition(np.zeros((32 * 32, 4)), np.zeros((32 * 32, 4)))
 
     for max_iter in (1, 7, 25, cfg.max_iter):
@@ -207,7 +208,7 @@ def test_criterion_6_prior_validity(prior_validity_chain):
     churn, sdist = [], []
     sup_prev = sig_prev = None
     for t, res in enumerate(results):
-        sup = support_set(res.decomposition.S, spec.dims, solvers.SUPPORT_EPS)
+        sup = support_set(res.decomposition.S, spec.dims)
         sig = np.linalg.svd(res.decomposition.L, compute_uv=False)
         if t:
             churn.append(support_change(sup_prev, sup))

@@ -5,14 +5,13 @@ from lpsrecon import (
     Decomposition,
     DynamicVolume,
     SolverConfig,
-    extract_support,
     soft_threshold,
     soft_threshold_matrix,
     sv_threshold,
 )
 from lpsrecon.core import _slice_view, _soft_threshold_keep
 
-from helpers import grid_prox_minimizer, prox_objective
+from helpers import grid_prox_minimizer, prox_objective, support_mask
 
 
 class TestSoftThresholdScalar:
@@ -109,47 +108,13 @@ def test_every_shrink_rejects_a_non_finite_or_negative_threshold(shrink, lam):
         shrink(lam)
 
 
-class TestSoftThresholdRestricted:
-    """``_soft_threshold_keep`` with a keep mask, the solver's restricted shrink."""
-
-    def test_keep_all_is_identity(self):
-        rng = np.random.default_rng(6)
-        m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        keep = np.ones((5, 5), dtype=bool)
-        assert np.array_equal(_soft_threshold_keep(m.copy(), 1.0, keep), m)
-
-    def test_empty_keep_reduces_to_matrix_version(self):
-        rng = np.random.default_rng(7)
-        m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        out = _soft_threshold_keep(m.copy(), 0.5, np.zeros((5, 5), dtype=bool))
-        assert np.array_equal(out, soft_threshold_matrix(m, 0.5))
-
-    def test_one_kept_one_shrunk(self):
-        m = np.array([[2.0, 2.0]], dtype=complex)
-        out = _soft_threshold_keep(m.copy(), 1.0, np.array([[True, False]]))
-        assert np.allclose(out, [[2.0, 1.0]], atol=1e-14)
-
-    def test_agrees_with_pieces_on_random_supports(self):
-        rng = np.random.default_rng(8)
-        for shape in [(16, 16)] * 10 + [(16384, 8)]:
-            m = np.asfortranarray(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-            mask = rng.random(shape) < 0.3
-            out = _soft_threshold_keep(m.copy(order="K"), 0.8, mask)
-            plain = soft_threshold_matrix(m, 0.8)
-            assert np.array_equal(out[mask], m[mask])
-            assert np.array_equal(out[~mask], plain[~mask])
-            assert out.flags.f_contiguous
-
-
-def _view_form_shrink(m, lam, keep=None):
+def _view_form_shrink(m, lam):
     """The shrink in its earlier form, on a copy: a masked divide, then one
     multiply through the float64 view of the complex entries."""
     m = m.copy(order="K")
     mag = np.abs(m)
     scale = np.maximum(mag - lam, 0.0)
     np.divide(scale, mag, out=scale, where=mag > 0)
-    if keep is not None:
-        scale[keep] = 1.0
     parts = m[..., None].view(np.float64)
     np.multiply(parts, scale[..., None], out=parts)
     return m
@@ -182,15 +147,13 @@ class TestInPlaceShrink:
         return np.asarray(m, order=order)
 
     @pytest.mark.parametrize("lam", [LAM, 0.0, 5e-324])
-    @pytest.mark.parametrize("with_keep", [False, True])
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_bit_for_bit_against_the_view_form(self, lam, with_keep, order):
+    def test_bit_for_bit_against_the_view_form(self, lam, order):
         m = self._matrix(order)
-        keep = np.random.default_rng(10).random(m.shape) < 0.3 if with_keep else None
         got = m.copy(order=order)
         with np.errstate(invalid="ignore", over="ignore"):
-            want = _view_form_shrink(m, lam, keep)
-            assert _soft_threshold_keep(got, lam, keep) is got
+            want = _view_form_shrink(m, lam)
+            assert _soft_threshold_keep(got, lam) is got
         _assert_same_bits(got, want)
 
     @pytest.mark.parametrize("lam", [LAM, 0.0])
@@ -237,7 +200,7 @@ class TestContainers:
     def test_support_set_mask_round_trip(self):
         rng = np.random.default_rng(13)
         mask = rng.random((7, 5)) < 0.4
-        sup = extract_support(np.where(mask, 1.0 + rng.random((7, 5)), 0.0), 0.5)
+        sup = support_mask(np.where(mask, 1.0 + rng.random((7, 5)), 0.0), 0.5)
         assert np.array_equal(sup, mask)
         assert np.array_equal(np.argwhere(sup), np.argwhere(mask))
         assert int(sup.sum()) == int(mask.sum())

@@ -17,6 +17,7 @@ from lpsrecon import (
     make_mask,
     parse_config,
     prior_from_result,
+    psnr,
     run_sweep,
     save_volume,
     solve,
@@ -331,6 +332,22 @@ def test_sweep_builds_each_input_once(small_sweep, tmp_path, monkeypatch):
     assert (tmp_path / "sweep.csv").read_bytes() == (out / "sweep.csv").read_bytes()
 
 
+def test_sweep_scores_against_the_clean_frames(tmp_path, monkeypatch):
+    # A noisy phantom is sampled as X = L + S + noise; every row's PSNR is
+    # taken against the clean L + S of its frame.
+    spec = PhantomSpec(n_frames=2, noise_sigma=0.05)
+    experiment = ExperimentSpec(phantom=spec, rates=(1 / 3,), solvers=("ls", "priori-ls"),
+                                n_seeds=1, output_dir=str(tmp_path))
+    references = []
+    monkeypatch.setattr(harness, "psnr", lambda reference, estimate: (
+        references.append(reference.data) or psnr(reference, estimate)))
+    run_sweep(experiment)
+    clean = [l.data + s.data for _, l, s in generate_frames(spec)]
+    assert len(references) == 2 * len(clean)
+    for got, want in zip(references, clean + clean):
+        assert np.array_equal(got, want)
+
+
 def test_run_log_holds_timing_not_csv(small_sweep):
     _, _, out = small_sweep
     log = (out / "run.log").read_text()
@@ -454,8 +471,7 @@ class TestCli:
         first = solve(y1, cfg)
         got = prior_from_result(pairs[0], vol.dims)
         want = prior_from_result(first.decomposition, vol.dims)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got, want)
 
     def test_recon_reproduces_recon_seq_frame_by_frame(self, tmp_path, capsys):
         # recon builds its mask as recon-seq does, and a prior read back from

@@ -8,7 +8,6 @@ from lpsrecon import (
     SamplingMask,
     acquire,
     acquire_adjoint,
-    extract_support,
     generate_frames,
     make_mask,
     sv_threshold,
@@ -465,36 +464,3 @@ class TestApplySigmaPrior:
     def test_step_out_of_range(self):
         with pytest.raises(ValueError):
             sv_threshold(np.zeros((4, 2), dtype=complex), 0.0, np.zeros(2), 1.5)
-
-
-class TestExtractSupport:
-    def test_all_zero(self):
-        sup = extract_support(np.zeros((4, 4)), 0.1)
-        assert sup.dtype == np.bool_ and sup.shape == (4, 4) and not sup.any()
-
-    def test_threshold_example(self):
-        w = np.array([[10.0, 0.01], [0.0, 5.0]])
-        sup = extract_support(w, 0.1)
-        assert set(map(tuple, np.argwhere(sup).tolist())) == {(0, 0), (1, 1)}
-
-    def test_exactly_sparse_recovered(self):
-        rng = np.random.default_rng(15)
-        w = np.zeros((16, 16), dtype=complex)
-        rows = rng.choice(16, 5, replace=False)
-        cols = rng.choice(16, 5, replace=False)
-        w[rows, cols] = (0.5 + rng.random(5)) * np.exp(1j * rng.uniform(0, 2 * np.pi, 5))
-        expected = {(int(r), int(c)) for r, c in zip(rows, cols)}
-        for eps in (0.02, 0.1, 0.4):
-            assert set(map(tuple, np.argwhere(extract_support(w, eps)).tolist())) == expected
-
-    def test_eps_validation(self):
-        with pytest.raises(ValueError):
-            extract_support(np.ones((2, 2)), 0.0)
-        with pytest.raises(ValueError):
-            extract_support(np.ones((2, 2)), 1.0)
-
-    def test_nonfinite_rejected(self):
-        w = np.ones((2, 2))
-        w[0, 0] = np.inf
-        with pytest.raises(ValueError):
-            extract_support(w, 0.1)

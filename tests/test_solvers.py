@@ -7,6 +7,7 @@ from dataclasses import replace
 from lpsrecon import (
     Decomposition,
     DynamicVolume,
+    ExperimentSpec,
     FrameSolveError,
     KSpaceData,
     SamplingMask,
@@ -18,6 +19,7 @@ from lpsrecon import (
     make_mask,
     prior_from_result,
     psnr,
+    run_sweep,
     solve,
     solve_sequence,
     wavelet_forward,
@@ -80,7 +82,8 @@ def test_phantom_50_converges(phantom_50):
 def test_reduction_to_baseline_is_exact(phantom_50, monkeypatch):
     _, y, cfg = phantom_50
     monkeypatch.setattr(solvers, "LAMBDA_P", 0.0)
-    # A zero (L, S) gives the prior spectrum 0 and an empty support.
+    # A zero (L, S) gives the prior spectrum 0, the residual y - A(0) = y and
+    # the first iterate A^H(y).
     zero_pair = Decomposition(np.zeros((32 * 32, 4)), np.zeros((32 * 32, 4)))
     for max_iter in (1, 5, 20, cfg.max_iter):
         cfg_k = replace(cfg, max_iter=max_iter)
@@ -92,20 +95,13 @@ def test_reduction_to_baseline_is_exact(phantom_50, monkeypatch):
         assert a.iterations == b.iterations and a.converged == b.converged
 
 
-def test_priori_zero_data_spectrum_step(monkeypatch):
-    # The prior step acts on the singular vectors of X - S, so L's columns
-    # lie in range(X - S). Zero data gives X - S = 0, hence L = 0, however
+def test_priori_zero_data_spectrum_step():
+    # The prior step acts on the singular vectors of the thresholded matrix,
+    # so the result lies in its range: a zero matrix gives exactly 0, however
     # large the prior spectrum.
-    mask = make_mask(32, 32, 0.25, seed=5)
-    y = KSpaceData(np.zeros((mask.m, 4)), mask, (32, 32, 4))
-    # A previous L with singular values exactly [4, 2, 1, 0], and no support.
-    l_prev = np.zeros((32 * 32, 4))
-    l_prev[[0, 1, 2], [0, 1, 2]] = [4.0, 2.0, 1.0]
-    previous = Decomposition(l_prev, np.zeros((32 * 32, 4)))
-    monkeypatch.setattr(solvers, "LAMBDA_P", 0.5)
-    cfg = SolverConfig(lambda_L=0.1, lambda_S=0.1, max_iter=1)
-    res = solve(y, cfg, previous)
-    assert np.array_equal(res.decomposition.L, np.zeros((32 * 32, 4)))
+    sigma_prev = np.array([4.0, 2.0, 1.0, 0.0])
+    out = sv_threshold(np.zeros((32 * 32, 4), dtype=complex), 0.1, sigma_prev, 0.5)
+    assert np.array_equal(out, np.zeros((32 * 32, 4)))
 
 
 def test_priori_zero_data_zero_prior():
@@ -132,6 +128,18 @@ def test_exact_prior_beats_baseline_at_quarter_sampling():
             truth[1], DynamicVolume(solve(y, cfg, exact).estimate(), spec.dims)
         )
         assert p_pr > p_ls
+
+
+@pytest.mark.parametrize("solver", ["ls", "priori-ls"])
+def test_desk_cell_converges_at_a_tight_tolerance(solver, tmp_path):
+    # One cell of the desk sweep (default phantom, seed 0, rate 1/7): at
+    # tol = 1e-5 every frame must converge well before max_iter.
+    experiment = ExperimentSpec(rates=(1 / 7,), solvers=(solver,), n_seeds=1,
+                                output_dir=str(tmp_path))
+    rows = run_sweep(experiment, SolverConfig(tol=1e-5, max_iter=3000))
+    assert len(rows) == 6
+    stalled = [(row.frame, row.iterations) for row in rows if not row.converged]
+    assert not stalled, f"frames stopped at max_iter: {stalled}"
 
 
 def test_data_consistency_fixed_point_at_full_sampling():
@@ -195,13 +203,12 @@ def test_sequence_keeps_each_frame_as_solved_alone():
 @pytest.mark.parametrize("solver", ["ls", "priori-ls"])
 def test_solve_sequence_matches_the_explicit_chain(solver, monkeypatch):
     # Frame 1 by ls with the config resolved from it; frames >= 2 share the
-    # config resolved from frame 2, and priori-ls builds each prior at the
-    # support cutoff read at call time. With ls, frames >= 2 are solved alone.
+    # config resolved from frame 2, and priori-ls builds each prior with the
+    # step read at call time. With ls, frames >= 2 are solved alone.
     truth = [x for x, _, _ in generate_frames(PhantomSpec(n_frames=3))]
     frames = [acquire(f, make_mask(32, 32, 0.5 if t == 0 else 0.25, seed=t))
               for t, f in enumerate(truth)]
     monkeypatch.setattr(solvers, "LAMBDA_P", 0.5)
-    monkeypatch.setattr(solvers, "SUPPORT_EPS", 0.05)
     cfg = SolverConfig()
     cfg_first, cfg_rest = default_config(frames[0], cfg), default_config(frames[1], cfg)
     want = [solve(frames[0], cfg_first)]
@@ -241,7 +248,7 @@ def test_priori_ls_runs_on_a_wide_casorati_matrix():
     frames = [acquire(f, make_mask(8, 8, 0.5, seed=t)) for t, f in enumerate(truth)]
     results = list(solve_sequence(frames, SolverConfig(), "priori-ls"))
     assert len(results) == 3 and all(r.converged for r in results)
-    sigma_prev, _ = prior_from_result(results[0].decomposition, spec.dims)
+    sigma_prev = prior_from_result(results[0].decomposition, spec.dims)
     assert sigma_prev.shape == (80,)
     assert np.array_equal(sigma_prev[64:], np.zeros(16))
     assert np.array_equal(
@@ -387,7 +394,6 @@ def test_default_config_golden_values(phantom_50):
     assert solvers.LAMBDA_P == 0.7
     assert cfg.tol == 1e-3
     assert cfg.max_iter == 300
-    assert solvers.SUPPORT_EPS == 0.02
 
 
 def test_default_config_reads_its_thresholds_off_the_zero_filled_proxy(phantom_50):
@@ -430,7 +436,7 @@ def test_prior_shape_mismatch_rejected(phantom_50):
 
 
 def test_solve_rejects_a_prior_in_place_of_the_previous_pair(phantom_50):
-    # The prior is derived inside solve; the tuple prior_from_result returns is not a pair.
+    # The prior is derived inside solve; the spectrum prior_from_result returns is not a pair.
     _, y, cfg = phantom_50
     prior = prior_from_result(solve(y, replace(cfg, max_iter=2)).decomposition, y.dims)
     with pytest.raises(TypeError, match="previous must be a Decomposition"):
