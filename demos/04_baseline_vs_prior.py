@@ -7,7 +7,7 @@ with the plain low-rank plus sparse solver, then passing frame 1's
 reconstruction (L, S) to ``solve``: it solves for the residual data
 y - A(S_prev) from the previous L, so that only the change of the sparse
 component is left to find, and the previous singular values anchor the
-background (step ``solvers.LAMBDA_P``).
+background (step ``operators.LAMBDA_P``).
 """
 
 import numpy as np

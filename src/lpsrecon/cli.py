@@ -20,7 +20,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .core import Decomposition, DynamicVolume, SolverConfig
-from .harness import ExperimentSpec, parse_config, run_sweep
+from .harness import ExperimentSpec, _acquire_sequence, parse_config, run_sweep
 from .io import load_volume, save_volume, volume_dims
 from .operators import acquire, make_mask
 from .phantom import generate_frames, psnr
@@ -50,6 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pg = phantom_sub.add_parser("gen", help="generate a phantom sequence", allow_abbrev=False)
     p_pg.add_argument("--config", help="config file with a [phantom] section")
     p_pg.add_argument("--out", required=True, help="output directory")
+    p_pg.set_defaults(handler=_cmd_phantom_gen)
 
     p_recon = sub.add_parser("recon", help="reconstruct a single volume", allow_abbrev=False)
     p_recon.add_argument("--input", required=True, help="ground-truth volume file")
@@ -60,6 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_recon.add_argument("--rate", type=float, default=ExperimentSpec.rates[0],
                          help="sampling rate (default 1/7)")
     p_recon.add_argument("--mask-seed", type=_seed, default=0)
+    p_recon.set_defaults(handler=lambda args: _cmd_recon(args, parser))
 
     p_seq = sub.add_parser("recon-seq", help="reconstruct a sequence of volumes", allow_abbrev=False)
     p_seq.add_argument("--frames", required=True, help="directory of frame*.x files")
@@ -71,15 +73,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_seq.add_argument("--first-rate", type=float, default=ExperimentSpec.first_frame_rate,
                        help="sampling rate for frame 1 (default %(default)s)")
     p_seq.add_argument("--mask-seed", type=_seed, default=0)
+    p_seq.set_defaults(handler=_cmd_recon_seq)
 
     p_sweep = sub.add_parser("sweep", help="run the full experiment grid", allow_abbrev=False)
     p_sweep.add_argument("--config", required=True, help="config file")
     p_sweep.add_argument("--out", default=ExperimentSpec.output_dir,
                          help="output directory (default %(default)s)")
+    p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_eval = sub.add_parser("eval", help="PSNR between two volume files", allow_abbrev=False)
     p_eval.add_argument("reference")
     p_eval.add_argument("estimate")
+    p_eval.set_defaults(handler=_cmd_eval)
 
     return parser
 
@@ -90,12 +95,17 @@ def _load_options(config_path):
     return parse_config(config_path)
 
 
+def _write_frame(base: Path, x: DynamicVolume, l: DynamicVolume, s: DynamicVolume) -> None:
+    """Write one frame's X, L and S to the files base.x, base.l and base.s."""
+    for suffix, volume in ((".x", x), (".l", l), (".s", s)):
+        save_volume(base.with_suffix(suffix), volume)
+
+
 def _write_components(out_base: Path, dims, decomposition: Decomposition) -> DynamicVolume:
     """Write the .x/.l/.s files of one solve and return its estimate L + S."""
     estimate = DynamicVolume(decomposition.estimate(), dims)
-    save_volume(out_base.with_suffix(".x"), estimate)
-    save_volume(out_base.with_suffix(".l"), DynamicVolume(decomposition.L, dims))
-    save_volume(out_base.with_suffix(".s"), DynamicVolume(decomposition.S, dims))
+    _write_frame(out_base, estimate, DynamicVolume(decomposition.L, dims),
+                 DynamicVolume(decomposition.S, dims))
     return estimate
 
 
@@ -104,15 +114,10 @@ def _cmd_phantom_gen(args) -> int:
     frames = generate_frames(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    # Not enumerate(frames): its reused result tuple would keep the last
+    # Not enumerate(frames), nor named locals: either would keep the last
     # frame alive while the next one is made.
     for t in range(1, spec.n_frames + 1):
-        x, l, s = next(frames)
-        base = out / f"frame{t:04d}"
-        save_volume(base.with_suffix(".x"), x)
-        save_volume(base.with_suffix(".l"), l)
-        save_volume(base.with_suffix(".s"), s)
-        del x, l, s  # hold no frame through the next one's generation
+        _write_frame(out / f"frame{t:04d}", *next(frames))
     print(f"wrote {spec.n_frames} frames to {out}")
     return 0
 
@@ -177,11 +182,8 @@ def _cmd_recon_seq(args) -> int:
     check_slice_dims(dims)
 
     _, cfg = _load_options(args.config)
-    n_x, n_y, _ = dims
-    mask_first = make_mask(n_x, n_y, args.first_rate, seed=args.mask_seed)
-    mask_rest = make_mask(n_x, n_y, args.rate, seed=args.mask_seed + 1)
-    kspace = (acquire(load_volume(f), mask_first if t == 0 else mask_rest)
-              for t, f in enumerate(frame_files))
+    kspace = _acquire_sequence((load_volume(f) for f in frame_files), dims[0], dims[1],
+                               args.first_rate, args.rate, lambda tier: args.mask_seed + tier)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -231,23 +233,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "phantom":
-            return _cmd_phantom_gen(args)
-        if args.command == "recon":
-            return _cmd_recon(args, parser)
-        if args.command == "recon-seq":
-            return _cmd_recon_seq(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        parser.error(f"unknown command {args.command!r}")
-    except SystemExit:
-        raise
+        return args.handler(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary: report and exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

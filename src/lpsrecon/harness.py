@@ -9,7 +9,8 @@ frames 2..n only.
 
 The pairing is structural: each seed's phantom is generated once, and each
 (rate, seed) acquisition -- two masks, with seeds derived arithmetically from
-the experiment seed, and the k-space of every frame -- is built once and
+the experiment seed, and the k-space of every frame, on the schedule of
+``_acquire_sequence`` that ``recon-seq`` also follows -- is built once and
 handed to every solver, under the one solver config. sweep.csv is
 byte-stable across reruns of the same config: wall-clock times and
 timestamps go to run.log only.
@@ -20,6 +21,7 @@ from __future__ import annotations
 import configparser
 import time
 from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +173,17 @@ def _mask_seed(base_seed: int, seed_index: int, rate: float, tier: int) -> int:
     )
 
 
+def _acquire_sequence(frames, n_x, n_y, first_rate, rate, seed):
+    """The acquisition schedule of a sequence: the k-space of each of
+    ``frames`` in turn, frame 1 on a mask at ``first_rate`` with mask seed
+    ``seed(0)`` and every later frame on one shared mask at ``rate`` with
+    seed ``seed(1)``. Both masks are made here, before any frame is read, so
+    a bad rate fails first. ``map`` holds no frame once it is acquired."""
+    mask_first = make_mask(n_x, n_y, first_rate, seed=seed(0))
+    mask_rest = make_mask(n_x, n_y, rate, seed=seed(1))
+    return map(acquire, frames, chain((mask_first,), repeat(mask_rest)))
+
+
 def write_sweep_csv(path, rows: list[SweepRow]) -> None:
     lines = ["solver,rate,seed,frame,psnr_db,iterations,converged"]
     for row in sorted(rows, key=SweepRow.sort_key):
@@ -217,11 +230,9 @@ def run_sweep(experiment: ExperimentSpec, cfg: SolverConfig | None = None) -> li
             frames.append(x)
             truths.append(DynamicVolume(l.data + s.data, x.dims))
         for rate in experiment.rates:
-            mask_first = make_mask(n_x, n_y, experiment.first_frame_rate,
-                                   seed=_mask_seed(base, seed_index, rate, 0))
-            mask_rest = make_mask(n_x, n_y, rate, seed=_mask_seed(base, seed_index, rate, 1))
-            kspace = [acquire(frame, mask_first if t == 0 else mask_rest)
-                      for t, frame in enumerate(frames)]
+            kspace = list(_acquire_sequence(
+                frames, n_x, n_y, experiment.first_frame_rate, rate,
+                lambda tier: _mask_seed(base, seed_index, rate, tier)))
             for solver in experiment.solvers:
                 started = time.perf_counter()
                 results = solve_sequence(kspace, cfg, solver)

@@ -19,6 +19,7 @@ import numpy as np
 from .core import DynamicVolume, _require_int, _require_threshold, _slice_view
 
 __all__ = [
+    "LAMBDA_P",
     "SamplingMask",
     "KSpaceData",
     "make_mask",
@@ -234,33 +235,30 @@ def _gram_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(np.maximum(eigvals[::-1], 0.0)), vecs[:, ::-1]
 
 
-def sv_threshold(
-    m: np.ndarray,
-    lam: float,
-    sigma_prev: np.ndarray | None = None,
-    lambda_p: float = 0.0,
-) -> np.ndarray:
+# Step of the prior spectrum pull (``sv_threshold``), read at each call.
+LAMBDA_P = 0.7
+
+
+def sv_threshold(m: np.ndarray, lam: float, sigma_prev: np.ndarray | None = None) -> np.ndarray:
     """Soft-threshold the singular values of a matrix (nuclear-norm prox), as
     M V diag(f / sigma) V^H with f = max(sigma - lam, 0), in column-major layout.
 
     With a prior spectrum ``sigma_prev``, the thresholded spectrum is then
-    stepped toward it, f <- max(f - lambda_p * (f - sigma_prev), 0), on the
+    stepped toward it, f <- max(f - LAMBDA_P * (f - sigma_prev), 0), on the
     same singular vectors: one spectral map of M, so no second decomposition.
     Where sigma = 0 the factor stays 0, so the result lies in range(M).
-    lambda_p = 0 gives exactly the prox alone.
+    LAMBDA_P = 0 gives exactly the prox alone.
     """
     _require_threshold(lam)
     m = np.asarray(m, dtype=np.complex128)
     sigma, v = _gram_spectrum(m)
     shrunk = np.maximum(sigma - lam, 0.0)
     if sigma_prev is not None:
-        if not 0 <= lambda_p <= 1:
-            raise ValueError(f"lambda_p must be in [0, 1], got {lambda_p}")
         if np.shape(sigma_prev) != sigma.shape:
             raise ValueError(
                 f"sigma_prev shape {np.shape(sigma_prev)} does not match matrix columns {m.shape[1]}"
             )
-        shrunk = np.maximum(shrunk - lambda_p * (shrunk - sigma_prev), 0.0)
+        shrunk = np.maximum(shrunk - LAMBDA_P * (shrunk - sigma_prev), 0.0)
     factor = np.divide(shrunk, sigma, out=np.zeros_like(sigma), where=sigma > 0)
     # (M V diag(f) V^H)^T computed on the row-major transpose M^T.
     return ((v.conj() * factor) @ v.T @ m.T).T

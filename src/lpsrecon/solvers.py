@@ -7,7 +7,7 @@ repeats
 
     1. L <- singular-value soft-thresholding of (X - S) with lambda_L; with
        a prior, the thresholded spectrum is then stepped toward the previous
-       frame's spectrum with step lambda_p, on the same singular vectors
+       frame's spectrum with step LAMBDA_P, on the same singular vectors
     2. S <- inverse transform of the soft-thresholded coefficients of (X - L)
     3. X <- L + S - A^H(A(L + S) - y)   (data consistency); the transform
        is unitary, so this is the spectral replacement F^H[F(L + S) with
@@ -22,9 +22,10 @@ reconstruction estimate is L + S.
 same loop on the residual data y - A(S_prev) (CS-residual: only the change
 of the sparse component is left to find), started from the previous L after
 one data-consistency step against those samples, with S_prev added back to
-the S it returns (``_iterate``). The step lambda_p is the constant
-``LAMBDA_P`` (0.7), read at each solve. With lambda_p = 0 and a zero
-previous pair, a solve with a prior reduces exactly to one without.
+the S it returns (``_iterate``). The step is the constant
+``operators.LAMBDA_P`` (0.7), which ``sv_threshold`` reads at each call.
+With LAMBDA_P = 0 and a zero previous pair, a solve with a prior reduces
+exactly to one without.
 
 The baseline ``ls`` solver targets the convex objective
 
@@ -36,9 +37,9 @@ proximal-gradient optimality conditions of F. ``priori-ls`` changes two
 terms:
 
 - the sigma pull: the prior step adds (c/2) ||sigma(L) - sigma_prev||^2 with
-  c = lambda_p / (1 - lambda_p), a difference of convex terms, so the
-  objective is no longer convex; the step f <- f - lambda_p (f - sigma_prev)
-  is its exact prox wherever sigma >= lambda_L, and lambda_p = 1 pins the
+  c = LAMBDA_P / (1 - LAMBDA_P), a difference of convex terms, so the
+  objective is no longer convex; the step f <- f - LAMBDA_P (f - sigma_prev)
+  is its exact prox wherever sigma >= lambda_L, and LAMBDA_P = 1 pins the
   spectrum to sigma_prev;
 - the residual: the sparse term is lambda_S ||T (S - S_prev)||_1, so S is
   penalized only where it departs from the previous frame's.
@@ -76,7 +77,6 @@ __all__ = [
     "KNOWN_SOLVERS",
     "LAMBDA_L_SCALE",
     "LAMBDA_S_SCALE",
-    "LAMBDA_P",
     "SolveResult",
     "FrameSolveError",
     "default_config",
@@ -90,8 +90,6 @@ KNOWN_SOLVERS = ("ls", "priori-ls")
 # Scales of the data-scaled default thresholds (``default_config``).
 LAMBDA_L_SCALE = 0.05
 LAMBDA_S_SCALE = 0.02
-# Step of the prior spectrum pull (``sv_threshold``).
-LAMBDA_P = 0.7
 
 
 class FrameSolveError(RuntimeError):
@@ -201,7 +199,7 @@ def _iterate(y: KSpaceData, cfg: SolverConfig, previous: list[Decomposition]) ->
     for it in range(1, cfg.max_iter + 1):
         r = x - s
         l = s = None
-        l = sv_threshold(r, cfg.lambda_L, sigma_prev, LAMBDA_P)
+        l = sv_threshold(r, cfg.lambda_L, sigma_prev)
         np.subtract(x, l, out=r)
         _forward_matrix(r, dims)
         _soft_threshold_keep(r, cfg.lambda_S)

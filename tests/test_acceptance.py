@@ -32,7 +32,7 @@ from lpsrecon import (
     wavelet_inverse,
 )
 from lpsrecon.phantom import PhantomSpec
-from lpsrecon import solvers
+from lpsrecon import operators
 
 from helpers import (
     grid_prox_minimizer,
@@ -111,8 +111,8 @@ def test_criterion_2_operator_algebra():
 
 
 def test_criterion_3_reduction_regression(monkeypatch):
-    """solve from a zero previous pair with lambda_p=0 is iterate-identical to solve without."""
-    monkeypatch.setattr(solvers, "LAMBDA_P", 0.0)
+    """solve from a zero previous pair with LAMBDA_P = 0 is iterate-identical to solve without."""
+    monkeypatch.setattr(operators, "LAMBDA_P", 0.0)
     started = time.perf_counter()
     truth = [x for x, _, _ in generate_frames(PhantomSpec())]
     mask = make_mask(32, 32, 0.5, seed=7)

@@ -1,3 +1,4 @@
+import argparse
 import re
 import shlex
 import tracemalloc
@@ -330,6 +331,49 @@ def test_sweep_builds_each_input_once(small_sweep, tmp_path, monkeypatch):
         "acquire": cells * experiment.phantom.n_frames,
     }
     assert (tmp_path / "sweep.csv").read_bytes() == (out / "sweep.csv").read_bytes()
+
+
+def test_both_commands_take_their_masks_from_the_schedule(tmp_path, capsys, config_file,
+                                                          monkeypatch):
+    # Frame 1 gets the first-rate mask with seed(0); every later frame one
+    # shared mask with seed(1). Both masks are made before any frame is read.
+    frames = [x for x, _, _ in generate_frames(PhantomSpec(n_frames=3))]
+    kspace = list(harness._acquire_sequence(iter(frames), 32, 32, 0.5, 0.25, lambda t: 10 + t))
+    first, rest = make_mask(32, 32, 0.5, seed=10), make_mask(32, 32, 0.25, seed=11)
+    assert np.array_equal(kspace[0].mask.pattern, first.pattern)
+    assert kspace[1].mask is kspace[2].mask
+    assert np.array_equal(kspace[1].mask.pattern, rest.pattern)
+    for frame, y in zip(frames, kspace):
+        assert np.array_equal(y.samples, acquire(frame, y.mask).samples)
+
+    def unread():
+        raise AssertionError("a frame was read before the masks were made")
+        yield
+
+    with pytest.raises(ValueError, match="rate must be in"):
+        harness._acquire_sequence(unread(), 32, 32, 0.5, 1.5, lambda t: t)
+
+    # sweep and recon-seq both acquire through it: once per (rate, seed) cell
+    # and once per recon-seq run, with the mask seeds each derives.
+    calls = []
+    schedule = harness._acquire_sequence
+
+    def recorded(frames, n_x, n_y, first_rate, rate, seed):
+        calls.append((first_rate, rate, seed(0), seed(1)))
+        return schedule(frames, n_x, n_y, first_rate, rate, seed)
+
+    monkeypatch.setattr(harness, "_acquire_sequence", recorded)
+    monkeypatch.setattr(cli, "_acquire_sequence", recorded)
+    experiment = ExperimentSpec(phantom=PhantomSpec(n_frames=3), rates=(0.25,), n_seeds=1,
+                                output_dir=str(tmp_path / "sweep"))
+    run_sweep(experiment)
+    assert calls == [(0.5, 0.25, _mask_seed(0, 0, 0.25, 0), _mask_seed(0, 0, 0.25, 1))]
+    calls.clear()
+    frames_dir = tmp_path / "frames"
+    assert main(["phantom", "gen", "--config", str(config_file), "--out", str(frames_dir)]) == 0
+    assert main(["recon-seq", "--frames", str(frames_dir), "--out", str(tmp_path / "seq"),
+                 "--first-rate", "0.5", "--rate", "0.25", "--mask-seed", "4"]) == 0
+    assert calls == [(0.5, 0.25, 4, 5)]
 
 
 def test_sweep_scores_against_the_clean_frames(tmp_path, monkeypatch):
@@ -690,6 +734,63 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["recon", "--input", "a.x"])
         assert exc.value.code == 2
+
+    # Per command: arguments that succeed, that fail at run time, and that
+    # argparse rejects. {cfg} is a one-rate 3-frame config, {frames} its
+    # phantom gen output, {out} a fresh path and {missing} a path that does
+    # not exist.
+    COMMAND_EXITS = {
+        ("phantom", "gen"): (["--config", "{cfg}", "--out", "{out}"],
+                             ["--config", "{missing}", "--out", "{out}"],
+                             ["--config", "{cfg}"]),
+        ("recon",): (["--input", "{frames}/frame0001.x", "--rate", "0.5", "--out", "{out}"],
+                     ["--input", "{missing}", "--out", "{out}"],
+                     ["--input", "{frames}/frame0001.x", "--rate", "0.5"]),
+        ("recon-seq",): (["--frames", "{frames}", "--out", "{out}"],
+                         ["--frames", "{missing}", "--out", "{out}"],
+                         ["--frames", "{frames}", "--out", "{out}", "--solver", "none"]),
+        ("sweep",): (["--config", "{cfg}", "--out", "{out}"],
+                     ["--config", "{missing}", "--out", "{out}"],
+                     ["--out", "{out}"]),
+        ("eval",): (["{frames}/frame0001.x", "{frames}/frame0002.x"],
+                    ["{missing}", "{missing}"],
+                    ["{frames}/frame0001.x"]),
+    }
+
+    def test_every_command_has_a_handler(self):
+        def leaves(parser, command=()):
+            subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            if not subparsers:
+                yield command, parser
+            for action in subparsers:
+                for name, sub in action.choices.items():
+                    yield from leaves(sub, (*command, name))
+
+        commands = dict(leaves(cli._build_parser()))
+        assert set(commands) == set(self.COMMAND_EXITS)
+        for parser in commands.values():
+            assert callable(parser.get_default("handler"))
+
+    @pytest.mark.parametrize("command", list(COMMAND_EXITS), ids=" ".join)
+    def test_every_command_exits_0_1_and_2(self, tmp_path, capsys, command):
+        cfg = tmp_path / "one-rate.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("rates = 0.2, 0.333333", "rates = 0.333333"))
+        frames = tmp_path / "frames"
+        assert main(["phantom", "gen", "--config", str(cfg), "--out", str(frames)]) == 0
+        capsys.readouterr()
+        ok, failing, malformed = (
+            [arg.format(cfg=cfg, frames=frames, out=tmp_path / f"out-{i}",
+                        missing=tmp_path / "missing") for arg in argv]
+            for i, argv in enumerate(self.COMMAND_EXITS[command]))
+        assert main([*command, *ok]) == 0
+        capsys.readouterr()
+        assert main([*command, *failing]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        with pytest.raises(SystemExit) as exc:
+            main([*command, *malformed])
+        assert exc.value.code == 2
+        assert "error: " in capsys.readouterr().err
+        assert not list(tmp_path.glob("out-[12]*"))  # neither out-1/ nor out-1.x and so on
 
     def test_recon_dim_mismatch_exits_1(self, tmp_path, capsys):
         # recon makes its mask on the input's grid, so only a prior file can

@@ -24,7 +24,7 @@ from lpsrecon import (
     solve_sequence,
     wavelet_forward,
 )
-from lpsrecon import solvers
+from lpsrecon import operators, solvers
 from lpsrecon.operators import _data_consistency, _gram_spectrum, sv_threshold
 from lpsrecon.phantom import PhantomSpec
 
@@ -81,7 +81,7 @@ def test_phantom_50_converges(phantom_50):
 
 def test_reduction_to_baseline_is_exact(phantom_50, monkeypatch):
     _, y, cfg = phantom_50
-    monkeypatch.setattr(solvers, "LAMBDA_P", 0.0)
+    monkeypatch.setattr(operators, "LAMBDA_P", 0.0)
     # A zero (L, S) gives the prior spectrum 0, the residual y - A(0) = y and
     # the first iterate A^H(y).
     zero_pair = Decomposition(np.zeros((32 * 32, 4)), np.zeros((32 * 32, 4)))
@@ -95,12 +95,13 @@ def test_reduction_to_baseline_is_exact(phantom_50, monkeypatch):
         assert a.iterations == b.iterations and a.converged == b.converged
 
 
-def test_priori_zero_data_spectrum_step():
+def test_priori_zero_data_spectrum_step(monkeypatch):
     # The prior step acts on the singular vectors of the thresholded matrix,
     # so the result lies in its range: a zero matrix gives exactly 0, however
     # large the prior spectrum.
+    monkeypatch.setattr(operators, "LAMBDA_P", 0.5)
     sigma_prev = np.array([4.0, 2.0, 1.0, 0.0])
-    out = sv_threshold(np.zeros((32 * 32, 4), dtype=complex), 0.1, sigma_prev, 0.5)
+    out = sv_threshold(np.zeros((32 * 32, 4), dtype=complex), 0.1, sigma_prev)
     assert np.array_equal(out, np.zeros((32 * 32, 4)))
 
 
@@ -208,7 +209,7 @@ def test_solve_sequence_matches_the_explicit_chain(solver, monkeypatch):
     truth = [x for x, _, _ in generate_frames(PhantomSpec(n_frames=3))]
     frames = [acquire(f, make_mask(32, 32, 0.5 if t == 0 else 0.25, seed=t))
               for t, f in enumerate(truth)]
-    monkeypatch.setattr(solvers, "LAMBDA_P", 0.5)
+    monkeypatch.setattr(operators, "LAMBDA_P", 0.5)
     cfg = SolverConfig()
     cfg_first, cfg_rest = default_config(frames[0], cfg), default_config(frames[1], cfg)
     want = [solve(frames[0], cfg_first)]
@@ -391,7 +392,7 @@ def test_default_config_golden_values(phantom_50):
     _, _, cfg = phantom_50
     assert cfg.lambda_L == pytest.approx(0.05207259759189849, rel=1e-9)
     assert cfg.lambda_S == pytest.approx(0.005286858860663305, rel=1e-9)
-    assert solvers.LAMBDA_P == 0.7
+    assert operators.LAMBDA_P == 0.7
     assert cfg.tol == 1e-3
     assert cfg.max_iter == 300
 
