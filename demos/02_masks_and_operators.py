@@ -46,11 +46,10 @@ x = DynamicVolume(
 )
 from lpsrecon import KSpaceData
 
-v = KSpaceData(
-    rng.standard_normal((mask.m, 4)) + 1j * rng.standard_normal((mask.m, 4)),
-    mask,
-    (64, 64, 4),
-)
+# The measurements carry their own layout: dims come from the mask's 64x64
+# grid and the 4 sample columns.
+v = KSpaceData(rng.standard_normal((mask.m, 4)) + 1j * rng.standard_normal((mask.m, 4)), mask)
+print(f"\nmeasurements of m={mask.m} frequencies, dims {v.dims}")
 lhs = np.vdot(acquire(x, mask).samples, v.samples)
 rhs = np.vdot(x.data, acquire_adjoint(v).data)
 print(f"\nadjoint identity error: {abs(lhs - rhs):.2e}")

@@ -95,6 +95,13 @@ def _load_options(config_path):
     return parse_config(config_path)
 
 
+def _refuse_overwrite(out: Path, flag: str, source: str) -> None:
+    """Refuse, before anything is written, an --out that resolves to the
+    input given as ``flag``."""
+    if out.resolve() == Path(source).resolve():
+        raise ValueError(f"--out {out} is the {flag} {source}: the reconstruction would overwrite it")
+
+
 def _write_frame(base: Path, x: DynamicVolume, l: DynamicVolume, s: DynamicVolume) -> None:
     """Write one frame's X, L and S to the files base.x, base.l and base.s."""
     for suffix, volume in ((".x", x), (".l", l), (".s", s)):
@@ -144,6 +151,7 @@ def _warn_unconverged(frame: int, result, log=None) -> None:
 def _cmd_recon(args, parser) -> int:
     if (args.prior_l is None) != (args.prior_s is None):
         parser.error("--prior-l and --prior-s must be given together")
+    _refuse_overwrite(Path(args.out).with_suffix(".x"), "--input", args.input)
     # The prior files' headers and sizes are checked against the input's, and
     # the mask is made, before any payload is read, so a mismatch or a bad rate
     # fails before the solve.
@@ -170,6 +178,7 @@ def _cmd_recon(args, parser) -> int:
 
 
 def _cmd_recon_seq(args) -> int:
+    _refuse_overwrite(Path(args.out), "--frames", args.frames)
     frame_files = sorted(Path(args.frames).glob("*.x"))
     if not frame_files:
         raise FileNotFoundError(f"no *.x frame files found in {args.frames}")

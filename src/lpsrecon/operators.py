@@ -8,6 +8,11 @@ subspace.
 
 Mask patterns are indexed on the *centered* spectrum: the DC coefficient
 sits at (n_x // 2, n_y // 2), the geometric center of the grid.
+
+One acquisition is one ``KSpaceData``: the samples on a mask, with the
+volume dims derived from both. The sampling kernels (``_adjoint_matrix``,
+``_data_consistency``, ``_sample_residual``) take it whole, so the sample
+layout is known only here.
 """
 
 from __future__ import annotations
@@ -70,29 +75,24 @@ class KSpaceData:
     """Undersampled frequency-domain measurements of one volume.
 
     ``samples`` is m x n_z: column z holds the sampled coefficients of
-    slice z, in row-major order of the mask's True positions.
+    slice z, in row-major order of the mask's True positions. ``dims``,
+    (n_x, n_y, n_z), is derived here from the mask's grid and the sample
+    columns.
     """
 
     samples: np.ndarray
     mask: SamplingMask
-    dims: tuple[int, int, int]
+    dims: tuple[int, int, int] = field(init=False)
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.complex128)
-        n_x, n_y, n_z = self.dims
         if self.samples.ndim != 2:
             raise ValueError("samples must be a 2-D matrix")
-        if self.mask.pattern.shape != (n_x, n_y):
-            raise ValueError(
-                f"mask grid {self.mask.pattern.shape} inconsistent with dims {self.dims}"
-            )
-        if self.samples.shape != (self.mask.m, n_z):
-            raise ValueError(
-                f"samples shape {self.samples.shape} inconsistent with "
-                f"m={self.mask.m}, n_z={n_z}"
-            )
+        if self.samples.shape[0] != self.mask.m:
+            raise ValueError(f"samples shape {self.samples.shape} inconsistent with m={self.mask.m}")
         if not np.isfinite(self.samples).all():
             raise ValueError("k-space samples contain non-finite entries")
+        self.dims = (*self.mask.pattern.shape, self.samples.shape[1])
 
 
 # Exponent of the variable-density weight in make_mask.
@@ -154,50 +154,43 @@ def _spectra(x: np.ndarray, dims: tuple[int, int, int], inverse: bool = False) -
     return slices
 
 
-def _put_samples(
-    x: np.ndarray, samples_t: np.ndarray, dims: tuple[int, int, int], index: np.ndarray
-) -> None:
-    """Write row z of ``samples_t`` at ``index`` of slice z's flat spectrum, in
-    the column-major matrix x: one ``np.put`` per slice, since a fancy-index
-    assignment over the whole (n_z, n_x*n_y) stack is about twice as slow.
-    ``np.put`` would repeat a short row, so the shape is checked first."""
-    if samples_t.shape != (dims[2], index.size):
-        raise ValueError(f"samples shape {samples_t.T.shape} does not match ({index.size}, {dims[2]})")
-    for spectrum, samples in zip(_slice_view(x, dims).reshape(dims[2], -1), samples_t):
-        np.put(spectrum, index, samples)
+def _put_samples(x: np.ndarray, y: KSpaceData) -> None:
+    """Write y's samples into the spectra of the column-major matrix x: row z
+    of ``samples.T`` at the mask's ``index`` of slice z's flat spectrum, one
+    ``np.put`` per slice, since a fancy-index assignment over the whole
+    (n_z, n_x*n_y) stack is about twice as slow."""
+    spectra = _slice_view(x, y.dims).reshape(y.dims[2], -1)
+    for spectrum, samples in zip(spectra, y.samples.T):
+        np.put(spectrum, y.mask.index, samples)
 
 
-def _adjoint_matrix(samples: np.ndarray, dims: tuple[int, int, int], index: np.ndarray) -> np.ndarray:
+def _adjoint_matrix(y: KSpaceData) -> np.ndarray:
     """A^H y as a column-major matrix: the samples scattered into zeroed
     spectra, inverted in place."""
-    x = np.zeros((dims[0] * dims[1], dims[2]), dtype=np.complex128, order="F")
-    _put_samples(x, samples.T, dims, index)
-    _spectra(x, dims, inverse=True)
+    n_x, n_y, n_z = y.dims
+    x = np.zeros((n_x * n_y, n_z), dtype=np.complex128, order="F")
+    _put_samples(x, y)
+    _spectra(x, y.dims, inverse=True)
     return x
 
 
-def _data_consistency(
-    x: np.ndarray, samples_t: np.ndarray, dims: tuple[int, int, int], index: np.ndarray
-) -> np.ndarray:
+def _data_consistency(x: np.ndarray, y: KSpaceData) -> np.ndarray:
     """x <- x - A^H(A x - y), in place on the column-major matrix x.
 
     The transform is unitary, so this is F^H[F x with the sampled entries set
-    to y]: one transform pair on x's own slice stack, with ``samples_t`` the
-    (n_z, m) transpose of y's samples.
+    to y]: one transform pair on x's own slice stack.
     """
-    _spectra(x, dims)
-    _put_samples(x, samples_t, dims, index)
-    _spectra(x, dims, inverse=True)
+    _spectra(x, y.dims)
+    _put_samples(x, y)
+    _spectra(x, y.dims, inverse=True)
     return x
 
 
-def _sample_residual(
-    x: np.ndarray, samples_t: np.ndarray, dims: tuple[int, int, int], index: np.ndarray
-) -> float:
-    """||A x - y||_F, with ``samples_t`` as in ``_data_consistency``. The
-    transform runs in place, so x is overwritten by its spectra."""
-    spectra = _spectra(x, dims).reshape(dims[2], -1)
-    return float(np.linalg.norm(spectra[:, index] - samples_t))
+def _sample_residual(x: np.ndarray, y: KSpaceData) -> float:
+    """||A x - y||_F. The transform runs in place, so x is overwritten by its
+    spectra."""
+    spectra = _spectra(x, y.dims).reshape(y.dims[2], -1)
+    return float(np.linalg.norm(spectra[:, y.mask.index] - y.samples.T))
 
 
 def acquire(x: DynamicVolume, mask: SamplingMask) -> KSpaceData:
@@ -213,7 +206,7 @@ def acquire(x: DynamicVolume, mask: SamplingMask) -> KSpaceData:
             f"mask grid {mask.pattern.shape} does not match volume dims {x.dims}"
         )
     spectra = _spectra(x.data.copy(order="F"), x.dims).reshape(x.dims[2], -1)
-    return KSpaceData(np.take(spectra, mask.index, axis=1).T, mask, x.dims)
+    return KSpaceData(np.take(spectra, mask.index, axis=1).T, mask)
 
 
 def acquire_adjoint(y: KSpaceData) -> DynamicVolume:
@@ -222,8 +215,7 @@ def acquire_adjoint(y: KSpaceData) -> DynamicVolume:
     Because the transform is unitary, this is also the least-squares
     zero-filled reconstruction.
     """
-    data = _adjoint_matrix(y.samples, y.dims, y.mask.index)
-    return DynamicVolume(data, y.dims)
+    return DynamicVolume(_adjoint_matrix(y), y.dims)
 
 
 def _gram_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -105,19 +105,18 @@ class SolveResult:
     """Outcome of one solve: the (L, S) pair plus convergence bookkeeping.
 
     ``residual_history`` holds the per-iteration relative change of the
-    iterate; ``data_residual`` is the final ||Y - A(L + S)||_F.
+    iterate, one entry per iteration (``iterations`` is its length);
+    ``data_residual`` is the final ||Y - A(L + S)||_F.
     """
 
     decomposition: Decomposition
-    iterations: int
     converged: bool
     residual_history: np.ndarray
     data_residual: float
 
-    def __post_init__(self):
-        self.residual_history = np.asarray(self.residual_history, dtype=np.float64)
-        if self.residual_history.shape != (self.iterations,):
-            raise ValueError("residual_history length must equal the iteration count")
+    @property
+    def iterations(self) -> int:
+        return len(self.residual_history)
 
     def estimate(self) -> np.ndarray:
         return self.decomposition.estimate()
@@ -136,7 +135,7 @@ def default_config(y: KSpaceData, cfg: SolverConfig | None = None) -> SolverConf
     cfg = cfg or SolverConfig()
     if cfg.lambda_L is not None and cfg.lambda_S is not None:
         return cfg
-    x0 = _adjoint_matrix(y.samples, y.dims, y.mask.index)
+    x0 = _adjoint_matrix(y)
     sigma_max = float(_gram_spectrum(x0)[0][0])
     coeff_peak = float(np.abs(_forward_matrix(x0, y.dims)).max())
     if sigma_max == 0.0 or coeff_peak == 0.0:
@@ -168,26 +167,25 @@ def _iterate(y: KSpaceData, cfg: SolverConfig, previous: list[Decomposition]) ->
 
     Without a pair the loop runs on y from X0 = A^H(y). With one it runs on
     the residual samples y_r = y - A(S_prev), formed in place in the buffer
-    ``acquire`` returns, from X0 = L_prev - A^H(A(L_prev) - y_r) (L_prev
-    after one data-consistency step against those samples); it pulls the
-    spectrum toward L_prev's and adds S_prev to the S it finds. Taken out of
-    the list, L_prev is held only until X0 is formed. A zero pair gives the
+    ``acquire`` returns and rebound as y (the caller's y is left as it is),
+    from X0 = L_prev - A^H(A(L_prev) - y_r) (L_prev after one
+    data-consistency step against those samples); it pulls the spectrum
+    toward L_prev's and adds S_prev to the S it finds. Taken out of the
+    list, L_prev is held only until X0 is formed. A zero pair gives the
     samples and X0 of the solve without one.
     """
     # Iterates stay column-major (a C-contiguous slice stack): no reshape copies.
     dims = y.dims
-    index = y.mask.index
     if previous:
         pair = previous.pop()
         sigma_prev, s_prev = prior_from_result(pair, dims), pair.S
         residual = acquire(DynamicVolume(s_prev, dims), y.mask).samples
-        samples_t = np.subtract(y.samples, residual, out=residual).T
-        x = _data_consistency(pair.L.copy(order="F"), samples_t, dims, index)
+        y = KSpaceData(np.subtract(y.samples, residual, out=residual), y.mask)
+        x = _data_consistency(pair.L.copy(order="F"), y)
         pair = None
     else:
         sigma_prev = s_prev = None
-        samples_t = np.ascontiguousarray(y.samples.T)
-        x = _adjoint_matrix(y.samples, dims, index)
+        x = _adjoint_matrix(y)
     s = np.zeros_like(x)
     history: list[float] = []
     converged = False
@@ -204,7 +202,7 @@ def _iterate(y: KSpaceData, cfg: SolverConfig, previous: list[Decomposition]) ->
         _forward_matrix(r, dims)
         _soft_threshold_keep(r, cfg.lambda_S)
         s = _inverse_matrix(r, dims)
-        x_new = _data_consistency(l + s, samples_t, dims, index)
+        x_new = _data_consistency(l + s, y)
         # x is finite, so a non-finite x_new shows as a non-finite change. A
         # non-finite L + S shows in x_new unless every frequency is sampled;
         # the data residual below catches that case.
@@ -218,14 +216,13 @@ def _iterate(y: KSpaceData, cfg: SolverConfig, previous: list[Decomposition]) ->
             break
 
     # The last iterate is dead: the final L + S and its spectra go in its buffer.
-    data_residual = _sample_residual(np.add(l, s, out=x), samples_t, dims, index)
+    data_residual = _sample_residual(np.add(l, s, out=x), y)
     if not np.isfinite(data_residual):
         raise FloatingPointError(f"solver produced a non-finite estimate at iteration {len(history)}")
     if s_prev is not None:
         s += s_prev
     return SolveResult(
         decomposition=Decomposition(l, s),
-        iterations=len(history),
         converged=converged,
         residual_history=np.array(history),
         data_residual=data_residual,

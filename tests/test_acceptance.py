@@ -87,7 +87,6 @@ def test_criterion_2_operator_algebra():
             y = KSpaceData(
                 rng.standard_normal((mask.m, n_z)) + 1j * rng.standard_normal((mask.m, n_z)),
                 mask,
-                dims,
             )
             lhs = np.vdot(acquire(x, mask).samples, y.samples)
             rhs = np.vdot(x.data, acquire_adjoint(y).data)

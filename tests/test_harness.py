@@ -628,6 +628,38 @@ class TestCli:
         assert len((out_dir / "metrics.csv").read_text().splitlines()) == 3
         assert "finished" not in (out_dir / "run.log").read_text()
 
+    def test_recon_seq_refuses_an_out_that_is_its_frames_directory(
+        self, tmp_path, capsys, config_file
+    ):
+        # Writing there would overwrite each input frame with its
+        # reconstruction and then score that frame against itself.
+        frames_dir = tmp_path / "frames"
+        main(["phantom", "gen", "--config", str(config_file), "--out", str(frames_dir)])
+        before = {p.name: p.read_bytes() for p in frames_dir.iterdir()}
+        capsys.readouterr()
+        code = main(["recon-seq", "--frames", str(frames_dir), "--rate", "0.333333",
+                     "--out", str(frames_dir / ".." / "frames")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --out ") and "--frames" in captured.err
+        assert captured.out == ""
+        assert {p.name: p.read_bytes() for p in frames_dir.iterdir()} == before
+        assert not (frames_dir / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("out", ["frame0001", "frame0001.x"])
+    def test_recon_refuses_an_out_that_is_its_input(self, tmp_path, capsys, config_file, out):
+        frames_dir = tmp_path / "frames"
+        main(["phantom", "gen", "--config", str(config_file), "--out", str(frames_dir)])
+        before = {p.name: p.read_bytes() for p in frames_dir.iterdir()}
+        capsys.readouterr()
+        code = main(["recon", "--input", str(frames_dir / "frame0001.x"), "--rate", "0.5",
+                     "--out", str(frames_dir / ".." / "frames" / out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --out ") and "--input" in captured.err
+        assert captured.out == ""
+        assert {p.name: p.read_bytes() for p in frames_dir.iterdir()} == before
+
     BAD_SETTINGS = [
         ("solver", "tol = -1", "tol"),
         ("solver", "tol = inf", "tol"),

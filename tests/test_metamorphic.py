@@ -68,7 +68,7 @@ def _assert_close(got, want):
 def test_scaling_data_scales_both_components(seed, c):
     y = _problem(seed)
     l_ref, s_ref = _solve(y)
-    l_out, s_out = _solve(KSpaceData(c * y.samples, y.mask, y.dims))
+    l_out, s_out = _solve(KSpaceData(c * y.samples, y.mask))
     _assert_close(l_out, c * l_ref)
     _assert_close(s_out, c * s_ref)
 
@@ -79,7 +79,7 @@ def test_global_phase_rotates_both_components(seed, theta):
     y = _problem(seed)
     l_ref, s_ref = _solve(y)
     phase = np.exp(1j * theta)
-    l_out, s_out = _solve(KSpaceData(phase * y.samples, y.mask, y.dims))
+    l_out, s_out = _solve(KSpaceData(phase * y.samples, y.mask))
     _assert_close(l_out, phase * l_ref)
     _assert_close(s_out, phase * s_ref)
 
@@ -89,7 +89,7 @@ def test_global_phase_rotates_both_components(seed, theta):
 def test_slice_permutation_permutes_columns(seed, perm):
     y = _problem(seed)
     l_ref, s_ref = _solve(y)
-    l_out, s_out = _solve(KSpaceData(y.samples[:, perm], y.mask, y.dims))
+    l_out, s_out = _solve(KSpaceData(y.samples[:, perm], y.mask))
     _assert_close(l_out, l_ref[:, perm])
     _assert_close(s_out, s_ref[:, perm])
 
@@ -103,7 +103,7 @@ def test_priori_scaling_data_and_prior_spectrum(seed, c):
     l_ref, s_ref = _solve(y, Decomposition(l_1, s_1))
     _assert_close(_prior(c * l_1, c * s_1), c * sigma)
     scaled = Decomposition(c * l_1, c * s_1)
-    l_out, s_out = _solve(KSpaceData(c * y.samples, y.mask, y.dims), scaled)
+    l_out, s_out = _solve(KSpaceData(c * y.samples, y.mask), scaled)
     _assert_close(l_out, c * l_ref)
     _assert_close(s_out, c * s_ref)
 
@@ -118,7 +118,7 @@ def test_priori_global_phase_rotates_both_components(seed, theta):
     phase = np.exp(1j * theta)
     _assert_close(_prior(phase * l_1, phase * s_1), sigma)
     rotated = Decomposition(phase * l_1, phase * s_1)
-    l_out, s_out = _solve(KSpaceData(phase * y.samples, y.mask, y.dims), rotated)
+    l_out, s_out = _solve(KSpaceData(phase * y.samples, y.mask), rotated)
     _assert_close(l_out, phase * l_ref)
     _assert_close(s_out, phase * s_ref)
 
@@ -132,6 +132,6 @@ def test_priori_slice_permutation_permutes_columns(seed, perm):
     l_ref, s_ref = _solve(y, Decomposition(l_1, s_1))
     _assert_close(_prior(l_1[:, perm], s_1[:, perm]), sigma)
     permuted = Decomposition(l_1[:, perm], s_1[:, perm])
-    l_out, s_out = _solve(KSpaceData(y.samples[:, perm], y.mask, y.dims), permuted)
+    l_out, s_out = _solve(KSpaceData(y.samples[:, perm], y.mask), permuted)
     _assert_close(l_out, l_ref[:, perm])
     _assert_close(s_out, s_ref[:, perm])

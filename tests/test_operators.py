@@ -25,7 +25,7 @@ from helpers import random_volume, shifted_adjoint, shifted_samples, svd_prox
 def random_kspace(rng, mask, dims):
     m = mask.m
     samples = rng.standard_normal((m, dims[2])) + 1j * rng.standard_normal((m, dims[2]))
-    return KSpaceData(samples, mask, dims)
+    return KSpaceData(samples, mask)
 
 
 class TestMakeMask:
@@ -284,16 +284,16 @@ class TestShiftFreeSampling:
         rng = np.random.default_rng(sum(dims) + 1)
         mask = make_mask(dims[0], dims[1], 0.4, seed=dims[1])
         y = random_kspace(rng, mask, dims)
-        got = _adjoint_matrix(y.samples, dims, mask.index)
+        got = _adjoint_matrix(y)
         assert np.array_equal(got, shifted_adjoint(y.samples, dims, mask.pattern))
 
     def test_keeps_column_major_layout(self):
         rng = np.random.default_rng(25)
         dims = (16, 16, 3)
         mask = make_mask(16, 16, 0.3, seed=1)
-        samples = acquire(random_volume(rng, dims), mask).samples
-        assert samples.flags.f_contiguous
-        assert _adjoint_matrix(samples, dims, mask.index).flags.f_contiguous
+        y = acquire(random_volume(rng, dims), mask)
+        assert y.samples.flags.f_contiguous
+        assert _adjoint_matrix(y).flags.f_contiguous
 
 
 class TestInPlaceSpectra:
@@ -343,15 +343,14 @@ class TestDataConsistency:
     def test_matches_textbook_step(self, dims):
         x, y, mask = self._problem(dims, sum(dims) + 2)
         want = x - shifted_adjoint(shifted_samples(x, dims, mask.pattern) - y.samples, dims, mask.pattern)
-        got = _data_consistency(x, np.ascontiguousarray(y.samples.T), dims, mask.index)
+        got = _data_consistency(x, y)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("dims", SHAPES)
     def test_result_reproduces_samples(self, dims):
         x, y, mask = self._problem(dims, sum(dims) + 3)
         assert mask.rate < 1
-        index = mask.index
-        got = _data_consistency(x, np.ascontiguousarray(y.samples.T), dims, index)
+        got = _data_consistency(x, y)
         residual = shifted_samples(got, dims, mask.pattern) - y.samples
         assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(y.samples)
 
@@ -359,11 +358,10 @@ class TestDataConsistency:
         dims = (16, 8, 3)
         x, y, mask = self._problem(dims, 26)
         before = x.copy()
-        index = mask.index
-        got = _data_consistency(x, np.ascontiguousarray(y.samples.T), dims, index)
+        got = _data_consistency(x, y)
         assert got is x
-        residual = shifted_samples(before, dims, mask.pattern) - y.samples
-        assert np.allclose(x, before - _adjoint_matrix(residual, dims, index), rtol=0, atol=1e-13)
+        residual = KSpaceData(shifted_samples(before, dims, mask.pattern) - y.samples, mask)
+        assert np.allclose(x, before - _adjoint_matrix(residual), rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("dims", SHAPES)
     def test_per_slice_scatter_matches_the_fancy_index_form(self, dims):
@@ -371,35 +369,44 @@ class TestDataConsistency:
         # whole (n_z, n_x*n_y) stack; the per-slice np.put must match it bit for bit.
         x, y, mask = self._problem(dims, sum(dims) + 4)
         index = mask.index
-        samples_t = np.ascontiguousarray(y.samples.T)
         want = x.copy(order="F")
         _spectra(want, dims)
-        want.T[:, index] = samples_t
+        want.T[:, index] = y.samples.T
         _spectra(want, dims, inverse=True)
-        assert np.array_equal(_data_consistency(x, samples_t, dims, index), want)
+        assert np.array_equal(_data_consistency(x, y), want)
         want = np.zeros_like(x)
         want.T[:, index] = y.samples.T
         _spectra(want, dims, inverse=True)
-        assert np.array_equal(_adjoint_matrix(y.samples, dims, index), want)
-
-    def test_scatter_rejects_samples_of_the_wrong_shape(self):
-        # np.put repeats a short row; the old fancy-index scatter raised.
-        dims = (8, 8, 2)
-        x, y, mask = self._problem(dims, 28)
-        index = mask.index
-        for samples in (y.samples[:-1], y.samples[:, :1]):
-            with pytest.raises(ValueError, match=r"samples shape .* does not match"):
-                _adjoint_matrix(samples, dims, index)
-            with pytest.raises(ValueError, match=r"samples shape .* does not match"):
-                _data_consistency(x, np.ascontiguousarray(samples.T), dims, index)
+        assert np.array_equal(_adjoint_matrix(y), want)
 
     def test_rejects_row_major_input(self):
         dims = (8, 8, 2)
-        x, y, mask = self._problem(dims, 27)
+        x, y, _ = self._problem(dims, 27)
         with pytest.raises(ValueError, match="column-major"):
-            _data_consistency(
-                np.ascontiguousarray(x), np.ascontiguousarray(y.samples.T), dims, mask.index
-            )
+            _data_consistency(np.ascontiguousarray(x), y)
+
+
+class TestKSpaceData:
+    def test_dims_come_from_the_mask_grid_and_the_sample_columns(self):
+        mask = make_mask(16, 8, 0.4, seed=1)
+        y = random_kspace(np.random.default_rng(30), mask, (16, 8, 3))
+        assert y.dims == (16, 8, 3)
+        assert acquire(random_volume(np.random.default_rng(31), (7, 9, 2)),
+                       make_mask(7, 9, 0.5, seed=2)).dims == (7, 9, 2)
+        # dims is no longer an argument, so the old three-argument call fails.
+        with pytest.raises(TypeError):
+            KSpaceData(y.samples, mask, (16, 8, 3))
+        with pytest.raises(TypeError):
+            KSpaceData(y.samples, mask, dims=(16, 8, 3))
+
+    def test_sample_rows_must_match_m(self):
+        # The kernels scatter with np.put, which would repeat a short row, so
+        # the acquisition guarantees its row count.
+        mask = make_mask(8, 8, 0.5, seed=3)
+        y = random_kspace(np.random.default_rng(32), mask, (8, 8, 2))
+        for samples in (y.samples[:-1], np.vstack([y.samples, y.samples[:1]])):
+            with pytest.raises(ValueError, match=f"m={mask.m}"):
+                KSpaceData(samples, mask)
 
 
 def _matrix_with_spectrum(rng, rows, sigma):

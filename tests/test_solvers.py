@@ -42,7 +42,7 @@ def phantom_50():
 
 def test_zero_data_fixed_point():
     mask = make_mask(16, 16, 0.4, seed=1)
-    y = KSpaceData(np.zeros((mask.m, 2)), mask, (16, 16, 2))
+    y = KSpaceData(np.zeros((mask.m, 2)), mask)
     cfg = SolverConfig(lambda_L=0.5, lambda_S=0.5)
     res = solve(y, cfg)
     assert res.iterations == 1
@@ -107,7 +107,7 @@ def test_priori_zero_data_spectrum_step(monkeypatch):
 
 def test_priori_zero_data_zero_prior():
     mask = make_mask(16, 16, 0.3, seed=6)
-    y = KSpaceData(np.zeros((mask.m, 2)), mask, (16, 16, 2))
+    y = KSpaceData(np.zeros((mask.m, 2)), mask)
     previous = Decomposition(np.zeros((16 * 16, 2)), np.zeros((16 * 16, 2)))
     cfg = SolverConfig(lambda_L=0.1, lambda_S=0.1, max_iter=50)
     res = solve(y, cfg, previous)
@@ -156,9 +156,7 @@ def test_data_consistency_fixed_point_at_full_sampling():
     l = rng.standard_normal((256, 2)) + 1j * rng.standard_normal((256, 2))
     s = rng.standard_normal((256, 2)) + 1j * rng.standard_normal((256, 2))
     combined = np.asfortranarray(l + s)
-    x = _data_consistency(
-        combined, np.ascontiguousarray(y.samples.T), dims, mask.index
-    )
+    x = _data_consistency(combined, y)
     z = acquire(DynamicVolume(x, dims), mask)
     assert np.linalg.norm(z.samples - y.samples) <= 1e-10 * np.linalg.norm(y.samples)
 
@@ -225,6 +223,27 @@ def test_solve_sequence_matches_the_explicit_chain(solver, monkeypatch):
         assert np.array_equal(a.decomposition.S, b.decomposition.S)
         assert a.iterations == b.iterations
 
+
+
+@pytest.mark.parametrize("solver", ["ls", "priori-ls"])
+def test_solves_leave_the_callers_samples_and_previous_pair_unchanged(solver):
+    # priori-ls rebinds y to the residual samples y - A(S_prev) inside the
+    # solve; neither the caller's acquisitions nor a previous pair may change.
+    truth = [x for x, _, _ in generate_frames(PhantomSpec(n_frames=3))]
+    frames = [acquire(f, make_mask(32, 32, 0.5 if t == 0 else 0.25, seed=t))
+              for t, f in enumerate(truth)]
+    kept = [y.samples.tobytes() for y in frames]
+    cfg = SolverConfig(max_iter=5)
+    pair = solve(frames[0], cfg).decomposition
+    before = pair.L.tobytes(), pair.S.tobytes()
+    solve(frames[1], cfg, pair if solver == "priori-ls" else None)
+    assert (pair.L.tobytes(), pair.S.tobytes()) == before
+    results, solved = [], []
+    for result in solve_sequence(frames, cfg, solver):
+        results.append(result.decomposition)
+        solved.append((result.decomposition.L.tobytes(), result.decomposition.S.tobytes()))
+    assert [(d.L.tobytes(), d.S.tobytes()) for d in results] == solved
+    assert [y.samples.tobytes() for y in frames] == kept
 
 
 def test_sequence_rejects_an_unknown_solver_before_reading_a_frame(phantom_50):
@@ -314,9 +333,7 @@ def test_sequence_rejects_mixed_dims(phantom_50):
     _, y, cfg = phantom_50
     mask = make_mask(16, 16, 0.5, seed=9)
     rng = np.random.default_rng(0)
-    other = KSpaceData(
-        rng.standard_normal((mask.m, 2)) + 0j, mask, (16, 16, 2)
-    )
+    other = KSpaceData(rng.standard_normal((mask.m, 2)) + 0j, mask)
     with pytest.raises(ValueError, match="dims"):
         list(solve_sequence([y, other], cfg, "priori-ls"))
 
@@ -326,9 +343,7 @@ def test_sequence_failure_carries_frame_index():
     # sequence must abort naming the frame.
     rng = np.random.default_rng(1)
     mask = make_mask(12, 12, 0.5, seed=3)
-    y = KSpaceData(
-        rng.standard_normal((mask.m, 2)) + 0j, mask, (12, 12, 2)
-    )
+    y = KSpaceData(rng.standard_normal((mask.m, 2)) + 0j, mask)
     cfg = SolverConfig(lambda_L=0.1, lambda_S=0.1)
     with pytest.raises(FrameSolveError) as err:
         list(solve_sequence([y], cfg, "priori-ls"))
@@ -408,7 +423,7 @@ def test_default_config_reads_its_thresholds_off_the_zero_filled_proxy(phantom_5
 
 def test_default_config_rejects_zero_data():
     mask = make_mask(16, 16, 0.4, seed=2)
-    y = KSpaceData(np.zeros((mask.m, 2)), mask, (16, 16, 2))
+    y = KSpaceData(np.zeros((mask.m, 2)), mask)
     with pytest.raises(ValueError):
         default_config(y)
     with pytest.raises(ValueError):
@@ -464,7 +479,7 @@ def test_kspace_rejects_nonfinite():
     samples = np.zeros((mask.m, 1), dtype=complex)
     samples[0, 0] = np.inf
     with pytest.raises(ValueError):
-        KSpaceData(samples, mask, (8, 8, 1))
+        KSpaceData(samples, mask)
 
 
 def test_residual_history_contract(phantom_50):
