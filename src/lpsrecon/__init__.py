@@ -34,7 +34,6 @@ from .solvers import (
     FrameSolveError,
     SolveResult,
     default_config,
-    prior_from_result,
     solve,
     solve_sequence,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "FrameSolveError",
     "SolveResult",
     "default_config",
-    "prior_from_result",
     "solve",
     "solve_sequence",
     "WAVELET_LEVELS",

@@ -151,7 +151,13 @@ def _warn_unconverged(frame: int, result, log=None) -> None:
 def _cmd_recon(args, parser) -> int:
     if (args.prior_l is None) != (args.prior_s is None):
         parser.error("--prior-l and --prior-s must be given together")
-    _refuse_overwrite(Path(args.out).with_suffix(".x"), "--input", args.input)
+    # No file recon writes may be one it reads.
+    out = Path(args.out)
+    inputs = {"--input": args.input, "--prior-l": args.prior_l, "--prior-s": args.prior_s}
+    for flag, source in inputs.items():
+        if source is not None:
+            for suffix in (".x", ".l", ".s"):
+                _refuse_overwrite(out.with_suffix(suffix), flag, source)
     # The prior files' headers and sizes are checked against the input's, and
     # the mask is made, before any payload is read, so a mismatch or a bad rate
     # fails before the solve.
@@ -168,7 +174,7 @@ def _cmd_recon(args, parser) -> int:
     if args.prior_l is not None:
         previous = Decomposition(load_volume(args.prior_l).data, load_volume(args.prior_s).data)
     result = solve(y, cfg, previous)
-    estimate = _write_components(Path(args.out), volume.dims, result.decomposition)
+    estimate = _write_components(out, volume.dims, result.decomposition)
     print(METRICS_HEADER)
     print(_metrics_line(1, result, volume, estimate))
     _warn_unconverged(1, result)

@@ -111,8 +111,7 @@ class SolverConfig:
     shrinkage. A threshold left None is data-scaled from the zero-filled
     proxy X0 = A^H(y) by ``solvers.default_config``: lambda_L =
     0.05 sigma_max(X0) and lambda_S = 0.02 max|T(X0)|, the scales being
-    ``solvers.LAMBDA_L_SCALE`` and ``LAMBDA_S_SCALE``. The prior step of
-    ``priori-ls`` is the constant ``operators.LAMBDA_P``.
+    ``solvers.LAMBDA_L_SCALE`` and ``LAMBDA_S_SCALE``.
     """
 
     lambda_L: float | None = None

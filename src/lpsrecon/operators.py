@@ -24,7 +24,6 @@ import numpy as np
 from .core import DynamicVolume, _require_int, _require_threshold, _slice_view
 
 __all__ = [
-    "LAMBDA_P",
     "SamplingMask",
     "KSpaceData",
     "make_mask",
@@ -34,14 +33,14 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SamplingMask:
     """Boolean frequency-sampling pattern over an (n_x, n_y) grid.
 
     ``index`` holds the flat indices of the sampled entries in the unshifted
     spectrum (``_sample_index``), derived once here for every transform that
-    reads or writes the samples. The mask keeps a read-only copy of the
-    pattern, so the index cannot go stale.
+    reads or writes the samples. The mask is frozen and keeps a read-only
+    copy of the pattern, so the index cannot go stale.
     """
 
     pattern: np.ndarray
@@ -56,8 +55,8 @@ class SamplingMask:
         if not pat.any():
             raise ValueError("mask must sample at least one frequency")
         pat.flags.writeable = False
-        self.pattern = pat
-        self.index = _sample_index(pat)
+        object.__setattr__(self, "pattern", pat)
+        object.__setattr__(self, "index", _sample_index(pat))
 
     @property
     def m(self) -> int:
@@ -70,14 +69,15 @@ class SamplingMask:
         return self.m / self.pattern.size
 
 
-@dataclass
+@dataclass(frozen=True)
 class KSpaceData:
     """Undersampled frequency-domain measurements of one volume.
 
     ``samples`` is m x n_z: column z holds the sampled coefficients of
     slice z, in row-major order of the mask's True positions. ``dims``,
     (n_x, n_y, n_z), is derived here from the mask's grid and the sample
-    columns.
+    columns. The acquisition is frozen, so no field can be rebound: the row
+    count and ``dims`` checked here hold for its life.
     """
 
     samples: np.ndarray
@@ -85,14 +85,15 @@ class KSpaceData:
     dims: tuple[int, int, int] = field(init=False)
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.complex128)
-        if self.samples.ndim != 2:
+        samples = np.asarray(self.samples, dtype=np.complex128)
+        if samples.ndim != 2:
             raise ValueError("samples must be a 2-D matrix")
-        if self.samples.shape[0] != self.mask.m:
-            raise ValueError(f"samples shape {self.samples.shape} inconsistent with m={self.mask.m}")
-        if not np.isfinite(self.samples).all():
+        if samples.shape[0] != self.mask.m:
+            raise ValueError(f"samples shape {samples.shape} inconsistent with m={self.mask.m}")
+        if not np.isfinite(samples).all():
             raise ValueError("k-space samples contain non-finite entries")
-        self.dims = (*self.mask.pattern.shape, self.samples.shape[1])
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "dims", (*self.mask.pattern.shape, samples.shape[1]))
 
 
 # Exponent of the variable-density weight in make_mask.
@@ -227,30 +228,15 @@ def _gram_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(np.maximum(eigvals[::-1], 0.0)), vecs[:, ::-1]
 
 
-# Step of the prior spectrum pull (``sv_threshold``), read at each call.
-LAMBDA_P = 0.7
-
-
-def sv_threshold(m: np.ndarray, lam: float, sigma_prev: np.ndarray | None = None) -> np.ndarray:
+def sv_threshold(m: np.ndarray, lam: float) -> np.ndarray:
     """Soft-threshold the singular values of a matrix (nuclear-norm prox), as
     M V diag(f / sigma) V^H with f = max(sigma - lam, 0), in column-major layout.
-
-    With a prior spectrum ``sigma_prev``, the thresholded spectrum is then
-    stepped toward it, f <- max(f - LAMBDA_P * (f - sigma_prev), 0), on the
-    same singular vectors: one spectral map of M, so no second decomposition.
     Where sigma = 0 the factor stays 0, so the result lies in range(M).
-    LAMBDA_P = 0 gives exactly the prox alone.
     """
     _require_threshold(lam)
     m = np.asarray(m, dtype=np.complex128)
     sigma, v = _gram_spectrum(m)
     shrunk = np.maximum(sigma - lam, 0.0)
-    if sigma_prev is not None:
-        if np.shape(sigma_prev) != sigma.shape:
-            raise ValueError(
-                f"sigma_prev shape {np.shape(sigma_prev)} does not match matrix columns {m.shape[1]}"
-            )
-        shrunk = np.maximum(shrunk - LAMBDA_P * (shrunk - sigma_prev), 0.0)
     factor = np.divide(shrunk, sigma, out=np.zeros_like(sigma), where=sigma > 0)
     # (M V diag(f) V^H)^T computed on the row-major transpose M^T.
     return ((v.conj() * factor) @ v.T @ m.T).T

@@ -5,9 +5,7 @@ baseline ``ls`` without a previous frame and the prior-informed
 ``priori-ls`` with the previous frame's (L, S). From X0 and S0 = 0 it
 repeats
 
-    1. L <- singular-value soft-thresholding of (X - S) with lambda_L; with
-       a prior, the thresholded spectrum is then stepped toward the previous
-       frame's spectrum with step LAMBDA_P, on the same singular vectors
+    1. L <- singular-value soft-thresholding of (X - S) with lambda_L
     2. S <- inverse transform of the soft-thresholded coefficients of (X - L)
     3. X <- L + S - A^H(A(L + S) - y)   (data consistency); the transform
        is unitary, so this is the spectral replacement F^H[F(L + S) with
@@ -18,35 +16,26 @@ repeats
 and stops once the relative change of X drops below ``tol``. The returned
 reconstruction estimate is L + S.
 
-``ls`` starts from the zero-filled proxy X0 = A^H(y). ``priori-ls`` is the
-same loop on the residual data y - A(S_prev) (CS-residual: only the change
-of the sparse component is left to find), started from the previous L after
-one data-consistency step against those samples, with S_prev added back to
-the S it returns (``_iterate``). The step is the constant
-``operators.LAMBDA_P`` (0.7), which ``sv_threshold`` reads at each call.
-With LAMBDA_P = 0 and a zero previous pair, a solve with a prior reduces
-exactly to one without.
+Both solvers target the convex objective
 
-The baseline ``ls`` solver targets the convex objective
+    F(L, S) = 1/2 ||A(L + S) - y||^2 + lambda_L ||L - L_prev||_*
+              + lambda_S ||T (S - S_prev)||_1
 
-    F(L, S) = 1/2 ||A(L + S) - y||^2 + lambda_L ||L||_* + lambda_S ||T S||_1
-
-with T the orthogonal wavelet transform: with g = A^H(A(L + S) - y), the
-loop's fixed points satisfy L = SVT(L - g) and S = T^H soft(T(S - g)), the
-proximal-gradient optimality conditions of F. ``priori-ls`` changes two
-terms:
-
-- the sigma pull: the prior step adds (c/2) ||sigma(L) - sigma_prev||^2 with
-  c = LAMBDA_P / (1 - LAMBDA_P), a difference of convex terms, so the
-  objective is no longer convex; the step f <- f - LAMBDA_P (f - sigma_prev)
-  is its exact prox wherever sigma >= lambda_L, and LAMBDA_P = 1 pins the
-  spectrum to sigma_prev;
-- the residual: the sparse term is lambda_S ||T (S - S_prev)||_1, so S is
-  penalized only where it departs from the previous frame's.
+with T the orthogonal wavelet transform and, for ``ls``, L_prev = S_prev =
+0: with g = A^H(A(L + S) - y), the loop's fixed points satisfy
+L - L_prev = SVT(L - L_prev - g) and S - S_prev = T^H soft(T(S - S_prev -
+g)), the proximal-gradient optimality conditions of F. In the change
+(L - L_prev, S - S_prev), F is the ``ls`` objective on the residual data
+y - A(L_prev + S_prev). So ``priori-ls`` is the ``ls`` loop on those samples,
+from X0 = A^H(y - A(L_prev + S_prev)), with the previous pair added back to
+the (L, S) it returns (``_iterate``): CS-residual (Vaswani, IEEE TSP 2010)
+for both components, and for L the recursive form of ReProCS (Qiu, Vaswani
+et al., IEEE TIT 2014). Its first iterate L_prev + S_prev + X0 is view
+sharing, the previous estimate with the new samples put in. A zero pair
+gives exactly the solve without one.
 
 Settings come as one ``SolverConfig``. Its thresholds may be left None:
-``default_config`` resolves them from the acquisition before a solve. The
-prior spectrum is formed here, by ``prior_from_result``, from the previous L.
+``default_config`` resolves them from the acquisition before a solve.
 
 ``solve_sequence(frames, cfg, solver)`` chains the frames of a sequence
 under one config: frame 1 has no prior; every later frame is solved from the
@@ -82,7 +71,6 @@ __all__ = [
     "default_config",
     "solve",
     "solve_sequence",
-    "prior_from_result",
     "uses_prior",
 ]
 
@@ -161,43 +149,34 @@ def _relative_change(x: np.ndarray, x_new: np.ndarray, dims: tuple[int, int, int
     return norm_diff / norm_old if norm_old else norm_diff
 
 
-def _iterate(y: KSpaceData, cfg: SolverConfig, previous: list[Decomposition]) -> SolveResult:
-    """Solve y from ``previous``: an empty list (``ls``) or one holding the
-    previous frame's (L, S) (``priori-ls``), which the solve takes out of it.
+def _iterate(y: KSpaceData, cfg: SolverConfig, previous: Decomposition | None) -> SolveResult:
+    """Solve y: ``ls`` without ``previous``, ``priori-ls`` with the previous
+    frame's (L, S).
 
     Without a pair the loop runs on y from X0 = A^H(y). With one it runs on
-    the residual samples y_r = y - A(S_prev), formed in place in the buffer
-    ``acquire`` returns and rebound as y (the caller's y is left as it is),
-    from X0 = L_prev - A^H(A(L_prev) - y_r) (L_prev after one
-    data-consistency step against those samples); it pulls the spectrum
-    toward L_prev's and adds S_prev to the S it finds. Taken out of the
-    list, L_prev is held only until X0 is formed. A zero pair gives the
-    samples and X0 of the solve without one.
+    the residual samples y_r = y - A(L_prev + S_prev), formed in place in the
+    buffer ``acquire`` returns and rebound as y (the caller's y is left as it
+    is), from X0 = A^H(y_r), and adds L_prev and S_prev to the L and S it
+    finds. A zero pair gives the samples and X0 of the solve without one.
     """
     # Iterates stay column-major (a C-contiguous slice stack): no reshape copies.
     dims = y.dims
-    if previous:
-        pair = previous.pop()
-        sigma_prev, s_prev = prior_from_result(pair, dims), pair.S
-        residual = acquire(DynamicVolume(s_prev, dims), y.mask).samples
+    if previous is not None:
+        residual = acquire(DynamicVolume(previous.estimate(), dims), y.mask).samples
         y = KSpaceData(np.subtract(y.samples, residual, out=residual), y.mask)
-        x = _data_consistency(pair.L.copy(order="F"), y)
-        pair = None
-    else:
-        sigma_prev = s_prev = None
-        x = _adjoint_matrix(y)
+    x = _adjoint_matrix(y)
     s = np.zeros_like(x)
     history: list[float] = []
     converged = False
 
-    # Four full-size buffers, five with S_prev: X, L, S and the work buffer r,
-    # which holds X - S, then X - L, and becomes S through the in-place sparse
-    # step. S and the old L are dropped once dead, before sv_threshold
-    # allocates the new L.
+    # Four full-size buffers, X, L, S and the work buffer r, beside the
+    # previous pair: r holds X - S, then X - L, and becomes S through the
+    # in-place sparse step. S and the old L are dropped once dead, before
+    # sv_threshold allocates the new L.
     for it in range(1, cfg.max_iter + 1):
         r = x - s
         l = s = None
-        l = sv_threshold(r, cfg.lambda_L, sigma_prev)
+        l = sv_threshold(r, cfg.lambda_L)
         np.subtract(x, l, out=r)
         _forward_matrix(r, dims)
         _soft_threshold_keep(r, cfg.lambda_S)
@@ -219,8 +198,9 @@ def _iterate(y: KSpaceData, cfg: SolverConfig, previous: list[Decomposition]) ->
     data_residual = _sample_residual(np.add(l, s, out=x), y)
     if not np.isfinite(data_residual):
         raise FloatingPointError(f"solver produced a non-finite estimate at iteration {len(history)}")
-    if s_prev is not None:
-        s += s_prev
+    if previous is not None:
+        l += previous.L
+        s += previous.S
     return SolveResult(
         decomposition=Decomposition(l, s),
         converged=converged,
@@ -234,28 +214,14 @@ def solve(y: KSpaceData, cfg: SolverConfig, previous: Decomposition | None = Non
     ``priori-ls`` with the previous frame's (L, S). None thresholds in
     ``cfg`` are resolved by ``default_config``.
 
-    With the previous pair, the loop runs on the residual y - A(S_prev) from
-    the previous L made consistent with the data, pulls the low-rank spectrum
-    toward the previous L's (``prior_from_result``), and adds S_prev back to
-    the sparse component it finds.
+    With the previous pair, the loop solves for the change (L - L_prev,
+    S - S_prev) on the residual y - A(L_prev + S_prev), and adds the pair
+    back to the components it finds.
     """
     if previous is not None and not isinstance(previous, Decomposition):
         raise TypeError(f"previous must be a Decomposition (the previous frame's L, S), "
                         f"got {type(previous).__name__}")
-    return _iterate(y, default_config(y, cfg), [] if previous is None else [previous])
-
-
-def prior_from_result(decomposition: Decomposition, dims: tuple[int, int, int]) -> np.ndarray:
-    """The next frame's prior spectrum sigma_prev: the singular values of a
-    reconstruction's L. They come from a full SVD, which resolves L's trailing
-    singular values (``compute_uv=False`` differs from it in the last bits).
-    There are n_z of them: a wide L (n_x n_y < n_z) has only n_x n_y, and the
-    rest are exactly 0."""
-    n_x, n_y, n_z = dims
-    if decomposition.L.shape != (n_x * n_y, n_z):
-        raise ValueError(f"prior L/S shape {decomposition.L.shape} inconsistent with dims {dims}")
-    sigma = np.linalg.svd(decomposition.L, full_matrices=False)[1]
-    return np.pad(sigma, (0, n_z - sigma.size))
+    return _iterate(y, default_config(y, cfg), previous)
 
 
 def uses_prior(solver: str) -> bool:
@@ -274,17 +240,14 @@ def solve_sequence(
     prior (none exists yet) and ``cfg`` resolved from its own samples
     (``default_config``); every later frame with ``cfg`` resolved once, from
     frame 2, from the previous result's (L, S) under ``priori-ls``, as
-    ``solve`` does, and alone under ``ls``. The previous L is dropped once the
-    next frame's first iterate is formed from it, and the previous S once that
-    frame is solved, so memory does not grow with the frame count. An unknown
-    solver raises ValueError before any frame is read, and mixed dims raise
-    ValueError; any other failure at a frame aborts with its 1-based index.
+    ``solve`` does, and alone under ``ls``. The previous pair is held through
+    the next frame's solve and dropped before that frame's result is yielded,
+    so memory does not grow with the frame count. An unknown solver raises
+    ValueError before any frame is read, and mixed dims raise ValueError; any
+    other failure at a frame aborts with its 1-based index.
     """
     threads_prior = uses_prior(solver)
-    dims = resolved = None
-    # The previous pair, handed to _iterate in the list rather than by
-    # solve(frame, resolved, previous), which would hold it through the solve.
-    previous: list[Decomposition] = []
+    dims = resolved = previous = None
     for t, frame in enumerate(frames, start=1):
         if dims is None:
             dims = frame.dims
@@ -296,9 +259,10 @@ def solve_sequence(
             result = _iterate(frame, resolved, previous)
         except Exception as exc:  # noqa: BLE001 - abort must carry the frame index
             raise FrameSolveError(t, exc) from exc
+        previous = None
         yield result
         if threads_prior:
-            previous.append(result.decomposition)
+            previous = result.decomposition
         del result
     if dims is None:
         raise ValueError("frame list must be nonempty")

@@ -69,15 +69,11 @@ def random_volume(rng, dims):
     return DynamicVolume(data, dims)
 
 
-def svd_prox(m, lam, sigma_prev=None, lambda_p=0.0):
+def svd_prox(m, lam):
     """Nuclear-norm prox from a full SVD: U diag(g(sigma)) V^H with
-    g = max(sigma - lam, 0), then, given a prior spectrum,
-    g <- max(g - lambda_p * (g - sigma_prev), 0)."""
+    g = max(sigma - lam, 0)."""
     u, sigma, vh = np.linalg.svd(np.asarray(m, dtype=np.complex128), full_matrices=False)
-    g = np.maximum(sigma - lam, 0.0)
-    if sigma_prev is not None:
-        g = np.maximum(g - lambda_p * (g - np.asarray(sigma_prev)), 0.0)
-    return (u * g) @ vh
+    return (u * np.maximum(sigma - lam, 0.0)) @ vh
 
 
 def shifted_samples(data, dims, pattern):

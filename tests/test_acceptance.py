@@ -32,7 +32,6 @@ from lpsrecon import (
     wavelet_inverse,
 )
 from lpsrecon.phantom import PhantomSpec
-from lpsrecon import operators
 
 from helpers import (
     grid_prox_minimizer,
@@ -109,16 +108,15 @@ def test_criterion_2_operator_algebra():
     print(f"\nACCEPTANCE 2 PASS: operator algebra holds at 1e-10 ({elapsed:.1f}s)")
 
 
-def test_criterion_3_reduction_regression(monkeypatch):
-    """solve from a zero previous pair with LAMBDA_P = 0 is iterate-identical to solve without."""
-    monkeypatch.setattr(operators, "LAMBDA_P", 0.0)
+def test_criterion_3_reduction_regression():
+    """solve from a zero previous pair is iterate-identical to solve without."""
     started = time.perf_counter()
     truth = [x for x, _, _ in generate_frames(PhantomSpec())]
     mask = make_mask(32, 32, 0.5, seed=7)
     y = acquire(truth[0], mask)
     cfg = default_config(y)
-    # A zero (L, S) gives the prior spectrum 0, the residual y - A(0) = y and
-    # the first iterate A^H(y).
+    # A zero (L, S) gives the residual y - A(0) = y, the first iterate A^H(y),
+    # and adds 0 back.
     zero_pair = Decomposition(np.zeros((32 * 32, 4)), np.zeros((32 * 32, 4)))
 
     for max_iter in (1, 7, 25, cfg.max_iter):

@@ -17,7 +17,6 @@ from lpsrecon import (
     acquire,
     make_mask,
     parse_config,
-    prior_from_result,
     psnr,
     run_sweep,
     save_volume,
@@ -508,14 +507,13 @@ class TestCli:
         assert code == 0
         assert "priori-ls" in capsys.readouterr().err
 
-        # the prior of the pair read back from rec1.l/rec1.s is the one
-        # solve_sequence builds from the in-memory frame-1 result
+        # the pair read back from rec1.l/rec1.s is, bit for bit, the
+        # in-memory frame-1 result that solve_sequence would carry
         _, cfg = parse_config(config_file)
         y1 = acquire(vol, make_mask(32, 32, 0.5, seed=0))
         first = solve(y1, cfg)
-        got = prior_from_result(pairs[0], vol.dims)
-        want = prior_from_result(first.decomposition, vol.dims)
-        assert np.array_equal(got, want)
+        assert np.array_equal(pairs[0].L, first.decomposition.L)
+        assert np.array_equal(pairs[0].S, first.decomposition.S)
 
     def test_recon_reproduces_recon_seq_frame_by_frame(self, tmp_path, capsys):
         # recon builds its mask as recon-seq does, and a prior read back from
@@ -659,6 +657,24 @@ class TestCli:
         assert captured.err.startswith("error: --out ") and "--input" in captured.err
         assert captured.out == ""
         assert {p.name: p.read_bytes() for p in frames_dir.iterdir()} == before
+
+    @pytest.mark.parametrize("out", ["rec1", "rec1.x"])
+    def test_recon_refuses_an_out_that_is_its_prior(self, tmp_path, capsys, config_file, out):
+        # --out rec1 writes rec1.l and rec1.s, the prior files it reads.
+        frames_dir = tmp_path / "frames"
+        main(["phantom", "gen", "--config", str(config_file), "--out", str(frames_dir)])
+        assert main(["recon", "--input", str(frames_dir / "frame0001.x"), "--rate", "0.5",
+                     "--out", str(tmp_path / "rec1")]) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.glob("rec1.*")}
+        capsys.readouterr()
+        code = main(["recon", "--input", str(frames_dir / "frame0002.x"), "--rate", "0.25",
+                     "--prior-l", str(tmp_path / "rec1.l"), "--prior-s", str(tmp_path / "rec1.s"),
+                     "--out", str(tmp_path / out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --out ") and "--prior-l" in captured.err
+        assert captured.out == ""
+        assert {p.name: p.read_bytes() for p in tmp_path.glob("rec1.*")} == before
 
     BAD_SETTINGS = [
         ("solver", "tol = -1", "tol"),

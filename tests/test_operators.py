@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -210,13 +212,13 @@ def _low_rank_plus_noise(rng, rows, cols, rank, noise):
 
 
 class TestSvThresholdAgainstSvd:
-    """The Gram-eigen SVT, with and without the prior step (``LAMBDA_P``),
-    agrees with the full-SVD spectral map to 1e-10 relative."""
+    """The Gram-eigen SVT agrees with the full-SVD spectral map to 1e-10
+    relative."""
 
     @staticmethod
-    def _check(m, lam, sigma_prev=None):
-        ref = svd_prox(m, lam, sigma_prev, operators.LAMBDA_P)
-        out = sv_threshold(m, lam, sigma_prev)
+    def _check(m, lam):
+        ref = svd_prox(m, lam)
+        out = sv_threshold(m, lam)
         assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("lam_frac", [0.01, 0.05, 0.3, 0.9])
@@ -230,17 +232,6 @@ class TestSvThresholdAgainstSvd:
         rng = np.random.default_rng(21)
         m = _low_rank_plus_noise(rng, 300, 6, rank=2, noise=0.0)
         self._check(m, lam_frac * np.linalg.svd(m, compute_uv=False)[0])
-
-    @pytest.mark.parametrize("lambda_p", [0.0, 0.5, 1.0])
-    @pytest.mark.parametrize("prev_frac", [[1.2, 0.8, 0.5, 0.3, 0.2, 0.1], [1.0, 0.6, 0.2, 0, 0, 0]])
-    def test_prior_step(self, lambda_p, prev_frac, monkeypatch):
-        # lam zeroes the noise modes, so the prior both moves kept modes and
-        # revives thresholded ones; trailing zeros in the prior shrink modes.
-        monkeypatch.setattr(operators, "LAMBDA_P", lambda_p)
-        rng = np.random.default_rng(26)
-        m = _low_rank_plus_noise(rng, 400, 6, rank=3, noise=0.05)
-        sigma_max = np.linalg.svd(m, compute_uv=False)[0]
-        self._check(m, 0.05 * sigma_max, sigma_max * np.array(prev_frac))
 
     def test_zero_threshold(self):
         rng = np.random.default_rng(22)
@@ -256,16 +247,11 @@ class TestSvThresholdAgainstSvd:
         m = _low_rank_plus_noise(rng, 65536, 16, rank=4, noise=0.01)
         sigma = np.linalg.svd(m, compute_uv=False)
         self._check(m, 0.05 * sigma[0])
-        prev = np.concatenate([0.9 * sigma[:4], np.zeros(12)])
-        self._check(m, 0.05 * sigma[0], prev)  # at the shipped step, 0.7
 
-    def test_keeps_column_major_layout(self, monkeypatch):
+    def test_keeps_column_major_layout(self):
         rng = np.random.default_rng(24)
         m = np.asfortranarray(_low_rank_plus_noise(rng, 64, 4, rank=2, noise=0.1))
         assert sv_threshold(m, 0.5).flags.f_contiguous
-        for lambda_p in (0.5, 0.0):
-            monkeypatch.setattr(operators, "LAMBDA_P", lambda_p)
-            assert sv_threshold(m, 0.5, np.ones(4)).flags.f_contiguous
 
 
 class TestShiftFreeSampling:
@@ -408,70 +394,15 @@ class TestKSpaceData:
             with pytest.raises(ValueError, match=f"m={mask.m}"):
                 KSpaceData(samples, mask)
 
-
-def _matrix_with_spectrum(rng, rows, sigma):
-    """Random matrix with the prescribed singular values."""
-    n = len(sigma)
-    qa, _ = np.linalg.qr(rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n)))
-    qb, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return (qa * np.asarray(sigma)) @ qb.conj().T
-
-
-class TestApplySigmaPrior:
-    """The sigma-prior step, applied by ``sv_threshold`` to the thresholded
-    spectrum on the singular vectors of its input, with the step
-    ``operators.LAMBDA_P`` set per test. With lam = 0 the prox keeps the
-    spectrum, so these check the step alone."""
-
-    def test_zero_step_returns_input(self, monkeypatch):
-        # LAMBDA_P = 0 leaves the prox's output unchanged, bit for bit.
-        monkeypatch.setattr(operators, "LAMBDA_P", 0.0)
-        rng = np.random.default_rng(11)
-        m = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
-        for lam in (0.0, 0.7):
-            got = sv_threshold(m, lam, np.array([1.0, 1.0, 0.5]))
-            assert np.array_equal(got, sv_threshold(m, lam))
-
-    def test_half_step_arithmetic(self, monkeypatch):
-        monkeypatch.setattr(operators, "LAMBDA_P", 0.5)
-        rng = np.random.default_rng(12)
-        m = _matrix_with_spectrum(rng, 10, [4.0, 2.0])
-        out = sv_threshold(m, 0.0, np.array([2.0, 2.0]))
-        assert np.allclose(np.linalg.svd(out, compute_uv=False), [3.0, 2.0], atol=1e-10)
-
-    def test_full_step_reaches_prior(self, monkeypatch):
-        monkeypatch.setattr(operators, "LAMBDA_P", 1.0)
-        rng = np.random.default_rng(13)
-        m = _matrix_with_spectrum(rng, 10, [1.0, 0.0])
-        out = sv_threshold(m, 0.0, np.array([5.0, 0.0]))
-        sigma = np.linalg.svd(out, compute_uv=False)
-        assert np.linalg.norm(sigma - [5.0, 0.0]) <= 1e-10
-
-    def test_contracts_spectral_distance(self, monkeypatch):
-        rng = np.random.default_rng(14)
-        for _ in range(20):
-            sigma = np.sort(rng.uniform(0, 3, 3))[::-1]
-            prev = np.sort(rng.uniform(0, 3, 3))[::-1]
-            monkeypatch.setattr(operators, "LAMBDA_P", rng.uniform(0, 1))
-            m = _matrix_with_spectrum(rng, 9, sigma)
-            out_sigma = np.linalg.svd(sv_threshold(m, 0.0, prev), compute_uv=False)
-            before = np.linalg.norm(sigma - prev)
-            after = np.linalg.norm(out_sigma - prev)
-            assert after <= before + 1e-9
-            # no clamping can fire for non-negative inputs with LAMBDA_P <= 1
-            assert out_sigma.min() >= -1e-12
-
-    def test_stays_in_range_of_input(self, monkeypatch):
-        # A rank-1 input has no singular vectors for the prior's trailing
-        # modes: they get no mass, and the output stays in range(M).
-        monkeypatch.setattr(operators, "LAMBDA_P", 0.5)
-        rng = np.random.default_rng(16)
-        m = _matrix_with_spectrum(rng, 64, [3.0, 0.0, 0.0, 0.0])
-        out = sv_threshold(m, 0.5, np.array([4.0, 3.0, 2.0, 1.0]))
-        u1 = np.linalg.svd(m)[0][:, :1]
-        assert np.linalg.norm(out - u1 @ (u1.conj().T @ out)) <= 1e-7 * np.linalg.norm(out)
-        assert np.allclose(np.linalg.svd(out, compute_uv=False)[0], 3.25, atol=1e-10)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            sv_threshold(np.zeros((4, 2), dtype=complex), 0.0, np.zeros(3))
+    def test_acquisition_cannot_be_reassigned(self):
+        # Each check holds only at construction, and the mask's index is
+        # derived from its pattern, so no field may be rebound afterwards.
+        mask = make_mask(8, 8, 0.5, seed=3)
+        y = random_kspace(np.random.default_rng(33), mask, (8, 8, 2))
+        for obj, name, value in ((y, "samples", y.samples[:-1]), (y, "mask", make_mask(8, 8, 0.25)),
+                                 (y, "dims", (8, 8, 1)), (mask, "pattern", ~mask.pattern),
+                                 (mask, "index", mask.index[:1])):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, value)
+        assert y.samples.shape == (mask.m, 2) and y.dims == (8, 8, 2)
+        assert np.array_equal(mask.index, operators._sample_index(mask.pattern))

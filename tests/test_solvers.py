@@ -17,14 +17,13 @@ from lpsrecon import (
     default_config,
     generate_frames,
     make_mask,
-    prior_from_result,
     psnr,
     run_sweep,
     solve,
     solve_sequence,
     wavelet_forward,
 )
-from lpsrecon import operators, solvers
+from lpsrecon import solvers
 from lpsrecon.operators import _data_consistency, _gram_spectrum, sv_threshold
 from lpsrecon.phantom import PhantomSpec
 
@@ -79,11 +78,10 @@ def test_phantom_50_converges(phantom_50):
     assert first.iterations == 1
 
 
-def test_reduction_to_baseline_is_exact(phantom_50, monkeypatch):
+def test_reduction_to_baseline_is_exact(phantom_50):
     _, y, cfg = phantom_50
-    monkeypatch.setattr(operators, "LAMBDA_P", 0.0)
-    # A zero (L, S) gives the prior spectrum 0, the residual y - A(0) = y and
-    # the first iterate A^H(y).
+    # A zero (L, S) gives the residual y - A(0) = y, the first iterate A^H(y),
+    # and adds 0 back.
     zero_pair = Decomposition(np.zeros((32 * 32, 4)), np.zeros((32 * 32, 4)))
     for max_iter in (1, 5, 20, cfg.max_iter):
         cfg_k = replace(cfg, max_iter=max_iter)
@@ -93,16 +91,6 @@ def test_reduction_to_baseline_is_exact(phantom_50, monkeypatch):
         assert np.array_equal(a.decomposition.S, b.decomposition.S)
         assert np.array_equal(a.residual_history, b.residual_history)
         assert a.iterations == b.iterations and a.converged == b.converged
-
-
-def test_priori_zero_data_spectrum_step(monkeypatch):
-    # The prior step acts on the singular vectors of the thresholded matrix,
-    # so the result lies in its range: a zero matrix gives exactly 0, however
-    # large the prior spectrum.
-    monkeypatch.setattr(operators, "LAMBDA_P", 0.5)
-    sigma_prev = np.array([4.0, 2.0, 1.0, 0.0])
-    out = sv_threshold(np.zeros((32 * 32, 4), dtype=complex), 0.1, sigma_prev)
-    assert np.array_equal(out, np.zeros((32 * 32, 4)))
 
 
 def test_priori_zero_data_zero_prior():
@@ -183,8 +171,8 @@ def test_static_sequence_support_stabilizes():
 
 
 def test_sequence_keeps_each_frame_as_solved_alone():
-    # prior_from_result must not transform a frame's S in place after the
-    # sequence has stored it.
+    # The next frame's solve must not write to a frame's (L, S) after the
+    # sequence has yielded it.
     truth = [x for x, _, _ in generate_frames(PhantomSpec(n_frames=3))]
     frames = [acquire(f, make_mask(32, 32, 0.5 if t == 0 else 0.25, seed=t)) for t, f in enumerate(truth)]
     cfg_first, cfg_rest = default_config(frames[0]), default_config(frames[1])
@@ -200,14 +188,13 @@ def test_sequence_keeps_each_frame_as_solved_alone():
 
 
 @pytest.mark.parametrize("solver", ["ls", "priori-ls"])
-def test_solve_sequence_matches_the_explicit_chain(solver, monkeypatch):
+def test_solve_sequence_matches_the_explicit_chain(solver):
     # Frame 1 by ls with the config resolved from it; frames >= 2 share the
-    # config resolved from frame 2, and priori-ls builds each prior with the
-    # step read at call time. With ls, frames >= 2 are solved alone.
+    # config resolved from frame 2, and priori-ls solves each from the
+    # previous frame's pair. With ls, frames >= 2 are solved alone.
     truth = [x for x, _, _ in generate_frames(PhantomSpec(n_frames=3))]
     frames = [acquire(f, make_mask(32, 32, 0.5 if t == 0 else 0.25, seed=t))
               for t, f in enumerate(truth)]
-    monkeypatch.setattr(operators, "LAMBDA_P", 0.5)
     cfg = SolverConfig()
     cfg_first, cfg_rest = default_config(frames[0], cfg), default_config(frames[1], cfg)
     want = [solve(frames[0], cfg_first)]
@@ -261,34 +248,12 @@ def test_sequence_rejects_an_unknown_solver_before_reading_a_frame(phantom_50):
 
 
 def test_priori_ls_runs_on_a_wide_casorati_matrix():
-    # 8x8 slices and 80 of them: L is 64 x 80, so it has 64 singular values and
-    # the prior spectrum carries 16 exact zeros to reach n_z.
+    # 8x8 slices and 80 of them: L is 64 x 80, wider than it is tall.
     spec = PhantomSpec(dims=(8, 8, 80), n_frames=3, n_blobs=0, blob_width=1.0)
     truth = [x for x, _, _ in generate_frames(spec)]
     frames = [acquire(f, make_mask(8, 8, 0.5, seed=t)) for t, f in enumerate(truth)]
     results = list(solve_sequence(frames, SolverConfig(), "priori-ls"))
     assert len(results) == 3 and all(r.converged for r in results)
-    sigma_prev = prior_from_result(results[0].decomposition, spec.dims)
-    assert sigma_prev.shape == (80,)
-    assert np.array_equal(sigma_prev[64:], np.zeros(16))
-    assert np.array_equal(
-        sigma_prev[:64], np.linalg.svd(results[0].decomposition.L, full_matrices=False)[1]
-    )
-
-
-def test_prior_from_result_leaves_the_pair_unchanged(phantom_50):
-    # Neither building the prior nor a solve from the pair may write to it:
-    # callers such as list(solve_sequence(...)) still hold it.
-    truth, y, cfg = phantom_50
-    dec = solve(y, replace(cfg, max_iter=5)).decomposition
-    before_l, before_s = dec.L.copy(), dec.S.copy()
-    prior_from_result(dec, y.dims)
-    assert dec.L.tobytes() == before_l.tobytes()
-    assert dec.S.tobytes() == before_s.tobytes()
-    y2 = acquire(truth[1], make_mask(32, 32, 0.25, seed=8))
-    solve(y2, replace(cfg, max_iter=5), dec)
-    assert dec.L.tobytes() == before_l.tobytes()
-    assert dec.S.tobytes() == before_s.tobytes()
 
 
 @pytest.mark.parametrize("dims", [(64, 64, 4), (128, 128, 8)])
@@ -312,8 +277,10 @@ def test_solve_peak_memory_is_at_most_five_volumes(dims):
 
 
 def test_sequence_reads_each_frame_only_when_it_is_needed(phantom_50):
+    # tol = 1e-300 keeps each solve at max_iter: copies 2 and 3 of the one
+    # frame leave almost no residual data, and would converge at once.
     _, y, cfg = phantom_50
-    cfg = replace(cfg, max_iter=3)
+    cfg = replace(cfg, max_iter=3, tol=1e-300)
     read = []
 
     def frames():
@@ -407,7 +374,6 @@ def test_default_config_golden_values(phantom_50):
     _, _, cfg = phantom_50
     assert cfg.lambda_L == pytest.approx(0.05207259759189849, rel=1e-9)
     assert cfg.lambda_S == pytest.approx(0.005286858860663305, rel=1e-9)
-    assert operators.LAMBDA_P == 0.7
     assert cfg.tol == 1e-3
     assert cfg.max_iter == 300
 
@@ -452,25 +418,51 @@ def test_prior_shape_mismatch_rejected(phantom_50):
 
 
 def test_solve_rejects_a_prior_in_place_of_the_previous_pair(phantom_50):
-    # The prior is derived inside solve; the spectrum prior_from_result returns is not a pair.
+    # The previous frame's pair is the prior; its L spectrum is not.
     _, y, cfg = phantom_50
-    prior = prior_from_result(solve(y, replace(cfg, max_iter=2)).decomposition, y.dims)
+    prior = np.linalg.svd(solve(y, replace(cfg, max_iter=2)).decomposition.L, compute_uv=False)
     with pytest.raises(TypeError, match="previous must be a Decomposition"):
         solve(y, cfg, prior)
 
 
-def test_prior_from_mismatched_pair_rejected():
-    pair = Decomposition(np.zeros((16 * 16, 4)), np.zeros((16 * 16, 4)))
-    with pytest.raises(ValueError, match="inconsistent with dims"):
-        prior_from_result(pair, (32, 32, 4))
+def test_priori_ls_is_ls_on_the_residual_of_the_previous_pair(phantom_50):
+    # The definition of priori-ls: ls, under the same thresholds, on the
+    # samples y - A(L_prev + S_prev), with the previous pair added back.
+    truth, y, cfg = phantom_50
+    pair = solve(y, cfg).decomposition
+    y2 = acquire(truth[1], make_mask(32, 32, 0.25, seed=8))
+    cfg2 = default_config(y2)
+    got = solve(y2, cfg2, pair)
+    predicted = acquire(DynamicVolume(pair.L + pair.S, y2.dims), y2.mask)
+    want = solve(KSpaceData(y2.samples - predicted.samples, y2.mask), cfg2)
+    assert np.any(pair.L) and np.any(pair.S)
+    assert np.array_equal(got.decomposition.L, want.decomposition.L + pair.L)
+    assert np.array_equal(got.decomposition.S, want.decomposition.S + pair.S)
+    assert np.array_equal(got.residual_history, want.residual_history)
+    assert got.data_residual == want.data_residual
+    assert got.converged == want.converged
+
+
+def test_prior_from_mismatched_pair_rejected(phantom_50):
+    # A pair solved on a 16 x 16 grid cannot be the previous pair of a
+    # 32 x 32 frame, though both have n_z = 4.
+    _, y, cfg = phantom_50
+    spec = PhantomSpec(dims=(16, 16, 4), n_frames=1)
+    frame, _, _ = next(generate_frames(spec))
+    small = acquire(frame, make_mask(16, 16, 0.5, seed=9))
+    pair = solve(small, replace(default_config(small), max_iter=2)).decomposition
+    assert pair.L.shape == (16 * 16, 4)
+    with pytest.raises(ValueError, match=r"inconsistent with dims \(32, 32, 4\)"):
+        solve(y, cfg, pair)
 
 
 def test_prior_support_out_of_bounds_rejected(phantom_50):
     _, y, cfg = phantom_50
-    # The previous pair must cover exactly the (n_x * n_y, n_z) coefficients.
+    # The previous pair must cover exactly the (n_x * n_y, n_z) coefficients,
+    # and the error names the dims it must match.
     for shape in [(32 * 32 + 1, 4), (32 * 32, 3), (4, 32 * 32), (16 * 16, 4)]:
         bad = Decomposition(np.zeros(shape), np.zeros(shape))
-        with pytest.raises(ValueError, match="inconsistent with dims"):
+        with pytest.raises(ValueError, match=r"inconsistent with dims \(32, 32, 4\)"):
             solve(y, cfg, bad)
 
 
