@@ -56,12 +56,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_recon.add_argument("--input", required=True, help="ground-truth volume file")
     p_recon.add_argument("--out", required=True, help="output basename (writes .x/.l/.s)")
     p_recon.add_argument("--config", help="config file for solver settings")
-    p_recon.add_argument("--prior-l", help="previous frame's L volume file")
-    p_recon.add_argument("--prior-s", help="previous frame's S volume file")
+    p_recon.add_argument("--prior", help="previous frame's basename (reads its .l/.s)")
     p_recon.add_argument("--rate", type=float, default=ExperimentSpec.rates[0],
                          help="sampling rate (default 1/7)")
     p_recon.add_argument("--mask-seed", type=_seed, default=0)
-    p_recon.set_defaults(handler=lambda args: _cmd_recon(args, parser))
+    p_recon.set_defaults(handler=_cmd_recon)
 
     p_seq = sub.add_parser("recon-seq", help="reconstruct a sequence of volumes", allow_abbrev=False)
     p_seq.add_argument("--frames", required=True, help="directory of frame*.x files")
@@ -95,11 +94,22 @@ def _load_options(config_path):
     return parse_config(config_path)
 
 
-def _refuse_overwrite(out: Path, flag: str, source: str) -> None:
+def _refuse_overwrite(out: Path, flag: str, source: str | Path) -> None:
     """Refuse, before anything is written, an --out that resolves to the
     input given as ``flag``."""
     if out.resolve() == Path(source).resolve():
         raise ValueError(f"--out {out} is the {flag} {source}: the reconstruction would overwrite it")
+
+
+def _make_frames_dir(out: Path, n_frames: int) -> None:
+    """Make the --out directory of a run that writes frames 1..n_frames. One
+    that holds a frame file numbered above n_frames is refused first, since
+    this run would leave that file among its own."""
+    for path in sorted(out.glob("frame*.[xls]")):
+        if path.stem[5:].isdigit() and int(path.stem[5:]) > n_frames:
+            raise ValueError(f"--out {out} holds {path}, past the {n_frames} frames this run "
+                             "writes: remove it or choose another --out")
+    out.mkdir(parents=True, exist_ok=True)
 
 
 def _write_frame(base: Path, x: DynamicVolume, l: DynamicVolume, s: DynamicVolume) -> None:
@@ -120,7 +130,7 @@ def _cmd_phantom_gen(args) -> int:
     spec = _load_options(args.config)[0].phantom
     frames = generate_frames(spec)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_frames_dir(out, spec.n_frames)
     # Not enumerate(frames), nor named locals: either would keep the last
     # frame alive while the next one is made.
     for t in range(1, spec.n_frames + 1):
@@ -148,31 +158,28 @@ def _warn_unconverged(frame: int, result, log=None) -> None:
             print(warning, file=log)
 
 
-def _cmd_recon(args, parser) -> int:
-    if (args.prior_l is None) != (args.prior_s is None):
-        parser.error("--prior-l and --prior-s must be given together")
+def _cmd_recon(args) -> int:
+    # The files recon reads: --input, then BASE.l and BASE.s for --prior BASE.
+    prior = [] if args.prior is None else [Path(args.prior).with_suffix(s) for s in (".l", ".s")]
+    reads = [Path(args.input), *prior]
     # No file recon writes may be one it reads.
     out = Path(args.out)
-    inputs = {"--input": args.input, "--prior-l": args.prior_l, "--prior-s": args.prior_s}
-    for flag, source in inputs.items():
-        if source is not None:
-            for suffix in (".x", ".l", ".s"):
-                _refuse_overwrite(out.with_suffix(suffix), flag, source)
-    # The prior files' headers and sizes are checked against the input's, and
-    # the mask is made, before any payload is read, so a mismatch or a bad rate
+    for flag, source in zip(("--input", "--prior", "--prior"), reads):
+        for suffix in (".x", ".l", ".s"):
+            _refuse_overwrite(out.with_suffix(suffix), flag, source)
+    # Every file's header and size is checked against the input's, and the
+    # mask is made, before any payload is read, so a mismatch or a bad rate
     # fails before the solve.
     dims = volume_dims(args.input)
     check_slice_dims(dims)
-    for path in filter(None, (args.prior_l, args.prior_s)):
+    for path in prior:
         if (other := volume_dims(path)) != dims:
             raise ValueError(f"{path}: dims {other} differ from input volume {dims}")
     mask = make_mask(dims[0], dims[1], args.rate, seed=args.mask_seed)
     volume = load_volume(args.input)
     _, cfg = _load_options(args.config)
     y = acquire(volume, mask)
-    previous = None
-    if args.prior_l is not None:
-        previous = Decomposition(load_volume(args.prior_l).data, load_volume(args.prior_s).data)
+    previous = Decomposition(*(load_volume(path).data for path in prior)) if prior else None
     result = solve(y, cfg, previous)
     estimate = _write_components(out, volume.dims, result.decomposition)
     print(METRICS_HEADER)
@@ -201,7 +208,7 @@ def _cmd_recon_seq(args) -> int:
                                args.first_rate, args.rate, lambda tier: args.mask_seed + tier)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_frames_dir(out, len(frame_files))
     # Each frame's files and metrics line are written as soon as it is solved.
     with open(out / "metrics.csv", "w") as metrics, open(out / "run.log", "w") as log:
         print(f"recon-seq started {time.strftime('%Y-%m-%dT%H:%M:%S')}", file=log)

@@ -25,7 +25,7 @@ from lpsrecon import (
 import lpsrecon.cli as cli
 import lpsrecon.harness as harness
 import lpsrecon.operators as operators
-from lpsrecon.cli import main
+from lpsrecon.cli import _write_frame, main
 from lpsrecon.harness import _SECTIONS, _mask_seed, write_summary_csv, write_sweep_csv
 from lpsrecon.phantom import PhantomSpec
 
@@ -490,20 +490,13 @@ class TestCli:
         assert (tmp_path / "rec1.l").exists()
         assert (tmp_path / "rec1.s").exists()
 
-        # prior flags must come together
-        with pytest.raises(SystemExit) as exc:
-            main(["recon", "--input", str(files[0]), "--rate", "0.5",
-                  "--out", str(out_base), "--prior-l", "x.l"])
-        assert exc.value.code == 2
-
         # prior-informed reconstruction of the next frame
         pairs = []
         monkeypatch.setattr(cli, "solve", lambda y, cfg, previous=None: (
             pairs.append(previous) or solve(y, cfg, previous)))
         code = main(["recon", "--input", str(files[1]), "--rate", "0.5",
                      "--out", str(tmp_path / "rec2"), "--config", str(config_file),
-                     "--prior-l", str(tmp_path / "rec1.l"),
-                     "--prior-s", str(tmp_path / "rec1.s")])
+                     "--prior", str(out_base)])
         assert code == 0
         assert "priori-ls" in capsys.readouterr().err
 
@@ -517,21 +510,29 @@ class TestCli:
 
     def test_recon_reproduces_recon_seq_frame_by_frame(self, tmp_path, capsys):
         # recon builds its mask as recon-seq does, and a prior read back from
-        # frame 1's .l/.s files is the one recon-seq carries in memory.
-        config = tmp_path / "two.cfg"
-        config.write_text(CONFIG_TEXT.replace("n_frames = 3", "n_frames = 2"))
+        # the previous frame's .l/.s files is the one recon-seq carries in
+        # memory. recon-seq resolves auto thresholds once, from frame 2, and
+        # recon from its own frame, so the chain is bit for bit only under
+        # explicit thresholds from frame 3 on.
+        config = tmp_path / "fixed.cfg"
+        config.write_text(CONFIG_TEXT.replace("lambda_l = auto", "lambda_l = 0.05")
+                          .replace("lambda_s = auto", "lambda_s = 0.004"))
         frames_dir, seq = tmp_path / "frames", tmp_path / "seq"
         assert main(["phantom", "gen", "--config", str(config), "--out", str(frames_dir)]) == 0
         assert main(["recon-seq", "--frames", str(frames_dir), "--out", str(seq),
-                     "--solver", "priori-ls", "--first-rate", "0.5", "--rate", "0.25",
-                     "--mask-seed", "4"]) == 0
+                     "--config", str(config), "--solver", "priori-ls", "--first-rate", "0.5",
+                     "--rate", "0.25", "--mask-seed", "4"]) == 0
         capsys.readouterr()
         rows = (seq / "metrics.csv").read_text().splitlines()[1:]
-        prior = ["--prior-l", str(seq / "frame0001.l"), "--prior-s", str(seq / "frame0001.s")]
-        for t, rate, seed, flags in ((1, "0.5", "4", []), (2, "0.25", "5", prior)):
+        assert len(rows) == 3
+        # --prior takes a basename as --out does: with or without a suffix.
+        chain = ((1, "0.5", "4", []), (2, "0.25", "5", ["--prior", str(tmp_path / "rec1")]),
+                 (3, "0.25", "5", ["--prior", str(tmp_path / "rec2.x")]))
+        for t, rate, seed, flags in chain:
             base = tmp_path / f"rec{t}"
             assert main(["recon", "--input", str(frames_dir / f"frame000{t}.x"), "--rate", rate,
-                         "--mask-seed", seed, "--out", str(base), *flags]) == 0
+                         "--mask-seed", seed, "--config", str(config), "--out", str(base),
+                         *flags]) == 0
             header, row = capsys.readouterr().out.splitlines()
             assert header == cli.METRICS_HEADER
             assert row == "1," + rows[t - 1].split(",", 1)[1]
@@ -668,11 +669,10 @@ class TestCli:
         before = {p.name: p.read_bytes() for p in tmp_path.glob("rec1.*")}
         capsys.readouterr()
         code = main(["recon", "--input", str(frames_dir / "frame0002.x"), "--rate", "0.25",
-                     "--prior-l", str(tmp_path / "rec1.l"), "--prior-s", str(tmp_path / "rec1.s"),
-                     "--out", str(tmp_path / out)])
+                     "--prior", str(tmp_path / "rec1"), "--out", str(tmp_path / out)])
         assert code == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: --out ") and "--prior-l" in captured.err
+        assert captured.err.startswith("error: --out ") and "is the --prior " in captured.err
         assert captured.out == ""
         assert {p.name: p.read_bytes() for p in tmp_path.glob("rec1.*")} == before
 
@@ -846,30 +846,97 @@ class TestCli:
         truth = [x for x, _, _ in generate_frames(PhantomSpec(n_frames=1))]
         vol_path = tmp_path / "a.x"
         save_volume(vol_path, truth[0])
-        small = tmp_path / "small.x"
-        save_volume(small, next(generate_frames(PhantomSpec(dims=(16, 16, 4), n_frames=1)))[0])
+        small = next(generate_frames(PhantomSpec(dims=(16, 16, 4), n_frames=1)))
+        _write_frame(tmp_path / "small", *small)
         code = main(["recon", "--input", str(vol_path), "--rate", "0.5",
-                     "--prior-l", str(small), "--prior-s", str(small),
-                     "--out", str(tmp_path / "r")])
+                     "--prior", str(tmp_path / "small"), "--out", str(tmp_path / "r")])
         assert code == 1
         err = capsys.readouterr().err
-        assert "small.x: dims (16, 16, 4) differ from input volume (32, 32, 4)" in err
+        assert "small.l: dims (16, 16, 4) differ from input volume (32, 32, 4)" in err
 
-    @pytest.mark.parametrize("flags", [["--prior-l", "other.x", "--prior-s", "a.x"]], ids=["prior"])
+    @pytest.mark.parametrize("flags", [["--prior", "other"]], ids=["prior"])
     def test_recon_rejects_a_file_on_another_grid_before_the_solve(self, tmp_path, capsys, flags):
         # A 16x64x4 volume flattens to the same (1024, 4) matrix as the
         # 32x32x4 input, so only the files' own dims tell them apart.
         save_volume(tmp_path / "a.x", next(generate_frames(PhantomSpec(n_frames=1)))[0])
         rng = np.random.default_rng(0)
-        save_volume(tmp_path / "other.x",
+        save_volume(tmp_path / "other.l",
                     DynamicVolume(rng.standard_normal((1024, 4)) + 0j, (16, 64, 4)))
+        (tmp_path / "other.s").write_bytes((tmp_path / "a.x").read_bytes())
         code = main(["recon", "--input", str(tmp_path / "a.x"), "--rate", "0.5",
                      "--out", str(tmp_path / "r"),
                      *[f if f.startswith("--") else str(tmp_path / f) for f in flags]])
         assert code == 1
         captured = capsys.readouterr()
-        assert "other.x: dims (16, 64, 4) differ from input volume (32, 32, 4)" in captured.err
+        assert "other.l: dims (16, 64, 4) differ from input volume (32, 32, 4)" in captured.err
         assert captured.out == "" and not list(tmp_path.glob("r.*"))
+
+    def test_recon_prior_missing_its_s_file_fails_before_the_solve(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        truth = next(generate_frames(PhantomSpec(n_frames=1)))
+        save_volume(tmp_path / "a.x", truth[0])
+        _write_frame(tmp_path / "prev", *truth)
+        (tmp_path / "prev.s").unlink()
+        monkeypatch.setattr(cli, "solve", lambda *args: pytest.fail("recon solved"))
+        code = main(["recon", "--input", str(tmp_path / "a.x"), "--rate", "0.5",
+                     "--prior", str(tmp_path / "prev"), "--out", str(tmp_path / "r")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(tmp_path / "prev.s") in captured.err
+        assert captured.out == "" and not list(tmp_path.glob("r.*"))
+
+    @pytest.mark.parametrize("flag", ["--prior-l", "--prior-s"])
+    def test_recon_prior_l_and_prior_s_are_usage_errors(self, tmp_path, capsys, flag):
+        # One --prior BASE names both files.
+        out = tmp_path / "r"
+        with pytest.raises(SystemExit) as exc:
+            main(["recon", "--input", str(tmp_path / "a.x"), "--out", str(out),
+                  flag, str(tmp_path / "prev.l")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("r.*"))
+
+    @pytest.mark.parametrize("command", ["phantom gen", "recon-seq"])
+    def test_sequence_commands_refuse_an_out_holding_a_later_frame(
+        self, tmp_path, capsys, config_file, command
+    ):
+        # A 3-frame run into an --out that holds frame0004 would leave that
+        # frame beside its own, and recon-seq would read the mix back.
+        frames_dir = tmp_path / "frames"
+        assert main(["phantom", "gen", "--config", str(config_file),
+                     "--out", str(frames_dir)]) == 0
+        out = frames_dir if command == "phantom gen" else tmp_path / "seq"
+        out.mkdir(exist_ok=True)
+        stale = out / "frame0004.s"
+        stale.write_bytes(b"")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        if command == "phantom gen":
+            argv = ["phantom", "gen", "--config", str(config_file), "--out", str(out)]
+        else:
+            argv = ["recon-seq", "--frames", str(frames_dir), "--rate", "0.333333",
+                    "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: --out {out} holds {stale}, past the 3 frames this run "
+                                "writes: remove it or choose another --out\n")
+        assert captured.out == ""
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_phantom_gen_overwrites_the_frames_of_an_earlier_run(self, tmp_path, capsys):
+        # The same frame indices are rewritten, as a benchmark that regenerates
+        # one frames directory needs; only a later index is refused.
+        out = tmp_path / "frames"
+        for seed in (0, 7):
+            config = tmp_path / f"seed{seed}.cfg"
+            config.write_text(CONFIG_TEXT.replace("seed = 0", f"seed = {seed}"))
+            assert main(["phantom", "gen", "--config", str(config), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            f"frame000{t}.{part}" for t in (1, 2, 3) for part in "lsx"]
+        fresh = tmp_path / "fresh"
+        assert main(["phantom", "gen", "--config", str(config), "--out", str(fresh)]) == 0
+        assert all(p.read_bytes() == (fresh / p.name).read_bytes() for p in out.iterdir())
 
 
 def _traced_peak(argv) -> int:
