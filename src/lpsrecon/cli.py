@@ -37,6 +37,13 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _path(text: str) -> str:
+    """argparse type of a file or directory path: a nonempty string."""
+    if not text:
+        raise argparse.ArgumentTypeError("must be a nonempty path")
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lpsrecon",
@@ -48,24 +55,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p_phantom = sub.add_parser("phantom", help="phantom utilities", allow_abbrev=False)
     phantom_sub = p_phantom.add_subparsers(dest="subcommand", required=True)
     p_pg = phantom_sub.add_parser("gen", help="generate a phantom sequence", allow_abbrev=False)
-    p_pg.add_argument("--config", help="config file with a [phantom] section")
-    p_pg.add_argument("--out", required=True, help="output directory")
+    p_pg.add_argument("--config", type=_path, help="config file with a [phantom] section")
+    p_pg.add_argument("--out", type=_path, required=True, help="output directory")
     p_pg.set_defaults(handler=_cmd_phantom_gen)
 
     p_recon = sub.add_parser("recon", help="reconstruct a single volume", allow_abbrev=False)
-    p_recon.add_argument("--input", required=True, help="ground-truth volume file")
-    p_recon.add_argument("--out", required=True, help="output basename (writes .x/.l/.s)")
-    p_recon.add_argument("--config", help="config file for solver settings")
-    p_recon.add_argument("--prior", help="previous frame's basename (reads its .l/.s)")
+    p_recon.add_argument("--input", type=_path, required=True, help="ground-truth volume file")
+    p_recon.add_argument("--out", type=_path, required=True, help="output basename (writes .x/.l/.s)")
+    p_recon.add_argument("--config", type=_path, help="config file for solver settings")
+    p_recon.add_argument("--prior", type=_path, help="previous frame's basename (reads its .l/.s)")
     p_recon.add_argument("--rate", type=float, default=ExperimentSpec.rates[0],
                          help="sampling rate (default 1/7)")
     p_recon.add_argument("--mask-seed", type=_seed, default=0)
     p_recon.set_defaults(handler=_cmd_recon)
 
     p_seq = sub.add_parser("recon-seq", help="reconstruct a sequence of volumes", allow_abbrev=False)
-    p_seq.add_argument("--frames", required=True, help="directory of frame*.x files")
-    p_seq.add_argument("--out", required=True, help="output directory")
-    p_seq.add_argument("--config", help="config file")
+    p_seq.add_argument("--frames", type=_path, required=True,
+                       help="directory of frame<N>.x files, read in frame-number order")
+    p_seq.add_argument("--out", type=_path, required=True, help="output directory")
+    p_seq.add_argument("--config", type=_path, help="config file")
     p_seq.add_argument("--solver", choices=KNOWN_SOLVERS, default="priori-ls")
     p_seq.add_argument("--rate", type=float, default=ExperimentSpec.rates[0],
                        help="sampling rate for frames >= 2 (default 1/7)")
@@ -75,8 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_seq.set_defaults(handler=_cmd_recon_seq)
 
     p_sweep = sub.add_parser("sweep", help="run the full experiment grid", allow_abbrev=False)
-    p_sweep.add_argument("--config", required=True, help="config file")
-    p_sweep.add_argument("--out", default=ExperimentSpec.output_dir,
+    p_sweep.add_argument("--config", type=_path, required=True, help="config file")
+    p_sweep.add_argument("--out", type=_path, default=ExperimentSpec.output_dir,
                          help="output directory (default %(default)s)")
     p_sweep.set_defaults(handler=_cmd_sweep)
 
@@ -101,12 +109,19 @@ def _refuse_overwrite(out: Path, flag: str, source: str | Path) -> None:
         raise ValueError(f"--out {out} is the {flag} {source}: the reconstruction would overwrite it")
 
 
+def _frame_files(directory: Path, suffixes: str) -> list[tuple[int, Path]]:
+    """(N, path) of every file frame<N>.<suffix> in ``directory``, N being
+    digits and the suffix one of the letters in ``suffixes``, by frame number."""
+    paths = directory.glob(f"frame*.[{suffixes}]")
+    return sorted((int(p.stem[5:]), p) for p in paths if p.stem[5:].isdecimal())
+
+
 def _make_frames_dir(out: Path, n_frames: int) -> None:
     """Make the --out directory of a run that writes frames 1..n_frames. One
     that holds a frame file numbered above n_frames is refused first, since
     this run would leave that file among its own."""
-    for path in sorted(out.glob("frame*.[xls]")):
-        if path.stem[5:].isdigit() and int(path.stem[5:]) > n_frames:
+    for number, path in _frame_files(out, "xls"):
+        if number > n_frames:
             raise ValueError(f"--out {out} holds {path}, past the {n_frames} frames this run "
                              "writes: remove it or choose another --out")
     out.mkdir(parents=True, exist_ok=True)
@@ -192,9 +207,9 @@ def _cmd_recon(args) -> int:
 
 def _cmd_recon_seq(args) -> int:
     _refuse_overwrite(Path(args.out), "--frames", args.frames)
-    frame_files = sorted(Path(args.frames).glob("*.x"))
+    frame_files = [path for _, path in _frame_files(Path(args.frames), "x")]
     if not frame_files:
-        raise FileNotFoundError(f"no *.x frame files found in {args.frames}")
+        raise FileNotFoundError(f"no frame<N>.x files found in {args.frames}")
     # Every frame file's header and size are checked before any solve; each
     # payload is read only when its frame is acquired.
     dims = volume_dims(frame_files[0])

@@ -11,8 +11,8 @@ sits at (n_x // 2, n_y // 2), the geometric center of the grid.
 
 One acquisition is one ``KSpaceData``: the samples on a mask, with the
 volume dims derived from both. The sampling kernels (``_adjoint_matrix``,
-``_data_consistency``, ``_sample_residual``) take it whole, so the sample
-layout is known only here.
+``_data_consistency``) take it whole, and ``_take_samples`` is the one
+gather, so the sample layout is known only here.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DynamicVolume, _require_int, _require_threshold, _slice_view
+from .core import DynamicVolume, _require_int, _shrink_scale, _slice_view
 
 __all__ = [
     "SamplingMask",
@@ -118,8 +118,6 @@ def make_mask(n_x: int, n_y: int, rate: float, *, seed: int = 0) -> SamplingMask
     m = int(round(rate * total))
     if m < 1:
         raise ValueError(f"rate {rate} selects no samples on a {n_x}x{n_y} grid")
-    if m >= total:
-        return SamplingMask(np.ones((n_x, n_y), dtype=bool))
 
     cx, cy = n_x // 2, n_y // 2
     ix, iy = np.meshgrid(np.arange(n_x), np.arange(n_y), indexing="ij")
@@ -187,11 +185,11 @@ def _data_consistency(x: np.ndarray, y: KSpaceData) -> np.ndarray:
     return x
 
 
-def _sample_residual(x: np.ndarray, y: KSpaceData) -> float:
-    """||A x - y||_F. The transform runs in place, so x is overwritten by its
-    spectra."""
-    spectra = _spectra(x, y.dims).reshape(y.dims[2], -1)
-    return float(np.linalg.norm(spectra[:, y.mask.index] - y.samples.T))
+def _take_samples(x: np.ndarray, dims: tuple[int, int, int], mask: SamplingMask) -> np.ndarray:
+    """The (n_z, m) samples on ``mask`` of the column-major matrix x: row z is slice
+    z's spectrum at ``mask.index``. x is overwritten by its spectra, taken in place."""
+    spectra = _spectra(x, dims).reshape(dims[2], -1)
+    return np.take(spectra, mask.index, axis=1)
 
 
 def acquire(x: DynamicVolume, mask: SamplingMask) -> KSpaceData:
@@ -203,11 +201,8 @@ def acquire(x: DynamicVolume, mask: SamplingMask) -> KSpaceData:
     """
     n_x, n_y, _ = x.dims
     if mask.pattern.shape != (n_x, n_y):
-        raise ValueError(
-            f"mask grid {mask.pattern.shape} does not match volume dims {x.dims}"
-        )
-    spectra = _spectra(x.data.copy(order="F"), x.dims).reshape(x.dims[2], -1)
-    return KSpaceData(np.take(spectra, mask.index, axis=1).T, mask)
+        raise ValueError(f"mask grid {mask.pattern.shape} does not match volume dims {x.dims}")
+    return KSpaceData(_take_samples(x.data.copy(order="F"), x.dims, mask).T, mask)
 
 
 def acquire_adjoint(y: KSpaceData) -> DynamicVolume:
@@ -230,13 +225,10 @@ def _gram_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def sv_threshold(m: np.ndarray, lam: float) -> np.ndarray:
     """Soft-threshold the singular values of a matrix (nuclear-norm prox), as
-    M V diag(f / sigma) V^H with f = max(sigma - lam, 0), in column-major layout.
-    Where sigma = 0 the factor stays 0, so the result lies in range(M).
+    M V diag(f) V^H in column-major layout, with ``core._shrink_scale``'s factor
+    f = max(sigma - lam, 0) / sigma, 0 where sigma = 0: the result lies in range(M).
     """
-    _require_threshold(lam)
     m = np.asarray(m, dtype=np.complex128)
     sigma, v = _gram_spectrum(m)
-    shrunk = np.maximum(sigma - lam, 0.0)
-    factor = np.divide(shrunk, sigma, out=np.zeros_like(sigma), where=sigma > 0)
     # (M V diag(f) V^H)^T computed on the row-major transpose M^T.
-    return ((v.conj() * factor) @ v.T @ m.T).T
+    return ((v.conj() * _shrink_scale(sigma, lam)) @ v.T @ m.T).T

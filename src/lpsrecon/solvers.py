@@ -50,14 +50,13 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core import Decomposition, DynamicVolume, SolverConfig, _slice_view, _soft_threshold_keep
+from .core import Decomposition, SolverConfig, _slice_view, _soft_threshold_keep
 from .operators import (
     KSpaceData,
     _adjoint_matrix,
     _data_consistency,
     _gram_spectrum,
-    _sample_residual,
-    acquire,
+    _take_samples,
     sv_threshold,
 )
 from .wavelets import _forward_matrix, _inverse_matrix
@@ -155,15 +154,17 @@ def _iterate(y: KSpaceData, cfg: SolverConfig, previous: Decomposition | None) -
 
     Without a pair the loop runs on y from X0 = A^H(y). With one it runs on
     the residual samples y_r = y - A(L_prev + S_prev), formed in place in the
-    buffer ``acquire`` returns and rebound as y (the caller's y is left as it
-    is), from X0 = A^H(y_r), and adds L_prev and S_prev to the L and S it
-    finds. A zero pair gives the samples and X0 of the solve without one.
+    samples gathered from L_prev + S_prev and rebound as y (the caller's y is
+    left as it is), from X0 = A^H(y_r), and adds L_prev and S_prev to the L
+    and S it finds. A zero pair gives the samples and X0 of the solve without one.
     """
     # Iterates stay column-major (a C-contiguous slice stack): no reshape copies.
     dims = y.dims
     if previous is not None:
-        residual = acquire(DynamicVolume(previous.estimate(), dims), y.mask).samples
-        y = KSpaceData(np.subtract(y.samples, residual, out=residual), y.mask)
+        predicted = _take_samples(np.add(previous.L, previous.S, order="F"), dims, y.mask).T
+        if not np.isfinite(predicted).all():  # a non-finite entry spreads over its slice's spectrum
+            raise ValueError("previous pair contains non-finite entries")
+        y = KSpaceData(np.subtract(y.samples, predicted, out=predicted), y.mask)
     x = _adjoint_matrix(y)
     s = np.zeros_like(x)
     history: list[float] = []
@@ -195,7 +196,8 @@ def _iterate(y: KSpaceData, cfg: SolverConfig, previous: Decomposition | None) -
             break
 
     # The last iterate is dead: the final L + S and its spectra go in its buffer.
-    data_residual = _sample_residual(np.add(l, s, out=x), y)
+    samples = _take_samples(np.add(l, s, out=x), dims, y.mask)
+    data_residual = float(np.linalg.norm(samples - y.samples.T))
     if not np.isfinite(data_residual):
         raise FloatingPointError(f"solver produced a non-finite estimate at iteration {len(history)}")
     if previous is not None:
@@ -221,6 +223,8 @@ def solve(y: KSpaceData, cfg: SolverConfig, previous: Decomposition | None = Non
     if previous is not None and not isinstance(previous, Decomposition):
         raise TypeError(f"previous must be a Decomposition (the previous frame's L, S), "
                         f"got {type(previous).__name__}")
+    if previous is not None and previous.L.shape != (y.dims[0] * y.dims[1], y.dims[2]):
+        raise ValueError(f"previous pair shape {previous.L.shape} inconsistent with dims {y.dims}")
     return _iterate(y, default_config(y, cfg), previous)
 
 

@@ -587,6 +587,62 @@ class TestCli:
         assert lines[0] == "frame,iterations,converged,data_residual,psnr_db"
         assert len(lines) == 4
 
+    def test_recon_seq_reads_only_frame_files_in_frame_number_order(self, tmp_path, capsys):
+        # A reconstruction written beside the frames is not a frame, and
+        # frame10 follows frame9 though it sorts first by name.
+        config = tmp_path / "two.cfg"
+        config.write_text(CONFIG_TEXT.replace("n_frames = 3", "n_frames = 2"))
+        frames_dir = tmp_path / "fr"
+        assert main(["phantom", "gen", "--config", str(config), "--out", str(frames_dir)]) == 0
+        assert main(["recon", "--input", str(frames_dir / "frame0001.x"), "--rate", "0.5",
+                     "--out", str(frames_dir / "rec1")]) == 0
+        renamed = tmp_path / "renamed"
+        renamed.mkdir()
+        for old, new in (("frame0001.x", "frame9.x"), ("frame0002.x", "frame10.x"),
+                         ("rec1.x", "rec1.x")):
+            (renamed / new).write_bytes((frames_dir / old).read_bytes())
+        metrics = []
+        for frames in (frames_dir, renamed):
+            out = tmp_path / f"seq-{frames.name}"
+            assert main(["recon-seq", "--frames", str(frames), "--out", str(out),
+                         "--rate", "0.333333"]) == 0
+            metrics.append((out / "metrics.csv").read_text())
+        assert len(metrics[0].splitlines()) == 1 + 2
+        assert metrics[1] == metrics[0]
+        assert sorted(p.name for p in out.glob("frame*")) == [
+            f"frame000{t}.{part}" for t in (1, 2) for part in "lsx"]
+
+    def test_recon_seq_without_frame_files_names_the_rule(self, tmp_path, capsys):
+        frames_dir = tmp_path / "fr"
+        frames_dir.mkdir()
+        (frames_dir / "rec1.x").write_bytes(b"")
+        assert main(["recon-seq", "--frames", str(frames_dir), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: no frame<N>.x files found in {frames_dir}\n"
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["phantom", "gen", "--out", ""], "--out"),
+        (["phantom", "gen", "--config", "", "--out", "o"], "--config"),
+        (["recon", "--input", "", "--out", "o"], "--input"),
+        (["recon", "--input", "a.x", "--out", ""], "--out"),
+        (["recon", "--input", "a.x", "--out", "o", "--prior", ""], "--prior"),
+        (["recon", "--input", "a.x", "--out", "o", "--config", ""], "--config"),
+        (["recon-seq", "--frames", "", "--out", "o"], "--frames"),
+        (["recon-seq", "--frames", "fr", "--out", ""], "--out"),
+        (["sweep", "--config", ""], "--config"),
+        (["sweep", "--config", "a.cfg", "--out", ""], "--out"),
+    ], ids=["phantom-out", "phantom-config", "recon-input", "recon-out", "recon-prior",
+            "recon-config", "recon-seq-frames", "recon-seq-out", "sweep-config", "sweep-out"])
+    def test_an_empty_path_is_a_usage_error_that_names_its_flag(
+        self, tmp_path, capsys, monkeypatch, argv, flag
+    ):
+        # An empty path would read as the working directory.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be a nonempty path" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("fault", ["other dims", "truncated"])
     def test_recon_seq_rejects_a_bad_last_frame_before_any_solve(
         self, tmp_path, capsys, config_file, fault

@@ -15,10 +15,13 @@ from lpsrecon import (
     sv_threshold,
 )
 from lpsrecon import operators
+from lpsrecon.core import _shrink_scale
 from lpsrecon.operators import (
     _adjoint_matrix,
     _data_consistency,
+    _gram_spectrum,
     _spectra,
+    _take_samples,
 )
 
 from helpers import random_volume, shifted_adjoint, shifted_samples, svd_prox
@@ -211,6 +214,40 @@ def _low_rank_plus_noise(rng, rows, cols, rank, noise):
     )
 
 
+def _masked_divide_factor(sigma, lam):
+    """sv_threshold's singular-value factor in its earlier form: a masked divide."""
+    shrunk = np.maximum(sigma - lam, 0.0)
+    return np.divide(shrunk, sigma, out=np.zeros_like(sigma), where=sigma > 0)
+
+
+class TestSvThresholdFactor:
+    """sv_threshold takes its factor from core._shrink_scale, the rule of the
+    coefficient shrink; it must match the earlier masked divide bit for bit."""
+
+    def test_shrink_scale_matches_the_masked_divide(self):
+        rng = np.random.default_rng(41)
+        for lam in (0.0, 0.3, 1.0, 2.5):
+            for _ in range(1000):
+                sigma = np.sort(rng.exponential(size=20))[::-1] * rng.uniform(0.1, 4.0)
+                sigma[rng.integers(0, 20, size=3)] = 0.0
+                sigma[rng.integers(0, 20, size=2)] = lam
+                got = _shrink_scale(sigma, lam)
+                want = _masked_divide_factor(sigma, lam)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape, rank", [((64, 6), 6), ((64, 6), 2), ((5, 8), 5), ((16, 4), 0)])
+    def test_sv_threshold_matches_the_masked_divide_form(self, shape, rank):
+        rng = np.random.default_rng(sum(shape) + rank)
+        m = np.zeros(shape, dtype=complex, order="F")
+        if rank:
+            left = rng.standard_normal((shape[0], rank)) + 1j * rng.standard_normal((shape[0], rank))
+            m[:] = left @ rng.standard_normal((rank, shape[1]))
+        sigma, v = _gram_spectrum(m)
+        for lam in (0.0, float(sigma[min(1, len(sigma) - 1)]), 0.5 * float(sigma[0]) + 0.1):
+            want = ((v.conj() * _masked_divide_factor(sigma, lam)) @ v.T @ m.T).T
+            assert sv_threshold(m, lam).tobytes() == want.tobytes()
+
+
 class TestSvThresholdAgainstSvd:
     """The Gram-eigen SVT agrees with the full-SVD spectral map to 1e-10
     relative."""
@@ -370,6 +407,33 @@ class TestDataConsistency:
         x, y, _ = self._problem(dims, 27)
         with pytest.raises(ValueError, match="column-major"):
             _data_consistency(np.ascontiguousarray(x), y)
+
+
+class TestTakeSamples:
+    """The one gather of samples from a column-major matrix's spectra."""
+
+    SHAPES = [(8, 8, 1), (16, 8, 3), (7, 9, 2), (33, 31, 2)]
+
+    @pytest.mark.parametrize("dims", SHAPES)
+    def test_matches_acquire_and_the_fancy_index_form(self, dims):
+        rng = np.random.default_rng(sum(dims) + 5)
+        volume = random_volume(rng, dims)
+        mask = make_mask(dims[0], dims[1], 0.4, seed=sum(dims))
+        x = volume.data.copy(order="F")
+        got = _take_samples(x, dims, mask)
+        assert got.shape == (dims[2], mask.m)
+        assert np.array_equal(got, acquire(volume, mask).samples.T)
+        # x now holds its spectra; the gather once read them with a fancy index.
+        want = volume.data.copy(order="F")
+        _spectra(want, dims)
+        assert np.array_equal(x, want)
+        assert np.array_equal(got, want.T[:, mask.index])
+
+    def test_rejects_row_major_input(self):
+        dims = (8, 8, 2)
+        x = random_volume(np.random.default_rng(31), dims).data
+        with pytest.raises(ValueError, match="column-major"):
+            _take_samples(np.ascontiguousarray(x), dims, make_mask(8, 8, 0.5, seed=1))
 
 
 class TestKSpaceData:

@@ -466,6 +466,33 @@ def test_prior_support_out_of_bounds_rejected(phantom_50):
             solve(y, cfg, bad)
 
 
+def test_non_finite_previous_pair_rejected(phantom_50):
+    _, y, cfg = phantom_50
+    l = np.zeros((32 * 32, 4), dtype=complex, order="F")
+    for bad in (np.nan, np.inf):
+        s = l.copy(order="F")
+        s[5, 2] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match="previous pair contains non-finite entries$"
+        ):
+            solve(y, cfg, Decomposition(l, s))
+
+
+def test_row_major_previous_pair_gives_the_column_major_iterates(phantom_50):
+    # The start gathers samples from a column-major L_prev + S_prev; a pair
+    # built row-major by hand must give the same solve, bit for bit.
+    truth, y, cfg = phantom_50
+    pair = solve(y, cfg).decomposition
+    assert pair.L.flags.f_contiguous and pair.S.flags.f_contiguous
+    row_major = Decomposition(np.ascontiguousarray(pair.L), np.ascontiguousarray(pair.S))
+    y2 = acquire(truth[1], make_mask(32, 32, 0.25, seed=8))
+    got, want = solve(y2, cfg, row_major), solve(y2, cfg, pair)
+    assert np.array_equal(got.decomposition.L, want.decomposition.L)
+    assert np.array_equal(got.decomposition.S, want.decomposition.S)
+    assert np.array_equal(got.residual_history, want.residual_history)
+    assert got.data_residual == want.data_residual
+
+
 def test_kspace_rejects_nonfinite():
     mask = make_mask(8, 8, 0.5, seed=1)
     samples = np.zeros((mask.m, 1), dtype=complex)
