@@ -43,11 +43,11 @@ p_plain = psnr(truth[1], DynamicVolume(plain.estimate(), spec.dims))
 
 # What is left for the prior-informed solve to explain: the part of frame 2's
 # samples that frame 1's estimate does not predict.
-predicted = acquire(DynamicVolume(res1.estimate(), spec.dims), mask_rest)
+predicted = acquire(DynamicVolume(res1.L + res1.S, spec.dims), mask_rest)
 print(f"\n||y|| = {np.linalg.norm(y2.samples):.3f}, residual data "
       f"||y - A(L_prev + S_prev)|| = {np.linalg.norm(y2.samples - predicted.samples):.3f}")
 
-informed = solve(y2, cfg2, res1.decomposition)
+informed = solve(y2, cfg2, res1)
 p_informed = psnr(truth[1], DynamicVolume(informed.estimate(), spec.dims))
 
 print(f"\nframe 2 at 25%, plain solver:          {p_plain:6.2f} dB ({plain.iterations} it)")

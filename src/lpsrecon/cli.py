@@ -24,7 +24,7 @@ from .harness import ExperimentSpec, _acquire_sequence, parse_config, run_sweep
 from .io import load_volume, save_volume, volume_dims
 from .operators import acquire, make_mask
 from .phantom import generate_frames, psnr
-from .solvers import KNOWN_SOLVERS, solve, solve_sequence, uses_prior
+from .solvers import KNOWN_SOLVERS, SolveResult, solve, solve_sequence, uses_prior
 from .wavelets import check_slice_dims
 
 __all__ = ["main"]
@@ -133,11 +133,10 @@ def _write_frame(base: Path, x: DynamicVolume, l: DynamicVolume, s: DynamicVolum
         save_volume(base.with_suffix(suffix), volume)
 
 
-def _write_components(out_base: Path, dims, decomposition: Decomposition) -> DynamicVolume:
+def _write_components(out_base: Path, dims, result: SolveResult) -> DynamicVolume:
     """Write the .x/.l/.s files of one solve and return its estimate L + S."""
-    estimate = DynamicVolume(decomposition.estimate(), dims)
-    _write_frame(out_base, estimate, DynamicVolume(decomposition.L, dims),
-                 DynamicVolume(decomposition.S, dims))
+    estimate = DynamicVolume(result.estimate(), dims)
+    _write_frame(out_base, estimate, DynamicVolume(result.L, dims), DynamicVolume(result.S, dims))
     return estimate
 
 
@@ -182,21 +181,22 @@ def _cmd_recon(args) -> int:
     for flag, source in zip(("--input", "--prior", "--prior"), reads):
         for suffix in (".x", ".l", ".s"):
             _refuse_overwrite(out.with_suffix(suffix), flag, source)
-    # Every file's header and size is checked against the input's, and the
-    # mask is made, before any payload is read, so a mismatch or a bad rate
-    # fails before the solve.
+    # Every file's header and size is checked against the input's, the mask
+    # made and the config read before --out's directory is made or a payload
+    # read, so a mismatch, a bad rate or a bad key fails before the solve.
     dims = volume_dims(args.input)
     check_slice_dims(dims)
     for path in prior:
         if (other := volume_dims(path)) != dims:
             raise ValueError(f"{path}: dims {other} differ from input volume {dims}")
     mask = make_mask(dims[0], dims[1], args.rate, seed=args.mask_seed)
-    volume = load_volume(args.input)
     _, cfg = _load_options(args.config)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    volume = load_volume(args.input)
     y = acquire(volume, mask)
     previous = Decomposition(*(load_volume(path).data for path in prior)) if prior else None
     result = solve(y, cfg, previous)
-    estimate = _write_components(out, volume.dims, result.decomposition)
+    estimate = _write_components(out, volume.dims, result)
     print(METRICS_HEADER)
     print(_metrics_line(1, result, volume, estimate))
     _warn_unconverged(1, result)
@@ -238,7 +238,7 @@ def _cmd_recon_seq(args) -> int:
         results = solve_sequence(kspace, cfg, args.solver)
         for t, path in enumerate(frame_files, start=1):
             result = next(results)
-            estimate = _write_components(out / f"frame{t:04d}", dims, result.decomposition)
+            estimate = _write_components(out / f"frame{t:04d}", dims, result)
             line = _metrics_line(t, result, load_volume(path), estimate)
             print(line, file=metrics)
             print(line)

@@ -88,15 +88,15 @@ class FrameSolveError(RuntimeError):
 
 
 @dataclass
-class SolveResult:
-    """Outcome of one solve: the (L, S) pair plus convergence bookkeeping.
+class SolveResult(Decomposition):
+    """Outcome of one solve: its (L, S) pair plus convergence bookkeeping.
 
-    ``residual_history`` holds the per-iteration relative change of the
-    iterate, one entry per iteration (``iterations`` is its length);
-    ``data_residual`` is the final ||Y - A(L + S)||_F.
+    A result is a ``Decomposition``, so it can be the next frame's
+    ``previous``. ``residual_history`` holds the per-iteration relative
+    change of the iterate, one entry per iteration (``iterations`` is its
+    length); ``data_residual`` is the final ||Y - A(L + S)||_F.
     """
 
-    decomposition: Decomposition
     converged: bool
     residual_history: np.ndarray
     data_residual: float
@@ -104,9 +104,6 @@ class SolveResult:
     @property
     def iterations(self) -> int:
         return len(self.residual_history)
-
-    def estimate(self) -> np.ndarray:
-        return self.decomposition.estimate()
 
 
 def default_config(y: KSpaceData, cfg: SolverConfig | None = None) -> SolverConfig:
@@ -203,18 +200,13 @@ def _iterate(y: KSpaceData, cfg: SolverConfig, previous: Decomposition | None) -
     if previous is not None:
         l += previous.L
         s += previous.S
-    return SolveResult(
-        decomposition=Decomposition(l, s),
-        converged=converged,
-        residual_history=np.array(history),
-        data_residual=data_residual,
-    )
+    return SolveResult(l, s, converged, np.array(history), data_residual)
 
 
 def solve(y: KSpaceData, cfg: SolverConfig, previous: Decomposition | None = None) -> SolveResult:
     """L+S reconstruction of one volume: ``ls`` without ``previous``,
-    ``priori-ls`` with the previous frame's (L, S). None thresholds in
-    ``cfg`` are resolved by ``default_config``.
+    ``priori-ls`` with the previous frame's (L, S), such as its result. None
+    thresholds in ``cfg`` are resolved by ``default_config``.
 
     With the previous pair, the loop solves for the change (L - L_prev,
     S - S_prev) on the residual y - A(L_prev + S_prev), and adds the pair
@@ -244,7 +236,7 @@ def solve_sequence(
     prior (none exists yet) and ``cfg`` resolved from its own samples
     (``default_config``); every later frame with ``cfg`` resolved once, from
     frame 2, from the previous result's (L, S) under ``priori-ls``, as
-    ``solve`` does, and alone under ``ls``. The previous pair is held through
+    ``solve`` does, and alone under ``ls``. The previous result is held through
     the next frame's solve and dropped before that frame's result is yielded,
     so memory does not grow with the frame count. An unknown solver raises
     ValueError before any frame is read, and mixed dims raise ValueError; any
@@ -266,7 +258,7 @@ def solve_sequence(
         previous = None
         yield result
         if threads_prior:
-            previous = result.decomposition
+            previous = result
         del result
     if dims is None:
         raise ValueError("frame list must be nonempty")

@@ -123,9 +123,9 @@ def test_criterion_3_reduction_regression():
         cfg_k = replace(cfg, max_iter=max_iter)
         a = solve(y, cfg_k)
         b = solve(y, cfg_k, zero_pair)
-        scale = np.linalg.norm(a.decomposition.L) + np.linalg.norm(a.decomposition.S)
-        assert np.linalg.norm(a.decomposition.L - b.decomposition.L) <= 1e-12 * scale
-        assert np.linalg.norm(a.decomposition.S - b.decomposition.S) <= 1e-12 * scale
+        scale = np.linalg.norm(a.L) + np.linalg.norm(a.S)
+        assert np.linalg.norm(a.L - b.L) <= 1e-12 * scale
+        assert np.linalg.norm(a.S - b.S) <= 1e-12 * scale
         assert a.iterations == b.iterations
         assert np.array_equal(a.residual_history, b.residual_history)
 
@@ -205,8 +205,8 @@ def test_criterion_6_prior_validity(prior_validity_chain):
     churn, sdist = [], []
     sup_prev = sig_prev = None
     for t, res in enumerate(results):
-        sup = support_set(res.decomposition.S, spec.dims)
-        sig = np.linalg.svd(res.decomposition.L, compute_uv=False)
+        sup = support_set(res.S, spec.dims)
+        sig = np.linalg.svd(res.L, compute_uv=False)
         if t:
             churn.append(support_change(sup_prev, sup))
             sdist.append(np.linalg.norm(sig - sig_prev) / np.linalg.norm(sig))

@@ -505,8 +505,8 @@ class TestCli:
         _, cfg = parse_config(config_file)
         y1 = acquire(vol, make_mask(32, 32, 0.5, seed=0))
         first = solve(y1, cfg)
-        assert np.array_equal(pairs[0].L, first.decomposition.L)
-        assert np.array_equal(pairs[0].S, first.decomposition.S)
+        assert np.array_equal(pairs[0].L, first.L)
+        assert np.array_equal(pairs[0].S, first.S)
 
     def test_recon_reproduces_recon_seq_frame_by_frame(self, tmp_path, capsys):
         # recon builds its mask as recon-seq does, and a prior read back from
@@ -545,6 +545,16 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == "error: rate must be in (0, 1], got 1.5\n"
         assert captured.out == "" and not list(tmp_path.glob("bad.*"))
+
+    def test_recon_makes_the_directories_of_its_out(self, tmp_path):
+        # recon makes --out's parent, as recon-seq, phantom gen and sweep make
+        # their --out, and only once its checks have passed.
+        save_volume(tmp_path / "a.x", next(generate_frames(PhantomSpec(n_frames=1)))[0])
+        args = ["recon", "--input", str(tmp_path / "a.x"), "--out", str(tmp_path / "new/sub/rec1")]
+        assert main([*args, "--rate", "1.5"]) == 1
+        assert not (tmp_path / "new").exists()
+        assert main([*args, "--rate", "0.5"]) == 0
+        assert sorted(p.name for p in (tmp_path / "new/sub").iterdir()) == ["rec1.l", "rec1.s", "rec1.x"]
 
     def test_recon_seq_single_frame_falls_back(self, tmp_path, capsys):
         truth = [x for x, _, _ in generate_frames(PhantomSpec(n_frames=1))]

@@ -48,7 +48,7 @@ def _solve(y: KSpaceData, previous: Decomposition | None = None):
     cfg = default_config(y, SolverConfig(tol=TOL, max_iter=MAX_ITER))
     result = solve(y, cfg, previous)
     assert result.iterations == MAX_ITER
-    return result.decomposition.L, result.decomposition.S
+    return result.L, result.S
 
 
 def _assert_close(got, want):

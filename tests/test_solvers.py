@@ -46,8 +46,8 @@ def test_zero_data_fixed_point():
     res = solve(y, cfg)
     assert res.iterations == 1
     assert res.converged
-    assert np.all(res.decomposition.L == 0)
-    assert np.all(res.decomposition.S == 0)
+    assert np.all(res.L == 0)
+    assert np.all(res.S == 0)
 
 
 def test_full_sampling_rank1_recovery():
@@ -60,7 +60,7 @@ def test_full_sampling_rank1_recovery():
     res = solve(y, cfg)
     estimate = DynamicVolume(res.estimate(), spec.dims)
     assert psnr(truth[0], estimate) > 100.0
-    assert np.all(res.decomposition.S == 0)
+    assert np.all(res.S == 0)
     assert res.iterations <= 50
 
 
@@ -87,8 +87,8 @@ def test_reduction_to_baseline_is_exact(phantom_50):
         cfg_k = replace(cfg, max_iter=max_iter)
         a = solve(y, cfg_k)
         b = solve(y, cfg_k, zero_pair)
-        assert np.array_equal(a.decomposition.L, b.decomposition.L)
-        assert np.array_equal(a.decomposition.S, b.decomposition.S)
+        assert np.array_equal(a.L, b.L)
+        assert np.array_equal(a.S, b.S)
         assert np.array_equal(a.residual_history, b.residual_history)
         assert a.iterations == b.iterations and a.converged == b.converged
 
@@ -99,8 +99,8 @@ def test_priori_zero_data_zero_prior():
     previous = Decomposition(np.zeros((16 * 16, 2)), np.zeros((16 * 16, 2)))
     cfg = SolverConfig(lambda_L=0.1, lambda_S=0.1, max_iter=50)
     res = solve(y, cfg, previous)
-    assert np.all(res.decomposition.L == 0)
-    assert np.all(res.decomposition.S == 0)
+    assert np.all(res.L == 0)
+    assert np.all(res.S == 0)
 
 
 def test_exact_prior_beats_baseline_at_quarter_sampling():
@@ -154,8 +154,8 @@ def test_single_frame_sequence_equals_solve_ls(phantom_50):
     seq_res = list(solve_sequence([y], cfg, "priori-ls"))
     direct = solve(y, cfg)
     assert len(seq_res) == 1
-    assert np.array_equal(seq_res[0].decomposition.L, direct.decomposition.L)
-    assert np.array_equal(seq_res[0].decomposition.S, direct.decomposition.S)
+    assert np.array_equal(seq_res[0].L, direct.L)
+    assert np.array_equal(seq_res[0].S, direct.S)
 
 
 def test_static_sequence_support_stabilizes():
@@ -165,7 +165,7 @@ def test_static_sequence_support_stabilizes():
     mr = make_mask(32, 32, 1 / 3, seed=42)
     frames = [acquire(f, m1 if t == 0 else mr) for t, f in enumerate(truth)]
     results = solve_sequence(frames, SolverConfig(), "priori-ls")
-    sups = [support_set(r.decomposition.S, spec.dims) for r in results]
+    sups = [support_set(r.S, spec.dims) for r in results]
     ratios = [support_change(sups[t - 1], sups[t]) for t in range(1, len(sups))]
     assert all(r <= ratios[0] + 1e-12 for r in ratios[1:])
 
@@ -182,9 +182,9 @@ def test_sequence_keeps_each_frame_as_solved_alone():
     alone = solve(frames[0], cfg_first)
     for t, result in enumerate(results):
         if t:
-            alone = solve(frames[t], cfg_rest, alone.decomposition)
-        assert np.array_equal(result.decomposition.S, alone.decomposition.S)
-        assert np.array_equal(result.decomposition.L, alone.decomposition.L)
+            alone = solve(frames[t], cfg_rest, alone)
+        assert np.array_equal(result.S, alone.S)
+        assert np.array_equal(result.L, alone.L)
 
 
 @pytest.mark.parametrize("solver", ["ls", "priori-ls"])
@@ -202,13 +202,32 @@ def test_solve_sequence_matches_the_explicit_chain(solver):
         if solver == "ls":
             want.append(solve(y, cfg_rest))
         else:
-            want.append(solve(y, cfg_rest, want[-1].decomposition))
+            want.append(solve(y, cfg_rest, want[-1]))
     got = list(solve_sequence(iter(frames), cfg, solver))
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        assert np.array_equal(a.decomposition.L, b.decomposition.L)
-        assert np.array_equal(a.decomposition.S, b.decomposition.S)
+        assert np.array_equal(a.L, b.L)
+        assert np.array_equal(a.S, b.S)
         assert a.iterations == b.iterations
+
+
+@pytest.mark.parametrize("thresholds", ["explicit", "auto"])
+def test_a_result_is_the_next_frames_previous_pair(thresholds):
+    # A SolveResult is its (L, S) pair, so solve takes it as previous, as
+    # solve_sequence does. solve resolves auto thresholds from its own frame
+    # and solve_sequence from frame 2, so on frame 2 both agree under auto too;
+    # from frame 3 on only explicit thresholds chain bit for bit.
+    truth = [x for x, _, _ in generate_frames(PhantomSpec(n_frames=2))]
+    y1, y2 = (acquire(f, make_mask(32, 32, 0.5 if t == 0 else 0.25, seed=t))
+              for t, f in enumerate(truth))
+    cfg = default_config(y2) if thresholds == "explicit" else SolverConfig()
+    first = solve(y1, cfg)
+    assert isinstance(first, Decomposition)
+    chained = solve(y2, cfg, first)
+    want = list(solve_sequence([y1, y2], cfg, "priori-ls"))[1]
+    assert np.array_equal(chained.L, want.L)
+    assert np.array_equal(chained.S, want.S)
+    assert chained.iterations == want.iterations
 
 
 
@@ -221,14 +240,14 @@ def test_solves_leave_the_callers_samples_and_previous_pair_unchanged(solver):
               for t, f in enumerate(truth)]
     kept = [y.samples.tobytes() for y in frames]
     cfg = SolverConfig(max_iter=5)
-    pair = solve(frames[0], cfg).decomposition
+    pair = solve(frames[0], cfg)
     before = pair.L.tobytes(), pair.S.tobytes()
     solve(frames[1], cfg, pair if solver == "priori-ls" else None)
     assert (pair.L.tobytes(), pair.S.tobytes()) == before
     results, solved = [], []
     for result in solve_sequence(frames, cfg, solver):
-        results.append(result.decomposition)
-        solved.append((result.decomposition.L.tobytes(), result.decomposition.S.tobytes()))
+        results.append(result)
+        solved.append((result.L.tobytes(), result.S.tobytes()))
     assert [(d.L.tobytes(), d.S.tobytes()) for d in results] == solved
     assert [y.samples.tobytes() for y in frames] == kept
 
@@ -266,7 +285,7 @@ def test_solve_peak_memory_is_at_most_five_volumes(dims):
     cfg = replace(default_config(frames[0]), max_iter=3)
     first = solve(frames[0], cfg)  # also fills the wavelet band caches
     volume_bytes = n_x * n_y * n_z * np.dtype(np.complex128).itemsize
-    for run in (lambda: solve(frames[0], cfg), lambda: solve(frames[1], cfg, first.decomposition)):
+    for run in (lambda: solve(frames[0], cfg), lambda: solve(frames[1], cfg, first)):
         tracemalloc.start()
         try:
             run()
@@ -322,8 +341,8 @@ def test_determinism_bitwise(phantom_50):
     _, y, cfg = phantom_50
     a = solve(y, cfg)
     b = solve(y, cfg)
-    assert np.array_equal(a.decomposition.L, b.decomposition.L)
-    assert np.array_equal(a.decomposition.S, b.decomposition.S)
+    assert np.array_equal(a.L, b.L)
+    assert np.array_equal(a.S, b.S)
     assert np.array_equal(a.residual_history, b.residual_history)
     assert a.data_residual == b.data_residual
 
@@ -420,7 +439,7 @@ def test_prior_shape_mismatch_rejected(phantom_50):
 def test_solve_rejects_a_prior_in_place_of_the_previous_pair(phantom_50):
     # The previous frame's pair is the prior; its L spectrum is not.
     _, y, cfg = phantom_50
-    prior = np.linalg.svd(solve(y, replace(cfg, max_iter=2)).decomposition.L, compute_uv=False)
+    prior = np.linalg.svd(solve(y, replace(cfg, max_iter=2)).L, compute_uv=False)
     with pytest.raises(TypeError, match="previous must be a Decomposition"):
         solve(y, cfg, prior)
 
@@ -429,15 +448,15 @@ def test_priori_ls_is_ls_on_the_residual_of_the_previous_pair(phantom_50):
     # The definition of priori-ls: ls, under the same thresholds, on the
     # samples y - A(L_prev + S_prev), with the previous pair added back.
     truth, y, cfg = phantom_50
-    pair = solve(y, cfg).decomposition
+    pair = solve(y, cfg)
     y2 = acquire(truth[1], make_mask(32, 32, 0.25, seed=8))
     cfg2 = default_config(y2)
     got = solve(y2, cfg2, pair)
     predicted = acquire(DynamicVolume(pair.L + pair.S, y2.dims), y2.mask)
     want = solve(KSpaceData(y2.samples - predicted.samples, y2.mask), cfg2)
     assert np.any(pair.L) and np.any(pair.S)
-    assert np.array_equal(got.decomposition.L, want.decomposition.L + pair.L)
-    assert np.array_equal(got.decomposition.S, want.decomposition.S + pair.S)
+    assert np.array_equal(got.L, want.L + pair.L)
+    assert np.array_equal(got.S, want.S + pair.S)
     assert np.array_equal(got.residual_history, want.residual_history)
     assert got.data_residual == want.data_residual
     assert got.converged == want.converged
@@ -450,7 +469,7 @@ def test_prior_from_mismatched_pair_rejected(phantom_50):
     spec = PhantomSpec(dims=(16, 16, 4), n_frames=1)
     frame, _, _ = next(generate_frames(spec))
     small = acquire(frame, make_mask(16, 16, 0.5, seed=9))
-    pair = solve(small, replace(default_config(small), max_iter=2)).decomposition
+    pair = solve(small, replace(default_config(small), max_iter=2))
     assert pair.L.shape == (16 * 16, 4)
     with pytest.raises(ValueError, match=r"inconsistent with dims \(32, 32, 4\)"):
         solve(y, cfg, pair)
@@ -482,13 +501,13 @@ def test_row_major_previous_pair_gives_the_column_major_iterates(phantom_50):
     # The start gathers samples from a column-major L_prev + S_prev; a pair
     # built row-major by hand must give the same solve, bit for bit.
     truth, y, cfg = phantom_50
-    pair = solve(y, cfg).decomposition
+    pair = solve(y, cfg)
     assert pair.L.flags.f_contiguous and pair.S.flags.f_contiguous
     row_major = Decomposition(np.ascontiguousarray(pair.L), np.ascontiguousarray(pair.S))
     y2 = acquire(truth[1], make_mask(32, 32, 0.25, seed=8))
     got, want = solve(y2, cfg, row_major), solve(y2, cfg, pair)
-    assert np.array_equal(got.decomposition.L, want.decomposition.L)
-    assert np.array_equal(got.decomposition.S, want.decomposition.S)
+    assert np.array_equal(got.L, want.L)
+    assert np.array_equal(got.S, want.S)
     assert np.array_equal(got.residual_history, want.residual_history)
     assert got.data_residual == want.data_residual
 
@@ -527,15 +546,15 @@ def test_residual_history_matches_the_norm_ratio(phantom_50, monkeypatch, solver
     if solver == "ls":
         run = lambda: solve(y, cfg)  # noqa: E731
     else:
-        previous = solve(y, cfg).decomposition
+        previous = solve(y, cfg)
         y2 = acquire(truth[1], make_mask(32, 32, 0.25, seed=8))
         run = lambda: solve(y2, cfg, previous)  # noqa: E731
     got = run()
     monkeypatch.setattr(solvers, "_relative_change", _norm_ratio)
     want = run()
     assert got.iterations == want.iterations > 20
-    assert np.array_equal(got.decomposition.L, want.decomposition.L)
-    assert np.array_equal(got.decomposition.S, want.decomposition.S)
+    assert np.array_equal(got.L, want.L)
+    assert np.array_equal(got.S, want.S)
     assert np.allclose(got.residual_history, want.residual_history, rtol=1e-14, atol=0)
 
 
