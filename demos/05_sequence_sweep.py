@@ -48,8 +48,7 @@ with tempfile.TemporaryDirectory(prefix="lps_sweep_") as out:
         rates=(1 / 7, 1 / 3),
         solvers=("ls", "priori-ls"),
         n_seeds=2,
-        output_dir=out,
     )
-    run_sweep(experiment)
+    run_sweep(experiment, out=out)
     print("\nsummary.csv (mean PSNR of frames >= 2 against the clean frames):")
     print((Path(out) / "summary.csv").read_text())

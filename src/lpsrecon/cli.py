@@ -7,8 +7,8 @@ Subcommands:
     sweep         run the full solver x rate x seed grid from a config
     eval          PSNR between two volume files
 
-Exit codes: 0 success, 1 runtime failure (diagnostic on stderr), 2 usage
-error.
+Every command but eval writes only under its required --out. Exit codes: 0
+success, 1 runtime failure (diagnostic on stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from .core import Decomposition, DynamicVolume, SolverConfig
@@ -84,8 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run the full experiment grid", allow_abbrev=False)
     p_sweep.add_argument("--config", type=_path, required=True, help="config file")
-    p_sweep.add_argument("--out", type=_path, default=ExperimentSpec.output_dir,
-                         help="output directory (default %(default)s)")
+    p_sweep.add_argument("--out", type=_path, required=True, help="output directory")
     p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_eval = sub.add_parser("eval", help="PSNR between two volume files", allow_abbrev=False)
@@ -110,10 +108,13 @@ def _refuse_overwrite(out: Path, flag: str, source: str | Path) -> None:
 
 
 def _frame_files(directory: Path, suffixes: str) -> list[tuple[int, Path]]:
-    """(N, path) of every file frame<N>.<suffix> in ``directory``, N being
-    digits and the suffix one of the letters in ``suffixes``, by frame number."""
-    paths = directory.glob(f"frame*.[{suffixes}]")
-    return sorted((int(p.stem[5:]), p) for p in paths if p.stem[5:].isdecimal())
+    """(N, path) of every file frame<N>.<suffix> in ``directory``, N of ASCII digits and the
+    suffix one of ``suffixes``, by N. Two files with one N and one suffix are refused."""
+    found = {}
+    for p in sorted(directory.glob(f"frame*.[{suffixes}]")):
+        if (n := p.stem[5:]).isascii() and n.isdigit() and found.setdefault((int(n), p.suffix), p) != p:
+            raise ValueError(f"{found[int(n), p.suffix]} and {p} are both frame {int(n)}: remove one")
+    return sorted((n, p) for (n, _), p in found.items())
 
 
 def _make_frames_dir(out: Path, n_frames: int) -> None:
@@ -250,12 +251,11 @@ def _cmd_recon_seq(args) -> int:
 
 def _cmd_sweep(args) -> int:
     experiment, cfg = parse_config(args.config)
-    experiment = replace(experiment, output_dir=args.out)
-    rows = run_sweep(experiment, cfg)
+    rows = run_sweep(experiment, cfg, out=args.out)
     if unconverged := sum(not row.converged for row in rows):
         print(f"warning: {unconverged} of {len(rows)} frames stopped at max_iter without "
               "converging (see run.log)", file=sys.stderr)
-    print(f"wrote {len(rows)} rows to {Path(experiment.output_dir) / 'sweep.csv'}")
+    print(f"wrote {len(rows)} rows to {Path(args.out) / 'sweep.csv'}")
     return 0
 
 

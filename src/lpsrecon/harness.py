@@ -11,9 +11,9 @@ The pairing is structural: each seed's phantom is generated once, and each
 (rate, seed) acquisition -- two masks, with seeds derived arithmetically from
 the experiment seed, and the k-space of every frame, on the schedule of
 ``_acquire_sequence`` that ``recon-seq`` also follows -- is built once and
-handed to every solver, under the one solver config. sweep.csv is
-byte-stable across reruns of the same config: wall-clock times and
-timestamps go to run.log only.
+handed to every solver, under the one solver config. The reports go to the
+caller's ``out`` only. sweep.csv is byte-stable across reruns of the same
+config: wall-clock times and timestamps go to run.log only.
 """
 
 from __future__ import annotations
@@ -43,14 +43,13 @@ __all__ = [
 
 @dataclass
 class ExperimentSpec:
-    """One sweep: phantom, sampling protocol, solvers, seeds, output."""
+    """One sweep: phantom, sampling protocol, solvers, seeds."""
 
     phantom: PhantomSpec = field(default_factory=PhantomSpec)
     first_frame_rate: float = 0.5
     rates: tuple[float, ...] = (1 / 7, 1 / 5, 1 / 3)
     solvers: tuple[str, ...] = KNOWN_SOLVERS
     n_seeds: int = 5
-    output_dir: str = "sweep_out"
 
     def __post_init__(self):
         if len(self.rates) == 0:
@@ -207,16 +206,16 @@ def write_summary_csv(path, rows: list[SweepRow]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def run_sweep(experiment: ExperimentSpec, cfg: SolverConfig | None = None) -> list[SweepRow]:
+def run_sweep(experiment: ExperimentSpec, cfg: SolverConfig | None = None, *, out) -> list[SweepRow]:
     """Run the full solver x rate x seed grid and write CSV reports.
 
-    Writes sweep.csv, summary.csv, and run.log into the experiment's
-    output directory and returns the rows. Cells run sequentially; row
+    Writes sweep.csv, summary.csv and run.log into ``out``, made if missing,
+    and nowhere else, and returns the rows. Cells run sequentially; row
     order in the files is sorted, independent of execution order.
     """
     cfg = cfg or SolverConfig()
     check_slice_dims(experiment.phantom.dims)
-    out = Path(experiment.output_dir)
+    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     log_lines = [f"sweep started {time.strftime('%Y-%m-%dT%H:%M:%S')}"]
 

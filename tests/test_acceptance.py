@@ -159,9 +159,8 @@ def test_criterion_5_priori_outperforms_baseline(tmp_path):
         rates=(1 / 7, 1 / 5, 1 / 3),
         solvers=("ls", "priori-ls"),
         n_seeds=5,
-        output_dir=str(tmp_path / "sweep"),
     )
-    run_sweep(experiment)
+    run_sweep(experiment, out=tmp_path / "sweep")
     rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1:]
     assert len(rows) == 2 * 3 * 5 * experiment.phantom.n_frames
     stalled = [row for row in rows if not row.endswith(",true")]
@@ -226,10 +225,9 @@ def test_criterion_7_sweep_determinism(tmp_path):
         rates=(0.2, 1 / 3),
         solvers=("ls", "priori-ls"),
         n_seeds=1,
-        output_dir=str(tmp_path / "a"),
     )
-    run_sweep(base)
-    run_sweep(replace(base, output_dir=str(tmp_path / "b")))
+    run_sweep(base, out=tmp_path / "a")
+    run_sweep(base, out=tmp_path / "b")
     sweep_a = (tmp_path / "a" / "sweep.csv").read_bytes()
     sweep_b = (tmp_path / "b" / "sweep.csv").read_bytes()
     assert sweep_a == sweep_b

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from lpsrecon import (
     DynamicVolume,
@@ -233,10 +232,27 @@ def small_sweep(tmp_path_factory):
         rates=(0.2, 1 / 3),
         solvers=("ls", "priori-ls"),
         n_seeds=1,
-        output_dir=str(out),
     )
-    rows = run_sweep(experiment)
+    rows = run_sweep(experiment, out=out)
     return experiment, rows, out
+
+
+def test_experiment_spec_holds_no_output_directory():
+    # The directory a sweep writes into is run_sweep's out, and nowhere else.
+    with pytest.raises(TypeError, match="output_dir"):
+        ExperimentSpec(output_dir="sweep_out")
+
+
+def test_run_sweep_writes_only_under_its_out(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    experiment = ExperimentSpec(phantom=PhantomSpec(n_frames=2), rates=(1 / 3,), solvers=("ls",),
+                                n_seeds=1)
+    with pytest.raises(TypeError, match="out"):
+        run_sweep(experiment, SolverConfig())
+    assert not list(tmp_path.iterdir())
+    run_sweep(experiment, out=tmp_path / "new" / "sub")
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file()) == [
+        f"new/sub/{name}" for name in ("run.log", "summary.csv", "sweep.csv")]
 
 
 def test_sweep_row_grid(small_sweep):
@@ -278,8 +294,7 @@ def test_summary_csv_averages_swept_frames_only(small_sweep):
 
 def test_sweep_rerun_is_byte_identical(small_sweep, tmp_path):
     experiment, _, out = small_sweep
-    rerun = replace(experiment, output_dir=str(tmp_path / "again"))
-    run_sweep(rerun)
+    run_sweep(experiment, out=tmp_path / "again")
     assert (tmp_path / "again" / "sweep.csv").read_bytes() == (out / "sweep.csv").read_bytes()
     assert (tmp_path / "again" / "summary.csv").read_bytes() == (
         out / "summary.csv"
@@ -321,7 +336,7 @@ def test_sweep_builds_each_input_once(small_sweep, tmp_path, monkeypatch):
     for name in ("generate_frames", "make_mask", "acquire"):
         counted(harness, name)
     counted(operators, "_sample_index")
-    run_sweep(replace(experiment, output_dir=str(tmp_path)))
+    run_sweep(experiment, out=tmp_path)
     cells = len(experiment.rates) * experiment.n_seeds
     assert calls == {
         "generate_frames": experiment.n_seeds,
@@ -363,9 +378,8 @@ def test_both_commands_take_their_masks_from_the_schedule(tmp_path, capsys, conf
 
     monkeypatch.setattr(harness, "_acquire_sequence", recorded)
     monkeypatch.setattr(cli, "_acquire_sequence", recorded)
-    experiment = ExperimentSpec(phantom=PhantomSpec(n_frames=3), rates=(0.25,), n_seeds=1,
-                                output_dir=str(tmp_path / "sweep"))
-    run_sweep(experiment)
+    experiment = ExperimentSpec(phantom=PhantomSpec(n_frames=3), rates=(0.25,), n_seeds=1)
+    run_sweep(experiment, out=tmp_path / "sweep")
     assert calls == [(0.5, 0.25, _mask_seed(0, 0, 0.25, 0), _mask_seed(0, 0, 0.25, 1))]
     calls.clear()
     frames_dir = tmp_path / "frames"
@@ -380,11 +394,11 @@ def test_sweep_scores_against_the_clean_frames(tmp_path, monkeypatch):
     # taken against the clean L + S of its frame.
     spec = PhantomSpec(n_frames=2, noise_sigma=0.05)
     experiment = ExperimentSpec(phantom=spec, rates=(1 / 3,), solvers=("ls", "priori-ls"),
-                                n_seeds=1, output_dir=str(tmp_path))
+                                n_seeds=1)
     references = []
     monkeypatch.setattr(harness, "psnr", lambda reference, estimate: (
         references.append(reference.data) or psnr(reference, estimate)))
-    run_sweep(experiment)
+    run_sweep(experiment, out=tmp_path)
     clean = [l.data + s.data for _, l, s in generate_frames(spec)]
     assert len(references) == 2 * len(clean)
     for got, want in zip(references, clean + clean):
@@ -622,6 +636,39 @@ class TestCli:
         assert sorted(p.name for p in out.glob("frame*")) == [
             f"frame000{t}.{part}" for t in (1, 2) for part in "lsx"]
 
+    def test_two_files_with_one_frame_number_are_refused_before_anything_is_written(
+        self, tmp_path, capsys
+    ):
+        config = tmp_path / "two.cfg"
+        config.write_text(CONFIG_TEXT.replace("n_frames = 3", "n_frames = 2"))
+        frames_dir = tmp_path / "fr"
+        assert main(["phantom", "gen", "--config", str(config), "--out", str(frames_dir)]) == 0
+        (frames_dir / "frame2.x").write_bytes((frames_dir / "frame0002.x").read_bytes())
+        before = {p.name: p.read_bytes() for p in frames_dir.iterdir()}
+        capsys.readouterr()
+        out = tmp_path / "seq"
+        assert main(["recon-seq", "--frames", str(frames_dir), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {frames_dir / 'frame0002.x'} and {frames_dir / 'frame2.x'} are both frame 2: "
+            "remove one\n")
+        assert not out.exists()
+        # phantom gen makes its --out by the same scan.
+        assert main(["phantom", "gen", "--config", str(config), "--out", str(frames_dir)]) == 1
+        assert "are both frame 2" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in frames_dir.iterdir()} == before
+
+    def test_a_frame_number_is_ascii_digits_only(self, tmp_path, capsys):
+        # frame\u0663.x (an Arabic-Indic 3) is not frame 3, and so not a frame.
+        config = tmp_path / "two.cfg"
+        config.write_text(CONFIG_TEXT.replace("n_frames = 3", "n_frames = 2"))
+        frames_dir = tmp_path / "fr"
+        assert main(["phantom", "gen", "--config", str(config), "--out", str(frames_dir)]) == 0
+        (frames_dir / "frame\u0663.x").write_bytes((frames_dir / "frame0001.x").read_bytes())
+        out = tmp_path / "seq"
+        assert main(["recon-seq", "--frames", str(frames_dir), "--out", str(out),
+                     "--rate", "0.333333"]) == 0
+        assert len((out / "metrics.csv").read_text().splitlines()) == 1 + 2
+
     def test_recon_seq_without_frame_files_names_the_rule(self, tmp_path, capsys):
         frames_dir = tmp_path / "fr"
         frames_dir.mkdir()
@@ -843,6 +890,17 @@ class TestCli:
         assert err_lines == ["warning: 12 of 12 frames stopped at max_iter without converging "
                              "(see run.log)"]
         assert "unconverged frames: 12 of 12" in (sweep_dir / "run.log").read_text()
+
+    def test_sweep_without_out_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                config_file):
+        # No command writes into a directory it was not given.
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(config_file)])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --out" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_usage_error_on_missing_required_flag(self):
         with pytest.raises(SystemExit) as exc:

@@ -123,9 +123,8 @@ def test_exact_prior_beats_baseline_at_quarter_sampling():
 def test_desk_cell_converges_at_a_tight_tolerance(solver, tmp_path):
     # One cell of the desk sweep (default phantom, seed 0, rate 1/7): at
     # tol = 1e-5 every frame must converge well before max_iter.
-    experiment = ExperimentSpec(rates=(1 / 7,), solvers=(solver,), n_seeds=1,
-                                output_dir=str(tmp_path))
-    rows = run_sweep(experiment, SolverConfig(tol=1e-5, max_iter=3000))
+    experiment = ExperimentSpec(rates=(1 / 7,), solvers=(solver,), n_seeds=1)
+    rows = run_sweep(experiment, SolverConfig(tol=1e-5, max_iter=3000), out=tmp_path)
     assert len(rows) == 6
     stalled = [(row.frame, row.iterations) for row in rows if not row.converged]
     assert not stalled, f"frames stopped at max_iter: {stalled}"
