@@ -56,8 +56,13 @@ class ExperimentSpec:
             raise ValueError("rates must be nonempty")
         if any(not 0 < r < 1 for r in self.rates):
             raise ValueError(f"rates must lie in (0, 1), got {self.rates}")
-        if any(b <= a for a, b in zip(self.rates, self.rates[1:])):
-            raise ValueError(f"rates must be strictly increasing, got {self.rates}")
+        for a, b in zip(self.rates, self.rates[1:]):
+            if b <= a:
+                raise ValueError(f"rates must be strictly increasing, got {self.rates}")
+            # The reports print a rate to 6 decimals and its mask seed reads it so.
+            if f"{a:.6f}" == f"{b:.6f}":
+                raise ValueError(f"rates {a} and {b} are equal to 6 decimals, "
+                                 "so the reports and masks would merge them")
         if not 0 < self.first_frame_rate <= 1:
             raise ValueError(f"first_frame_rate must be in (0, 1], got {self.first_frame_rate}")
         _require_int("n_seeds", self.n_seeds, 1)

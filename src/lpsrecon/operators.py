@@ -11,8 +11,8 @@ sits at (n_x // 2, n_y // 2), the geometric center of the grid.
 
 One acquisition is one ``KSpaceData``: the samples on a mask, with the
 volume dims derived from both. The sampling kernels (``_adjoint_matrix``,
-``_data_consistency``) take it whole, and ``_take_samples`` is the one
-gather, so the sample layout is known only here.
+``_data_consistency``) take it whole, and ``_take_samples``, the one gather,
+returns samples in its m x n_z layout, so that layout is known only here.
 """
 
 from __future__ import annotations
@@ -186,10 +186,10 @@ def _data_consistency(x: np.ndarray, y: KSpaceData) -> np.ndarray:
 
 
 def _take_samples(x: np.ndarray, dims: tuple[int, int, int], mask: SamplingMask) -> np.ndarray:
-    """The (n_z, m) samples on ``mask`` of the column-major matrix x: row z is slice
-    z's spectrum at ``mask.index``. x is overwritten by its spectra, taken in place."""
+    """``KSpaceData``'s m x n_z samples on ``mask`` of the column-major matrix x, column
+    z from slice z's spectrum at ``mask.index``. x is overwritten by its spectra, in place."""
     spectra = _spectra(x, dims).reshape(dims[2], -1)
-    return np.take(spectra, mask.index, axis=1)
+    return np.take(spectra, mask.index, axis=1).T
 
 
 def acquire(x: DynamicVolume, mask: SamplingMask) -> KSpaceData:
@@ -202,7 +202,7 @@ def acquire(x: DynamicVolume, mask: SamplingMask) -> KSpaceData:
     n_x, n_y, _ = x.dims
     if mask.pattern.shape != (n_x, n_y):
         raise ValueError(f"mask grid {mask.pattern.shape} does not match volume dims {x.dims}")
-    return KSpaceData(_take_samples(x.data.copy(order="F"), x.dims, mask).T, mask)
+    return KSpaceData(_take_samples(x.data.copy(order="F"), x.dims, mask), mask)
 
 
 def acquire_adjoint(y: KSpaceData) -> DynamicVolume:

@@ -91,10 +91,10 @@ class FrameSolveError(RuntimeError):
 class SolveResult(Decomposition):
     """Outcome of one solve: its (L, S) pair plus convergence bookkeeping.
 
-    A result is a ``Decomposition``, so it can be the next frame's
-    ``previous``. ``residual_history`` holds the per-iteration relative
-    change of the iterate, one entry per iteration (``iterations`` is its
-    length); ``data_residual`` is the final ||Y - A(L + S)||_F.
+    A result is a ``Decomposition``, so it can be the next frame's ``previous``.
+    ``residual_history`` holds the per-iteration relative change of the iterate, one
+    entry per iteration (``iterations`` is its length); ``data_residual`` is the final
+    ||Y - A(L + S)||_F, read off the last data-consistency iterate X as ||X - L - S||.
     """
 
     converged: bool
@@ -146,19 +146,19 @@ def _relative_change(x: np.ndarray, x_new: np.ndarray, dims: tuple[int, int, int
 
 
 def _iterate(y: KSpaceData, cfg: SolverConfig, previous: Decomposition | None) -> SolveResult:
-    """Solve y: ``ls`` without ``previous``, ``priori-ls`` with the previous
-    frame's (L, S).
+    """Solve y: ``ls`` without ``previous``, ``priori-ls`` with the previous frame's (L, S).
 
-    Without a pair the loop runs on y from X0 = A^H(y). With one it runs on
-    the residual samples y_r = y - A(L_prev + S_prev), formed in place in the
-    samples gathered from L_prev + S_prev and rebound as y (the caller's y is
-    left as it is), from X0 = A^H(y_r), and adds L_prev and S_prev to the L
-    and S it finds. A zero pair gives the samples and X0 of the solve without one.
+    Without a pair the loop runs on y from X0 = A^H(y). With one it runs on the residual
+    samples y_r = y - A(L_prev + S_prev), formed in place in the samples gathered from
+    L_prev + S_prev and rebound as y (the caller's y is left as it is), from X0 = A^H(y_r),
+    and adds L_prev and S_prev to the L and S it finds. A zero pair gives the samples and
+    X0 of the solve without one. The data residual is ||X - L - S|| on the last iterate
+    X = L + S + A^H(y - A(L + S)), so no transform follows the loop.
     """
     # Iterates stay column-major (a C-contiguous slice stack): no reshape copies.
     dims = y.dims
     if previous is not None:
-        predicted = _take_samples(np.add(previous.L, previous.S, order="F"), dims, y.mask).T
+        predicted = _take_samples(np.add(previous.L, previous.S, order="F"), dims, y.mask)
         if not np.isfinite(predicted).all():  # a non-finite entry spreads over its slice's spectrum
             raise ValueError("previous pair contains non-finite entries")
         y = KSpaceData(np.subtract(y.samples, predicted, out=predicted), y.mask)
@@ -182,7 +182,7 @@ def _iterate(y: KSpaceData, cfg: SolverConfig, previous: Decomposition | None) -
         x_new = _data_consistency(l + s, y)
         # x is finite, so a non-finite x_new shows as a non-finite change. A
         # non-finite L + S shows in x_new unless every frequency is sampled;
-        # the data residual below catches that case.
+        # the data residual below, taken against L and S, catches that case.
         change = _relative_change(x, x_new, dims)
         if not np.isfinite(change):
             raise FloatingPointError(f"solver produced a non-finite iterate at iteration {it}")
@@ -192,9 +192,9 @@ def _iterate(y: KSpaceData, cfg: SolverConfig, previous: Decomposition | None) -
             converged = True
             break
 
-    # The last iterate is dead: the final L + S and its spectra go in its buffer.
-    samples = _take_samples(np.add(l, s, out=x), dims, y.mask)
-    data_residual = float(np.linalg.norm(samples - y.samples.T))
+    x -= l  # the dead last iterate L + S + A^H(y - A(L + S)) becomes A^H(y - A(L + S)),
+    x -= s  # whose norm is ||y - A(L + S)||, since A A^H = I
+    data_residual = float(np.linalg.norm(x))
     if not np.isfinite(data_residual):
         raise FloatingPointError(f"solver produced a non-finite estimate at iteration {len(history)}")
     if previous is not None:

@@ -136,6 +136,23 @@ def test_parse_config_errors_name_the_section_and_key(tmp_path, section, line, n
     assert "lambda_L" not in message
 
 
+def test_rates_equal_to_six_decimals_are_refused_before_a_sweep(tmp_path, capsys):
+    # 0.2 and 0.2000001 are strictly increasing, but sweep.csv prints both as
+    # 0.200000, summary.csv merges their rows and both cells share one mask.
+    assert _mask_seed(0, 0, 0.2, 1) == _mask_seed(0, 0, 0.2000001, 1)
+    with pytest.raises(ValueError, match=r"^rates 0\.2 and 0\.2000001 are equal to 6 decimals"):
+        ExperimentSpec(rates=(0.1, 0.2, 0.2000001))
+    assert ExperimentSpec(rates=(0.2, 0.200001)).rates == (0.2, 0.200001)
+    path = tmp_path / "twin.cfg"
+    path.write_text(_config_with("sweep", "rates = 0.2, 0.2000001"))
+    with pytest.raises(ValueError, match=r"^\[sweep\] rates 0\.2 and 0\.2000001 are equal"):
+        parse_config(path)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+    assert "[sweep] rates 0.2 and 0.2000001 are equal to 6 decimals" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_shipped_configs_parse_cleanly(tmp_path):
     root = Path(__file__).resolve().parents[1]
     experiment, cfg = parse_config(root / "demos" / "experiment.cfg")

@@ -90,11 +90,12 @@ def _assert_matches_complex_form(shape, levels):
 
 # From (2, 96, 48) on, blocks span several band tiles, some with a shorter
 # wrap tile (48 = 32 + 16, 40 = 32 + 8), one the longest (68 = 32 + 36), and
-# levels that are tiled along one axis only.
+# levels that are tiled along one axis only. The last two reach, at 3 levels, a
+# one-tile block of 4 rows, narrower than the filter's span (_SPAN = 6), beside a tiled axis.
 @pytest.mark.parametrize(
     "shape",
     [(1, 8, 8), (4, 32, 32), (2, 16, 24), (3, 64, 32), (16, 256, 256),
-     (2, 96, 48), (1, 40, 24), (3, 128, 64), (1, 136, 200)],
+     (2, 96, 48), (1, 40, 24), (3, 128, 64), (1, 136, 200), (1, 8, 128), (2, 128, 8)],
 )
 @pytest.mark.parametrize("levels", [1, 3])
 def test_real_plane_transform_matches_complex_form(shape, levels):
