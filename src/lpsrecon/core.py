@@ -61,7 +61,8 @@ class DynamicVolume:
     """One complex volume at a single time instant, in Casorati form.
 
     ``data`` has shape (n_x*n_y, n_z); column z is slice z flattened in
-    row-major order. All entries must be finite.
+    row-major order. All entries must be finite. ``dims`` must be three
+    integers >= 1, and is kept as a tuple.
     """
 
     data: np.ndarray
@@ -69,9 +70,11 @@ class DynamicVolume:
 
     def __post_init__(self):
         self.data = _as_complex_matrix(self.data, "data")
-        n_x, n_y, n_z = self.dims
-        if min(n_x, n_y, n_z) < 1:
-            raise ValueError(f"dims must be positive, got {self.dims}")
+        if len(self.dims) != 3:
+            raise ValueError(f"dims must be (n_x, n_y, n_z), got {self.dims}")
+        for name, value in zip(("n_x", "n_y", "n_z"), self.dims):
+            _require_int(f"dims {name}", value, 1)
+        self.dims = n_x, n_y, n_z = tuple(self.dims)
         if self.data.shape != (n_x * n_y, n_z):
             raise ValueError(
                 f"data shape {self.data.shape} inconsistent with dims {self.dims}: "

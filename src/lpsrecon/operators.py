@@ -90,6 +90,8 @@ class KSpaceData:
             raise ValueError("samples must be a 2-D matrix")
         if samples.shape[0] != self.mask.m:
             raise ValueError(f"samples shape {samples.shape} inconsistent with m={self.mask.m}")
+        if samples.shape[1] == 0:
+            raise ValueError(f"samples shape {samples.shape} has no slice columns")
         if not np.isfinite(samples).all():
             raise ValueError("k-space samples contain non-finite entries")
         object.__setattr__(self, "samples", samples)

@@ -1,9 +1,9 @@
 """Iterative low-rank plus sparse solvers and the sequential pipeline.
 
-``solve(y, cfg, previous=None)`` runs one soft-thresholding scheme, the
-baseline ``ls`` without a previous frame and the prior-informed
-``priori-ls`` with the previous frame's (L, S). From X0 and S0 = 0 it
-repeats
+``solve(y, cfg, previous=None)``, the one way into a solve, runs one
+soft-thresholding scheme, the baseline ``ls`` without a previous frame and
+the prior-informed ``priori-ls`` with the previous frame's (L, S). From X0
+and S0 = 0 its loop, ``_iterate``, repeats
 
     1. L <- singular-value soft-thresholding of (X - S) with lambda_L
     2. S <- inverse transform of the soft-thresholded coefficients of (X - L)
@@ -27,19 +27,19 @@ L - L_prev = SVT(L - L_prev - g) and S - S_prev = T^H soft(T(S - S_prev -
 g)), the proximal-gradient optimality conditions of F. In the change
 (L - L_prev, S - S_prev), F is the ``ls`` objective on the residual data
 y - A(L_prev + S_prev). So ``priori-ls`` is the ``ls`` loop on those samples,
-from X0 = A^H(y - A(L_prev + S_prev)), with the previous pair added back to
-the (L, S) it returns (``_iterate``): CS-residual (Vaswani, IEEE TSP 2010)
-for both components, and for L the recursive form of ReProCS (Qiu, Vaswani
-et al., IEEE TIT 2014). Its first iterate L_prev + S_prev + X0 is view
+from X0 = A^H(y - A(L_prev + S_prev)), and ``solve`` adds the previous pair
+back to the (L, S) it returns: CS-residual (Vaswani, IEEE TSP 2010) for both
+components, and for L the recursive form of ReProCS (Qiu, Vaswani et al.,
+IEEE TIT 2014). Its first iterate L_prev + S_prev + X0 is view
 sharing, the previous estimate with the new samples put in. A zero pair
 gives exactly the solve without one.
 
 Settings come as one ``SolverConfig``. Its thresholds may be left None:
 ``default_config`` resolves them from the acquisition before a solve.
 
-``solve_sequence(frames, cfg, solver)`` chains the frames of a sequence
-under one config: frame 1 has no prior; every later frame is solved from the
-previous frame's (L, S) for ``priori-ls``, and alone for ``ls``.
+``solve_sequence(frames, cfg, solver)`` solves the frames of a sequence
+through ``solve`` under one config: frame 1 has no prior; every later frame
+has the previous frame's (L, S) for ``priori-ls``, and none for ``ls``.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .operators import (
     _take_samples,
     sv_threshold,
 )
-from .wavelets import _forward_matrix, _inverse_matrix
+from .wavelets import _forward_matrix, _inverse_matrix, check_slice_dims
 
 __all__ = [
     "KNOWN_SOLVERS",
@@ -119,6 +119,7 @@ def default_config(y: KSpaceData, cfg: SolverConfig | None = None) -> SolverConf
     cfg = cfg or SolverConfig()
     if cfg.lambda_L is not None and cfg.lambda_S is not None:
         return cfg
+    check_slice_dims(y.dims)
     x0 = _adjoint_matrix(y)
     sigma_max = float(_gram_spectrum(x0)[0][0])
     coeff_peak = float(np.abs(_forward_matrix(x0, y.dims)).max())
@@ -145,23 +146,12 @@ def _relative_change(x: np.ndarray, x_new: np.ndarray, dims: tuple[int, int, int
     return norm_diff / norm_old if norm_old else norm_diff
 
 
-def _iterate(y: KSpaceData, cfg: SolverConfig, previous: Decomposition | None) -> SolveResult:
-    """Solve y: ``ls`` without ``previous``, ``priori-ls`` with the previous frame's (L, S).
-
-    Without a pair the loop runs on y from X0 = A^H(y). With one it runs on the residual
-    samples y_r = y - A(L_prev + S_prev), formed in place in the samples gathered from
-    L_prev + S_prev and rebound as y (the caller's y is left as it is), from X0 = A^H(y_r),
-    and adds L_prev and S_prev to the L and S it finds. A zero pair gives the samples and
-    X0 of the solve without one. The data residual is ||X - L - S|| on the last iterate
-    X = L + S + A^H(y - A(L + S)), so no transform follows the loop.
-    """
+def _iterate(y: KSpaceData, cfg: SolverConfig) -> SolveResult:
+    """The ``ls`` loop on y from X0 = A^H(y), with both thresholds of ``cfg`` set; ``solve``
+    is its only caller. The data residual is ||X - L - S|| on the last iterate
+    X = L + S + A^H(y - A(L + S)), so no transform follows the loop."""
     # Iterates stay column-major (a C-contiguous slice stack): no reshape copies.
     dims = y.dims
-    if previous is not None:
-        predicted = _take_samples(np.add(previous.L, previous.S, order="F"), dims, y.mask)
-        if not np.isfinite(predicted).all():  # a non-finite entry spreads over its slice's spectrum
-            raise ValueError("previous pair contains non-finite entries")
-        y = KSpaceData(np.subtract(y.samples, predicted, out=predicted), y.mask)
     x = _adjoint_matrix(y)
     s = np.zeros_like(x)
     history: list[float] = []
@@ -197,9 +187,6 @@ def _iterate(y: KSpaceData, cfg: SolverConfig, previous: Decomposition | None) -
     data_residual = float(np.linalg.norm(x))
     if not np.isfinite(data_residual):
         raise FloatingPointError(f"solver produced a non-finite estimate at iteration {len(history)}")
-    if previous is not None:
-        l += previous.L
-        s += previous.S
     return SolveResult(l, s, converged, np.array(history), data_residual)
 
 
@@ -208,16 +195,27 @@ def solve(y: KSpaceData, cfg: SolverConfig, previous: Decomposition | None = Non
     ``priori-ls`` with the previous frame's (L, S), such as its result. None
     thresholds in ``cfg`` are resolved by ``default_config``.
 
-    With the previous pair, the loop solves for the change (L - L_prev,
-    S - S_prev) on the residual y - A(L_prev + S_prev), and adds the pair
-    back to the components it finds.
+    The one way into a solve: its inputs are checked once, before any kernel
+    runs. With the pair, the loop runs on the residual samples y - A(L_prev +
+    S_prev), formed in the samples gathered from the column-major sum L_prev +
+    S_prev, and the pair is added back to the (L, S) it finds, in place.
     """
     if previous is not None and not isinstance(previous, Decomposition):
         raise TypeError(f"previous must be a Decomposition (the previous frame's L, S), "
                         f"got {type(previous).__name__}")
     if previous is not None and previous.L.shape != (y.dims[0] * y.dims[1], y.dims[2]):
         raise ValueError(f"previous pair shape {previous.L.shape} inconsistent with dims {y.dims}")
-    return _iterate(y, default_config(y, cfg), previous)
+    check_slice_dims(y.dims)
+    cfg = default_config(y, cfg)
+    if previous is None:
+        return _iterate(y, cfg)
+    predicted = _take_samples(np.add(previous.L, previous.S, order="F"), y.dims, y.mask)
+    if not np.isfinite(predicted).all():  # a non-finite entry spreads over its slice's spectrum
+        raise ValueError("previous pair contains non-finite entries")
+    result = _iterate(KSpaceData(np.subtract(y.samples, predicted, out=predicted), y.mask), cfg)
+    result.L += previous.L
+    result.S += previous.S
+    return result
 
 
 def uses_prior(solver: str) -> bool:
@@ -232,15 +230,14 @@ def solve_sequence(
 ) -> Iterator[SolveResult]:
     """Reconstruct a time sequence with ``solver``, yielding each frame's result once solved.
 
-    Frames are read from ``frames`` one at a time. Frame 1 is solved with no
-    prior (none exists yet) and ``cfg`` resolved from its own samples
-    (``default_config``); every later frame with ``cfg`` resolved once, from
-    frame 2, from the previous result's (L, S) under ``priori-ls``, as
-    ``solve`` does, and alone under ``ls``. The previous result is held through
-    the next frame's solve and dropped before that frame's result is yielded,
-    so memory does not grow with the frame count. An unknown solver raises
-    ValueError before any frame is read, and mixed dims raise ValueError; any
-    other failure at a frame aborts with its 1-based index.
+    Frames are read from ``frames`` one at a time and solved by ``solve``. Frame 1
+    has no prior (none exists yet) and ``cfg`` resolved from its own samples
+    (``default_config``); every later frame has ``cfg`` resolved once, from frame 2,
+    and the previous result's (L, S) under ``priori-ls``, none under ``ls``. The
+    previous result is held through the next frame's solve and dropped before that
+    frame's result is yielded, so memory does not grow with the frame count. An
+    unknown solver raises ValueError before any frame is read, mixed dims raise
+    ValueError, and any other failure at a frame aborts with its 1-based index.
     """
     threads_prior = uses_prior(solver)
     dims = resolved = previous = None
@@ -252,7 +249,7 @@ def solve_sequence(
         try:
             if t <= 2:
                 resolved = default_config(frame, cfg)
-            result = _iterate(frame, resolved, previous)
+            result = solve(frame, resolved, previous)
         except Exception as exc:  # noqa: BLE001 - abort must carry the frame index
             raise FrameSolveError(t, exc) from exc
         previous = None

@@ -14,7 +14,9 @@ that fits in one tile keeps the dense level matrix.
 
 Coefficients are laid out in place: level-1 details fill the outer three
 quadrants, deeper levels subdivide the top-left block, and the coarsest
-approximation ends up in the top-left (n_x/8) x (n_y/8) corner.
+approximation ends up in the top-left (n_x/8) x (n_y/8) corner. The public
+transforms check the slice dims (``check_slice_dims``), as ``solvers.solve``
+does once per solve; the in-place matrix forms take them as checked.
 """
 
 from __future__ import annotations
@@ -189,27 +191,21 @@ def check_slice_dims(dims: tuple[int, int, int]) -> None:
         )
 
 
-def _slice_stack(data: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
-    """The (n_z, n_x, n_y) slice stack of a column-major Casorati matrix, as
-    a view of it (``core._slice_view``), once its slices fit WAVELET_LEVELS."""
-    check_slice_dims(dims)
-    return _slice_view(data, dims)
-
-
 def _forward_matrix(data: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
     """Coefficients of a column-major Casorati matrix, in place; returns ``data``."""
-    _dwt2_stack(_slice_stack(data, dims), WAVELET_LEVELS)
+    _dwt2_stack(_slice_view(data, dims), WAVELET_LEVELS)
     return data
 
 
 def _inverse_matrix(w: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
     """Inverse of ``_forward_matrix``, in place in ``w``; returns ``w``."""
-    _dwt2_stack(_slice_stack(w, dims), WAVELET_LEVELS, inverse=True)
+    _dwt2_stack(_slice_view(w, dims), WAVELET_LEVELS, inverse=True)
     return w
 
 
 def wavelet_forward(s: DynamicVolume) -> np.ndarray:
     """Per-slice multi-level 2D wavelet coefficients, same matrix shape."""
+    check_slice_dims(s.dims)
     return _forward_matrix(s.data.copy(order="F"), s.dims)
 
 
@@ -219,4 +215,5 @@ def wavelet_inverse(w: np.ndarray, dims: tuple[int, int, int]) -> DynamicVolume:
     n_x, n_y, n_z = dims
     if w.shape != (n_x * n_y, n_z):
         raise ValueError(f"coefficient shape {w.shape} inconsistent with dims {dims}")
+    check_slice_dims(dims)
     return DynamicVolume(_inverse_matrix(w, dims), dims)

@@ -5,6 +5,7 @@ from lpsrecon import (
     Decomposition,
     DynamicVolume,
     SolverConfig,
+    psnr,
     soft_threshold,
     soft_threshold_matrix,
     sv_threshold,
@@ -169,6 +170,19 @@ class TestContainers:
     def test_volume_shape_validation(self):
         with pytest.raises(ValueError):
             DynamicVolume(np.zeros((10, 2), dtype=complex), (3, 3, 2))
+
+    @pytest.mark.parametrize("dims", [(32.0, 32, 4), (True, 1024, 4), (32, 32), (32, 32, 4, 1),
+                                      (0, 32, 4)])
+    def test_volume_dims_must_be_three_integers(self, dims):
+        with pytest.raises(ValueError, match="dims"):
+            DynamicVolume(np.ones((1024, 4), dtype=complex), dims)
+
+    def test_volume_keeps_its_dims_as_a_tuple(self):
+        data = np.ones((1024, 4), dtype=complex)
+        listed = DynamicVolume(data, [32, 32, 4])
+        assert listed.dims == (32, 32, 4) and isinstance(listed.dims, tuple)
+        assert psnr(DynamicVolume(data, (32, 32, 4)), listed) == np.inf
+        assert DynamicVolume(data, tuple(np.int64(n) for n in (32, 32, 4))).dims == (32, 32, 4)
 
     def test_volume_rejects_nonfinite(self):
         data = np.zeros((9, 2), dtype=complex)

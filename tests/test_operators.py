@@ -458,6 +458,12 @@ class TestKSpaceData:
             with pytest.raises(ValueError, match=f"m={mask.m}"):
                 KSpaceData(samples, mask)
 
+    def test_zero_sample_columns_are_rejected(self):
+        # An acquisition of no slices has no volume to solve for.
+        mask = make_mask(32, 32, 0.25, seed=4)
+        with pytest.raises(ValueError, match=rf"\({mask.m}, 0\)"):
+            KSpaceData(np.zeros((mask.m, 0)), mask)
+
     def test_acquisition_cannot_be_reassigned(self):
         # Each check holds only at construction, and the mask's index is
         # derived from its pattern, so no field may be rebound afterwards.

@@ -233,8 +233,8 @@ def test_a_result_is_the_next_frames_previous_pair(thresholds):
 
 @pytest.mark.parametrize("solver", ["ls", "priori-ls"])
 def test_solves_leave_the_callers_samples_and_previous_pair_unchanged(solver):
-    # priori-ls rebinds y to the residual samples y - A(S_prev) inside the
-    # solve; neither the caller's acquisitions nor a previous pair may change.
+    # priori-ls solves on the residual samples y - A(L_prev + S_prev); neither
+    # the caller's acquisitions nor a previous pair may change.
     truth = [x for x, _, _ in generate_frames(PhantomSpec(n_frames=3))]
     frames = [acquire(f, make_mask(32, 32, 0.5 if t == 0 else 0.25, seed=t))
               for t, f in enumerate(truth)]
@@ -335,6 +335,47 @@ def test_sequence_failure_carries_frame_index():
         list(solve_sequence([y], cfg, "priori-ls"))
     assert err.value.frame_index == 1
     assert "frame 1" in str(err.value)
+
+
+@pytest.mark.parametrize("solver", ["ls", "priori-ls"])
+def test_sequence_solves_every_frame_through_solve(monkeypatch, solver):
+    # solve is the one way into a solve: the sequence makes one call per frame,
+    # passing the previous result under priori-ls and no pair under ls.
+    truth = [x for x, _, _ in generate_frames(PhantomSpec(n_frames=3))]
+    frames = [acquire(f, make_mask(32, 32, 0.5 if t == 0 else 0.25, seed=t))
+              for t, f in enumerate(truth)]
+    calls = []
+
+    def counted(y, cfg, previous=None):
+        calls.append(previous)
+        return solve(y, cfg, previous)
+
+    monkeypatch.setattr(solvers, "solve", counted)
+    results = list(solve_sequence(frames, SolverConfig(max_iter=5), solver))
+    assert len(calls) == len(frames)
+    assert calls[0] is None
+    if solver == "ls":
+        assert calls[1:] == [None, None]
+    else:
+        assert calls[1] is results[0] and calls[2] is results[1]
+
+
+def test_solve_checks_slice_dims_before_any_kernel(monkeypatch):
+    # 12x12 slices are not divisible by 2^3. With explicit thresholds no
+    # default_config reads the data, so the check in solve must come first.
+    rng = np.random.default_rng(2)
+    mask = make_mask(12, 12, 0.5, seed=3)
+    y = KSpaceData(rng.standard_normal((mask.m, 2)) + 0j, mask)
+    svts = []
+
+    def recorded(m, lam):
+        svts.append(lam)
+        return sv_threshold(m, lam)
+
+    monkeypatch.setattr(solvers, "sv_threshold", recorded)
+    with pytest.raises(ValueError, match=r"divisible by 2\^3"):
+        solve(y, SolverConfig(lambda_L=0.1, lambda_S=0.1))
+    assert svts == []
 
 
 def test_determinism_bitwise(phantom_50):
