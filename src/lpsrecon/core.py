@@ -56,32 +56,35 @@ def _slice_view(data: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
     return data.T.reshape(n_z, n_x, n_y)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DynamicVolume:
     """One complex volume at a single time instant, in Casorati form.
 
     ``data`` has shape (n_x*n_y, n_z); column z is slice z flattened in
     row-major order. All entries must be finite. ``dims`` must be three
-    integers >= 1, and is kept as a tuple.
+    integers >= 1, and is kept as a tuple. The volume is frozen, so no field
+    can be rebound: the checks made here hold for its life.
     """
 
     data: np.ndarray
     dims: tuple[int, int, int]
 
     def __post_init__(self):
-        self.data = _as_complex_matrix(self.data, "data")
+        data = _as_complex_matrix(self.data, "data")
         if len(self.dims) != 3:
             raise ValueError(f"dims must be (n_x, n_y, n_z), got {self.dims}")
         for name, value in zip(("n_x", "n_y", "n_z"), self.dims):
             _require_int(f"dims {name}", value, 1)
-        self.dims = n_x, n_y, n_z = tuple(self.dims)
-        if self.data.shape != (n_x * n_y, n_z):
+        dims = n_x, n_y, n_z = tuple(self.dims)
+        if data.shape != (n_x * n_y, n_z):
             raise ValueError(
-                f"data shape {self.data.shape} inconsistent with dims {self.dims}: "
+                f"data shape {data.shape} inconsistent with dims {dims}: "
                 f"expected ({n_x * n_y}, {n_z})"
             )
-        if not np.isfinite(self.data).all():
+        if not np.isfinite(data).all():
             raise ValueError("volume contains non-finite entries")
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "dims", dims)
 
 
 @dataclass
@@ -123,6 +126,10 @@ class SolverConfig:
     max_iter: int = 300
 
     def __post_init__(self):
+        for name in ("lambda_L", "lambda_S", "tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         for name in ("lambda_L", "lambda_S"):
             value = getattr(self, name)
             if value is not None and not 0 < value < np.inf:

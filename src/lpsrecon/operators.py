@@ -165,12 +165,18 @@ def _put_samples(x: np.ndarray, y: KSpaceData) -> None:
         np.put(spectrum, y.mask.index, samples)
 
 
-def _adjoint_matrix(y: KSpaceData) -> np.ndarray:
-    """A^H y as a column-major matrix: the samples scattered into zeroed
-    spectra, inverted in place."""
+def _scattered_samples(y: KSpaceData) -> np.ndarray:
+    """F A^H y as a column-major matrix: y's samples scattered into zeroed
+    unshifted spectra."""
     n_x, n_y, n_z = y.dims
     x = np.zeros((n_x * n_y, n_z), dtype=np.complex128, order="F")
     _put_samples(x, y)
+    return x
+
+
+def _adjoint_matrix(y: KSpaceData) -> np.ndarray:
+    """A^H y as a column-major matrix: the scattered samples, inverted in place."""
+    x = _scattered_samples(y)
     _spectra(x, y.dims, inverse=True)
     return x
 

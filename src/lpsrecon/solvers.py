@@ -9,12 +9,20 @@ and S0 = 0 its loop, ``_iterate``, repeats
     2. S <- inverse transform of the soft-thresholded coefficients of (X - L)
     3. X <- L + S - A^H(A(L + S) - y)   (data consistency); the transform
        is unitary, so this is the spectral replacement F^H[F(L + S) with
-       the sampled entries set to y], done in place on the L + S buffer
-       (``operators._data_consistency``; reference test
-       ``tests/test_operators.py::TestDataConsistency``)
+       the sampled entries set to y] (``operators._data_consistency``)
 
 and stops once the relative change of X drops below ``tol``. The returned
 reconstruction estimate is L + S.
+
+The loop runs in k-space, as Otazo, Candes & Sodickson's L+S (MRM 2015)
+does: it holds the slice spectra F X, F L and F S. F, the unitary 2D DFT of
+each slice, multiplies the Casorati matrix from the left, so (F M)^H (F M) =
+M^H M and SVT(F M) = F SVT(M): step 1 on F X - F S gives F L. Step 3 is then
+only the sample write on F L + F S. Step 2 takes X - L from one inverse FFT,
+and forms F S from the one level block of its coefficients that holds every
+nonzero (``_sparse_spectrum``). So a solve of k iterations runs k + 2
+full-size FFTs, and the relative change and data residual are taken on
+spectra, whose norms are those of the iterates.
 
 Both solvers target the convex objective
 
@@ -54,12 +62,21 @@ from .core import Decomposition, SolverConfig, _slice_view, _soft_threshold_keep
 from .operators import (
     KSpaceData,
     _adjoint_matrix,
-    _data_consistency,
     _gram_spectrum,
+    _put_samples,
+    _scattered_samples,
+    _spectra,
     _take_samples,
     sv_threshold,
 )
-from .wavelets import _forward_matrix, _inverse_matrix, check_slice_dims
+from .wavelets import (
+    WAVELET_LEVELS,
+    _detail_free_levels,
+    _forward_matrix,
+    _inverse_matrix,
+    _lowpass_response,
+    check_slice_dims,
+)
 
 __all__ = [
     "KNOWN_SOLVERS",
@@ -146,33 +163,69 @@ def _relative_change(x: np.ndarray, x_new: np.ndarray, dims: tuple[int, int, int
     return norm_diff / norm_old if norm_old else norm_diff
 
 
+def _sparse_spectrum(w: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
+    """F T^H W, the spectra of the sparse part, from its coefficients W (a
+    column-major matrix, which it may overwrite) as a new column-major matrix.
+
+    Only the smallest level block holding every nonzero of W is synthesized and
+    transformed: with the j finest levels free of detail (``_detail_free_levels``),
+    the synthesis is that block's, at WAVELET_LEVELS - j levels, upsampled j
+    times by the lowpass, and in k-space that is the block's spectrum tiled out
+    2^j times each way and multiplied by the skipped levels' lowpass response.
+    With j = 0 the block is W itself and the response is 1."""
+    n_x, n_y, n_z = dims
+    coef = _slice_view(w, dims)
+    skipped = _detail_free_levels(coef)
+    bx, by = n_x >> skipped, n_y >> skipped
+    block_dims = (bx, by, n_z)
+    block = np.ascontiguousarray(coef[:, :bx, :by]).reshape(n_z, -1).T  # W itself when j = 0
+    _inverse_matrix(block, block_dims, WAVELET_LEVELS - skipped)
+    spectra = _spectra(block, block_dims)
+    out = np.empty_like(w, order="F")
+    planes = _slice_view(out, dims)
+    np.copyto(planes.reshape(n_z, 1 << skipped, bx, 1 << skipped, by), spectra[:, None, :, None, :])
+    # The (n_x, n_y) response as a rank-1 product, then slice by slice: a
+    # broadcasting multiply takes numpy's buffered loop, 8192 entries of
+    # scratch per operand, as much as a whole 64^2 x 4 volume in all.
+    response = _lowpass_response(n_x, skipped)[:, None] @ _lowpass_response(n_y, skipped)[None, :]
+    for plane in planes:
+        plane *= response
+    return out
+
+
 def _iterate(y: KSpaceData, cfg: SolverConfig) -> SolveResult:
-    """The ``ls`` loop on y from X0 = A^H(y), with both thresholds of ``cfg`` set; ``solve``
-    is its only caller. The data residual is ||X - L - S|| on the last iterate
-    X = L + S + A^H(y - A(L + S)), so no transform follows the loop."""
+    """The ``ls`` loop on y, with both thresholds of ``cfg`` set; ``solve`` is
+    its only caller. Its state is k-space, X^ = F X, L^ and S^, from X^0 = F A^H(y),
+    the samples scattered into zeroed spectra. X^ - S^ has the Gram matrix of
+    X - S, since F is unitary on each column, so ``sv_threshold`` of it is L^.
+    The data residual is ||X^ - L^ - S^|| = ||y - A(L + S)|| on the last
+    iterate, and L and S take one inverse FFT each at the end."""
     # Iterates stay column-major (a C-contiguous slice stack): no reshape copies.
     dims = y.dims
-    x = _adjoint_matrix(y)
+    x = _scattered_samples(y)
     s = np.zeros_like(x)
     history: list[float] = []
     converged = False
 
-    # Four full-size buffers, X, L, S and the work buffer r, beside the
-    # previous pair: r holds X - S, then X - L, and becomes S through the
-    # in-place sparse step. S and the old L are dropped once dead, before
-    # sv_threshold allocates the new L.
+    # Four full-size buffers, X^, L^, S^ and the work buffer r, beside the
+    # previous pair: r holds X^ - S^, then X - L, then W. S^ and the old L^ are
+    # dropped once dead, before sv_threshold allocates the new L^, and W before
+    # X^_new is formed.
     for it in range(1, cfg.max_iter + 1):
         r = x - s
         l = s = None
         l = sv_threshold(r, cfg.lambda_L)
         np.subtract(x, l, out=r)
+        _spectra(r, dims, inverse=True)
         _forward_matrix(r, dims)
         _soft_threshold_keep(r, cfg.lambda_S)
-        s = _inverse_matrix(r, dims)
-        x_new = _data_consistency(l + s, y)
+        s = _sparse_spectrum(r, dims)
+        r = None
+        x_new = l + s
+        _put_samples(x_new, y)
         # x is finite, so a non-finite x_new shows as a non-finite change. A
-        # non-finite L + S shows in x_new unless every frequency is sampled;
-        # the data residual below, taken against L and S, catches that case.
+        # non-finite L^ + S^ shows in x_new unless every frequency is sampled;
+        # the data residual below, taken against L^ and S^, catches that case.
         change = _relative_change(x, x_new, dims)
         if not np.isfinite(change):
             raise FloatingPointError(f"solver produced a non-finite iterate at iteration {it}")
@@ -182,11 +235,13 @@ def _iterate(y: KSpaceData, cfg: SolverConfig) -> SolveResult:
             converged = True
             break
 
-    x -= l  # the dead last iterate L + S + A^H(y - A(L + S)) becomes A^H(y - A(L + S)),
-    x -= s  # whose norm is ||y - A(L + S)||, since A A^H = I
+    x -= l  # the dead last iterate L^ + S^ with y put in becomes y - A(L + S),
+    x -= s  # scattered into zeroed spectra
     data_residual = float(np.linalg.norm(x))
     if not np.isfinite(data_residual):
         raise FloatingPointError(f"solver produced a non-finite estimate at iteration {len(history)}")
+    _spectra(l, dims, inverse=True)
+    _spectra(s, dims, inverse=True)
     return SolveResult(l, s, converged, np.array(history), data_residual)
 
 

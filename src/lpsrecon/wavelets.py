@@ -14,7 +14,11 @@ that fits in one tile keeps the dense level matrix.
 
 Coefficients are laid out in place: level-1 details fill the outer three
 quadrants, deeper levels subdivide the top-left block, and the coarsest
-approximation ends up in the top-left (n_x/8) x (n_y/8) corner. The public
+approximation ends up in the top-left (n_x/8) x (n_y/8) corner. When the j
+finest levels hold no detail, every nonzero lies in the top-left level block
+of (n_x >> j) x (n_y >> j), and the synthesis is that block's, at fewer
+levels, followed by j lowpass upsamplings; in k-space each upsampling is a
+tiling times a frequency response (``_lowpass_response``). The public
 transforms check the slice dims (``check_slice_dims``), as ``solvers.solve``
 does once per solve; the in-place matrix forms take them as checked.
 """
@@ -197,10 +201,51 @@ def _forward_matrix(data: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
     return data
 
 
-def _inverse_matrix(w: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
-    """Inverse of ``_forward_matrix``, in place in ``w``; returns ``w``."""
-    _dwt2_stack(_slice_view(w, dims), WAVELET_LEVELS, inverse=True)
+def _inverse_matrix(
+    w: np.ndarray, dims: tuple[int, int, int], levels: int = WAVELET_LEVELS
+) -> np.ndarray:
+    """Inverse of ``_forward_matrix``, in place in ``w``; returns ``w``. With
+    fewer ``levels``, the synthesis of a level block (``_detail_free_levels``)."""
+    _dwt2_stack(_slice_view(w, dims), levels, inverse=True)
     return w
+
+
+def _detail_free_levels(coef: np.ndarray) -> int:
+    """How many of the finest levels of the (n_z, n_x, n_y) coefficient stack
+    have all-zero detail bands, at most WAVELET_LEVELS. With j of them, every
+    nonzero lies in the top-left (n_x >> j) x (n_y >> j) level block."""
+    parts = coef.view(np.float64)  # (n_z, n_x, 2 n_y): the test reads no complex temporary
+    n_x, n_y = coef.shape[1:]
+    for lev in range(WAVELET_LEVELS):
+        bx, by = n_x >> lev, n_y >> lev
+        if parts[:, bx // 2 : bx, : 2 * by].any() or parts[:, : bx // 2, by : 2 * by].any():
+            return lev
+    return WAVELET_LEVELS
+
+
+# -2 pi i in long double: where that is wider than float64, each response is
+# rounded to float64 once, at the end.
+_MINUS_2PI_I = -2j * np.arccos(np.longdouble(-1))
+
+
+@lru_cache(maxsize=None)
+def _lowpass_response(n: int, levels: int) -> np.ndarray:
+    """The unitary-DFT response, along an axis of length n, of ``levels``
+    lowpass synthesis steps (1 for none): with zero details, the spectrum of a
+    synthesis is the approximation block's spectrum tiled out, times this along
+    each axis. A step on rows of length N upsamples by 2 and filters with the
+    periodized lowpass, so it multiplies frequency k by H(2 pi k / N) / sqrt(2),
+    H being the filter's transfer function. Read-only, since it is cached."""
+    k, taps = np.arange(n), np.arange(_DEC_LO.size)
+    response = np.ones(n, dtype=np.clongdouble)
+    for lev in range(levels):
+        # Phases reduced mod n in integers, so large k loses no precision.
+        phase = (np.outer(k << lev, taps) % n).astype(np.longdouble)
+        response *= np.exp(_MINUS_2PI_I * phase / n) @ _DEC_LO.astype(np.longdouble)
+        response /= np.sqrt(np.longdouble(2))
+    response = response.astype(np.complex128)
+    response.flags.writeable = False
+    return response
 
 
 def wavelet_forward(s: DynamicVolume) -> np.ndarray:

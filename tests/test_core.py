@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,14 @@ class TestContainers:
         assert psnr(DynamicVolume(data, (32, 32, 4)), listed) == np.inf
         assert DynamicVolume(data, tuple(np.int64(n) for n in (32, 32, 4))).dims == (32, 32, 4)
 
+    def test_volume_fields_cannot_be_rebound(self):
+        vol = DynamicVolume(np.ones((1024, 4), dtype=complex), (32, 32, 4))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            vol.dims = (4.0, 4, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            vol.data = np.ones((32, 2), dtype=complex)
+        assert vol.dims == (32, 32, 4) and vol.data.shape == (1024, 4)
+
     def test_volume_rejects_nonfinite(self):
         data = np.zeros((9, 2), dtype=complex)
         data[0, 0] = np.nan
@@ -230,3 +240,9 @@ class TestContainers:
             SolverConfig(lambda_L=1.0, lambda_S=1.0, max_iter=0)
         auto = SolverConfig()
         assert auto.lambda_L is None and auto.lambda_S is None
+
+    @pytest.mark.parametrize("field", ["lambda_L", "lambda_S", "tol"])
+    def test_solver_config_refuses_bool_thresholds(self, field):
+        settings = {"lambda_L": 1.0, "lambda_S": 1.0, "tol": 1e-3, field: True}
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**settings)

@@ -86,7 +86,7 @@ def test_volume_column_major_payload(tmp_path):
 def test_volume_file_bytes(tmp_path, order):
     dims = (8, 4, 3)
     vol = random_volume(np.random.default_rng(5), dims)
-    vol.data = np.asarray(vol.data, order=order)
+    vol = DynamicVolume(np.asarray(vol.data, order=order), dims)
     path = tmp_path / "v.lpsv"
     save_volume(path, vol)
     header = struct.pack("<4sIIII", b"LPSV", 1, *dims)

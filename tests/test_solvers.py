@@ -25,8 +25,15 @@ from lpsrecon import (
 )
 from lpsrecon import operators, solvers
 from lpsrecon.harness import _acquire_sequence
-from lpsrecon.operators import _data_consistency, _gram_spectrum, _take_samples, sv_threshold
+from lpsrecon.operators import (
+    _data_consistency,
+    _gram_spectrum,
+    _spectra,
+    _take_samples,
+    sv_threshold,
+)
 from lpsrecon.phantom import PhantomSpec
+from lpsrecon.wavelets import WAVELET_LEVELS, _detail_free_levels, _inverse_matrix
 
 from helpers import support_change, support_set
 
@@ -562,22 +569,29 @@ def _second_frame(phantom_50, solver):
 
 
 @pytest.mark.parametrize("solver", ["ls", "priori-ls"])
-def test_a_solve_of_k_iterations_runs_2k_plus_1_transforms(phantom_50, monkeypatch, solver):
-    # X0 = A^H(y) is one transform and each data-consistency step a pair; a
-    # priori-ls start gathers from L_prev + S_prev through one more. The data
-    # residual is read off the last iterate, with none. cfg has both
+def test_a_solve_of_k_iterations_runs_k_plus_2_transforms_and_k_block_transforms(
+    phantom_50, monkeypatch, solver
+):
+    # The loop holds spectra: X^0 is the scattered samples, with no transform;
+    # each iteration inverts X^ - L^ once and transforms S's coarse block once;
+    # L and S each take one inverse at the end. A priori-ls start gathers from
+    # L_prev + S_prev through one more full-size transform. cfg has both
     # thresholds set, so default_config reads no samples.
     y2, cfg, previous = _second_frame(phantom_50, solver)
-    spectra, calls = operators._spectra, []
+    spectra, full, block = operators._spectra, [], []
 
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return spectra(*args, **kwargs)
+    def counted(x, dims, inverse=False):
+        (full if dims == y2.dims else block).append(dims)
+        return spectra(x, dims, inverse)
 
     monkeypatch.setattr(operators, "_spectra", counted)
+    monkeypatch.setattr(solvers, "_spectra", counted)
     result = solve(y2, cfg, previous)
-    assert result.iterations > 1
-    assert len(calls) == 2 * result.iterations + 1 + (previous is not None)
+    k = result.iterations
+    assert k > 1
+    assert len(full) == k + 2 + (previous is not None)
+    assert len(block) == k
+    assert all(dims[0] < y2.dims[0] and dims[2] == y2.dims[2] for dims in block)
 
 
 @pytest.mark.parametrize("solver", ["ls", "priori-ls"])
@@ -590,6 +604,31 @@ def test_data_residual_is_the_misfit_of_the_returned_pair(phantom_50, solver):
     want = float(np.linalg.norm(y2.samples - predicted))
     assert want > 0
     assert abs(result.data_residual - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("dims", [(32, 32, 4), (128, 128, 8), (8, 128, 2), (64, 32, 3)])
+@pytest.mark.parametrize("skipped", [0, 1, 2, 3, None])
+def test_sparse_spectrum_matches_the_full_synthesis_and_transform(dims, skipped):
+    # Coefficients nonzero only in the top-left (n_x >> j) x (n_y >> j) level
+    # block (j = 0 is the whole stack; None, nowhere): the block's synthesis,
+    # spectrum, tiling and lowpass response give the full F T^H W.
+    n_x, n_y, n_z = dims
+    rng = np.random.default_rng(n_x + n_y + n_z)
+    w = np.zeros((n_x * n_y, n_z), dtype=complex, order="F")
+    coef = w.T.reshape(n_z, n_x, n_y)
+    if skipped is not None:
+        shape = (n_z, n_x >> skipped, n_y >> skipped)
+        coef[:, : shape[1], : shape[2]] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert _detail_free_levels(coef) == (WAVELET_LEVELS if skipped is None else skipped)
+    want = w.copy(order="F")
+    _inverse_matrix(want, dims)
+    _spectra(want, dims)
+    got = solvers._sparse_spectrum(w.copy(order="F"), dims)
+    assert got.flags.f_contiguous
+    if skipped in (0, None):
+        assert np.array_equal(got, want)
+    else:
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_priori_ls_scores_at_least_view_sharing_at_128():
