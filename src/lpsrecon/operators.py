@@ -145,24 +145,39 @@ def _sample_index(pattern: np.ndarray) -> np.ndarray:
     return ((ix - n_x // 2) % n_x) * n_y + (iy - n_y // 2) % n_y
 
 
+# Stacks of at most this many entries take two 1-D FFTs, which numpy runs
+# faster than one ``fftn`` there: 43 against 52 us on 4 x 32 x 32, 14 against
+# 20 on 4 x 8 x 8 (numpy 2.4, one core of a 2-vCPU Xeon VM); at 8 x 32 x 32
+# the two tie, and at 8 x 128 x 128 ``fftn`` is 13% faster.
+_SMALL_FFT = 4096
+
+
 def _spectra(x: np.ndarray, dims: tuple[int, int, int], inverse: bool = False) -> np.ndarray:
     """The unitary 2D spectra of the slices of the column-major matrix x (with
     ``inverse``, the inverse transform), taken in place in x's own
     (n_z, n_x, n_y) slice stack, which is returned. This is the package's one
-    FFT. It uses ``fftn``/``ifftn``, since ``ifft2`` ignores ``out=``."""
+    FFT. It uses ``fftn``/``ifftn``, since ``ifft2`` ignores ``out=``; a small
+    stack (``_SMALL_FFT``) takes the 1-D transforms along y, then x, which is
+    the order ``fftn`` runs them in, so both forms agree bit for bit."""
     slices = _slice_view(x, dims)
-    (np.fft.ifftn if inverse else np.fft.fftn)(slices, axes=(1, 2), norm="ortho", out=slices)
+    if slices.size <= _SMALL_FFT:
+        transform = np.fft.ifft if inverse else np.fft.fft
+        transform(slices, axis=2, norm="ortho", out=slices)
+        transform(slices, axis=1, norm="ortho", out=slices)
+    else:
+        (np.fft.ifftn if inverse else np.fft.fftn)(slices, axes=(1, 2), norm="ortho", out=slices)
     return slices
 
 
-def _put_samples(x: np.ndarray, y: KSpaceData) -> None:
-    """Write y's samples into the spectra of the column-major matrix x: row z
-    of ``samples.T`` at the mask's ``index`` of slice z's flat spectrum, one
-    ``np.put`` per slice, since a fancy-index assignment over the whole
-    (n_z, n_x*n_y) stack is about twice as slow."""
+def _put_samples(x: np.ndarray, y: KSpaceData, samples: np.ndarray | None = None) -> None:
+    """Write y's samples, or other m x n_z ``samples`` on y's mask, into the
+    spectra of the column-major matrix x: row z of ``samples.T`` at the mask's
+    ``index`` of slice z's flat spectrum, one ``np.put`` per slice, since a
+    fancy-index assignment over the whole (n_z, n_x*n_y) stack is about twice
+    as slow."""
     spectra = _slice_view(x, y.dims).reshape(y.dims[2], -1)
-    for spectrum, samples in zip(spectra, y.samples.T):
-        np.put(spectrum, y.mask.index, samples)
+    for spectrum, row in zip(spectra, (y.samples if samples is None else samples).T):
+        np.put(spectrum, y.mask.index, row)
 
 
 def _scattered_samples(y: KSpaceData) -> np.ndarray:

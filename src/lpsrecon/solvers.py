@@ -15,14 +15,11 @@ and stops once the relative change of X drops below ``tol``. The returned
 reconstruction estimate is L + S.
 
 The loop runs in k-space, as Otazo, Candes & Sodickson's L+S (MRM 2015)
-does: it holds the slice spectra F X, F L and F S. F, the unitary 2D DFT of
-each slice, multiplies the Casorati matrix from the left, so (F M)^H (F M) =
-M^H M and SVT(F M) = F SVT(M): step 1 on F X - F S gives F L. Step 3 is then
-only the sample write on F L + F S. Step 2 takes X - L from one inverse FFT,
-and forms F S from the one level block of its coefficients that holds every
-nonzero (``_sparse_spectrum``). So a solve of k iterations runs k + 2
-full-size FFTs, and the relative change and data residual are taken on
-spectra, whose norms are those of the iterates.
+does. F, the unitary 2D DFT of each slice, multiplies the Casorati matrix
+from the left, so (F M)^H (F M) = M^H M and SVT(F M) = F SVT(M): step 1 on
+F X - F S gives F L, and step 3 is only the sample write. ``_iterate`` holds
+F L on the samples only, where it lives, and S as its coarse wavelet block,
+so a solve of k iterations runs k + 2 full-size FFTs.
 
 Both solvers target the convex objective
 
@@ -64,7 +61,6 @@ from .operators import (
     _adjoint_matrix,
     _gram_spectrum,
     _put_samples,
-    _scattered_samples,
     _spectra,
     _take_samples,
     sv_threshold,
@@ -111,7 +107,7 @@ class SolveResult(Decomposition):
     A result is a ``Decomposition``, so it can be the next frame's ``previous``.
     ``residual_history`` holds the per-iteration relative change of the iterate, one
     entry per iteration (``iterations`` is its length); ``data_residual`` is the final
-    ||Y - A(L + S)||_F, read off the last data-consistency iterate X as ||X - L - S||.
+    ||Y - A(L + S)||_F, taken on the sample rows of the last iteration's L and S.
     """
 
     converged: bool
@@ -149,100 +145,194 @@ def default_config(y: KSpaceData, cfg: SolverConfig | None = None) -> SolverConf
     )
 
 
-def _relative_change(x: np.ndarray, x_new: np.ndarray, dims: tuple[int, int, int]) -> float:
-    """||x - x_new|| / ||x|| (the plain ||x - x_new|| when x = 0), taken in the
-    column-major buffer of x, which is left holding x - x_new.
+def _tiling(
+    dims: tuple[int, int, int], skipped: int, index: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where F T^H W reads its block's spectrum, and by what it multiplies it,
+    at the flat positions ``index`` of each slice's unshifted spectrum (the
+    whole (n_x, n_y) grid when None), when the ``skipped`` finest levels of W
+    hold no detail.
 
-    Each norm is one contiguous real dot over the float64 view of that buffer.
-    The view dies on return, so it never keeps the caller's old iterate alive.
+    The synthesis of W is then that of its top-left level block of (b_x, b_y)
+    = (n_x >> j, n_y >> j), at WAVELET_LEVELS - j levels, upsampled j times by
+    the lowpass; in k-space, frequency (k_x, k_y) is the block spectrum's
+    (k_x mod b_x, k_y mod b_y) times R_x(k_x) R_y(k_y), the response of the
+    skipped levels (``_lowpass_response``; 1 when j = 0). Returns the flat
+    block positions and those responses, in the shape of ``index`` or of the
+    grid.
     """
-    parts = _slice_view(x, dims).reshape(-1).view(np.float64)
-    norm_old = math.sqrt(parts @ parts)
-    x -= x_new
-    norm_diff = math.sqrt(parts @ parts)
-    return norm_diff / norm_old if norm_old else norm_diff
-
-
-def _sparse_spectrum(w: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
-    """F T^H W, the spectra of the sparse part, from its coefficients W (a
-    column-major matrix, which it may overwrite) as a new column-major matrix.
-
-    Only the smallest level block holding every nonzero of W is synthesized and
-    transformed: with the j finest levels free of detail (``_detail_free_levels``),
-    the synthesis is that block's, at WAVELET_LEVELS - j levels, upsampled j
-    times by the lowpass, and in k-space that is the block's spectrum tiled out
-    2^j times each way and multiplied by the skipped levels' lowpass response.
-    With j = 0 the block is W itself and the response is 1."""
-    n_x, n_y, n_z = dims
-    coef = _slice_view(w, dims)
-    skipped = _detail_free_levels(coef)
+    n_x, n_y, _ = dims
     bx, by = n_x >> skipped, n_y >> skipped
-    block_dims = (bx, by, n_z)
-    block = np.ascontiguousarray(coef[:, :bx, :by]).reshape(n_z, -1).T  # W itself when j = 0
-    _inverse_matrix(block, block_dims, WAVELET_LEVELS - skipped)
-    spectra = _spectra(block, block_dims)
-    out = np.empty_like(w, order="F")
-    planes = _slice_view(out, dims)
-    np.copyto(planes.reshape(n_z, 1 << skipped, bx, 1 << skipped, by), spectra[:, None, :, None, :])
-    # The (n_x, n_y) response as a rank-1 product, then slice by slice: a
-    # broadcasting multiply takes numpy's buffered loop, 8192 entries of
-    # scratch per operand, as much as a whole 64^2 x 4 volume in all.
-    response = _lowpass_response(n_x, skipped)[:, None] @ _lowpass_response(n_y, skipped)[None, :]
-    for plane in planes:
-        plane *= response
-    return out
+    kx, ky = np.ogrid[:n_x, :n_y] if index is None else np.divmod(index, n_y)
+    response = _lowpass_response(n_x, skipped)[kx] * _lowpass_response(n_y, skipped)[ky]
+    return kx % bx * by + ky % by, response
+
+
+def _sparse_spectrum(block: np.ndarray, tiling: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """F T^H W at the positions of ``tiling`` (``_tiling``), from B, the
+    (n_z, b_x, b_y) spectra of the synthesis of W's level block
+    (``_block_spectrum``), as a new column-major (positions x n_z) matrix: the
+    whole spectra when ``tiling`` covers the grid, the values on a mask when
+    it covers its index."""
+    at, response = tiling
+    rows = np.take(block.reshape(block.shape[0], -1), at, axis=1)
+    rows *= response
+    return rows.reshape(rows.shape[0], -1).T
+
+
+def _block_spectrum(w: np.ndarray, skipped: int) -> np.ndarray:
+    """B, the (n_z, b_x, b_y) spectra of the synthesis of the coefficient block
+    ``w`` (an (n_z, b_x, b_y) stack, left as it is), the top-left level block of
+    W when the ``skipped`` finest levels hold no detail: that block's synthesis
+    at WAVELET_LEVELS - j levels, then its small FFT, in a column-major copy."""
+    n_z, bx, by = w.shape
+    block = w.reshape(n_z, -1).T.copy(order="F")
+    _inverse_matrix(block, (bx, by, n_z), WAVELET_LEVELS - skipped)
+    return _spectra(block, (bx, by, n_z))
+
+
+def _off_sample_weights(dims: tuple[int, int, int], skipped: int, index: np.ndarray) -> np.ndarray:
+    """G, over the (n_x >> j, n_y >> j) grid of a block spectrum B: at each of
+    its frequencies k', the sum of |R_x(k_x) R_y(k_y)|^2 over the frequencies k
+    of the full spectrum that read k' (``_tiling``) and are not at ``index``.
+    The energy of F T^H W off the samples is then sum |B|^2 G, a sum of
+    nonnegative terms."""
+    n_x, n_y, _ = dims
+    rx, ry = (np.abs(_lowpass_response(n, skipped)) ** 2 for n in (n_x, n_y))
+    weight = rx[:, None] * ry[None, :]
+    weight.flat[index] = 0.0
+    return weight.reshape(1 << skipped, n_x >> skipped, 1 << skipped, n_y >> skipped).sum(axis=(0, 2))
+
+
+def _refined(block: np.ndarray, skipped: int, finer: int) -> np.ndarray:
+    """The block spectrum B of W's level block with ``skipped`` detail-free
+    levels, as that of its larger level block with ``finer`` (at most
+    ``skipped``): tiled out 2^(skipped - finer) times each way, times the
+    response of the levels between. The response of j levels is that of the
+    first ``finer`` times that of the rest on the coarser grid, so both give
+    one F T^H W."""
+    if finer == skipped:
+        return block
+    n_z, bx, by = block.shape
+    reps = 1 << (skipped - finer)
+    rx, ry = (_lowpass_response(b * reps, skipped - finer) for b in (bx, by))
+    return np.tile(block, (1, reps, reps)) * (rx[:, None] * ry[None, :])
 
 
 def _iterate(y: KSpaceData, cfg: SolverConfig) -> SolveResult:
     """The ``ls`` loop on y, with both thresholds of ``cfg`` set; ``solve`` is
-    its only caller. Its state is k-space, X^ = F X, L^ and S^, from X^0 = F A^H(y),
-    the samples scattered into zeroed spectra. X^ - S^ has the Gram matrix of
-    X - S, since F is unitary on each column, so ``sv_threshold`` of it is L^.
-    The data residual is ||X^ - L^ - S^|| = ||y - A(L + S)|| on the last
-    iterate, and L and S take one inverse FFT each at the end."""
-    # Iterates stay column-major (a C-contiguous slice stack): no reshape copies.
-    dims = y.dims
-    x = _scattered_samples(y)
-    s = np.zeros_like(x)
+    its only caller.
+
+    It holds neither X^ = F X nor F L nor F S in full. The SVT acts on the
+    slices, from the right, so each frequency's row of F L is that row of
+    X^ - S^ times one n_z x n_z matrix: from L^ = 0, the rows off the samples
+    stay 0, and X^ is S^ there and y on the samples. So L^ lives as its m x n_z
+    sample rows L_O, and S as its shrunk coefficient block W_S (its j finest
+    levels hold no detail) and B, the block's spectra, from which S^ is read
+    at the samples, S_O (``_sparse_spectrum``). Each iteration:
+
+    1. M_O = y - S_O, and L_O = ``sv_threshold`` of it: the one SVT, on the
+       sample rows.
+    2. D = M - L^, M_O - L_O on the samples and 0 elsewhere, scattered into the
+       work buffer, then one inverse FFT.
+    3. The wavelet planes T F^H D, plus the old W_S on its block: X^ - L^ =
+       D + S^, so these are the coefficients of X - L.
+    4. The detail-free levels from |c|^2 > lambda_S^2 on the planes; only that
+       block is shrunk (``_soft_threshold_keep``), the new W_S.
+    5. B from W_S's synthesis and small FFT (``_block_spectrum``), and S_O.
+    6. The stopping test and the data residual. X^_old - X^_new is 0 on the
+       samples and S^_old - S^_new off them, so ||X^_old - X^_new||^2 =
+       sum |B_old - B|^2 G and ||X^_old||^2 = ||y||^2 + sum |B_old|^2 G, with
+       the blocks on one grid (``_refined``) and G the weight of the
+       frequencies off the samples (``_off_sample_weights``): sums of
+       nonnegative terms, so nothing cancels. The data residual
+       ||y - A(L + S)|| is ||y - L_O - S_O|| of the last iteration.
+
+    A non-finite L_O shows in the planes, whatever is sampled, and so as a
+    non-finite change. S^ is tiled out in full once, and L and S take one
+    inverse FFT each, at the end."""
+    # Full-size arrays stay column-major (a C-contiguous slice stack): no reshape copies.
+    dims = n_x, n_y, n_z = y.dims
+    work = np.empty((n_x * n_y, n_z), dtype=np.complex128, order="F")
+    planes = np.empty((2 * n_z, n_x, n_y))
+    s = np.zeros_like(y.samples)  # S_O: S = 0 to start
+    w = np.zeros((n_z, 0, 0), dtype=np.complex128)  # W_S, an empty block
+    skipped = WAVELET_LEVELS
+    block = np.zeros((n_z, n_x >> skipped, n_y >> skipped), dtype=np.complex128)  # B
+    y_norm = _norm2(y.samples)
+    s_off = 0.0  # ||S^ off the samples||^2
+    tilings: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # per j, on the samples
+    weights: dict[int, np.ndarray] = {}  # per j, off the samples
     history: list[float] = []
     converged = False
 
-    # Four full-size buffers, X^, L^, S^ and the work buffer r, beside the
-    # previous pair: r holds X^ - S^, then X - L, then W. S^ and the old L^ are
-    # dropped once dead, before sv_threshold allocates the new L^, and W before
-    # X^_new is formed.
     for it in range(1, cfg.max_iter + 1):
-        r = x - s
-        l = s = None
-        l = sv_threshold(r, cfg.lambda_L)
-        np.subtract(x, l, out=r)
-        _spectra(r, dims, inverse=True)
-        _forward_matrix(r, dims)
-        _soft_threshold_keep(r, cfg.lambda_S)
-        s = _sparse_spectrum(r, dims)
-        r = None
-        x_new = l + s
-        _put_samples(x_new, y)
-        # x is finite, so a non-finite x_new shows as a non-finite change. A
-        # non-finite L^ + S^ shows in x_new unless every frequency is sampled;
-        # the data residual below, taken against L^ and S^, catches that case.
-        change = _relative_change(x, x_new, dims)
-        if not np.isfinite(change):
+        d = y.samples - s
+        l = sv_threshold(d, cfg.lambda_L)
+        d -= l
+        work.fill(0)
+        _put_samples(work, y, d)
+        d = None
+        _spectra(work, dims, inverse=True)
+        planes = _forward_matrix(work, dims, planes)
+        bx, by = w.shape[1:]
+        planes[:n_z, :bx, :by] += w.real
+        planes[n_z:, :bx, :by] += w.imag
+        # |c|^2 in the work buffer's dead bytes: c survives the shrink iff |c| > lambda_S.
+        energy = _slice_view(work, dims).view(np.float64).reshape(planes.shape)
+        np.square(planes, out=energy)
+        energy = np.add(energy[:n_z], energy[n_z:], out=energy[:n_z])
+        block_old, skipped_old = block, skipped
+        skipped = _detail_free_levels(energy, cfg.lambda_S ** 2)
+        energy = None
+        bx, by = n_x >> skipped, n_y >> skipped
+        w = np.empty((n_z, bx, by), dtype=np.complex128)
+        w.real, w.imag = planes[:n_z, :bx, :by], planes[n_z:, :bx, :by]
+        _soft_threshold_keep(w, cfg.lambda_S)
+        block = _block_spectrum(w, skipped)
+        if skipped not in tilings:
+            tilings[skipped] = _tiling(dims, skipped, y.mask.index)
+        s = _sparse_spectrum(block, tilings[skipped])
+        fine = min(skipped, skipped_old)
+        for j in (skipped, fine):
+            if j not in weights:
+                weights[j] = _off_sample_weights(dims, j, y.mask.index)
+        # X^_old - X^_new is S^_old - S^_new off the samples and 0 on them.
+        change = _refined(block_old, skipped_old, fine) - _refined(block, skipped, fine)
+        change = _off_energy(change, weights[fine])
+        norm_old = y_norm + s_off  # ||X^_old||^2 = ||y||^2 + ||S^_old off the samples||^2
+        change = math.sqrt(change / norm_old if norm_old else change)
+        s_off = _off_energy(block, weights[skipped])
+        if not math.isfinite(change):
             raise FloatingPointError(f"solver produced a non-finite iterate at iteration {it}")
         history.append(change)
-        x = x_new
         if change < cfg.tol:
             converged = True
             break
 
-    x -= l  # the dead last iterate L^ + S^ with y put in becomes y - A(L + S),
-    x -= s  # scattered into zeroed spectra
-    data_residual = float(np.linalg.norm(x))
-    if not np.isfinite(data_residual):
+    e = y.samples - s
+    e -= l
+    data_residual = math.sqrt(_norm2(e))
+    if not math.isfinite(data_residual):
         raise FloatingPointError(f"solver produced a non-finite estimate at iteration {len(history)}")
-    _spectra(l, dims, inverse=True)
+    work = planes = e = None
+    s = _sparse_spectrum(block, _tiling(dims, skipped))
     _spectra(s, dims, inverse=True)
+    l = _adjoint_matrix(KSpaceData(l, y.mask))  # L^ lives on the samples
     return SolveResult(l, s, converged, np.array(history), data_residual)
+
+
+def _off_energy(block: np.ndarray, weights: np.ndarray) -> float:
+    """sum |B|^2 G over a block spectrum and its ``_off_sample_weights``: the
+    energy off the samples of the spectrum B tiles out to."""
+    return float(np.vdot(block, block * weights).real)
+
+
+def _norm2(x: np.ndarray) -> float:
+    """||x||^2 of a complex array, as one real dot over the float64 view of
+    its buffer (of a copy, if x is not contiguous)."""
+    parts = x.reshape(-1, order="A").view(np.float64)
+    return float(parts @ parts)
 
 
 def solve(y: KSpaceData, cfg: SolverConfig, previous: Decomposition | None = None) -> SolveResult:

@@ -155,17 +155,22 @@ def _synthesis(coef: np.ndarray, work: np.ndarray) -> None:
     np.matmul(_bands(head)[2], wrap, out=coef[..., :head, :])
 
 
-def _dwt2_stack(slices: np.ndarray, levels: int, inverse: bool = False) -> np.ndarray:
+def _dwt2_stack(
+    slices: np.ndarray, levels: int, inverse: bool = False, planes: np.ndarray | None = None
+) -> np.ndarray:
     """Multi-level 2D DWT of a C-contiguous (n_z, n_x, n_y) stack, in place
     layout, written back into ``slices``; with ``inverse``, its inverse (the
     transpose of each level, coarsest first). Returns ``slices``.
 
     The real and imaginary planes go into one real (2 n_z, n_x, n_y) array,
     so each level is real products along x, then along y (a swapped view).
-    The stack's own bytes are the scratch space of every level.
+    The stack's own bytes are the scratch space of every level. Given
+    ``planes``, such an array, the result is left there as real and
+    imaginary planes and returned, and ``slices`` is only scratch.
     """
     n_z, n_x, n_y = slices.shape
-    planes = np.concatenate((slices.real, slices.imag))
+    write_back = planes is None
+    planes = np.concatenate((slices.real, slices.imag), out=planes)
     scratch = slices.view(np.float64).reshape(planes.shape)
     for lev in reversed(range(levels)) if inverse else range(levels):
         bx, by = n_x >> lev, n_y >> lev
@@ -179,6 +184,8 @@ def _dwt2_stack(slices: np.ndarray, levels: int, inverse: bool = False) -> np.nd
         else:
             _synthesis(p, q)
             _synthesis(p.swapaxes(1, 2), q.swapaxes(1, 2))
+    if not write_back:
+        return planes
     slices.real, slices.imag = planes[:n_z], planes[n_z:]
     return slices
 
@@ -195,10 +202,15 @@ def check_slice_dims(dims: tuple[int, int, int]) -> None:
         )
 
 
-def _forward_matrix(data: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
-    """Coefficients of a column-major Casorati matrix, in place; returns ``data``."""
-    _dwt2_stack(_slice_view(data, dims), WAVELET_LEVELS)
-    return data
+def _forward_matrix(
+    data: np.ndarray, dims: tuple[int, int, int], planes: np.ndarray | None = None
+) -> np.ndarray:
+    """Coefficients of a column-major Casorati matrix, in place; returns ``data``.
+    Given ``planes``, a real (2 n_z, n_x, n_y) array, the coefficients' real
+    and imaginary planes are written there and returned instead, and ``data``
+    is left as scratch."""
+    out = _dwt2_stack(_slice_view(data, dims), WAVELET_LEVELS, planes=planes)
+    return data if planes is None else out
 
 
 def _inverse_matrix(
@@ -210,15 +222,16 @@ def _inverse_matrix(
     return w
 
 
-def _detail_free_levels(coef: np.ndarray) -> int:
-    """How many of the finest levels of the (n_z, n_x, n_y) coefficient stack
-    have all-zero detail bands, at most WAVELET_LEVELS. With j of them, every
-    nonzero lies in the top-left (n_x >> j) x (n_y >> j) level block."""
-    parts = coef.view(np.float64)  # (n_z, n_x, 2 n_y): the test reads no complex temporary
-    n_x, n_y = coef.shape[1:]
+def _detail_free_levels(energy: np.ndarray, floor: float) -> int:
+    """How many of the finest levels of the real (n_z, n_x, n_y) stack
+    ``energy``, such as the |c|^2 of a coefficient stack, hold no detail entry
+    above ``floor``, at most WAVELET_LEVELS. With j of them, every entry above
+    ``floor`` lies in the top-left (n_x >> j) x (n_y >> j) level block. A NaN
+    entry counts as none."""
+    n_x, n_y = energy.shape[1:]
     for lev in range(WAVELET_LEVELS):
         bx, by = n_x >> lev, n_y >> lev
-        if parts[:, bx // 2 : bx, : 2 * by].any() or parts[:, : bx // 2, by : 2 * by].any():
+        if energy[:, bx // 2 : bx, :by].max() > floor or energy[:, : bx // 2, by // 2 : by].max() > floor:
             return lev
     return WAVELET_LEVELS
 

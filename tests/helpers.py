@@ -107,3 +107,48 @@ def complex_dwt2(slices, levels, inverse=False):
         bx, by = n_x >> lev, n_y >> lev
         out[:, :bx, :by] = wx @ out[:, :bx, :by] @ wy.T
     return out
+
+
+def reference_solve(y, cfg, previous=None):
+    """The L+S solve with every iterate materialized, as the oracle of
+    ``solvers.solve``: the k-space loop holding X^, L^ and S^ in full, with S^
+    synthesized and transformed over the whole stack and the relative change
+    taken as the norm ratio ||X^ - X^_new|| / ||X^|| (||X^ - X^_new|| when X^ =
+    0). With ``previous``, the loop runs on the residual samples y - A(L_prev +
+    S_prev) and the pair is added back, as ``solve`` does. Both thresholds of
+    ``cfg`` must be set. Returns (L, S, converged, history, data_residual)."""
+    from lpsrecon import KSpaceData
+    from lpsrecon.core import _soft_threshold_keep
+    from lpsrecon.operators import _put_samples, _scattered_samples, _spectra, _take_samples, sv_threshold
+    from lpsrecon.wavelets import _forward_matrix, _inverse_matrix
+
+    dims = y.dims
+    if previous is not None:
+        predicted = _take_samples(np.add(previous.L, previous.S, order="F"), dims, y.mask)
+        y = KSpaceData(y.samples - predicted, y.mask)
+    x = _scattered_samples(y)
+    s = np.zeros_like(x)
+    history, converged = [], False
+    for _ in range(cfg.max_iter):
+        l = sv_threshold(np.asfortranarray(x - s), cfg.lambda_L)
+        s = np.asfortranarray(x - l)
+        _spectra(s, dims, inverse=True)
+        _forward_matrix(s, dims)
+        _soft_threshold_keep(s, cfg.lambda_S)
+        _inverse_matrix(s, dims)
+        _spectra(s, dims)
+        x_new = np.asfortranarray(l + s)
+        _put_samples(x_new, y)
+        norm_old, norm_diff = np.linalg.norm(x), np.linalg.norm(x - x_new)
+        history.append(norm_diff / norm_old if norm_old else norm_diff)
+        x = x_new
+        if history[-1] < cfg.tol:
+            converged = True
+            break
+    data_residual = float(np.linalg.norm(x - l - s))
+    _spectra(l, dims, inverse=True)
+    _spectra(s, dims, inverse=True)
+    if previous is not None:
+        l += previous.L
+        s += previous.S
+    return l, s, converged, np.array(history), data_residual

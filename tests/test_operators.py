@@ -330,6 +330,16 @@ class TestInPlaceSpectra:
         assert np.shares_memory(_spectra(x, dims, inverse=True), x)
         assert np.linalg.norm(x - before) <= 1e-13 * np.linalg.norm(before)
 
+    @pytest.mark.parametrize("dims", [(8, 8, 4), (32, 32, 4), (16, 24, 3), (32, 32, 8), (64, 32, 3)])
+    def test_small_and_large_stacks_match_fftn_bit_for_bit(self, dims):
+        # Stacks up to operators._SMALL_FFT entries take two 1-D transforms,
+        # larger ones one fftn; both give fftn's bits, forward and inverse.
+        n_x, n_y, n_z = dims
+        x = np.asfortranarray(random_volume(np.random.default_rng(sum(dims)), dims).data)
+        for inverse, transform in ((False, np.fft.fftn), (True, np.fft.ifftn)):
+            want = transform(x.T.reshape(n_z, n_x, n_y), axes=(1, 2), norm="ortho")
+            assert _spectra(x, dims, inverse=inverse).tobytes() == want.tobytes()
+
     def test_rejects_row_major_input(self):
         x = random_volume(np.random.default_rng(29), (8, 8, 2)).data
         with pytest.raises(ValueError, match="column-major"):

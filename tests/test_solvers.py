@@ -35,7 +35,7 @@ from lpsrecon.operators import (
 from lpsrecon.phantom import PhantomSpec
 from lpsrecon.wavelets import WAVELET_LEVELS, _detail_free_levels, _inverse_matrix
 
-from helpers import support_change, support_set
+from helpers import reference_solve, support_change, support_set
 
 
 @pytest.fixture(scope="module")
@@ -283,9 +283,11 @@ def test_priori_ls_runs_on_a_wide_casorati_matrix():
 
 
 @pytest.mark.parametrize("dims", [(64, 64, 4), (128, 128, 8)])
-def test_solve_peak_memory_is_at_most_five_volumes(dims):
-    # X, L, S and one work buffer, plus small per-level scratch; the returned
-    # L and S count towards the peak.
+def test_solve_peak_memory_is_at_most_three_and_three_quarter_volumes(dims):
+    # One work buffer and the wavelet planes, plus the wavelet's wrap tile,
+    # S's coefficient blocks and the sample-sized arrays; the returned L and S
+    # count towards the peak, and a priori-ls solve's residual samples too.
+    # Measured: 3.46 / 3.66 volumes (ls / priori-ls) at 64^2 x 4, 3.24 / 3.49 at 128^2 x 8.
     n_x, n_y, n_z = dims
     truth = [x for x, _, _ in generate_frames(PhantomSpec(dims=dims, n_frames=2))]
     frames = [acquire(f, make_mask(n_x, n_y, 0.25, seed=t)) for t, f in enumerate(truth)]
@@ -299,7 +301,7 @@ def test_solve_peak_memory_is_at_most_five_volumes(dims):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * volume_bytes, f"peak {peak / volume_bytes:.2f} volumes"
+        assert peak <= 3.75 * volume_bytes, f"peak {peak / volume_bytes:.2f} volumes"
 
 
 def test_sequence_reads_each_frame_only_when_it_is_needed(phantom_50):
@@ -414,9 +416,10 @@ def test_non_finite_iterate_names_iteration(phantom_50, monkeypatch):
 
 
 def test_non_finite_estimate_caught_at_full_sampling(monkeypatch):
-    # With every frequency sampled, data consistency overwrites the whole
-    # spectrum, so a non-finite L + S leaves the iterate finite; the final
-    # data residual must still flag it.
+    # With every frequency sampled, the sample write overwrites the whole
+    # spectrum, so the iterate X^ never shows a non-finite L^. The change is
+    # taken on the coefficients of X - L, T F^H(X^ - L^), which no sample write
+    # touches, so a NaN in L^ stops the solve at its first iteration.
     rng = np.random.default_rng(21)
     dims = (16, 16, 2)
     truth = DynamicVolume(rng.standard_normal((256, 2)) + 1j * rng.standard_normal((256, 2)), dims)
@@ -430,7 +433,7 @@ def test_non_finite_estimate_caught_at_full_sampling(monkeypatch):
 
     monkeypatch.setattr(solvers, "sv_threshold", poisoned)
     with np.errstate(invalid="ignore"), pytest.raises(
-        FloatingPointError, match="non-finite estimate at iteration 1$"
+        FloatingPointError, match="non-finite iterate at iteration 1$"
     ):
         solve(y, cfg)
 
@@ -610,8 +613,8 @@ def test_data_residual_is_the_misfit_of_the_returned_pair(phantom_50, solver):
 @pytest.mark.parametrize("skipped", [0, 1, 2, 3, None])
 def test_sparse_spectrum_matches_the_full_synthesis_and_transform(dims, skipped):
     # Coefficients nonzero only in the top-left (n_x >> j) x (n_y >> j) level
-    # block (j = 0 is the whole stack; None, nowhere): the block's synthesis,
-    # spectrum, tiling and lowpass response give the full F T^H W.
+    # block (j = 0 is the whole stack; None, nowhere): the block's synthesis and
+    # spectrum, tiled out with the lowpass response, give the full F T^H W.
     n_x, n_y, n_z = dims
     rng = np.random.default_rng(n_x + n_y + n_z)
     w = np.zeros((n_x * n_y, n_z), dtype=complex, order="F")
@@ -619,16 +622,57 @@ def test_sparse_spectrum_matches_the_full_synthesis_and_transform(dims, skipped)
     if skipped is not None:
         shape = (n_z, n_x >> skipped, n_y >> skipped)
         coef[:, : shape[1], : shape[2]] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    assert _detail_free_levels(coef) == (WAVELET_LEVELS if skipped is None else skipped)
+    j = _detail_free_levels(np.abs(coef) ** 2, 0.0)
+    assert j == (WAVELET_LEVELS if skipped is None else skipped)
     want = w.copy(order="F")
     _inverse_matrix(want, dims)
     _spectra(want, dims)
-    got = solvers._sparse_spectrum(w.copy(order="F"), dims)
+    block = solvers._block_spectrum(np.ascontiguousarray(coef[:, : n_x >> j, : n_y >> j]), j)
+    got = solvers._sparse_spectrum(block, solvers._tiling(dims, j))
     assert got.flags.f_contiguous
     if skipped in (0, None):
         assert np.array_equal(got, want)
     else:
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("dims", [(32, 32, 4), (8, 128, 2), (64, 32, 3)])
+@pytest.mark.parametrize("skipped", [0, 1, 2, 3])
+def test_sparse_spectrum_on_the_samples_is_the_full_one_gathered_bit_for_bit(dims, skipped):
+    # The loop reads S^ at mask.index only, and tiles it out in full once, at
+    # the end: both go through one rule, so they agree to the bit.
+    n_x, n_y, n_z = dims
+    rng = np.random.default_rng(n_x * n_y + skipped)
+    shape = (n_z, n_x >> skipped, n_y >> skipped)
+    block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    mask = make_mask(n_x, n_y, 0.3, seed=skipped)
+    full = solvers._sparse_spectrum(block, solvers._tiling((n_x, n_y, n_z), skipped))
+    sampled = solvers._sparse_spectrum(block, solvers._tiling((n_x, n_y, n_z), skipped, mask.index))
+    assert sampled.shape == (mask.m, n_z)
+    assert sampled.tobytes(order="F") == full[mask.index].tobytes(order="F")
+
+
+@pytest.mark.parametrize("dims", [(32, 32, 4), (8, 128, 2), (64, 32, 3)])
+@pytest.mark.parametrize("skipped", [1, 2, 3])
+def test_off_sample_energy_of_a_block_and_of_its_refinements(dims, skipped):
+    # sum |B|^2 G is the energy of the tiled-out spectrum off the samples, and
+    # a block refined to a larger level block tiles out to the same spectrum.
+    n_x, n_y, n_z = dims
+    rng = np.random.default_rng(n_x * n_y + skipped)
+    shape = (n_z, n_x >> skipped, n_y >> skipped)
+    block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    mask = make_mask(n_x, n_y, 0.3, seed=skipped)
+    full = solvers._sparse_spectrum(block, solvers._tiling(dims, skipped))
+    off = np.ones(n_x * n_y, dtype=bool)
+    off[mask.index] = False
+    want = np.linalg.norm(full[off]) ** 2
+    got = solvers._off_energy(block, solvers._off_sample_weights(dims, skipped, mask.index))
+    assert abs(got - want) <= 1e-13 * want
+    for finer in range(skipped):
+        refined = solvers._refined(block, skipped, finer)
+        assert refined.shape == (n_z, n_x >> finer, n_y >> finer)
+        again = solvers._sparse_spectrum(refined, solvers._tiling(dims, finer))
+        assert np.linalg.norm(again - full) <= 1e-13 * np.linalg.norm(full)
 
 
 def test_priori_ls_scores_at_least_view_sharing_at_128():
@@ -671,44 +715,37 @@ def test_residual_history_contract(phantom_50):
     assert res.converged == (res.residual_history[-1] < cfg.tol)
 
 
-def _norm_ratio(x, x_new, dims):
-    """The relative change in its earlier form: two np.linalg.norm calls."""
-    norm_old = float(np.linalg.norm(x))
-    x -= x_new
-    norm_diff = float(np.linalg.norm(x))
-    return norm_diff / norm_old if norm_old else norm_diff
-
-
 @pytest.mark.parametrize("solver", ["ls", "priori-ls"])
-def test_residual_history_matches_the_norm_ratio(phantom_50, monkeypatch, solver):
-    # The one-dot relative change moves only the stopping test's last bits:
-    # L, S and the iteration count stay bit-identical.
-    truth, y, cfg = phantom_50
-    cfg = replace(cfg, tol=1e-5)
-    if solver == "ls":
-        run = lambda: solve(y, cfg)  # noqa: E731
-    else:
-        previous = solve(y, cfg)
-        y2 = acquire(truth[1], make_mask(32, 32, 0.25, seed=8))
-        run = lambda: solve(y2, cfg, previous)  # noqa: E731
-    got = run()
-    monkeypatch.setattr(solvers, "_relative_change", _norm_ratio)
-    want = run()
-    assert got.iterations == want.iterations > 20
-    assert np.array_equal(got.L, want.L)
-    assert np.array_equal(got.S, want.S)
-    assert np.allclose(got.residual_history, want.residual_history, rtol=1e-14, atol=0)
+def test_residual_history_matches_the_norm_ratio(monkeypatch, solver):
+    # The loop never forms X^ and holds L^ on the samples only; it reads its
+    # relative change off S's block spectra, weighted by the frequencies off
+    # the samples. The oracle (tests/helpers.py) materializes X^, L^ and S^
+    # and takes the norm ratio ||X^ - X^_new|| / ||X^||. Frame 2 of the
+    # 32^2 x 4 and 64^2 x 4 phantoms at rate 1/4, at the default thresholds
+    # and at lambda_S / 100, where the finest level keeps detail (j = 0) in
+    # some iteration. Measured: histories within 7.1e-14 relative.
+    skipped = []
+    block_spectrum = solvers._block_spectrum
 
+    def spied(w, j):
+        skipped.append(j)
+        return block_spectrum(w, j)
 
-def test_relative_change_leaves_the_difference_in_the_old_buffer():
-    rng = np.random.default_rng(11)
-    dims = (6, 5, 3)
-    x = np.asfortranarray(rng.standard_normal((30, 3)) + 1j * rng.standard_normal((30, 3)))
-    x_new = np.asfortranarray(rng.standard_normal((30, 3)) + 1j * rng.standard_normal((30, 3)))
-    want_diff, want = x - x_new, np.linalg.norm(x - x_new) / np.linalg.norm(x)
-    assert solvers._relative_change(x, x_new, dims) == pytest.approx(want, rel=1e-14)
-    assert np.array_equal(x, want_diff)
-    zero = np.zeros_like(x_new)
-    assert solvers._relative_change(zero, x_new, dims) == pytest.approx(np.linalg.norm(x_new), rel=1e-14)
-    with pytest.raises(ValueError, match="column-major"):
-        solvers._relative_change(np.ascontiguousarray(x), x_new, dims)
+    monkeypatch.setattr(solvers, "_block_spectrum", spied)
+    for dims in [(32, 32, 4), (64, 64, 4)]:
+        truth = [x for x, _, _ in generate_frames(PhantomSpec(dims=dims, n_frames=2))]
+        y1, y2 = (acquire(f, make_mask(dims[0], dims[1], rate, seed=t))
+                  for t, (f, rate) in enumerate(zip(truth, (0.5, 0.25))))
+        auto = default_config(y1)
+        for cfg in (auto, replace(auto, lambda_S=auto.lambda_S / 100)):
+            previous = solve(y1, cfg) if solver == "priori-ls" else None
+            skipped.clear()
+            got = solve(y2, cfg, previous)
+            L, S, converged, history, data_residual = reference_solve(y2, cfg, previous)
+            assert got.iterations == len(history) > 1 and got.converged == converged
+            np.testing.assert_allclose(got.residual_history, history, rtol=1e-12, atol=0)
+            assert np.linalg.norm(got.L - L) <= 1e-13 * np.linalg.norm(L)
+            assert np.linalg.norm(got.S - S) <= 1e-13 * np.linalg.norm(S)
+            assert abs(got.data_residual - data_residual) <= 1e-12 * data_residual
+            if cfg is not auto:
+                assert 0 in skipped

@@ -133,6 +133,20 @@ def test_matrix_forms_run_in_place():
     assert np.linalg.norm(data - original) <= 1e-13 * np.linalg.norm(original)
 
 
+@pytest.mark.parametrize("dims", [(16, 16, 3), (64, 32, 2)])
+def test_forward_into_planes_gives_the_coefficients_bit_for_bit(dims):
+    # Given a real planes array, the forward leaves the coefficients there as
+    # real and imaginary planes, and the input is only scratch.
+    rng = np.random.default_rng(16)
+    n_x, n_y, n_z = dims
+    data = np.asfortranarray(random_volume(rng, dims).data)
+    want = _forward_matrix(data.copy(order="F"), dims).T.reshape(n_z, n_x, n_y)
+    planes = np.empty((2 * n_z, n_x, n_y))
+    assert _forward_matrix(data, dims, planes) is planes
+    assert np.array_equal(planes[:n_z], want.real)
+    assert np.array_equal(planes[n_z:], want.imag)
+
+
 def test_matrix_forms_reject_row_major_input():
     # data.T.reshape of a row-major matrix is a copy: the in-place result would be lost.
     data = np.ascontiguousarray(random_volume(np.random.default_rng(14), (16, 16, 3)).data)
