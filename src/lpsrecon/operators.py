@@ -169,14 +169,13 @@ def _spectra(x: np.ndarray, dims: tuple[int, int, int], inverse: bool = False) -
     return slices
 
 
-def _put_samples(x: np.ndarray, y: KSpaceData, samples: np.ndarray | None = None) -> None:
-    """Write y's samples, or other m x n_z ``samples`` on y's mask, into the
-    spectra of the column-major matrix x: row z of ``samples.T`` at the mask's
-    ``index`` of slice z's flat spectrum, one ``np.put`` per slice, since a
-    fancy-index assignment over the whole (n_z, n_x*n_y) stack is about twice
-    as slow."""
+def _put_samples(x: np.ndarray, y: KSpaceData) -> None:
+    """Write y's samples into the spectra of the column-major matrix x: row z
+    of ``y.samples.T`` at the mask's ``index`` of slice z's flat spectrum, one
+    ``np.put`` per slice, since a fancy-index assignment over the whole
+    (n_z, n_x*n_y) stack is about twice as slow."""
     spectra = _slice_view(x, y.dims).reshape(y.dims[2], -1)
-    for spectrum, row in zip(spectra, (y.samples if samples is None else samples).T):
+    for spectrum, row in zip(spectra, y.samples.T):
         np.put(spectrum, y.mask.index, row)
 
 

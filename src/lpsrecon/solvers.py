@@ -18,8 +18,12 @@ The loop runs in k-space, as Otazo, Candes & Sodickson's L+S (MRM 2015)
 does. F, the unitary 2D DFT of each slice, multiplies the Casorati matrix
 from the left, so (F M)^H (F M) = M^H M and SVT(F M) = F SVT(M): step 1 on
 F X - F S gives F L, and step 3 is only the sample write. ``_iterate`` holds
-F L on the samples only, where it lives, and S as its coarse wavelet block,
-so a solve of k iterations runs k + 2 full-size FFTs.
+F L on the samples only, where it lives, and S as its coarse wavelet block.
+Step 2's analysis starts at level 1 whenever a bound on the samples proves
+that the shrink zeroes the finest details: the samples are then folded onto
+the quarter-size grid (Mallat's alias sum). So a solve of k iterations runs
+two full-size FFTs and k quarter-size ones, and one more full-size FFT in
+place of a quarter-size one for each iteration that the bound does not clear.
 
 Both solvers target the convex objective
 
@@ -55,12 +59,11 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core import Decomposition, SolverConfig, _slice_view, _soft_threshold_keep
+from .core import Decomposition, SolverConfig, _soft_threshold_keep
 from .operators import (
     KSpaceData,
     _adjoint_matrix,
     _gram_spectrum,
-    _put_samples,
     _spectra,
     _take_samples,
     sv_threshold,
@@ -180,6 +183,50 @@ def _sparse_spectrum(block: np.ndarray, tiling: tuple[np.ndarray, np.ndarray]) -
     return rows.reshape(rows.shape[0], -1).T
 
 
+def _fold_plan(tiling: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """What ``_fold`` reads of a ``_tiling`` on the samples: the float64
+    positions of each sample's real and imaginary parts in a block spectrum,
+    interleaved, and the conjugate responses."""
+    at, response = tiling
+    pairs = np.repeat(2 * at, 2)
+    pairs[1::2] += 1
+    return pairs, response.conj()
+
+
+def _fold(rows: np.ndarray, plan: tuple[np.ndarray, np.ndarray], out: np.ndarray) -> np.ndarray:
+    """The adjoint of ``_sparse_spectrum`` on the samples: each block
+    frequency k' gets the sum over the sampled k that read it (``_tiling``)
+    of conj(R(k)) times the m x n_z ``rows`` at k, one ``np.bincount`` per
+    slice, written into the (n_z, b_x b_y) stack ``out``, which is returned.
+    ``rows``, column-major, is left multiplied by the conjugate responses
+    (``_fold_plan``). Its inverse DFT is the lowpass block of one analysis
+    level of F^H of the rows scattered out (Mallat's alias sum); with the
+    tiling of j = 0 it is that scatter, ``operators._put_samples`` into
+    zeroed spectra."""
+    pairs, weights = plan
+    rows *= weights[:, None]
+    for spectrum, row in zip(out, rows.T):
+        spectrum[:] = np.bincount(pairs, row.view(np.float64), 2 * spectrum.size).view(np.complex128)
+    return out
+
+
+def _detail_bounds(dims: tuple[int, int, int], index: np.ndarray) -> np.ndarray:
+    """The 3 x m weights, at the flat positions ``index``, that bound the
+    level-1 details of F^H of a spectrum D nonzero only there: every
+    coefficient of detail band b (lowpass and highpass along x and y in its
+    three mixed pairs) of each slice is at most row b of this times |D| of
+    that slice. The band's spectrum on the (n_x/2, n_y/2) grid is the alias
+    sum of conj(R_b(k)) D[k], and its unitary inverse DFT is at most
+    2 / sqrt(n_x n_y) times the sum of its magnitudes; R_b is the product of
+    the one-level responses along x and y, and |R_hi(k)| = |R_lo(k + n/2)|."""
+    n_x, n_y, _ = dims
+    kx, ky = np.divmod(index, n_y)
+    lo_x, lo_y = (np.abs(_lowpass_response(n, 1)) for n in (n_x, n_y))
+    hi_x, hi_y = (np.roll(lo, -(lo.size // 2)) for lo in (lo_x, lo_y))
+    bands = (lo_x[kx] * hi_y[ky], hi_x[kx] * lo_y[ky], hi_x[kx] * hi_y[ky])
+    return np.stack(bands) * (2 / math.sqrt(n_x * n_y))
+
+
 def _block_spectrum(w: np.ndarray, skipped: int) -> np.ndarray:
     """B, the (n_z, b_x, b_y) spectra of the synthesis of the coefficient block
     ``w`` (an (n_z, b_x, b_y) stack, left as it is), the top-left level block of
@@ -233,12 +280,18 @@ def _iterate(y: KSpaceData, cfg: SolverConfig) -> SolveResult:
 
     1. M_O = y - S_O, and L_O = ``sv_threshold`` of it: the one SVT, on the
        sample rows.
-    2. D = M - L^, M_O - L_O on the samples and 0 elsewhere, scattered into the
-       work buffer, then one inverse FFT.
-    3. The wavelet planes T F^H D, plus the old W_S on its block: X^ - L^ =
-       D + S^, so these are the coefficients of X - L.
-    4. The detail-free levels from |c|^2 > lambda_S^2 on the planes; only that
-       block is shrunk (``_soft_threshold_keep``), the new W_S.
+    2. D = M - L^, M_O - L_O on the samples and 0 elsewhere. The analysis of
+       X - L starts at level ``first``: 1 when W_S has no level-1 detail and
+       ``_detail_bounds`` times |D_O| is below lambda_S, which proves that the
+       shrink zeroes every level-1 detail, and 0 otherwise. D is folded onto
+       the (n_x >> first, n_y >> first) grid in the work buffer (``_fold``;
+       at level 0, the scatter), then one inverse FFT of that size.
+    3. The wavelet planes of the rest of the levels, in the planes' top-left
+       block, plus the old W_S on its block: X^ - L^ = D + S^, so these are
+       the coefficients of X - L.
+    4. The detail-free levels from |c|^2 > lambda_S^2 on that block, from
+       level ``first``; only their block is shrunk (``_soft_threshold_keep``),
+       the new W_S.
     5. B from W_S's synthesis and small FFT (``_block_spectrum``), and S_O.
     6. The stopping test and the data residual. X^_old - X^_new is 0 on the
        samples and S^_old - S^_new off them, so ||X^_old - X^_new||^2 =
@@ -248,46 +301,53 @@ def _iterate(y: KSpaceData, cfg: SolverConfig) -> SolveResult:
        nonnegative terms, so nothing cancels. The data residual
        ||y - A(L + S)|| is ||y - L_O - S_O|| of the last iteration.
 
-    A non-finite L_O shows in the planes, whatever is sampled, and so as a
-    non-finite change. S^ is tiled out in full once, and L and S take one
-    inverse FFT each, at the end."""
+    A non-finite L_O fails the bound, so it shows in the planes, whatever is
+    sampled, and so as a non-finite change. S^ is tiled out in full once, and
+    L and S take one inverse FFT each, at the end."""
     # Full-size arrays stay column-major (a C-contiguous slice stack): no reshape copies.
     dims = n_x, n_y, n_z = y.dims
     work = np.empty((n_x * n_y, n_z), dtype=np.complex128, order="F")
+    stacked = work.T.reshape(-1)  # its slice stack, flat: a level block's stack fills its head
     planes = np.empty((2 * n_z, n_x, n_y))
-    s = np.zeros_like(y.samples)  # S_O: S = 0 to start
+    s = np.zeros(y.samples.shape, dtype=np.complex128, order="F")  # S_O: S = 0 to start
     w = np.zeros((n_z, 0, 0), dtype=np.complex128)  # W_S, an empty block
     skipped = WAVELET_LEVELS
     block = np.zeros((n_z, n_x >> skipped, n_y >> skipped), dtype=np.complex128)  # B
     y_norm = _norm2(y.samples)
     s_off = 0.0  # ||S^ off the samples||^2
+    bounds = _detail_bounds(dims, y.mask.index)
     tilings: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # per j, on the samples
+    folds: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # per first level, on the samples
     weights: dict[int, np.ndarray] = {}  # per j, off the samples
     history: list[float] = []
     converged = False
 
     for it in range(1, cfg.max_iter + 1):
-        d = y.samples - s
+        d, s = np.subtract(y.samples, s, out=s), None  # in S_O's buffer: step 5 renews S_O
         l = sv_threshold(d, cfg.lambda_L)
         d -= l
-        work.fill(0)
-        _put_samples(work, y, d)
+        first = int(skipped > 0 and (bounds @ np.abs(d)).max() < cfg.lambda_S)
+        if first not in folds:
+            folds[first] = _fold_plan(_tiling(dims, first, y.mask.index))
+        bx, by = n_x >> first, n_y >> first
+        spectra = _fold(d, folds[first], stacked[: n_z * bx * by].reshape(n_z, -1)).T
         d = None
-        _spectra(work, dims, inverse=True)
-        planes = _forward_matrix(work, dims, planes)
-        bx, by = w.shape[1:]
-        planes[:n_z, :bx, :by] += w.real
-        planes[n_z:, :bx, :by] += w.imag
-        # |c|^2 in the work buffer's dead bytes: c survives the shrink iff |c| > lambda_S.
-        energy = _slice_view(work, dims).view(np.float64).reshape(planes.shape)
-        np.square(planes, out=energy)
+        _spectra(spectra, (bx, by, n_z), inverse=True)
+        coef = _forward_matrix(spectra, (bx, by, n_z), planes[:, :bx, :by], WAVELET_LEVELS - first)
+        wx, wy = w.shape[1:]
+        coef[:n_z, :wx, :wy] += w.real
+        coef[n_z:, :wx, :wy] += w.imag
+        # |c|^2 in the folded spectra's dead bytes: c survives the shrink iff |c| > lambda_S.
+        energy = spectra.T.view(np.float64).reshape(coef.shape)
+        np.square(coef, out=energy)
         energy = np.add(energy[:n_z], energy[n_z:], out=energy[:n_z])
         block_old, skipped_old = block, skipped
-        skipped = _detail_free_levels(energy, cfg.lambda_S ** 2)
-        energy = None
+        skipped = first + _detail_free_levels(energy, cfg.lambda_S ** 2, WAVELET_LEVELS - first)
+        energy = spectra = None
         bx, by = n_x >> skipped, n_y >> skipped
         w = np.empty((n_z, bx, by), dtype=np.complex128)
-        w.real, w.imag = planes[:n_z, :bx, :by], planes[n_z:, :bx, :by]
+        w.real, w.imag = coef[:n_z, :bx, :by], coef[n_z:, :bx, :by]
+        coef = None
         _soft_threshold_keep(w, cfg.lambda_S)
         block = _block_spectrum(w, skipped)
         if skipped not in tilings:
@@ -315,7 +375,8 @@ def _iterate(y: KSpaceData, cfg: SolverConfig) -> SolveResult:
     data_residual = math.sqrt(_norm2(e))
     if not math.isfinite(data_residual):
         raise FloatingPointError(f"solver produced a non-finite estimate at iteration {len(history)}")
-    work = planes = e = None
+    # The loop's buffers and per-solve caches go before S^ and L are formed in full.
+    work = stacked = planes = e = bounds = folds = tilings = weights = None
     s = _sparse_spectrum(block, _tiling(dims, skipped))
     _spectra(s, dims, inverse=True)
     l = _adjoint_matrix(KSpaceData(l, y.mask))  # L^ lives on the samples

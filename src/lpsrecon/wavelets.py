@@ -18,9 +18,11 @@ approximation ends up in the top-left (n_x/8) x (n_y/8) corner. When the j
 finest levels hold no detail, every nonzero lies in the top-left level block
 of (n_x >> j) x (n_y >> j), and the synthesis is that block's, at fewer
 levels, followed by j lowpass upsamplings; in k-space each upsampling is a
-tiling times a frequency response (``_lowpass_response``). The public
-transforms check the slice dims (``check_slice_dims``), as ``solvers.solve``
-does once per solve; the in-place matrix forms take them as checked.
+tiling times a frequency response (``_lowpass_response``), and the lowpass
+half of one analysis level is its adjoint, a fold of the aliases times the
+conjugate response. The public transforms check the slice dims
+(``check_slice_dims``), as ``solvers.solve`` does once per solve; the
+in-place matrix forms take them as checked.
 """
 
 from __future__ import annotations
@@ -203,13 +205,16 @@ def check_slice_dims(dims: tuple[int, int, int]) -> None:
 
 
 def _forward_matrix(
-    data: np.ndarray, dims: tuple[int, int, int], planes: np.ndarray | None = None
+    data: np.ndarray,
+    dims: tuple[int, int, int],
+    planes: np.ndarray | None = None,
+    levels: int = WAVELET_LEVELS,
 ) -> np.ndarray:
     """Coefficients of a column-major Casorati matrix, in place; returns ``data``.
     Given ``planes``, a real (2 n_z, n_x, n_y) array, the coefficients' real
     and imaginary planes are written there and returned instead, and ``data``
-    is left as scratch."""
-    out = _dwt2_stack(_slice_view(data, dims), WAVELET_LEVELS, planes=planes)
+    is left as scratch. With fewer ``levels``, the analysis of a level block."""
+    out = _dwt2_stack(_slice_view(data, dims), levels, planes=planes)
     return data if planes is None else out
 
 
@@ -222,18 +227,18 @@ def _inverse_matrix(
     return w
 
 
-def _detail_free_levels(energy: np.ndarray, floor: float) -> int:
-    """How many of the finest levels of the real (n_z, n_x, n_y) stack
-    ``energy``, such as the |c|^2 of a coefficient stack, hold no detail entry
-    above ``floor``, at most WAVELET_LEVELS. With j of them, every entry above
-    ``floor`` lies in the top-left (n_x >> j) x (n_y >> j) level block. A NaN
-    entry counts as none."""
+def _detail_free_levels(energy: np.ndarray, floor: float, levels: int = WAVELET_LEVELS) -> int:
+    """How many of the finest of the ``levels`` levels of the real (n_z, n_x,
+    n_y) stack ``energy``, such as the |c|^2 of a coefficient stack, hold no
+    detail entry above ``floor``, at most ``levels``. With j of them, every
+    entry above ``floor`` lies in the top-left (n_x >> j) x (n_y >> j) level
+    block. A NaN entry counts as none."""
     n_x, n_y = energy.shape[1:]
-    for lev in range(WAVELET_LEVELS):
+    for lev in range(levels):
         bx, by = n_x >> lev, n_y >> lev
         if energy[:, bx // 2 : bx, :by].max() > floor or energy[:, : bx // 2, by // 2 : by].max() > floor:
             return lev
-    return WAVELET_LEVELS
+    return levels
 
 
 # -2 pi i in long double: where that is wider than float64, each response is

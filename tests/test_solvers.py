@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings, strategies as st
 
 from lpsrecon import (
     Decomposition,
@@ -24,6 +25,7 @@ from lpsrecon import (
     wavelet_forward,
 )
 from lpsrecon import operators, solvers
+from lpsrecon.core import _slice_view
 from lpsrecon.harness import _acquire_sequence
 from lpsrecon.operators import (
     _data_consistency,
@@ -33,7 +35,7 @@ from lpsrecon.operators import (
     sv_threshold,
 )
 from lpsrecon.phantom import PhantomSpec
-from lpsrecon.wavelets import WAVELET_LEVELS, _detail_free_levels, _inverse_matrix
+from lpsrecon.wavelets import WAVELET_LEVELS, _detail_free_levels, _dwt2_stack, _inverse_matrix
 
 from helpers import reference_solve, support_change, support_set
 
@@ -287,7 +289,7 @@ def test_solve_peak_memory_is_at_most_three_and_three_quarter_volumes(dims):
     # One work buffer and the wavelet planes, plus the wavelet's wrap tile,
     # S's coefficient blocks and the sample-sized arrays; the returned L and S
     # count towards the peak, and a priori-ls solve's residual samples too.
-    # Measured: 3.46 / 3.66 volumes (ls / priori-ls) at 64^2 x 4, 3.24 / 3.49 at 128^2 x 8.
+    # Measured: 3.45 / 3.60 volumes (ls / priori-ls) at 64^2 x 4, 3.10 / 3.35 at 128^2 x 8.
     n_x, n_y, n_z = dims
     truth = [x for x, _, _ in generate_frames(PhantomSpec(dims=dims, n_frames=2))]
     frames = [acquire(f, make_mask(n_x, n_y, 0.25, seed=t)) for t, f in enumerate(truth)]
@@ -571,30 +573,51 @@ def _second_frame(phantom_50, solver):
     return acquire(truth[1], make_mask(32, 32, 0.25, seed=8)), cfg, previous
 
 
+@pytest.mark.parametrize("scale", [1, 0.01], ids=["auto", "fine-detail"])
 @pytest.mark.parametrize("solver", ["ls", "priori-ls"])
-def test_a_solve_of_k_iterations_runs_k_plus_2_transforms_and_k_block_transforms(
-    phantom_50, monkeypatch, solver
+def test_full_size_ffts_are_2_plus_1_per_level_0_iteration(
+    phantom_50, monkeypatch, solver, scale
 ):
     # The loop holds spectra: X^0 is the scattered samples, with no transform;
-    # each iteration inverts X^ - L^ once and transforms S's coarse block once;
-    # L and S each take one inverse at the end. A priori-ls start gathers from
-    # L_prev + S_prev through one more full-size transform. cfg has both
-    # thresholds set, so default_config reads no samples.
+    # each iteration inverts its fold of X^ - L^ once, at quarter size when its
+    # analysis starts at level 1 and at full size when it starts at level 0, and
+    # transforms S's coarse block once; L and S each take one inverse at the
+    # end. A priori-ls start gathers from L_prev + S_prev through one more
+    # full-size transform. cfg has both thresholds set, so default_config reads
+    # no samples. At the default thresholds the bound clears every iteration;
+    # at lambda_S / 100 the finest level keeps detail, and some do not.
     y2, cfg, previous = _second_frame(phantom_50, solver)
-    spectra, full, block = operators._spectra, [], []
+    cfg = replace(cfg, lambda_S=cfg.lambda_S * scale)
+    n_x, n_y, n_z = y2.dims
+    spectra, forward_matrix = operators._spectra, solvers._forward_matrix
+    calls, firsts = [], []
 
     def counted(x, dims, inverse=False):
-        (full if dims == y2.dims else block).append(dims)
+        calls.append((dims, inverse))
         return spectra(x, dims, inverse)
+
+    def spied(data, dims, planes=None, levels=WAVELET_LEVELS):
+        firsts.append(WAVELET_LEVELS - levels)
+        return forward_matrix(data, dims, planes, levels)
 
     monkeypatch.setattr(operators, "_spectra", counted)
     monkeypatch.setattr(solvers, "_spectra", counted)
+    monkeypatch.setattr(solvers, "_forward_matrix", spied)
     result = solve(y2, cfg, previous)
     k = result.iterations
-    assert k > 1
-    assert len(full) == k + 2 + (previous is not None)
-    assert len(block) == k
-    assert all(dims[0] < y2.dims[0] and dims[2] == y2.dims[2] for dims in block)
+    assert k > 1 and len(firsts) == k
+    from_0 = firsts.count(0)
+    assert (from_0 == 0) == (scale == 1)
+    inverse = [dims for dims, inv in calls if inv]
+    forward = [dims for dims, inv in calls if not inv]
+    start = previous is not None
+    assert forward[:start] == [y2.dims] * start
+    assert len(forward) == start + k
+    assert inverse.count(y2.dims) == 2 + from_0
+    assert inverse.count((n_x // 2, n_y // 2, n_z)) == k - from_0 == len(inverse) - 2 - from_0
+    assert all(dims[0] <= n_x and dims[2] == n_z for dims in forward[start:])
+    if scale == 1:
+        assert all(dims[0] < n_x for dims in forward[start:])
 
 
 @pytest.mark.parametrize("solver", ["ls", "priori-ls"])
@@ -675,6 +698,95 @@ def test_off_sample_energy_of_a_block_and_of_its_refinements(dims, skipped):
         assert np.linalg.norm(again - full) <= 1e-13 * np.linalg.norm(full)
 
 
+def _sample_rows(dims, rate, seed, keep=None):
+    """A mask at ``rate`` and random m x n_z rows on it, column-major; with
+    ``keep``, all rows but that many are 0."""
+    n_x, n_y, n_z = dims
+    rng = np.random.default_rng(seed)
+    mask = make_mask(n_x, n_y, rate, seed=seed)
+    rows = rng.standard_normal((mask.m, n_z)) + 1j * rng.standard_normal((mask.m, n_z))
+    if keep is not None:
+        rows[rng.permutation(mask.m)[keep:]] = 0
+    return mask, np.asfortranarray(rows)
+
+
+def _one_level(rows, mask, dims):
+    """One analysis level of F^H of ``rows`` scattered out on ``mask``, as
+    the (n_z, n_x, n_y) stack of its four bands (lowpass block top-left)."""
+    x = operators._scattered_samples(KSpaceData(rows, mask))
+    _spectra(x, dims, inverse=True)
+    return _dwt2_stack(_slice_view(x, dims), 1)
+
+
+@pytest.mark.parametrize("dims", [(32, 32, 4), (128, 128, 8), (8, 128, 2), (64, 32, 3)])
+def test_fold_and_a_quarter_size_inverse_give_the_lowpass_block_of_one_level(dims):
+    # Mallat's alias sum: the lowpass band of one analysis level of F^H D, for
+    # D on the samples, is the quarter-size inverse DFT of D folded with the
+    # conjugate one-level responses, the adjoint of _sparse_spectrum's tiling.
+    n_x, n_y, n_z = dims
+    mask, rows = _sample_rows(dims, 0.3, n_x + n_z)
+    want = _one_level(rows, mask, dims)[:, : n_x // 2, : n_y // 2]
+    plan = solvers._fold_plan(solvers._tiling(dims, 1, mask.index))
+    got = solvers._fold(rows.copy(order="F"), plan, np.empty((n_z, n_x * n_y // 4), dtype=complex))
+    got = _spectra(got.T, (n_x // 2, n_y // 2, n_z), inverse=True)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("dims", [(32, 32, 4), (8, 128, 2), (64, 32, 3)])
+@pytest.mark.parametrize("skipped", [0, 1, 2])
+def test_fold_is_the_adjoint_of_the_sparse_spectrum_on_the_samples(dims, skipped):
+    # <fold(D), B> = <D, S^ at the samples from B>, for any block spectrum B.
+    n_x, n_y, n_z = dims
+    mask, rows = _sample_rows(dims, 0.3, n_x * n_y + skipped)
+    rng = np.random.default_rng(skipped)
+    shape = (n_z, n_x >> skipped, n_y >> skipped)
+    block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    tiling = solvers._tiling(dims, skipped, mask.index)
+    out = np.empty((n_z, block[0].size), dtype=complex)
+    folded = solvers._fold(rows.copy(order="F"), solvers._fold_plan(tiling), out)
+    lhs = np.vdot(folded, block.reshape(n_z, -1))
+    rhs = np.vdot(rows, solvers._sparse_spectrum(block, tiling))
+    assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(rows) * np.linalg.norm(block)
+
+
+@pytest.mark.parametrize("dims", [(32, 32, 4), (8, 128, 2), (64, 32, 3)])
+def test_fold_at_level_0_is_the_scatter_bit_for_bit(dims):
+    # With the tiling of j = 0 (the mask index, response 1) the fold is the
+    # scatter into zeroed spectra that the loop ran before it had a fold.
+    n_x, n_y, n_z = dims
+    mask, rows = _sample_rows(dims, 0.3, n_y + n_z)
+    plan = solvers._fold_plan(solvers._tiling(dims, 0, mask.index))
+    got = solvers._fold(rows.copy(order="F"), plan, np.empty((n_z, n_x * n_y), dtype=complex))
+    assert got.tobytes() == operators._scattered_samples(KSpaceData(rows, mask)).tobytes(order="F")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n_x=st.sampled_from([8, 16, 32, 64]),
+    n_y=st.sampled_from([8, 16, 32, 64]),
+    n_z=st.integers(1, 3),
+    rate=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**16),
+    keep=st.one_of(st.none(), st.integers(1, 4)),
+)
+def test_detail_bounds_cap_every_level_1_detail(n_x, n_y, n_z, rate, seed, keep):
+    # Each row of _detail_bounds times |D| caps its band's largest coefficient
+    # on each slice, up to the transforms' rounding, which the slack allows;
+    # with one nonzero sample the cap is reached.
+    dims = (n_x, n_y, n_z)
+    mask, rows = _sample_rows(dims, rate, seed, keep)
+    stack = np.abs(_one_level(rows, mask, dims))
+    hx, hy = n_x // 2, n_y // 2
+    bands = (stack[:, :hx, hy:], stack[:, hx:, :hy], stack[:, hx:, hy:])
+    largest = np.array([band.max(axis=(1, 2)) for band in bands])
+    bound = solvers._detail_bounds(dims, mask.index) @ np.abs(rows)
+    assert bound.shape == (3, n_z)
+    slack = 1e-14 * np.linalg.norm(rows)
+    assert (largest <= bound * (1 + 1e-12) + slack).all()
+    if keep == 1:
+        np.testing.assert_allclose(largest, bound, rtol=1e-12, atol=slack)
+
+
 def test_priori_ls_scores_at_least_view_sharing_at_128():
     # The seq-128-priori protocol: 6 frames at 128x128x8, frame 1 at rate 0.5
     # on mask seed 0 and later frames at 1/7 on mask seed 1. View sharing is
@@ -723,15 +835,22 @@ def test_residual_history_matches_the_norm_ratio(monkeypatch, solver):
     # and takes the norm ratio ||X^ - X^_new|| / ||X^||. Frame 2 of the
     # 32^2 x 4 and 64^2 x 4 phantoms at rate 1/4, at the default thresholds
     # and at lambda_S / 100, where the finest level keeps detail (j = 0) in
-    # some iteration. Measured: histories within 7.1e-14 relative.
-    skipped = []
-    block_spectrum = solvers._block_spectrum
+    # some iteration. Every iteration's analysis starts at level 1 at the
+    # default thresholds, and some at level 0 at lambda_S / 100. Measured:
+    # histories within 8.4e-14 relative.
+    skipped, firsts = [], []
+    block_spectrum, forward_matrix = solvers._block_spectrum, solvers._forward_matrix
 
     def spied(w, j):
         skipped.append(j)
         return block_spectrum(w, j)
 
+    def started(data, dims, planes=None, levels=WAVELET_LEVELS):
+        firsts.append(WAVELET_LEVELS - levels)
+        return forward_matrix(data, dims, planes, levels)
+
     monkeypatch.setattr(solvers, "_block_spectrum", spied)
+    monkeypatch.setattr(solvers, "_forward_matrix", started)
     for dims in [(32, 32, 4), (64, 64, 4)]:
         truth = [x for x, _, _ in generate_frames(PhantomSpec(dims=dims, n_frames=2))]
         y1, y2 = (acquire(f, make_mask(dims[0], dims[1], rate, seed=t))
@@ -740,6 +859,7 @@ def test_residual_history_matches_the_norm_ratio(monkeypatch, solver):
         for cfg in (auto, replace(auto, lambda_S=auto.lambda_S / 100)):
             previous = solve(y1, cfg) if solver == "priori-ls" else None
             skipped.clear()
+            firsts.clear()
             got = solve(y2, cfg, previous)
             L, S, converged, history, data_residual = reference_solve(y2, cfg, previous)
             assert got.iterations == len(history) > 1 and got.converged == converged
@@ -747,5 +867,8 @@ def test_residual_history_matches_the_norm_ratio(monkeypatch, solver):
             assert np.linalg.norm(got.L - L) <= 1e-13 * np.linalg.norm(L)
             assert np.linalg.norm(got.S - S) <= 1e-13 * np.linalg.norm(S)
             assert abs(got.data_residual - data_residual) <= 1e-12 * data_residual
-            if cfg is not auto:
-                assert 0 in skipped
+            assert len(firsts) == got.iterations
+            if cfg is auto:
+                assert set(firsts) == {1}
+            else:
+                assert 0 in skipped and 0 in firsts
