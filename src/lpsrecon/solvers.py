@@ -19,11 +19,12 @@ does. F, the unitary 2D DFT of each slice, multiplies the Casorati matrix
 from the left, so (F M)^H (F M) = M^H M and SVT(F M) = F SVT(M): step 1 on
 F X - F S gives F L, and step 3 is only the sample write. ``_iterate`` holds
 F L on the samples only, where it lives, and S as its coarse wavelet block.
-Step 2's analysis starts at level 1 whenever a bound on the samples proves
-that the shrink zeroes the finest details: the samples are then folded onto
-the quarter-size grid (Mallat's alias sum). So a solve of k iterations runs
-two full-size FFTs and k quarter-size ones, and one more full-size FFT in
-place of a quarter-size one for each iteration that the bound does not clear.
+Step 2's analysis starts at level 1 or 2 whenever a bound on the samples
+proves that the shrink zeroes every detail of the levels below it: the
+samples are then folded onto that level's grid, a quarter or a sixteenth of
+the full one (Mallat's alias sum). So a solve of k iterations runs two
+full-size FFTs and k folded ones, and a folded FFT is full-size in each
+iteration whose level-1 bound does not clear.
 
 Both solvers target the convex objective
 
@@ -130,15 +131,15 @@ def default_config(y: KSpaceData, cfg: SolverConfig | None = None) -> SolverConf
         lambda_S = LAMBDA_S_SCALE * max|T(X0)|
 
     A config with both thresholds set is returned as it is, without reading y.
-    X0 becomes T(X0) in place once sigma_max is read.
+    F X0 is y on the samples and 0 elsewhere, and F is unitary on each slice,
+    so sigma_max(X0) is that of the m x n_z sample rows, read from their Gram.
     """
     cfg = cfg or SolverConfig()
     if cfg.lambda_L is not None and cfg.lambda_S is not None:
         return cfg
     check_slice_dims(y.dims)
-    x0 = _adjoint_matrix(y)
-    sigma_max = float(_gram_spectrum(x0)[0][0])
-    coeff_peak = float(np.abs(_forward_matrix(x0, y.dims)).max())
+    sigma_max = float(_gram_spectrum(y.samples)[0][0])
+    coeff_peak = float(np.abs(_forward_matrix(_adjoint_matrix(y), y.dims)).max())
     if sigma_max == 0.0 or coeff_peak == 0.0:
         raise ValueError("all-zero measurements give no data scale; set thresholds explicitly")
     return replace(
@@ -199,10 +200,11 @@ def _fold(rows: np.ndarray, plan: tuple[np.ndarray, np.ndarray], out: np.ndarray
     of conj(R(k)) times the m x n_z ``rows`` at k, one ``np.bincount`` per
     slice, written into the (n_z, b_x b_y) stack ``out``, which is returned.
     ``rows``, column-major, is left multiplied by the conjugate responses
-    (``_fold_plan``). Its inverse DFT is the lowpass block of one analysis
-    level of F^H of the rows scattered out (Mallat's alias sum); with the
-    tiling of j = 0 it is that scatter, ``operators._put_samples`` into
-    zeroed spectra."""
+    (``_fold_plan``). With the tiling of j levels, its inverse DFT on the
+    (n_x >> j, n_y >> j) grid is the lowpass block of j analysis levels of
+    F^H of the rows scattered out (Mallat's alias sum, over the 4^j
+    frequencies that fold onto each point); with j = 0 it is that scatter,
+    ``operators._put_samples`` into zeroed spectra."""
     pairs, weights = plan
     rows *= weights[:, None]
     for spectrum, row in zip(out, rows.T):
@@ -211,20 +213,29 @@ def _fold(rows: np.ndarray, plan: tuple[np.ndarray, np.ndarray], out: np.ndarray
 
 
 def _detail_bounds(dims: tuple[int, int, int], index: np.ndarray) -> np.ndarray:
-    """The 3 x m weights, at the flat positions ``index``, that bound the
-    level-1 details of F^H of a spectrum D nonzero only there: every
-    coefficient of detail band b (lowpass and highpass along x and y in its
-    three mixed pairs) of each slice is at most row b of this times |D| of
-    that slice. The band's spectrum on the (n_x/2, n_y/2) grid is the alias
-    sum of conj(R_b(k)) D[k], and its unitary inverse DFT is at most
-    2 / sqrt(n_x n_y) times the sum of its magnitudes; R_b is the product of
-    the one-level responses along x and y, and |R_hi(k)| = |R_lo(k + n/2)|."""
+    """The 6 x m weights, at the flat positions ``index``, that bound the
+    level-1 and level-2 details of F^H of a spectrum D nonzero only there:
+    every coefficient of detail band b (lowpass and highpass along x and y in
+    its three mixed pairs) of level l of each slice is at most row 3(l - 1) + b
+    of this times |D| of that slice. The band's spectrum on the (n_x >> l,
+    n_y >> l) grid is the alias sum of conj(R_b(k)) D[k], and its unitary
+    inverse DFT is at most 2^l / sqrt(n_x n_y) times the sum of its
+    magnitudes. Along each axis R_b is the l-level lowpass response, or the
+    (l - 1)-level one times the one-level highpass response on the n >> (l - 1)
+    grid at k mod n >> (l - 1), where |R_hi(k)| = |R_lo(k + n / 2)|."""
     n_x, n_y, _ = dims
     kx, ky = np.divmod(index, n_y)
-    lo_x, lo_y = (np.abs(_lowpass_response(n, 1)) for n in (n_x, n_y))
-    hi_x, hi_y = (np.roll(lo, -(lo.size // 2)) for lo in (lo_x, lo_y))
-    bands = (lo_x[kx] * hi_y[ky], hi_x[kx] * lo_y[ky], hi_x[kx] * hi_y[ky])
-    return np.stack(bands) * (2 / math.sqrt(n_x * n_y))
+    rows = []
+    for lev in (1, 2):
+        lo_x, lo_y = (np.abs(_lowpass_response(n, lev)) for n in (n_x, n_y))
+        hi_x, hi_y = (
+            np.abs(_lowpass_response(n, lev - 1))
+            * np.tile(np.roll(np.abs(_lowpass_response(n >> (lev - 1), 1)), -(n >> lev)), 1 << (lev - 1))
+            for n in (n_x, n_y)
+        )
+        scale = (1 << lev) / math.sqrt(n_x * n_y)
+        rows += [lo_x[kx] * hi_y[ky] * scale, hi_x[kx] * lo_y[ky] * scale, hi_x[kx] * hi_y[ky] * scale]
+    return np.stack(rows)
 
 
 def _block_spectrum(w: np.ndarray, skipped: int) -> np.ndarray:
@@ -281,11 +292,13 @@ def _iterate(y: KSpaceData, cfg: SolverConfig) -> SolveResult:
     1. M_O = y - S_O, and L_O = ``sv_threshold`` of it: the one SVT, on the
        sample rows.
     2. D = M - L^, M_O - L_O on the samples and 0 elsewhere. The analysis of
-       X - L starts at level ``first``: 1 when W_S has no level-1 detail and
-       ``_detail_bounds`` times |D_O| is below lambda_S, which proves that the
-       shrink zeroes every level-1 detail, and 0 otherwise. D is folded onto
-       the (n_x >> first, n_y >> first) grid in the work buffer (``_fold``;
-       at level 0, the scatter), then one inverse FFT of that size.
+       X - L starts at level ``first``, the largest l of 0, 1 and 2 such that
+       W_S has no detail in its l finest levels and ``_detail_bounds`` times
+       |D_O| is below lambda_S for every level up to l, which proves that the
+       shrink zeroes every detail there. D is folded onto the (n_x >> first,
+       n_y >> first) grid in the work buffer (``_fold``; at level 0, the
+       scatter), then one inverse FFT of that size. The fold plan of one
+       level is held at a time, and rebuilt when ``first`` changes.
     3. The wavelet planes of the rest of the levels, in the planes' top-left
        block, plus the old W_S on its block: X^ - L^ = D + S^, so these are
        the coefficients of X - L.
@@ -317,7 +330,7 @@ def _iterate(y: KSpaceData, cfg: SolverConfig) -> SolveResult:
     s_off = 0.0  # ||S^ off the samples||^2
     bounds = _detail_bounds(dims, y.mask.index)
     tilings: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # per j, on the samples
-    folds: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # per first level, on the samples
+    fold, folded = None, None  # the fold plan on the samples, and its first level
     weights: dict[int, np.ndarray] = {}  # per j, off the samples
     history: list[float] = []
     converged = False
@@ -326,11 +339,15 @@ def _iterate(y: KSpaceData, cfg: SolverConfig) -> SolveResult:
         d, s = np.subtract(y.samples, s, out=s), None  # in S_O's buffer: step 5 renews S_O
         l = sv_threshold(d, cfg.lambda_L)
         d -= l
-        first = int(skipped > 0 and (bounds @ np.abs(d)).max() < cfg.lambda_S)
-        if first not in folds:
-            folds[first] = _fold_plan(_tiling(dims, first, y.mask.index))
+        peaks = (bounds @ np.abs(d)).reshape(-1, 3 * n_z).max(axis=1).tolist()  # per level, from 1
+        first = 0
+        while first < min(skipped, len(peaks)) and peaks[first] < cfg.lambda_S:
+            first += 1
+        if folded != first:
+            fold = None  # one plan at a time: the old one goes before the next is built
+            fold, folded = _fold_plan(_tiling(dims, first, y.mask.index)), first
         bx, by = n_x >> first, n_y >> first
-        spectra = _fold(d, folds[first], stacked[: n_z * bx * by].reshape(n_z, -1)).T
+        spectra = _fold(d, fold, stacked[: n_z * bx * by].reshape(n_z, -1)).T
         d = None
         _spectra(spectra, (bx, by, n_z), inverse=True)
         coef = _forward_matrix(spectra, (bx, by, n_z), planes[:, :bx, :by], WAVELET_LEVELS - first)
@@ -376,7 +393,7 @@ def _iterate(y: KSpaceData, cfg: SolverConfig) -> SolveResult:
     if not math.isfinite(data_residual):
         raise FloatingPointError(f"solver produced a non-finite estimate at iteration {len(history)}")
     # The loop's buffers and per-solve caches go before S^ and L are formed in full.
-    work = stacked = planes = e = bounds = folds = tilings = weights = None
+    work = stacked = planes = e = bounds = fold = tilings = weights = None
     s = _sparse_spectrum(block, _tiling(dims, skipped))
     _spectra(s, dims, inverse=True)
     l = _adjoint_matrix(KSpaceData(l, y.mask))  # L^ lives on the samples

@@ -289,7 +289,8 @@ def test_solve_peak_memory_is_at_most_three_and_three_quarter_volumes(dims):
     # One work buffer and the wavelet planes, plus the wavelet's wrap tile,
     # S's coefficient blocks and the sample-sized arrays; the returned L and S
     # count towards the peak, and a priori-ls solve's residual samples too.
-    # Measured: 3.45 / 3.60 volumes (ls / priori-ls) at 64^2 x 4, 3.10 / 3.35 at 128^2 x 8.
+    # Measured: 3.54 / 3.70 volumes (ls / priori-ls) at 64^2 x 4, 3.15 / 3.40 at 128^2 x 8;
+    # the level-2 bound's three rows of weights add 0.09 of a volume at 64^2 x 4.
     n_x, n_y, n_z = dims
     truth = [x for x, _, _ in generate_frames(PhantomSpec(dims=dims, n_frames=2))]
     frames = [acquire(f, make_mask(n_x, n_y, 0.25, seed=t)) for t, f in enumerate(truth)]
@@ -451,11 +452,14 @@ def test_default_config_golden_values(phantom_50):
 
 
 def test_default_config_reads_its_thresholds_off_the_zero_filled_proxy(phantom_50):
-    # default_config transforms X0 in place once sigma_max is read; both
-    # thresholds must still be those of the untouched proxy, bit for bit.
+    # sigma_max(X0) is read off the sample rows, since F X0 is y there and 0
+    # elsewhere: it is the proxy's to rounding, and bit for bit the rows'.
+    # max|T(X0)| is the untouched proxy's, bit for bit.
     _, y, cfg = phantom_50
     x0 = acquire_adjoint(y)
-    assert cfg.lambda_L == solvers.LAMBDA_L_SCALE * float(_gram_spectrum(x0.data)[0][0])
+    assert cfg.lambda_L == solvers.LAMBDA_L_SCALE * float(_gram_spectrum(y.samples)[0][0])
+    proxy = solvers.LAMBDA_L_SCALE * float(_gram_spectrum(x0.data)[0][0])
+    assert cfg.lambda_L == pytest.approx(proxy, rel=1e-13)
     assert cfg.lambda_S == solvers.LAMBDA_S_SCALE * float(np.abs(wavelet_forward(x0)).max())
 
 
@@ -579,13 +583,14 @@ def test_full_size_ffts_are_2_plus_1_per_level_0_iteration(
     phantom_50, monkeypatch, solver, scale
 ):
     # The loop holds spectra: X^0 is the scattered samples, with no transform;
-    # each iteration inverts its fold of X^ - L^ once, at quarter size when its
-    # analysis starts at level 1 and at full size when it starts at level 0, and
-    # transforms S's coarse block once; L and S each take one inverse at the
-    # end. A priori-ls start gathers from L_prev + S_prev through one more
-    # full-size transform. cfg has both thresholds set, so default_config reads
-    # no samples. At the default thresholds the bound clears every iteration;
-    # at lambda_S / 100 the finest level keeps detail, and some do not.
+    # each iteration inverts its fold of X^ - L^ once, at 1/16 size when its
+    # analysis starts at level 2, at quarter size from level 1 and at full size
+    # from level 0, and transforms S's coarse block once; L and S each take one
+    # inverse at the end. A priori-ls start gathers from L_prev + S_prev through
+    # one more full-size transform. cfg has both thresholds set, so
+    # default_config reads no samples. At the default thresholds the level-1
+    # bound clears every iteration, and the level-2 one in some of ls's; at
+    # lambda_S / 100 the finest level keeps detail, and some clear neither.
     y2, cfg, previous = _second_frame(phantom_50, solver)
     cfg = replace(cfg, lambda_S=cfg.lambda_S * scale)
     n_x, n_y, n_z = y2.dims
@@ -614,7 +619,9 @@ def test_full_size_ffts_are_2_plus_1_per_level_0_iteration(
     assert forward[:start] == [y2.dims] * start
     assert len(forward) == start + k
     assert inverse.count(y2.dims) == 2 + from_0
-    assert inverse.count((n_x // 2, n_y // 2, n_z)) == k - from_0 == len(inverse) - 2 - from_0
+    assert inverse.count((n_x // 2, n_y // 2, n_z)) == firsts.count(1)
+    assert inverse.count((n_x // 4, n_y // 4, n_z)) == firsts.count(2)
+    assert len(inverse) == 2 + k
     assert all(dims[0] <= n_x and dims[2] == n_z for dims in forward[start:])
     if scale == 1:
         assert all(dims[0] < n_x for dims in forward[start:])
@@ -710,12 +717,26 @@ def _sample_rows(dims, rate, seed, keep=None):
     return mask, np.asfortranarray(rows)
 
 
-def _one_level(rows, mask, dims):
-    """One analysis level of F^H of ``rows`` scattered out on ``mask``, as
-    the (n_z, n_x, n_y) stack of its four bands (lowpass block top-left)."""
+def _analysis(rows, mask, dims, levels):
+    """``levels`` analysis levels of F^H of ``rows`` scattered out on ``mask``,
+    as the (n_z, n_x, n_y) stack of their bands (lowpass block top-left)."""
     x = operators._scattered_samples(KSpaceData(rows, mask))
     _spectra(x, dims, inverse=True)
-    return _dwt2_stack(_slice_view(x, dims), 1)
+    return _dwt2_stack(_slice_view(x, dims), levels)
+
+
+def _check_fold_gives_the_lowpass_block(dims, levels):
+    """The fold on the samples with the tiling of ``levels`` skipped levels,
+    then an inverse DFT on the (n_x >> levels, n_y >> levels) grid, gives the
+    lowpass block of that many analysis levels, to 1e-13 relative."""
+    n_x, n_y, n_z = dims
+    mask, rows = _sample_rows(dims, 0.3, n_x + n_z)
+    bx, by = n_x >> levels, n_y >> levels
+    want = _analysis(rows, mask, dims, levels)[:, :bx, :by]
+    plan = solvers._fold_plan(solvers._tiling(dims, levels, mask.index))
+    got = solvers._fold(rows.copy(order="F"), plan, np.empty((n_z, bx * by), dtype=complex))
+    got = _spectra(got.T, (bx, by, n_z), inverse=True)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("dims", [(32, 32, 4), (128, 128, 8), (8, 128, 2), (64, 32, 3)])
@@ -723,13 +744,14 @@ def test_fold_and_a_quarter_size_inverse_give_the_lowpass_block_of_one_level(dim
     # Mallat's alias sum: the lowpass band of one analysis level of F^H D, for
     # D on the samples, is the quarter-size inverse DFT of D folded with the
     # conjugate one-level responses, the adjoint of _sparse_spectrum's tiling.
-    n_x, n_y, n_z = dims
-    mask, rows = _sample_rows(dims, 0.3, n_x + n_z)
-    want = _one_level(rows, mask, dims)[:, : n_x // 2, : n_y // 2]
-    plan = solvers._fold_plan(solvers._tiling(dims, 1, mask.index))
-    got = solvers._fold(rows.copy(order="F"), plan, np.empty((n_z, n_x * n_y // 4), dtype=complex))
-    got = _spectra(got.T, (n_x // 2, n_y // 2, n_z), inverse=True)
-    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    _check_fold_gives_the_lowpass_block(dims, 1)
+
+
+@pytest.mark.parametrize("dims", [(32, 32, 4), (128, 128, 8), (8, 128, 2), (64, 32, 3)])
+def test_fold_and_a_sixteenth_size_inverse_give_the_lowpass_block_of_two_levels(dims):
+    # The same alias sum over the 16 frequencies that fold onto each point of
+    # the (n_x / 4, n_y / 4) grid, with the two-level responses.
+    _check_fold_gives_the_lowpass_block(dims, 2)
 
 
 @pytest.mark.parametrize("dims", [(32, 32, 4), (8, 128, 2), (64, 32, 3)])
@@ -769,18 +791,21 @@ def test_fold_at_level_0_is_the_scatter_bit_for_bit(dims):
     seed=st.integers(0, 2**16),
     keep=st.one_of(st.none(), st.integers(1, 4)),
 )
-def test_detail_bounds_cap_every_level_1_detail(n_x, n_y, n_z, rate, seed, keep):
-    # Each row of _detail_bounds times |D| caps its band's largest coefficient
-    # on each slice, up to the transforms' rounding, which the slack allows;
-    # with one nonzero sample the cap is reached.
+def test_detail_bounds_cap_every_level_1_and_2_detail(n_x, n_y, n_z, rate, seed, keep):
+    # Row 3(l - 1) + b of _detail_bounds times |D| caps the largest coefficient
+    # of band b of level l on each slice, up to the transforms' rounding, which
+    # the slack allows; with one nonzero sample the cap is reached.
     dims = (n_x, n_y, n_z)
     mask, rows = _sample_rows(dims, rate, seed, keep)
-    stack = np.abs(_one_level(rows, mask, dims))
-    hx, hy = n_x // 2, n_y // 2
-    bands = (stack[:, :hx, hy:], stack[:, hx:, :hy], stack[:, hx:, hy:])
-    largest = np.array([band.max(axis=(1, 2)) for band in bands])
+    stack = np.abs(_analysis(rows, mask, dims, 2))
+    largest = []
+    for lev in (1, 2):
+        bx, by, hx, hy = n_x >> lev - 1, n_y >> lev - 1, n_x >> lev, n_y >> lev
+        bands = (stack[:, :hx, hy:by], stack[:, hx:bx, :hy], stack[:, hx:bx, hy:by])
+        largest += [band.max(axis=(1, 2)) for band in bands]
+    largest = np.array(largest)
     bound = solvers._detail_bounds(dims, mask.index) @ np.abs(rows)
-    assert bound.shape == (3, n_z)
+    assert bound.shape == (6, n_z)
     slack = 1e-14 * np.linalg.norm(rows)
     assert (largest <= bound * (1 + 1e-12) + slack).all()
     if keep == 1:
@@ -835,10 +860,10 @@ def test_residual_history_matches_the_norm_ratio(monkeypatch, solver):
     # and takes the norm ratio ||X^ - X^_new|| / ||X^||. Frame 2 of the
     # 32^2 x 4 and 64^2 x 4 phantoms at rate 1/4, at the default thresholds
     # and at lambda_S / 100, where the finest level keeps detail (j = 0) in
-    # some iteration. Every iteration's analysis starts at level 1 at the
-    # default thresholds, and some at level 0 at lambda_S / 100. Measured:
-    # histories within 8.4e-14 relative.
-    skipped, firsts = [], []
+    # some iteration. Every iteration's analysis starts at level 1 or 2 at the
+    # default thresholds, at both in the 32^2 x 4 ls solve, and some at level 0
+    # at lambda_S / 100. Measured: histories within 8.4e-14 relative.
+    skipped, firsts, auto_firsts = [], [], set()
     block_spectrum, forward_matrix = solvers._block_spectrum, solvers._forward_matrix
 
     def spied(w, j):
@@ -869,6 +894,7 @@ def test_residual_history_matches_the_norm_ratio(monkeypatch, solver):
             assert abs(got.data_residual - data_residual) <= 1e-12 * data_residual
             assert len(firsts) == got.iterations
             if cfg is auto:
-                assert set(firsts) == {1}
+                auto_firsts.update(firsts)
             else:
                 assert 0 in skipped and 0 in firsts
+    assert auto_firsts == {1, 2}

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from lpsrecon import DynamicVolume, wavelet_forward, wavelet_inverse
-from lpsrecon.wavelets import _DEC_LO, _dwt2_stack, _forward_matrix, _inverse_matrix, _level_matrix
+from lpsrecon.wavelets import (
+    _DEC_LO,
+    _detail_free_levels,
+    _dwt2_stack,
+    _forward_matrix,
+    _inverse_matrix,
+    _level_matrix,
+)
 
 from helpers import complex_dwt2, random_volume
 
@@ -145,6 +152,20 @@ def test_forward_into_planes_gives_the_coefficients_bit_for_bit(dims):
     assert _forward_matrix(data, dims, planes) is planes
     assert np.array_equal(planes[:n_z], want.real)
     assert np.array_equal(planes[n_z:], want.imag)
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+def test_detail_free_levels_counts_at_most_its_levels(levels):
+    # The solve loop scans only the 3 - first levels that its analysis ran, so
+    # the count must stop at ``levels``: with every entry below the floor it is
+    # exactly that. An entry above the floor in the approximation block leaves
+    # it there, and one in the details of the coarsest scanned level takes one off.
+    energy = np.full((2, 32, 16), 0.5)
+    assert _detail_free_levels(energy, 1.0, levels) == levels
+    energy[1, 0, 0] = 2.0
+    assert _detail_free_levels(energy, 1.0, levels) == levels
+    energy[0, 32 >> levels, 0] = 2.0
+    assert _detail_free_levels(energy, 1.0, levels) == levels - 1
 
 
 def test_matrix_forms_reject_row_major_input():
